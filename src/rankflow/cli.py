@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -30,6 +31,7 @@ from .synth import SynthConfig, generate_dataset
 
 _CONFIG_SECTIONS = {"synth", "filter", "gt", "train"}
 _CONFIG_SCALARS = {"window_size", "lam", "jobs", "seed"}
+_MAX_GAMMAS = 1000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,7 +81,11 @@ def _common(args):
     run_cfg = load_run_config(args.config) if args.config else {}
     jobs = args.jobs if args.jobs is not None else run_cfg.get("jobs")
     if jobs is None:
-        jobs = int(os.environ.get("RANKFLOW_JOBS", "1"))
+        env = os.environ.get("RANKFLOW_JOBS", "1")
+        try:
+            jobs = int(env)
+        except ValueError as e:
+            raise RankflowError(f"RANKFLOW_JOBS must be an integer, got {env!r}") from e
     return run_cfg, jobs
 
 
@@ -161,9 +167,12 @@ def _cmd_synth(args, run_cfg, jobs):
         "fixations_per_scene": args.fixations,
     }
     if args.objects:
-        lo, hi = args.objects.split(":")
-        overrides["objects_min"] = int(lo)
-        overrides["objects_max"] = int(hi)
+        try:
+            lo, hi = (int(x) for x in args.objects.split(":"))
+        except ValueError as e:
+            raise RankflowError(f"--objects expects min:max integers, got {args.objects!r}") from e
+        overrides["objects_min"] = lo
+        overrides["objects_max"] = hi
     if args.no_maps:
         overrides["render_maps"] = False
     cfg = _build_cfg(SynthConfig, run_cfg.get("synth", {}), overrides)
@@ -207,18 +216,33 @@ def _cmd_gt_gen(args, run_cfg, jobs):
     print(f"wrote GT rankings to {args.out}", file=sys.stderr)
 
 
-def _cmd_gt_discrepancy(args, run_cfg, jobs):
-    args.gamma = None
-    cfg = _gt_cfg(args, run_cfg)
+def gamma_grid(spec: str) -> list[float]:
+    """Thresholds start, start + step, ... up to stop from a ``start:stop:step`` spec.
+
+    The spec is checked before the grid is built, so a bad step never loops.
+    """
     try:
-        start, stop, step = (float(x) for x in args.gammas.split(":"))
+        start, stop, step = (float(x) for x in spec.split(":"))
     except ValueError as e:
-        raise RankflowError(f"bad --gammas grid {args.gammas!r}") from e
+        raise RankflowError(f"bad --gammas grid {spec!r}") from e
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise RankflowError(f"--gammas values must be finite, got {spec!r}")
+    if not (0 < start <= stop and step > 0):
+        raise RankflowError(f"--gammas needs 0 < start <= stop and step > 0, got {spec!r}")
     thresholds = []
     t = start
     while t <= stop + 1e-9:
+        if len(thresholds) == _MAX_GAMMAS:
+            raise RankflowError(f"--gammas {spec!r} gives more than {_MAX_GAMMAS} thresholds")
         thresholds.append(round(t, 10))
         t += step
+    return thresholds
+
+
+def _cmd_gt_discrepancy(args, run_cfg, jobs):
+    args.gamma = None
+    cfg = _gt_cfg(args, run_cfg)
+    thresholds = gamma_grid(args.gammas)
     gt_discrepancy(args.in_dir, cfg, thresholds, args.out)
     write_provenance(args.out, {"gammas": thresholds, "beta": cfg.beta})
     print(f"wrote discrepancy offsets to {args.out}", file=sys.stderr)
@@ -294,3 +318,7 @@ def dispatch(argv) -> int:
 
 def main() -> None:
     raise SystemExit(dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

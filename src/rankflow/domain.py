@@ -1,12 +1,16 @@
 """Core value types (boxes, fixations, scenes, rankings) and elementary geometry.
 
 Everything here is immutable after construction and all operations are pure,
-so values can be shared freely across threads and processes.
+so values can be shared freely across threads and processes.  A scene holds
+its fixations as one read-only ``(n, 3)`` int64 array of ``(u, v,
+observer_id)`` rows, so fixation counts are single masked sums.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import InvariantViolation
 
@@ -88,16 +92,24 @@ class Proposal:
                 raise InvariantViolation("confidence", "must lie in [0,1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scene:
+    """One image's proposals and fixations; ``fixations`` takes ``(u, v,
+    observer_id)`` rows and is stored as a read-only ``(n, 3)`` int64 array."""
+
     scene_id: str
     width: int
     height: int
     proposals: tuple[Proposal, ...]
-    fixations: tuple[FixationPoint, ...] = ()
+    fixations: np.ndarray = ()
     fixation_map: GrayMap | None = None
 
     def __post_init__(self):
+        fix = np.array(self.fixations, dtype=np.int64).reshape(-1, 3)
+        fix.flags.writeable = False
+        object.__setattr__(self, "fixations", fix)
+        if (fix[:, 2] < 0).any():
+            raise InvariantViolation("observer_id", "must be non-negative")
         if self.width <= 0 or self.height <= 0:
             raise InvariantViolation("scene", "image dimensions must be positive")
         ids = [p.id for p in self.proposals]
@@ -108,9 +120,24 @@ class Scene:
                 p.box.x2 <= self.width and p.box.y2 <= self.height
             ):
                 raise InvariantViolation("box", f"proposal {p.id} exceeds image bounds")
-        for f in self.fixations:
-            if not (0 <= f.u < self.width and 0 <= f.v < self.height):
-                raise InvariantViolation("fixation", f"point ({f.u},{f.v}) outside image")
+        u, v = fix[:, 0], fix[:, 1]
+        outside = np.flatnonzero((u < 0) | (u >= self.width) | (v < 0) | (v >= self.height))
+        if outside.size:
+            bad_u, bad_v, _ = fix[outside[0]].tolist()
+            raise InvariantViolation("fixation", f"point ({bad_u},{bad_v}) outside image")
+
+    def __reduce__(self):
+        # Rebuilt through __init__, so an unpickled scene's array is read-only too.
+        return Scene, (self.scene_id, self.width, self.height, self.proposals, self.fixations, self.fixation_map)
+
+    def __eq__(self, other):
+        if not isinstance(other, Scene):
+            return NotImplemented
+        return (
+            (self.scene_id, self.width, self.height, self.proposals, self.fixation_map)
+            == (other.scene_id, other.width, other.height, other.proposals, other.fixation_map)
+            and np.array_equal(self.fixations, other.fixations)
+        )
 
     @property
     def real_proposals(self) -> tuple[Proposal, ...]:
@@ -157,5 +184,10 @@ def count_fixations(b: BBox, pts) -> int:
     """Number of fixation points inside the box under the half-open rule.
 
     Containment is [x1,x2) x [y1,y2) so tiling boxes never double-count.
+    ``pts`` is a scene's fixation array (columns u, v, ...) or a sequence of
+    ``FixationPoint``.
     """
-    return sum(1 for p in pts if b.x1 <= p.u < b.x2 and b.y1 <= p.v < b.y2)
+    if not isinstance(pts, np.ndarray):
+        pts = np.array([(p.u, p.v) for p in pts], dtype=np.int64).reshape(-1, 2)
+    u, v = pts[:, 0], pts[:, 1]
+    return int(np.count_nonzero((b.x1 <= u) & (u < b.x2) & (b.y1 <= v) & (v < b.y2)))

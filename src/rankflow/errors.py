@@ -36,10 +36,6 @@ class MissingFixationMap(RankflowError):
     pass
 
 
-class DegenerateScene(RankflowError):
-    pass
-
-
 class InvalidWindow(RankflowError):
     pass
 

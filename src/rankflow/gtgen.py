@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .domain import Ranking, Scene, count_fixations, sqrt_size
-from .errors import DegenerateScene, MissingFixationMap
+from .errors import MissingFixationMap
 
 
 class GtMethod(Enum):
@@ -23,6 +23,10 @@ class GtMethod(Enum):
     MAP_AVG = "mapavg"
     BINARIZED_MAP = "binmap"
     RA_SRGT = "rasrgt"
+
+    @property
+    def reads_map(self) -> bool:
+        return self in (GtMethod.MAP_MAX, GtMethod.MAP_AVG, GtMethod.BINARIZED_MAP)
 
 
 @dataclass(frozen=True)
@@ -111,23 +115,22 @@ def rank_binarized_map(scene: Scene, binary_threshold: float) -> Ranking:
     return ranking_from_scores(scores)
 
 
+def _rasrgt_from_count(scene: Scene, box, n_i: int, cfg: GtConfig) -> float:
+    """The combined score of a box holding ``n_i`` of the scene's fixations."""
+    if n_i == 0:
+        return 0.0
+    if cfg.raw_penalty:
+        return n_i + cfg.gamma * math.exp(cfg.beta * sqrt_size(box))
+    size_ratio = sqrt_size(box) / math.sqrt(scene.width * scene.height)
+    return n_i / len(scene.fixations) + cfg.gamma * math.exp(cfg.beta * size_ratio)
+
+
 def rasrgt_score(scene: Scene, proposal, cfg: GtConfig) -> float:
     """Combined score: fixation share plus gamma * e^(beta * size ratio).
 
     Zero fixations inside the box means zero score regardless of size.
     """
-    n_i = count_fixations(proposal.box, scene.fixations)
-    if n_i == 0:
-        return 0.0
-    total = len(scene.fixations)
-    if total == 0:
-        raise DegenerateScene(
-            f"{scene.scene_id}: proposal has fixations but scene total is zero"
-        )
-    if cfg.raw_penalty:
-        return n_i + cfg.gamma * math.exp(cfg.beta * sqrt_size(proposal.box))
-    size_ratio = sqrt_size(proposal.box) / math.sqrt(scene.width * scene.height)
-    return n_i / total + cfg.gamma * math.exp(cfg.beta * size_ratio)
+    return _rasrgt_from_count(scene, proposal.box, count_fixations(proposal.box, scene.fixations), cfg)
 
 
 def rasrgt_rank(scene: Scene, cfg: GtConfig | None = None) -> Ranking:
@@ -153,13 +156,19 @@ def discrepancy_offsets(scenes, cfg_base: GtConfig, thresholds) -> list[tuple[fl
     """Total rank-order change between each pair of adjacent GT thresholds.
 
     For each consecutive threshold pair (t_prev, t) sums |order_t - order_t_prev|
-    over every proposal of every scene.
+    over every proposal of every scene.  Fixation counts do not depend on the
+    threshold, so each box is counted once.
     """
     thresholds = list(thresholds)
+    counted = [(s, [count_fixations(p.box, s.fixations) for p in s.real_proposals]) for s in scenes]
     rank_cache = []
     for t in thresholds:
         cfg = replace(cfg_base, gamma=t)
-        rank_cache.append([rasrgt_rank(s, cfg) for s in scenes])
+        scores = [
+            {p.id: _rasrgt_from_count(s, p.box, n, cfg) for p, n in zip(s.real_proposals, counts)}
+            for s, counts in counted
+        ]
+        rank_cache.append([ranking_from_scores(sc) for sc in scores])
     out = []
     for idx in range(1, len(thresholds)):
         total = 0

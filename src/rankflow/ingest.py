@@ -12,7 +12,7 @@ import io
 import json
 from pathlib import Path
 
-from .domain import BBox, FixationPoint, GrayMap, Proposal, Ranking, Scene
+from .domain import BBox, GrayMap, Proposal, Ranking, Scene
 from .errors import (
     InvariantViolation,
     IoFailure,
@@ -25,7 +25,8 @@ from .errors import (
 RANKING_HEADER = ["scene_id", "proposal_id", "order"]
 
 
-def parse_scene(path) -> Scene:
+def parse_scene(path, load_map: bool = True) -> Scene:
+    """Scene from a JSON file; ``load_map=False`` leaves its PGM map unread."""
     path = Path(path)
     if not path.is_file():
         raise MissingFile(str(path))
@@ -33,10 +34,10 @@ def parse_scene(path) -> Scene:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise MalformedJson(f"{path}: line {e.lineno}: {e.msg}") from e
-    return scene_from_dict(doc, base_dir=path.parent)
+    return scene_from_dict(doc, base_dir=path.parent, load_map=load_map)
 
 
-def scene_from_dict(doc: dict, base_dir=None) -> Scene:
+def scene_from_dict(doc: dict, base_dir=None, load_map: bool = True) -> Scene:
     try:
         proposals = []
         for p in doc["proposals"]:
@@ -51,13 +52,13 @@ def scene_from_dict(doc: dict, base_dir=None) -> Scene:
                         detector_confidence=float(p.get("confidence", 1.0)),
                     )
                 )
-        fixations = tuple(
-            FixationPoint(int(f["u"]), int(f["v"]), int(f.get("observer_id", 0)))
+        fixations = [
+            (int(f["u"]), int(f["v"]), int(f.get("observer_id", 0)))
             for f in doc.get("fixations", [])
-        )
+        ]
         fixation_map = None
         map_path = doc.get("fixation_map_path")
-        if map_path is not None:
+        if load_map and map_path is not None:
             resolved = Path(map_path)
             if base_dir is not None and not resolved.is_absolute():
                 resolved = Path(base_dir) / resolved
@@ -72,7 +73,7 @@ def scene_from_dict(doc: dict, base_dir=None) -> Scene:
         )
     except KeyError as e:
         raise InvariantViolation(str(e.args[0]), "required field missing") from e
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise InvariantViolation("scene", str(e)) from e
 
 
@@ -92,7 +93,7 @@ def scene_to_dict(scene: Scene, fixation_map_path=None) -> dict:
             for p in scene.proposals
         ],
         "fixations": [
-            {"u": f.u, "v": f.v, "observer_id": f.observer_id} for f in scene.fixations
+            {"u": u, "v": v, "observer_id": o} for u, v, o in scene.fixations.tolist()
         ],
     }
     if fixation_map_path is not None:

@@ -73,7 +73,7 @@ def preprocess_dataset(in_dir, out_dir, cfg: FilterConfig | None = None, jobs: i
 
 
 def _gt_one(scene_path, cfg: GtConfig):
-    scene = parse_scene(scene_path)
+    scene = parse_scene(scene_path, load_map=cfg.method.reads_map)
     return scene.scene_id, generate_ranking(scene, cfg)
 
 
@@ -84,7 +84,7 @@ def gt_generate(in_dir, cfg: GtConfig, out_file, jobs: int = 1) -> None:
 
 
 def gt_discrepancy(in_dir, cfg: GtConfig, thresholds, out_file) -> None:
-    scenes = [parse_scene(p) for p in list_scene_files(in_dir)]
+    scenes = [parse_scene(p, load_map=False) for p in list_scene_files(in_dir)]
     rows = discrepancy_offsets(scenes, cfg, thresholds)
     with open(out_file, "w", encoding="utf-8", newline="") as fh:
         fh.write("threshold,t_offset\n")
@@ -120,21 +120,21 @@ def build_training_set(pre_dir, gt: dict[str, Ranking], window_size: int = DEFAU
     return samples
 
 
-def _rank_one(item, model_path, window_size):
+def _rank_one(item, model, window_size):
     scene, features = item
-    scorer = make_scorer(load_model(model_path))
-    return scene.scene_id, rank_scene(scene, features, scorer, window_size)
+    return scene.scene_id, rank_scene(scene, features, make_scorer(model), window_size)
 
 
 def rank_dataset(pre_dir, model_path, out_file, window_size: int = DEFAULT_WINDOW, jobs: int = 1) -> None:
     items = load_preprocessed(pre_dir)
-    worker = partial(_rank_one, model_path=model_path, window_size=window_size)
+    model = load_model(model_path)
+    worker = partial(_rank_one, model=model, window_size=window_size)
     rankings = parallel_map(worker, items, jobs)
     write_ranking(rankings, out_file)
 
 
 def _map_rank_one(scene_path, maps_dir: Path, lam: float):
-    scene = parse_scene(scene_path)
+    scene = parse_scene(scene_path, load_map=maps_dir is None)
     gmap = scene.fixation_map
     if maps_dir is not None:
         gmap = parse_pgm(maps_dir / f"{scene.scene_id}.pgm")

@@ -234,6 +234,8 @@ def load_model(path) -> ScorerModel:
     data = path.read_bytes()
     if data[:4] != MODEL_MAGIC:
         raise TruncatedData(f"{path}: bad magic")
+    if len(data) < 16:
+        raise TruncatedData(f"{path}: expected a 16-byte header, got {len(data)} bytes")
     d_in, h, c = struct.unpack("<3i", data[4:16])
     shapes = [(d_in, h), (h,), (h, c), (c,)]
     need = 16 + sum(int(np.prod(s)) for s in shapes) * 8

@@ -15,9 +15,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
-from .domain import BBox, FixationPoint, GrayMap, Proposal, Scene, iou, sqrt_size
+from .domain import BBox, GrayMap, Proposal, Scene, iou, sqrt_size
 from .errors import GenerationFailure, IoFailure
 from .gtgen import GtConfig, rasrgt_rank
 from .ingest import write_pgm, write_ranking, write_scene
@@ -98,10 +97,13 @@ def _place_fixation(rng, box: BBox, forbidden):
     raise GenerationFailure("could not place a fixation outside other boxes")
 
 
-def _render_map(cfg: SynthConfig, fixations) -> bytes:
+def _render_map(cfg: SynthConfig, fixations: np.ndarray) -> bytes:
+    # Imported here: map rendering is the only user, and the import costs
+    # every other CLI stage a noticeable share of its start-up.
+    from scipy.ndimage import gaussian_filter
+
     grid = np.zeros((cfg.height, cfg.width))
-    for f in fixations:
-        grid[f.v, f.u] += 1.0
+    np.add.at(grid, (fixations[:, 1], fixations[:, 0]), 1.0)
     grid = gaussian_filter(grid, sigma=cfg.splat_sigma)
     peak = grid.max()
     if peak > 0:
@@ -151,11 +153,12 @@ def _generate_once(cfg: SynthConfig, scene_index: int, rng):
             others = [boxes[j] for j in range(n) if j != i]
             for _ in range(cnt):
                 u, v = _place_fixation(rng, boxes[i], others)
-                fixations.append(FixationPoint(u, v, int(rng.integers(0, 8))))
+                fixations.append((u, v, int(rng.integers(0, 8))))
     for _ in range(n_noise):
         u = int(rng.integers(0, cfg.width))
         v = int(rng.integers(0, cfg.height))
-        fixations.append(FixationPoint(u, v, int(rng.integers(0, 8))))
+        fixations.append((u, v, int(rng.integers(0, 8))))
+    fixations = np.array(fixations, dtype=np.int64).reshape(-1, 3)
 
     fixation_map = None
     if cfg.render_maps:
@@ -169,7 +172,7 @@ def _generate_once(cfg: SynthConfig, scene_index: int, rng):
             Proposal(id=i, box=boxes[i], detector_confidence=round(float(rng.uniform(0.5, 1.0)), 6))
             for i in range(n)
         ),
-        fixations=tuple(fixations),
+        fixations=fixations,
         fixation_map=fixation_map,
     )
     return scene, weights.tolist()

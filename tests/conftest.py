@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rankflow.domain import BBox, FixationPoint, GrayMap, Proposal, Scene
+from rankflow.domain import BBox, GrayMap, Proposal, Scene
 
 
 def make_scene(
@@ -30,7 +30,7 @@ def make_scene(
         width=width,
         height=height,
         proposals=proposals,
-        fixations=tuple(FixationPoint(u, v) for u, v in fixations),
+        fixations=[(u, v, 0) for u, v in fixations],
         fixation_map=fixation_map,
     )
 

@@ -1,9 +1,18 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from rankflow.cli import dispatch
+import rankflow
+from rankflow import pipeline
+from rankflow.cli import dispatch, gamma_grid
+from rankflow.errors import RankflowError
 from rankflow.ingest import parse_ranking
+from rankflow.scorer import init_model, load_model, save_model
 
 
 def run(*argv):
@@ -50,6 +59,54 @@ class TestUsageErrors:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
         assert run("synth", "--config", str(cfg), "--out", str(tmp_path / "d")) == 2
+
+    def test_objects_without_colon(self, tmp_path, capsys):
+        assert run("synth", "--objects", "5", "--out", str(tmp_path / "d")) == 2
+        assert "--objects" in capsys.readouterr().err
+
+    def test_non_integer_jobs_env(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("RANKFLOW_JOBS", "abc")
+        assert run("synth", "--scenes", "1", "--out", str(tmp_path / "d")) == 2
+        assert "RANKFLOW_JOBS" in capsys.readouterr().err
+
+    def test_model_shorter_than_header(self, dataset, tmp_path, capsys):
+        model = tmp_path / "short.bin"
+        model.write_bytes(b"RFM1\x05\x00")
+        assert run("rank", "--in", str(dataset / "pre"), "--model", str(model), "--out", str(tmp_path / "p.csv")) == 2
+        assert "short.bin" in capsys.readouterr().err
+
+    def test_zero_gamma_step(self, dataset, tmp_path, capsys):
+        argv = ["gt-discrepancy", "--gammas", "0.1:0.5:0", "--in", str(dataset / "raw"), "--out", str(tmp_path / "d.csv")]
+        assert run(*argv) == 2
+        assert "--gammas" in capsys.readouterr().err
+
+    def test_module_entry_point(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(rankflow.__file__).parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rankflow.cli", "eval", "--pred", str(tmp_path / "missing.csv"),
+             "--gt", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "r.json")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "missing.csv" in proc.stderr
+
+
+class TestGammaGrid:
+    def test_default_grid(self):
+        assert gamma_grid("0.1:1.0:0.1") == [round(0.1 * i, 10) for i in range(1, 11)]
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["0.1:1:0", "0.1:1:-0.1", "0.5:0.1:0.1", "0:1:0.1", "0.1:inf:0.1", "0.1:1:nan", "a:b:c", "0.1:1"],
+    )
+    def test_rejects_before_looping(self, spec):
+        with pytest.raises(RankflowError, match="--gammas") as err:
+            gamma_grid(spec)
+        assert "more than" not in str(err.value)  # the spec check, not the grid-size bound
+
+    def test_grid_size_bounded(self):
+        with pytest.raises(RankflowError, match="more than"):
+            gamma_grid("0.1:1000:0.1")
 
 
 class TestSynth:
@@ -113,6 +170,30 @@ class TestPipelineStages:
         doc = json.loads(report.read_text())
         assert doc["mean_srcc"] == pytest.approx(1.0)
         assert doc["mean_f1"] == pytest.approx(1.0)
+
+    def test_map_free_stages_run_without_maps(self, dataset, tmp_path):
+        raw = tmp_path / "raw"
+        shutil.copytree(dataset / "raw", raw)
+        shutil.rmtree(raw / "maps")
+        assert run("gt-gen", "--method", "rasrgt", "--in", str(raw), "--out", str(tmp_path / "gt.csv")) == 0
+        assert run("gt-discrepancy", "--in", str(raw), "--out", str(tmp_path / "disc.csv")) == 0
+        assert run("gt-gen", "--method", "mapmax", "--in", str(raw), "--out", str(tmp_path / "m.csv")) == 2
+
+    def test_rank_loads_model_once(self, tmp_path, monkeypatch):
+        raw, pre, model = tmp_path / "raw", tmp_path / "pre", tmp_path / "m.bin"
+        assert run("synth", "--seed", "5", "--scenes", "3", "--fixations", "100", "--no-maps", "--out", str(raw)) == 0
+        assert run("preprocess", "--in", str(raw), "--out", str(pre)) == 0
+        save_model(init_model(), model)
+        calls = []
+
+        def counting_load(path):
+            calls.append(path)
+            return load_model(path)
+
+        monkeypatch.setattr(pipeline, "load_model", counting_load)
+        pipeline.rank_dataset(pre, model, tmp_path / "pred.csv")
+        assert len(calls) == 1
+        assert len(parse_ranking(tmp_path / "pred.csv")) == 3
 
     def test_map_rank(self, dataset):
         out = dataset / "map_pred.csv"

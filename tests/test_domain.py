@@ -1,7 +1,10 @@
-import pytest
-from hypothesis import given, strategies as st
+import pickle
 
-from rankflow.domain import BBox, FixationPoint, Ranking, count_fixations, iou, sqrt_size
+import numpy as np
+import pytest
+from hypothesis import assume, example, given, strategies as st
+
+from rankflow.domain import BBox, FixationPoint, Ranking, Scene, count_fixations, iou, sqrt_size
 from rankflow.errors import InvariantViolation
 
 
@@ -75,6 +78,50 @@ class TestCountFixations:
         left = count_fixations(box(0, 0, 10, 10), pts)
         right = count_fixations(box(10, 0, 20, 10), pts)
         assert left + right == len(pts)
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=60),
+        st.lists(st.one_of(st.integers(0, 12), st.floats(0, 12)), min_size=4, max_size=4),
+    )
+    @example(coords=[(0, 0), (1, 0), (0, 1), (1, 1)], edges=[0, 1, 0, 1])
+    @example(coords=[(1, 1), (2, 2), (3, 3), (2, 1)], edges=[1.5, 3.0, 1.5, 2.5])
+    def test_array_matches_scalar_rule(self, coords, edges):
+        # Small ranges put many points exactly on integer edges; float edges
+        # are fractional.
+        x1, x2 = sorted(edges[:2])
+        y1, y2 = sorted(edges[2:])
+        assume(x1 < x2 and y1 < y2)
+        b = box(x1, y1, x2, y2)
+        expected = sum(1 for u, v in coords if x1 <= u < x2 and y1 <= v < y2)
+        pts = np.array([(u, v, 0) for u, v in coords], dtype=np.int64).reshape(-1, 3)
+        assert count_fixations(b, pts) == expected
+        assert count_fixations(b, [FixationPoint(u, v) for u, v in coords]) == expected
+
+
+class TestSceneFixations:
+    def test_read_only_int_array(self):
+        scene = Scene("s", 10, 10, (), [(1, 2, 0), (3, 4, 5)])
+        assert scene.fixations.dtype == np.int64 and scene.fixations.shape == (2, 3)
+        with pytest.raises(ValueError):
+            scene.fixations[0, 0] = 9
+        copy = pickle.loads(pickle.dumps(scene))
+        assert copy == scene and not copy.fixations.flags.writeable
+
+    def test_empty(self):
+        assert Scene("s", 10, 10, ()).fixations.shape == (0, 3)
+
+    def test_rejects_negative_observer(self):
+        with pytest.raises(InvariantViolation, match="observer_id: must be non-negative"):
+            Scene("s", 10, 10, (), [(1, 1, 0), (2, 2, -1)])
+
+    def test_rejects_point_outside(self):
+        with pytest.raises(InvariantViolation, match=r"fixation: point \(10,3\) outside image"):
+            Scene("s", 10, 10, (), [(1, 1, 0), (10, 3, 0), (-1, 0, 0)])
+
+    def test_equal_by_value(self):
+        a = Scene("s", 10, 10, (), [(1, 2, 0)])
+        assert a == Scene("s", 10, 10, (), np.array([[1, 2, 0]]))
+        assert a != Scene("s", 10, 10, (), [(1, 3, 0)])
 
 
 class TestRanking:

@@ -18,7 +18,9 @@ from rankflow.ingest import (
     pgm_to_bytes,
     write_pgm,
     write_ranking,
+    write_scene,
 )
+from rankflow.synth import SynthConfig, generate_dataset
 
 
 def write_json(tmp_path, doc, name="scene.json"):
@@ -48,6 +50,11 @@ class TestParseScene:
         with pytest.raises(InvariantViolation):
             parse_scene(write_json(tmp_path, doc))
 
+    def test_fixation_beyond_int64(self, tmp_path):
+        doc = dict(MINIMAL, fixations=[{"u": 2**70, "v": 1}])
+        with pytest.raises(InvariantViolation):
+            parse_scene(write_json(tmp_path, doc))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingFile):
             parse_scene(tmp_path / "nope.json")
@@ -60,6 +67,27 @@ class TestParseScene:
         ])
         scene = parse_scene(write_json(tmp_path, doc))
         assert scene.fixation_map == gmap
+
+    def test_map_skipped(self, tmp_path):
+        doc = dict(MINIMAL, fixation_map_path="absent.pgm")
+        assert parse_scene(write_json(tmp_path, doc), load_map=False).fixation_map is None
+        with pytest.raises(MissingFile):
+            parse_scene(write_json(tmp_path, doc))
+
+    def test_observer_id_defaults_to_zero(self, tmp_path):
+        doc = dict(MINIMAL, fixations=[{"u": 5, "v": 6}, {"u": 7, "v": 8, "observer_id": 3}])
+        assert parse_scene(write_json(tmp_path, doc)).fixations.tolist() == [[5, 6, 0], [7, 8, 3]]
+
+    @pytest.mark.parametrize("render_maps", [True, False])
+    def test_synth_scene_round_trip_is_byte_identical(self, tmp_path, render_maps):
+        cfg = SynthConfig(seed=4, n_scenes=2, width=160, height=120, fixations_per_scene=90,
+                          render_maps=render_maps)
+        generate_dataset(cfg, tmp_path / "d")
+        for path in sorted((tmp_path / "d" / "scenes").glob("*.json")):
+            map_path = json.loads(path.read_text()).get("fixation_map_path")
+            out = tmp_path / path.name
+            write_scene(parse_scene(path), out, fixation_map_path=map_path)
+            assert out.read_bytes() == path.read_bytes()
 
 
 class TestPgm:

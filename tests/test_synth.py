@@ -74,9 +74,9 @@ class TestGenerateScene:
         cfg = replace(FAST, noise_fixation_fraction=0.0)
         scene, weights = generate_scene(cfg, 0)
         salient_boxes = [p.box for p, w in zip(scene.proposals, weights) if w > 0]
-        for f in scene.fixations:
+        for u, v, _ in scene.fixations.tolist():
             assert any(
-                b.x1 <= f.u < b.x2 and b.y1 <= f.v < b.y2 for b in salient_boxes
+                b.x1 <= u < b.x2 and b.y1 <= v < b.y2 for b in salient_boxes
             )
 
 
