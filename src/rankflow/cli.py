@@ -51,6 +51,9 @@ def load_run_config(path) -> dict:
     unknown = set(doc) - _CONFIG_SECTIONS - _CONFIG_SCALARS
     if unknown:
         raise RankflowError(f"unknown config keys: {sorted(unknown)}")
+    for key in ("jobs", "window_size"):
+        if key in doc and (type(doc[key]) is not int or doc[key] < 1):
+            raise RankflowError(f"{path}: {key} must be an integer >= 1, got {doc[key]!r}")
     for section, cls in (
         ("synth", SynthConfig),
         ("filter", FilterConfig),
@@ -143,7 +146,6 @@ def build_parser() -> _Parser:
     p.add_argument("--in", dest="in_dir", required=True, help="preprocessed dataset dir")
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--window", type=int, default=None)
 
     p = sub.add_parser("map-rank", help="rank scenes from plain saliency maps")
     _add_common(p)
@@ -212,7 +214,10 @@ def _gt_cfg(args, run_cfg):
 def _cmd_gt_gen(args, run_cfg, jobs):
     cfg = _gt_cfg(args, run_cfg)
     gt_generate(args.in_dir, cfg, args.out, jobs)
-    write_provenance(args.out, {**dataclasses.asdict(cfg), "method": cfg.method.value})
+    # raw_penalty: a removed option, recorded as off so the config hash still
+    # matches records written while it existed.
+    config = {**dataclasses.asdict(cfg), "method": cfg.method.value, "raw_penalty": False}
+    write_provenance(args.out, config)
     print(f"wrote GT rankings to {args.out}", file=sys.stderr)
 
 
@@ -257,7 +262,7 @@ def _cmd_train(args, run_cfg, jobs):
         run_cfg.get("train", {}),
         {"epochs": args.epochs, "seed": args.seed, "alpha": args.alpha, "lr": args.lr},
     )
-    window = args.window or run_cfg.get("window_size", DEFAULT_WINDOW)
+    window = args.window if args.window is not None else run_cfg.get("window_size", DEFAULT_WINDOW)
     dataset = build_training_set(args.in_dir, parse_ranking(args.gt), window)
     result = train(dataset, cfg)
     save_model(result.model, args.out)
@@ -267,8 +272,7 @@ def _cmd_train(args, run_cfg, jobs):
 
 
 def _cmd_rank(args, run_cfg, jobs):
-    window = args.window or run_cfg.get("window_size", DEFAULT_WINDOW)
-    rank_dataset(args.in_dir, args.model, args.out, window, jobs)
+    window = rank_dataset(args.in_dir, args.model, args.out, jobs)
     write_provenance(args.out, {"model": Path(args.model).name, "window_size": window})
     print(f"wrote rankings to {args.out}", file=sys.stderr)
 

@@ -44,17 +44,6 @@ class BBox:
 
 
 @dataclass(frozen=True)
-class FixationPoint:
-    u: int
-    v: int
-    observer_id: int = 0
-
-    def __post_init__(self):
-        if self.observer_id < 0:
-            raise InvariantViolation("observer_id", "must be non-negative")
-
-
-@dataclass(frozen=True)
 class GrayMap:
     """Row-major grayscale raster with values in [0, 255]."""
 
@@ -69,9 +58,6 @@ class GrayMap:
             raise InvariantViolation(
                 "graymap", f"expected {self.width * self.height} values, got {len(self.values)}"
             )
-
-    def at(self, u: int, v: int) -> int:
-        return self.values[v * self.width + u]
 
 
 @dataclass(frozen=True)
@@ -112,6 +98,11 @@ class Scene:
             raise InvariantViolation("observer_id", "must be non-negative")
         if self.width <= 0 or self.height <= 0:
             raise InvariantViolation("scene", "image dimensions must be positive")
+        m = self.fixation_map
+        if m is not None and (m.width, m.height) != (self.width, self.height):
+            raise InvariantViolation(
+                "fixation_map", f"{m.width}x{m.height} map for a {self.width}x{self.height} scene"
+            )
         ids = [p.id for p in self.proposals]
         if len(set(ids)) != len(ids):
             raise InvariantViolation("proposals", "proposal ids must be unique")
@@ -184,10 +175,7 @@ def count_fixations(b: BBox, pts) -> int:
     """Number of fixation points inside the box under the half-open rule.
 
     Containment is [x1,x2) x [y1,y2) so tiling boxes never double-count.
-    ``pts`` is a scene's fixation array (columns u, v, ...) or a sequence of
-    ``FixationPoint``.
+    ``pts`` is a scene's fixation array (columns u, v, ...).
     """
-    if not isinstance(pts, np.ndarray):
-        pts = np.array([(p.u, p.v) for p in pts], dtype=np.int64).reshape(-1, 2)
     u, v = pts[:, 0], pts[:, 1]
     return int(np.count_nonzero((b.x1 <= u) & (u < b.x2) & (b.y1 <= v) & (v < b.y2)))

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .domain import Ranking, Scene, count_fixations, sqrt_size
+from .domain import GrayMap, Ranking, Scene, count_fixations, sqrt_size
 from .errors import MissingFixationMap
 
 
@@ -34,10 +34,6 @@ class GtConfig:
     gamma: float = 0.2
     beta: float = 0.5
     method: GtMethod = GtMethod.RA_SRGT
-    # Raw (un-normalized) penalty e^(beta*sqrt(area)) overflows for realistic
-    # boxes; the normalized form is canonical, the raw one kept for sensitivity
-    # studies on tiny scenes.
-    raw_penalty: bool = False
     binary_threshold: float = 128.0
 
     def __post_init__(self):
@@ -64,21 +60,10 @@ def rank_fixation_points(scene: Scene) -> Ranking:
     return ranking_from_scores(scores)
 
 
-def _box_pixels(scene: Scene, box):
-    """Integer pixel index bounds covered by a box under the half-open rule."""
-    u0 = max(0, math.ceil(box.x1))
-    u1 = min(scene.width, math.ceil(box.x2))
-    v0 = max(0, math.ceil(box.y1))
-    v1 = min(scene.height, math.ceil(box.y2))
-    return u0, u1, v0, v1
-
-
-def map_region(scene: Scene, box) -> np.ndarray:
-    """Pixel values of the fixation map covered by a box (possibly empty)."""
-    gmap = scene.fixation_map
-    u0, u1, v0, v1 = _box_pixels(scene, box)
+def map_region(gmap: GrayMap, box) -> np.ndarray:
+    """Map pixels a box covers under the half-open rule (possibly empty)."""
     grid = np.frombuffer(gmap.values, dtype=np.uint8).reshape(gmap.height, gmap.width)
-    return grid[v0:v1, u0:u1]
+    return grid[math.ceil(box.y1) : math.ceil(box.y2), math.ceil(box.x1) : math.ceil(box.x2)]
 
 
 def rank_fixation_map(scene: Scene, mode: str = "max") -> Ranking:
@@ -88,7 +73,7 @@ def rank_fixation_map(scene: Scene, mode: str = "max") -> Ranking:
         raise ValueError(f"mode must be 'max' or 'avg', got {mode!r}")
     scores = {}
     for p in scene.real_proposals:
-        vals = map_region(scene, p.box)
+        vals = map_region(scene.fixation_map, p.box)
         if vals.size == 0:
             scores[p.id] = 0.0
         elif mode == "max":
@@ -106,7 +91,7 @@ def rank_binarized_map(scene: Scene, binary_threshold: float) -> Ranking:
     image_sqrt = math.sqrt(scene.width * scene.height)
     scores = {}
     for p in scene.real_proposals:
-        vals = map_region(scene, p.box)
+        vals = map_region(scene.fixation_map, p.box)
         white = int((vals > binary_threshold).sum())
         if vals.size == 0 or white == 0:
             scores[p.id] = 0.0
@@ -119,8 +104,6 @@ def _rasrgt_from_count(scene: Scene, box, n_i: int, cfg: GtConfig) -> float:
     """The combined score of a box holding ``n_i`` of the scene's fixations."""
     if n_i == 0:
         return 0.0
-    if cfg.raw_penalty:
-        return n_i + cfg.gamma * math.exp(cfg.beta * sqrt_size(box))
     size_ratio = sqrt_size(box) / math.sqrt(scene.width * scene.height)
     return n_i / len(scene.fixations) + cfg.gamma * math.exp(cfg.beta * size_ratio)
 

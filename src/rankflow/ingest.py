@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from pathlib import Path
 
 from .domain import BBox, GrayMap, Proposal, Ranking, Scene
@@ -23,6 +24,22 @@ from .errors import (
 )
 
 RANKING_HEADER = ["scene_id", "proposal_id", "order"]
+
+
+def write_atomic(path, data) -> None:
+    """Write ``data`` (bytes, or str as UTF-8) to ``path`` in one step.
+
+    The bytes go to a temp file in the target's directory, which then replaces
+    the target, so a reader never sees a half-written file.
+    """
+    path = Path(path)
+    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
+    try:
+        tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except OSError as e:
+        tmp.unlink(missing_ok=True)
+        raise IoFailure(f"cannot write {path}: {e.strerror or e}") from e
 
 
 def parse_scene(path, load_map: bool = True) -> Scene:
@@ -103,10 +120,7 @@ def scene_to_dict(scene: Scene, fixation_map_path=None) -> dict:
 
 def write_scene(scene: Scene, path, fixation_map_path=None) -> None:
     doc = scene_to_dict(scene, fixation_map_path=fixation_map_path)
-    try:
-        Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
-    except OSError as e:
-        raise IoFailure(str(e)) from e
+    write_atomic(path, json.dumps(doc, sort_keys=True) + "\n")
 
 
 def parse_pgm(path) -> GrayMap:
@@ -153,10 +167,7 @@ def pgm_to_bytes(gmap: GrayMap) -> bytes:
 
 
 def write_pgm(gmap: GrayMap, path) -> None:
-    try:
-        Path(path).write_bytes(pgm_to_bytes(gmap))
-    except OSError as e:
-        raise IoFailure(str(e)) from e
+    write_atomic(path, pgm_to_bytes(gmap))
 
 
 def ranking_rows(rankings) -> list[tuple[str, int, int]]:
@@ -173,13 +184,8 @@ def write_ranking(rankings, path) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(RANKING_HEADER)
-    for row in ranking_rows(rankings):
-        writer.writerow(row)
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(buf.getvalue())
-    except OSError as e:
-        raise IoFailure(str(e)) from e
+    writer.writerows(ranking_rows(rankings))
+    write_atomic(path, buf.getvalue())
 
 
 def parse_ranking(path) -> dict[str, Ranking]:
@@ -193,9 +199,11 @@ def parse_ranking(path) -> dict[str, Ranking]:
         if header != RANKING_HEADER:
             raise UnsupportedFormat(f"{path}: bad header {header}")
         for row in reader:
-            if len(row) != 3:
-                raise InvariantViolation("ranking", f"bad row {row}")
-            scene_id, pid, order = row[0], int(row[1]), int(row[2])
+            try:
+                scene_id, pid, order = row
+                pid, order = int(pid), int(order)
+            except ValueError as e:
+                raise InvariantViolation(str(path), f"line {reader.line_num}: bad row {row}") from e
             per_scene.setdefault(scene_id, {})[pid] = order
     return {sid: Ranking(labels) for sid, labels in per_scene.items()}
 
@@ -207,7 +215,3 @@ def list_scene_files(directory) -> list[Path]:
         raise MissingFile(str(directory))
     scenes_dir = directory / "scenes" if (directory / "scenes").is_dir() else directory
     return sorted(p for p in scenes_dir.glob("*.json") if p.name not in ("manifest.json", "provenance.json"))
-
-
-def load_scenes(directory) -> list[Scene]:
-    return [parse_scene(p) for p in list_scene_files(directory)]

@@ -11,7 +11,7 @@ import numpy as np
 
 from .domain import GrayMap, Ranking, Scene, sqrt_size
 from .errors import MissingFixationMap, SceneMismatch, SrccUndefined
-from .gtgen import _box_pixels, ranking_from_scores
+from .gtgen import map_region, ranking_from_scores
 
 
 def midranks(values) -> np.ndarray:
@@ -75,11 +75,7 @@ def map_threshold(scene: Scene, lam: float, gray: GrayMap | None = None) -> floa
     proposals = scene.real_proposals
     if not proposals:
         raise SceneMismatch(f"{scene.scene_id}: no proposals")
-    grid = np.frombuffer(gmap.values, dtype=np.uint8).reshape(gmap.height, gmap.width)
-    total = 0.0
-    for p in proposals:
-        u0, u1, v0, v1 = _box_pixels(scene, p.box)
-        total += float(grid[v0:v1, u0:u1].sum()) / sqrt_size(p.box)
+    total = sum(float(map_region(gmap, p.box).sum()) / sqrt_size(p.box) for p in proposals)
     return total / (len(proposals) * lam)
 
 
@@ -90,13 +86,9 @@ def rank_from_saliency_map(scene: Scene, gmap: GrayMap, lam: float) -> Ranking:
             f"{scene.scene_id}: map {gmap.width}x{gmap.height} vs scene {scene.width}x{scene.height}"
         )
     threshold = map_threshold(scene, lam, gray=gmap)
-    grid = np.frombuffer(gmap.values, dtype=np.uint8).reshape(gmap.height, gmap.width)
-    white = grid > threshold
-    scores = {}
-    for p in scene.real_proposals:
-        u0, u1, v0, v1 = _box_pixels(scene, p.box)
-        scores[p.id] = float(white[v0:v1, u0:u1].sum())
-    return ranking_from_scores(scores)
+    return ranking_from_scores(
+        {p.id: float((map_region(gmap, p.box) > threshold).sum()) for p in scene.real_proposals}
+    )
 
 
 @dataclass

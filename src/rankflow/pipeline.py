@@ -20,6 +20,7 @@ from .ingest import (
     list_scene_files,
     parse_pgm,
     parse_scene,
+    write_atomic,
     write_ranking,
     write_scene,
 )
@@ -52,7 +53,7 @@ def write_provenance(target, config: dict, seed=None) -> None:
         "seed": seed,
     }
     path = target / "provenance.json" if target.is_dir() else Path(str(target) + ".provenance.json")
-    path.write_text(json.dumps(record, sort_keys=True) + "\n", encoding="utf-8")
+    write_atomic(path, json.dumps(record, sort_keys=True) + "\n")
 
 
 def _preprocess_one(scene_path, out_dir: Path, cfg: FilterConfig) -> str:
@@ -86,10 +87,7 @@ def gt_generate(in_dir, cfg: GtConfig, out_file, jobs: int = 1) -> None:
 def gt_discrepancy(in_dir, cfg: GtConfig, thresholds, out_file) -> None:
     scenes = [parse_scene(p, load_map=False) for p in list_scene_files(in_dir)]
     rows = discrepancy_offsets(scenes, cfg, thresholds)
-    with open(out_file, "w", encoding="utf-8", newline="") as fh:
-        fh.write("threshold,t_offset\n")
-        for t, offset in rows:
-            fh.write(f"{t:g},{offset}\n")
+    write_atomic(out_file, "threshold,t_offset\n" + "".join(f"{t:g},{offset}\n" for t, offset in rows))
 
 
 def load_preprocessed(pre_dir) -> list[tuple[Scene, "object"]]:
@@ -125,12 +123,15 @@ def _rank_one(item, model, window_size):
     return scene.scene_id, rank_scene(scene, features, make_scorer(model), window_size)
 
 
-def rank_dataset(pre_dir, model_path, out_file, window_size: int = DEFAULT_WINDOW, jobs: int = 1) -> None:
+def rank_dataset(pre_dir, model_path, out_file, jobs: int = 1) -> int:
+    """Rank every preprocessed scene; returns the window size, which the
+    model fixes: one class per within-window rank plus non-salient."""
     items = load_preprocessed(pre_dir)
     model = load_model(model_path)
+    window_size = model.dims[2] - 1
     worker = partial(_rank_one, model=model, window_size=window_size)
-    rankings = parallel_map(worker, items, jobs)
-    write_ranking(rankings, out_file)
+    write_ranking(parallel_map(worker, items, jobs), out_file)
+    return window_size
 
 
 def _map_rank_one(scene_path, maps_dir: Path, lam: float):
@@ -153,5 +154,5 @@ def evaluate_files(pred_file, gt_file, out_file=None) -> dict:
     report = evaluate_rankings(parse_ranking(pred_file), parse_ranking(gt_file))
     doc = report.to_dict()
     if out_file is not None:
-        Path(out_file).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        write_atomic(out_file, json.dumps(doc, sort_keys=True, indent=2) + "\n")
     return doc

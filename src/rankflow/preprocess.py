@@ -15,8 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from .domain import BBox, Proposal, Scene, count_fixations, iou, sqrt_size
-from .errors import IoFailure, MissingFile, TruncatedData
+from .errors import MissingFile, TruncatedData
 from .gtgen import map_region
+from .ingest import write_atomic
 
 FEATURE_DIM = 14
 
@@ -81,7 +82,7 @@ def _global_box(scene: Scene, box: BBox) -> BBox:
 def _region_stats(scene: Scene, box: BBox, total_fix: int):
     share = count_fixations(box, scene.fixations) / total_fix if total_fix else 0.0
     if scene.fixation_map is not None:
-        vals = map_region(scene, box)
+        vals = map_region(scene.fixation_map, box)
         map_mean = float(vals.mean()) / 255.0 if vals.size else 0.0
         map_max = float(vals.max()) / 255.0 if vals.size else 0.0
     else:
@@ -136,11 +137,7 @@ def scene_features(scene: Scene) -> np.ndarray:
 
 def write_features(features: np.ndarray, path) -> None:
     """Binary sidecar: uint32 proposal count, then little-endian float64 rows."""
-    data = struct.pack("<I", features.shape[0]) + features.astype("<f8").tobytes()
-    try:
-        Path(path).write_bytes(data)
-    except OSError as e:
-        raise IoFailure(str(e)) from e
+    write_atomic(path, struct.pack("<I", features.shape[0]) + features.astype("<f8").tobytes())
 
 
 def read_features(path) -> np.ndarray:

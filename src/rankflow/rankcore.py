@@ -10,7 +10,8 @@ recovers the exact order whenever every pair of indices shares a window
 """
 from __future__ import annotations
 
-import math
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ from .domain import Proposal, Ranking, Scene
 from .errors import CoverageViolation, InvalidWindow, ShapeMismatch
 
 DEFAULT_WINDOW = 5
+MAX_WINDOW = 7  # 5,040 permutations per assignment
 _DUMMY_COST = 1.0e6
 
 
@@ -48,6 +50,8 @@ class VoteState:
 
 def acb_sequences(n: int, window_size: int = DEFAULT_WINDOW) -> list[Window]:
     """n circular windows; window i holds indices (i, i+1, ..., i+W-1) mod n."""
+    if not 1 <= window_size <= MAX_WINDOW:
+        raise InvalidWindow(f"window size must lie in 1..{MAX_WINDOW}, got {window_size}")
     if n < window_size:
         raise InvalidWindow(f"need at least {window_size} proposals, got {n}")
     return [
@@ -55,111 +59,39 @@ def acb_sequences(n: int, window_size: int = DEFAULT_WINDOW) -> list[Window]:
     ]
 
 
-def _lap_solve(cost):
-    """Minimum-cost assignment via shortest augmenting paths.
-
-    Returns (perm, total, u, v) where perm[i] is the column of row i and
-    (u, v) are dual potentials with cost[i][j] >= u[i+1] + v[j+1].
-    """
-    n = len(cost)
-    INF = math.inf
-    u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
-    p = [0] * (n + 1)  # p[j]: row matched to column j, 1-based, 0 = free
-    way = [0] * (n + 1)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = [INF] * (n + 1)
-        used = [False] * (n + 1)
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            delta = INF
-            j1 = -1
-            row = cost[i0 - 1]
-            for j in range(1, n + 1):
-                if not used[j]:
-                    cur = row[j - 1] - u[i0] - v[j]
-                    if cur < minv[j]:
-                        minv[j] = cur
-                        way[j] = j0
-                    if minv[j] < delta:
-                        delta = minv[j]
-                        j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    perm = [0] * n
-    for j in range(1, n + 1):
-        perm[p[j] - 1] = j - 1
-    total = sum(cost[i][perm[i]] for i in range(n))
-    return perm, total, u, v
+@functools.cache
+def _permutations(k: int) -> np.ndarray:
+    """All permutations of range(k) as rows, in lexicographic order (read-only:
+    every call shares the cached table)."""
+    perms = np.array(list(itertools.permutations(range(k))), dtype=np.intp).reshape(-1, k)
+    perms.flags.writeable = False
+    return perms
 
 
 def hungarian(cost) -> list[int]:
-    """Minimum-cost permutation, lexicographically smallest among optima."""
-    cost = [list(map(float, row)) for row in cost]
+    """Minimum-cost permutation by a scan over every permutation.
+
+    Returns the lexicographically first permutation whose total lies within a
+    relative 1e-9 of the minimum, so near-ties (float rounding, or a 1e6
+    dummy row) resolve to the same answer every time.
+    """
     k = len(cost)
-    if any(len(row) != k for row in cost):
+    try:
+        cost = np.array(cost, dtype=float)
+    except ValueError as e:
+        raise ShapeMismatch("cost matrix must be square") from e
+    if k and cost.shape != (k, k):
         raise ShapeMismatch("cost matrix must be square")
-    if any(not math.isfinite(x) for row in cost for x in row):
+    if not np.isfinite(cost).all():
         raise ShapeMismatch("cost matrix entries must be finite")
+    if k > MAX_WINDOW:
+        raise InvalidWindow(f"assignment size {k} exceeds {MAX_WINDOW}")
     if k == 0:
         return []
-    base_perm, base_total, u, v = _lap_solve(cost)
-    tol = 1e-9 * max(1.0, abs(base_total))
-
-    # Fix columns row by row, always taking the smallest column that still
-    # admits an optimal completion.  The dual bound prunes almost every
-    # candidate without a sub-solve when the optimum is unique.
-    perm: list[int] = []
-    free = list(range(k))
-    prefix = 0.0
-    for i in range(k):
-        rows_left = range(i + 1, k)
-        for j in free:
-            if j == base_perm[i]:
-                chosen = j  # known feasible at this prefix
-                break
-            rest_cols = [c for c in free if c != j]
-            bound = sum(u[r + 1] for r in rows_left) + sum(v[c + 1] for c in rest_cols)
-            if prefix + cost[i][j] + bound > base_total + tol:
-                continue
-            if rest_cols:
-                sub = [[cost[r][c] for c in rest_cols] for r in rows_left]
-                _, sub_total, _, _ = _lap_solve(sub)
-            else:
-                sub_total = 0.0
-            if prefix + cost[i][j] + sub_total <= base_total + tol:
-                chosen = j
-                break
-        perm.append(chosen)
-        prefix += cost[i][chosen]
-        free.remove(chosen)
-        # Keep base_perm consistent with the fixed prefix so the shortcut
-        # above stays valid for later rows.
-        if base_perm[i] != chosen:
-            swap_row = base_perm.index(chosen)
-            base_perm[swap_row], base_perm[i] = base_perm[i], chosen
-            rest_rows = list(range(i + 1, k))
-            rest_cols = sorted(free)
-            if rest_rows:
-                sub = [[cost[r][c] for c in rest_cols] for r in rest_rows]
-                sub_perm, _, _, _ = _lap_solve(sub)
-                for r, pc in zip(rest_rows, sub_perm):
-                    base_perm[r] = rest_cols[pc]
-    return perm
+    perms = _permutations(k)
+    totals = cost[np.arange(k), perms].sum(axis=1)
+    best = totals.min()
+    return perms[np.argmax(totals <= best + 1e-9 * max(1.0, abs(best)))].tolist()
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -185,7 +117,7 @@ def exclusive_classify(scores: np.ndarray, dummy_mask) -> WindowAssignment:
     cost = np.empty((w, w))
     for r in range(w):
         cost[r] = _DUMMY_COST if dummy_mask[r] else neglog[r, 1:]
-    perm = hungarian(cost.tolist())
+    perm = hungarian(cost)
     labels = []
     for r in range(w):
         if dummy_mask[r]:

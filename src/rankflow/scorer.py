@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 
 from .domain import Ranking
-from .errors import EmptyDataset, IoFailure, MissingFile, ShapeMismatch, TruncatedData
+from .errors import EmptyDataset, MissingFile, ShapeMismatch, TruncatedData
+from .ingest import write_atomic
 from .rankcore import softmax
 
 MODEL_MAGIC = b"RFM1"
@@ -221,10 +222,7 @@ def save_model(model: ScorerModel, path) -> None:
     blob = MODEL_MAGIC + struct.pack("<3i", d_in, h, c)
     for p in model.params():
         blob += p.astype("<f8").tobytes()
-    try:
-        Path(path).write_bytes(blob)
-    except OSError as e:
-        raise IoFailure(str(e)) from e
+    write_atomic(path, blob)
 
 
 def load_model(path) -> ScorerModel:

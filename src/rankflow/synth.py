@@ -9,6 +9,7 @@ the shares, which gives every downstream stage an exact oracle.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -18,8 +19,8 @@ import numpy as np
 
 from .domain import BBox, GrayMap, Proposal, Scene, iou, sqrt_size
 from .errors import GenerationFailure, IoFailure
-from .gtgen import GtConfig, rasrgt_rank
-from .ingest import write_pgm, write_ranking, write_scene
+from .gtgen import GtConfig, rasrgt_rank, ranking_from_scores
+from .ingest import write_atomic, write_pgm, write_ranking, write_scene
 
 _MAX_BOX_ATTEMPTS = 400
 _MAX_SCENE_ATTEMPTS = 30
@@ -180,14 +181,7 @@ def _generate_once(cfg: SynthConfig, scene_index: int, rng):
 
 def latent_ranking(scene: Scene, weights) -> dict[int, int]:
     """Order implied by the latent weights (1 = heaviest, 0 = non-salient)."""
-    by_id = {p.id: w for p, w in zip(scene.proposals, weights)}
-    salient = sorted(
-        (pid for pid, w in by_id.items() if w > 0), key=lambda pid: (-by_id[pid], pid)
-    )
-    labels = {pid: 0 for pid in by_id}
-    for order, pid in enumerate(salient, start=1):
-        labels[pid] = order
-    return labels
+    return ranking_from_scores({p.id: w for p, w in zip(scene.proposals, weights)}).labels
 
 
 def generate_dataset(cfg: SynthConfig, out_dir) -> dict:
@@ -225,19 +219,14 @@ def generate_dataset(cfg: SynthConfig, out_dir) -> dict:
         )
 
     write_ranking(rankings, out_dir / "gt.csv")
-    try:
-        with open(out_dir / "latent.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["scene_id", "proposal_id", "weight"])
-            for row in sorted(latent_rows):
-                writer.writerow([row[0], row[1], repr(row[2])])
-        manifest["gt_path"] = "gt.csv"
-        manifest["latent_path"] = "latent.csv"
-        (out_dir / "manifest.json").write_text(
-            json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
-    except OSError as e:
-        raise IoFailure(str(e)) from e
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["scene_id", "proposal_id", "weight"])
+    writer.writerows([sid, pid, repr(w)] for sid, pid, w in sorted(latent_rows))
+    write_atomic(out_dir / "latent.csv", buf.getvalue())
+    manifest["gt_path"] = "gt.csv"
+    manifest["latent_path"] = "latent.csv"
+    write_atomic(out_dir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return manifest
 
 

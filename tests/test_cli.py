@@ -10,6 +10,7 @@ import pytest
 import rankflow
 from rankflow import pipeline
 from rankflow.cli import dispatch, gamma_grid
+from rankflow.pipeline import config_hash
 from rankflow.errors import RankflowError
 from rankflow.ingest import parse_ranking
 from rankflow.scorer import init_model, load_model, save_model
@@ -79,6 +80,40 @@ class TestUsageErrors:
         argv = ["gt-discrepancy", "--gammas", "0.1:0.5:0", "--in", str(dataset / "raw"), "--out", str(tmp_path / "d.csv")]
         assert run(*argv) == 2
         assert "--gammas" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [{"jobs": "two"}, {"jobs": 0}, {"window_size": "five"}, {"window_size": True}])
+    def test_bad_config_scalar(self, dataset, tmp_path, capsys, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        argv = ["preprocess", "--config", str(cfg), "--in", str(dataset / "raw"), "--out", str(tmp_path / "p")]
+        assert run(*argv) == 2
+        assert next(iter(doc)) in capsys.readouterr().err
+
+    def test_negative_train_window(self, dataset, tmp_path, capsys):
+        argv = ["train", "--in", str(dataset / "pre"), "--gt", str(dataset / "raw" / "gt.csv"),
+                "--out", str(tmp_path / "m.bin"), "--window", "-1"]
+        assert run(*argv) == 2
+        assert "window size" in capsys.readouterr().err
+
+    def test_rank_takes_no_window_flag(self, dataset, tmp_path):
+        argv = ["rank", "--in", str(dataset / "pre"), "--model", str(tmp_path / "m.bin"),
+                "--out", str(tmp_path / "p.csv"), "--window", "5"]
+        assert run(*argv) == 1
+
+    def test_bad_ranking_row(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("scene_id,proposal_id,order\nscene_00000,x,1\n")
+        assert run("eval", "--pred", str(bad), "--gt", str(bad), "--out", str(tmp_path / "r.json")) == 2
+        assert "bad.csv: line 2" in capsys.readouterr().err
+
+    def test_output_in_missing_directory(self, dataset, tmp_path, capsys):
+        disc = ["gt-discrepancy", "--in", str(dataset / "raw"), "--out", str(tmp_path / "nodir" / "d.csv")]
+        assert run(*disc) == 2
+        assert "nodir" in capsys.readouterr().err
+        gt = str(dataset / "raw" / "gt.csv")
+        assert run("eval", "--pred", gt, "--gt", gt, "--out", str(tmp_path / "nodir" / "r.json")) == 2
+        assert "nodir" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_module_entry_point(self, tmp_path):
         env = dict(os.environ, PYTHONPATH=str(Path(rankflow.__file__).parent.parent))
@@ -164,6 +199,8 @@ class TestPipelineStages:
         assert run("rank", "--in", str(dataset / "pre"), "--model", str(model), "--out", str(pred)) == 0
         rankings = parse_ranking(pred)
         assert len(rankings) == 4
+        prov = json.loads((dataset / "pred.csv.provenance.json").read_text())
+        assert prov["config_hash"] == config_hash({"model": "model.bin", "window_size": 5})
 
         report = dataset / "report.json"
         assert run("eval", "--pred", str(pred), "--gt", str(pred), "--out", str(report)) == 0
@@ -178,6 +215,21 @@ class TestPipelineStages:
         assert run("gt-gen", "--method", "rasrgt", "--in", str(raw), "--out", str(tmp_path / "gt.csv")) == 0
         assert run("gt-discrepancy", "--in", str(raw), "--out", str(tmp_path / "disc.csv")) == 0
         assert run("gt-gen", "--method", "mapmax", "--in", str(raw), "--out", str(tmp_path / "m.csv")) == 2
+
+    def test_rank_window_from_model(self, dataset, tmp_path):
+        model, pred = tmp_path / "m3.bin", tmp_path / "p.csv"
+        assert run("train", "--in", str(dataset / "pre"), "--gt", str(dataset / "raw" / "gt.csv"),
+                   "--out", str(model), "--epochs", "1", "--window", "3") == 0
+        assert run("rank", "--in", str(dataset / "pre"), "--model", str(model), "--out", str(pred)) == 0
+        prov = json.loads((tmp_path / "p.csv.provenance.json").read_text())
+        assert prov["config_hash"] == config_hash({"model": "m3.bin", "window_size": 3})
+
+    def test_map_of_other_size(self, dataset, tmp_path, capsys):
+        raw = tmp_path / "raw"
+        shutil.copytree(dataset / "raw", raw)
+        (raw / "maps" / "scene_00001.pgm").write_bytes(b"P5\n4 4\n255\n" + bytes(16))
+        assert run("gt-gen", "--method", "mapmax", "--in", str(raw), "--out", str(tmp_path / "m.csv")) == 2
+        assert "fixation_map" in capsys.readouterr().err
 
     def test_rank_loads_model_once(self, tmp_path, monkeypatch):
         raw, pre, model = tmp_path / "raw", tmp_path / "pre", tmp_path / "m.bin"

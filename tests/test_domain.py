@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from rankflow.domain import BBox, FixationPoint, Ranking, Scene, count_fixations, iou, sqrt_size
+from rankflow.domain import BBox, GrayMap, Ranking, Scene, count_fixations, iou, sqrt_size
 from rankflow.errors import InvariantViolation
 
 
@@ -61,20 +61,20 @@ class TestSqrtSize:
 
 class TestCountFixations:
     def test_empty(self):
-        assert count_fixations(box(0, 0, 10, 10), []) == 0
+        assert count_fixations(box(0, 0, 10, 10), np.empty((0, 3), dtype=np.int64)) == 0
 
     def test_all_inside(self):
-        pts = [FixationPoint(1, 1), FixationPoint(2, 3), FixationPoint(9, 9)]
+        pts = np.array([(1, 1, 0), (2, 3, 0), (9, 9, 0)])
         assert count_fixations(box(0, 0, 10, 10), pts) == 3
 
     def test_half_open_boundary(self):
-        pts = [FixationPoint(5, 5), FixationPoint(10, 10)]
+        pts = np.array([(5, 5, 0), (10, 10, 0)])
         assert count_fixations(box(0, 0, 10, 10), pts) == 1
 
     @given(st.lists(st.tuples(st.integers(0, 19), st.integers(0, 9))))
     def test_additive_over_tiling(self, coords):
         # two boxes tiling [0,20)x[0,10): no double counting, no loss
-        pts = [FixationPoint(u, v) for u, v in coords]
+        pts = np.array([(u, v, 0) for u, v in coords], dtype=np.int64).reshape(-1, 3)
         left = count_fixations(box(0, 0, 10, 10), pts)
         right = count_fixations(box(10, 0, 20, 10), pts)
         assert left + right == len(pts)
@@ -95,7 +95,7 @@ class TestCountFixations:
         expected = sum(1 for u, v in coords if x1 <= u < x2 and y1 <= v < y2)
         pts = np.array([(u, v, 0) for u, v in coords], dtype=np.int64).reshape(-1, 3)
         assert count_fixations(b, pts) == expected
-        assert count_fixations(b, [FixationPoint(u, v) for u, v in coords]) == expected
+        assert count_fixations(b, np.array(coords, dtype=np.int64).reshape(-1, 2)) == expected
 
 
 class TestSceneFixations:
@@ -117,6 +117,10 @@ class TestSceneFixations:
     def test_rejects_point_outside(self):
         with pytest.raises(InvariantViolation, match=r"fixation: point \(10,3\) outside image"):
             Scene("s", 10, 10, (), [(1, 1, 0), (10, 3, 0), (-1, 0, 0)])
+
+    def test_rejects_map_of_other_size(self):
+        with pytest.raises(InvariantViolation, match="fixation_map: 10x8 map for a 10x10 scene"):
+            Scene("s", 10, 10, (), fixation_map=GrayMap(10, 8, bytes(80)))
 
     def test_equal_by_value(self):
         a = Scene("s", 10, 10, (), [(1, 2, 0)])

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from rankflow.domain import GrayMap, Ranking
 from rankflow.errors import (
     InvariantViolation,
+    IoFailure,
     MissingFile,
     TruncatedData,
     UnsupportedFormat,
@@ -16,6 +17,7 @@ from rankflow.ingest import (
     parse_scene,
     pgm_from_bytes,
     pgm_to_bytes,
+    write_atomic,
     write_pgm,
     write_ranking,
     write_scene,
@@ -134,6 +136,13 @@ class TestRankingCsv:
         assert path.read_text() == "scene_id,proposal_id,order\n"
         assert parse_ranking(path) == {}
 
+    @pytest.mark.parametrize("row", ["s,x,1", "s,1,1.5", "s,1", "s,1,1,1"])
+    def test_bad_row_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "r.csv"
+        path.write_text(f"scene_id,proposal_id,order\ns,0,0\n{row}\n")
+        with pytest.raises(InvariantViolation, match=r"r\.csv: line 3"):
+            parse_ranking(path)
+
     def test_sorted_rows(self, tmp_path):
         path = tmp_path / "r.csv"
         write_ranking([("s", Ranking({7: 1, 3: 0}))], path)
@@ -164,3 +173,29 @@ class TestRankingCsv:
             write_ranking(rankings, path)
             parsed = parse_ranking(path)
         assert parsed == dict(rankings)
+
+
+class TestWriteAtomic:
+    def test_writes_bytes_and_text(self, tmp_path):
+        write_atomic(tmp_path / "a.bin", b"\x00\x01")
+        write_atomic(tmp_path / "b.txt", "h\u00e9\n")
+        assert (tmp_path / "a.bin").read_bytes() == b"\x00\x01"
+        assert (tmp_path / "b.txt").read_bytes() == "h\u00e9\n".encode("utf-8")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin", "b.txt"]
+
+    def test_failed_replace_keeps_previous_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "r.csv"
+        target.write_text("old\n")
+
+        def failing_replace(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("rankflow.ingest.os.replace", failing_replace)
+        with pytest.raises(IoFailure, match="r.csv"):
+            write_ranking([("s", Ranking({1: 1}))], target)
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+
+    def test_missing_directory(self, tmp_path):
+        with pytest.raises(IoFailure, match="nodir"):
+            write_atomic(tmp_path / "nodir" / "x.csv", "x")

@@ -18,6 +18,15 @@ from rankflow.rankcore import (
 )
 
 
+def first_within_tolerance(cost):
+    """Lexicographically first permutation within a relative 1e-9 of the optimum."""
+    k = len(cost)
+    perms = list(itertools.permutations(range(k)))
+    totals = [sum(cost[i][perm[i]] for i in range(k)) for perm in perms]
+    best = min(totals)
+    return next(list(p) for p, t in zip(perms, totals) if t <= best + 1e-9 * max(1.0, abs(best)))
+
+
 def brute_force_assignment(cost):
     k = len(cost)
     best_perm, best_total = None, None
@@ -40,6 +49,11 @@ class TestAcbSequences:
     def test_too_few(self):
         with pytest.raises(InvalidWindow):
             acb_sequences(4, 5)
+
+    @pytest.mark.parametrize("w", [-1, 0, 8])
+    def test_window_bounds(self, w):
+        with pytest.raises(InvalidWindow, match="window size"):
+            acb_sequences(10, w)
 
     @given(st.integers(5, 40))
     def test_uniform_coverage(self, n):
@@ -72,6 +86,40 @@ class TestHungarian:
     def test_rejects_nan(self):
         with pytest.raises(ShapeMismatch):
             hungarian([[float("nan"), 1], [1, 0]])
+
+    def test_rejects_ragged(self):
+        with pytest.raises(ShapeMismatch):
+            hungarian([[1, 2], [3]])
+
+    def test_rejects_more_than_seven(self):
+        with pytest.raises(InvalidWindow):
+            hungarian(np.zeros((8, 8)))
+
+    def test_dummy_row_tolerance(self):
+        # The dummy row makes the tolerance 1e-9 * 1e6 = 1e-3, so the total
+        # 5e-4 above the optimum at [1, 0, 2, 3, 4] still counts as optimal and
+        # the lexicographically first permutation wins; a plain argmin would
+        # return [1, 0, 2, 3, 4].
+        cost = [
+            [1e6] * 5,
+            [0, 0.0005, 5, 5, 5],
+            [5, 5, 0, 5, 5],
+            [5, 5, 5, 0, 5],
+            [5, 5, 5, 5, 0],
+        ]
+        assert hungarian(cost) == [0, 1, 2, 3, 4]
+
+    @given(st.integers(2, 7), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_tolerance_oracle(self, k, data):
+        # Multiples of 2**-12 keep every total exact, so both sides compare the
+        # same numbers; the steps are fine enough to fall inside a dummy row's
+        # 1e-3 tolerance.
+        step = st.integers(0, 64).map(lambda x: x / 4096)
+        cost = [data.draw(st.lists(step, min_size=k, max_size=k)) for _ in range(k)]
+        for r in data.draw(st.lists(st.integers(0, k - 1), max_size=k - 1, unique=True)):
+            cost[r] = [1e6] * k
+        assert hungarian(cost) == first_within_tolerance(cost)
 
     @given(
         st.integers(2, 4),
