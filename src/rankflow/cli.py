@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .errors import MalformedJson, RankflowError
 from .gtgen import GtConfig, GtMethod
+from .ingest import read_text
 from .pipeline import (
     evaluate_files,
     gt_discrepancy,
@@ -43,11 +44,13 @@ class _Parser(argparse.ArgumentParser):
 
 def load_run_config(path) -> dict:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(read_text(path))
     except OSError as e:
         raise RankflowError(str(e)) from e
     except json.JSONDecodeError as e:
         raise MalformedJson(f"{path}: line {e.lineno}: {e.msg}") from e
+    if not isinstance(doc, dict):
+        raise RankflowError(f"{path}: a run config must be a JSON object, got {type(doc).__name__}")
     unknown = set(doc) - _CONFIG_SECTIONS - _CONFIG_SCALARS
     if unknown:
         raise RankflowError(f"unknown config keys: {sorted(unknown)}")
@@ -60,7 +63,10 @@ def load_run_config(path) -> dict:
         ("gt", GtConfig),
         ("train", TrainConfig),
     ):
-        extra = set(doc.get(section, {})) - {f.name for f in dataclasses.fields(cls)}
+        fields = doc.get(section, {})
+        if not isinstance(fields, dict):
+            raise RankflowError(f"{path}: config section {section!r} must be a JSON object")
+        extra = set(fields) - {f.name for f in dataclasses.fields(cls)}
         if extra:
             raise RankflowError(f"unknown keys in config section {section!r}: {sorted(extra)}")
     return doc

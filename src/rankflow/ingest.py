@@ -42,13 +42,23 @@ def write_atomic(path, data) -> None:
         raise IoFailure(f"cannot write {path}: {e.strerror or e}") from e
 
 
-def parse_scene(path, load_map: bool = True) -> Scene:
-    """Scene from a JSON file; ``load_map=False`` leaves its PGM map unread."""
+def read_text(path) -> str:
+    """A file's UTF-8 text, line endings untouched.  A missing file raises
+    MissingFile, bytes that are not UTF-8 UnsupportedFormat, each naming it."""
     path = Path(path)
     if not path.is_file():
         raise MissingFile(str(path))
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise UnsupportedFormat(f"{path}: not UTF-8 text (byte {e.start})") from e
+
+
+def parse_scene(path, load_map: bool = True) -> Scene:
+    """Scene from a JSON file; ``load_map=False`` leaves its PGM map unread."""
+    path = Path(path)
+    try:
+        doc = json.loads(read_text(path))
     except json.JSONDecodeError as e:
         raise MalformedJson(f"{path}: line {e.lineno}: {e.msg}") from e
     return scene_from_dict(doc, base_dir=path.parent, load_map=load_map)
@@ -189,22 +199,18 @@ def write_ranking(rankings, path) -> None:
 
 
 def parse_ranking(path) -> dict[str, Ranking]:
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFile(str(path))
     per_scene: dict[str, dict[int, int]] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != RANKING_HEADER:
-            raise UnsupportedFormat(f"{path}: bad header {header}")
-        for row in reader:
-            try:
-                scene_id, pid, order = row
-                pid, order = int(pid), int(order)
-            except ValueError as e:
-                raise InvariantViolation(str(path), f"line {reader.line_num}: bad row {row}") from e
-            per_scene.setdefault(scene_id, {})[pid] = order
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    header = next(reader, None)
+    if header != RANKING_HEADER:
+        raise UnsupportedFormat(f"{path}: bad header {header}")
+    for row in reader:
+        try:
+            scene_id, pid, order = row
+            pid, order = int(pid), int(order)
+        except ValueError as e:
+            raise InvariantViolation(str(path), f"line {reader.line_num}: bad row {row}") from e
+        per_scene.setdefault(scene_id, {})[pid] = order
     return {sid: Ranking(labels) for sid, labels in per_scene.items()}
 
 

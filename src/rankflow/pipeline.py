@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import __version__
 from .domain import Ranking, Scene
-from .errors import MissingFile
+from .errors import IoFailure, MissingFile
 from .gtgen import GtConfig, discrepancy_offsets, generate_ranking
 from .ingest import (
     list_scene_files,
@@ -26,7 +26,7 @@ from .ingest import (
 )
 from .metrics import evaluate_rankings, rank_from_saliency_map
 from .preprocess import FilterConfig, filter_proposals, read_features, scene_features, write_features
-from .rankcore import DEFAULT_WINDOW, acb_sequences, rank_scene, window_inputs
+from .rankcore import DEFAULT_WINDOW, rank_scene, window_batch
 from .scorer import load_model, make_scorer, window_gt_labels
 
 
@@ -67,8 +67,11 @@ def _preprocess_one(scene_path, out_dir: Path, cfg: FilterConfig) -> str:
 def preprocess_dataset(in_dir, out_dir, cfg: FilterConfig | None = None, jobs: int = 1) -> list[str]:
     cfg = cfg or FilterConfig()
     out_dir = Path(out_dir)
-    (out_dir / "scenes").mkdir(parents=True, exist_ok=True)
-    (out_dir / "features").mkdir(exist_ok=True)
+    try:
+        (out_dir / "scenes").mkdir(parents=True, exist_ok=True)
+        (out_dir / "features").mkdir(exist_ok=True)
+    except OSError as e:
+        raise IoFailure(f"cannot create {out_dir}: {e.strerror or e}") from e
     worker = partial(_preprocess_one, out_dir=out_dir, cfg=cfg)
     return parallel_map(worker, list_scene_files(in_dir), jobs)
 
@@ -109,12 +112,12 @@ def build_training_set(pre_dir, gt: dict[str, Ranking], window_size: int = DEFAU
     for scene, features in load_preprocessed(pre_dir):
         if scene.scene_id not in gt:
             continue
+        _, ids, dummy, inputs = window_batch(scene, features, window_size)
         ranking = gt[scene.scene_id]
-        for window in acb_sequences(len(scene.proposals), window_size):
-            ids = tuple(scene.proposals[i].id for i in window.member_ids)
-            labels = window_gt_labels(ranking, ids)
-            dummy_mask = [scene.proposals[i].is_dummy for i in window.member_ids]
-            samples.append((window_inputs(features, window.member_ids), labels, dummy_mask))
+        samples += [
+            (x, window_gt_labels(ranking, row), mask)
+            for x, row, mask in zip(inputs, ids.tolist(), dummy.tolist())
+        ]
     return samples
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .domain import BBox, Proposal, Scene, count_fixations, iou, sqrt_size
-from .errors import MissingFile, TruncatedData
+from .errors import MissingFile, TruncatedData, UnsupportedFormat
 from .gtgen import map_region
 from .ingest import write_atomic
 
@@ -149,6 +149,7 @@ def read_features(path) -> np.ndarray:
         raise TruncatedData(str(path))
     (count,) = struct.unpack("<I", data[:4])
     expected = 4 + count * FEATURE_DIM * 8
-    if len(data) < expected:
-        raise TruncatedData(f"{path}: expected {expected} bytes, got {len(data)}")
+    if len(data) != expected:
+        kind = TruncatedData if len(data) < expected else UnsupportedFormat
+        raise kind(f"{path}: expected {expected} bytes, got {len(data)}")
     return np.frombuffer(data[4:expected], dtype="<f8").reshape(count, FEATURE_DIM).copy()

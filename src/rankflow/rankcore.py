@@ -30,24 +30,6 @@ class Window:
     member_ids: tuple[int, ...]  # proposal positions in the scene's order
 
 
-@dataclass(frozen=True)
-class WindowAssignment:
-    labels: tuple[int, ...]  # per member: 0 = non-salient, else within-window rank
-
-    def __post_init__(self):
-        nonzero = [l for l in self.labels if l > 0]
-        if len(set(nonzero)) != len(nonzero):
-            raise InvalidWindow(f"duplicate non-zero labels {self.labels}")
-
-
-@dataclass
-class VoteState:
-    rank_sum: int = 0
-    zero_votes: int = 0
-    salient_prob_sum: float = 0.0
-    appearances: int = 0
-
-
 def acb_sequences(n: int, window_size: int = DEFAULT_WINDOW) -> list[Window]:
     """n circular windows; window i holds indices (i, i+1, ..., i+W-1) mod n."""
     if not 1 <= window_size <= MAX_WINDOW:
@@ -68,30 +50,31 @@ def _permutations(k: int) -> np.ndarray:
     return perms
 
 
-def hungarian(cost) -> list[int]:
-    """Minimum-cost permutation by a scan over every permutation.
+def hungarian(cost) -> list:
+    """Minimum-cost permutation of a k x k matrix, or of each matrix in a
+    (..., k, k) stack, by a scan over every permutation.
 
-    Returns the lexicographically first permutation whose total lies within a
-    relative 1e-9 of the minimum, so near-ties (float rounding, or a 1e6
-    dummy row) resolve to the same answer every time.
+    Per matrix, returns the lexicographically first permutation whose total
+    lies within a relative 1e-9 of the minimum, so near-ties (float rounding,
+    or a 1e6 dummy row) resolve to the same answer every time.  The result is
+    a list, nested like the stack.
     """
-    k = len(cost)
     try:
         cost = np.array(cost, dtype=float)
     except ValueError as e:
         raise ShapeMismatch("cost matrix must be square") from e
-    if k and cost.shape != (k, k):
+    if cost.ndim < 2 or cost.shape[-1] != cost.shape[-2]:
         raise ShapeMismatch("cost matrix must be square")
     if not np.isfinite(cost).all():
         raise ShapeMismatch("cost matrix entries must be finite")
-    if k > MAX_WINDOW:
-        raise InvalidWindow(f"assignment size {k} exceeds {MAX_WINDOW}")
-    if k == 0:
-        return []
+    k = cost.shape[-1]
+    if not 1 <= k <= MAX_WINDOW:
+        raise InvalidWindow(f"assignment size {k} outside 1..{MAX_WINDOW}")
     perms = _permutations(k)
-    totals = cost[np.arange(k), perms].sum(axis=1)
-    best = totals.min()
-    return perms[np.argmax(totals <= best + 1e-9 * max(1.0, abs(best)))].tolist()
+    totals = cost[..., np.arange(k), perms].sum(axis=-1)
+    best = totals.min(axis=-1, keepdims=True)
+    within = totals <= best + 1e-9 * np.maximum(1.0, np.abs(best))
+    return perms[np.argmax(within, axis=-1)].tolist()
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -101,31 +84,28 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def exclusive_classify(scores: np.ndarray, dummy_mask) -> WindowAssignment:
+def exclusive_classify(scores: np.ndarray, dummy_mask) -> np.ndarray:
     """Assign distinct within-window ranks via Hungarian matching on -log p.
 
+    scores: one W x (W+1) matrix or a (..., W, W+1) stack of them, with a
+    dummy mask of the same leading shape; returns int labels of that shape.
     Rank columns are classes 1..W; class 0 overrides a row's assigned rank
     when the row prefers non-salient.  Dummy rows get a flat large cost so
     they never displace real rows, and are forced to label 0.
     """
     scores = np.asarray(scores, dtype=float)
-    w, c = scores.shape
+    w, c = scores.shape[-2:]
     if c != w + 1:
         raise ShapeMismatch(f"expected {w}x{w + 1} score matrix, got {w}x{c}")
+    dummy = np.asarray(dummy_mask, dtype=bool)
+    if dummy.shape != scores.shape[:-1]:
+        raise ShapeMismatch(f"dummy mask shape {dummy.shape} != score rows {scores.shape[:-1]}")
     p = softmax(scores)
     neglog = -np.log(np.maximum(p, 1e-300))
-    cost = np.empty((w, w))
-    for r in range(w):
-        cost[r] = _DUMMY_COST if dummy_mask[r] else neglog[r, 1:]
-    perm = hungarian(cost)
-    labels = []
-    for r in range(w):
-        if dummy_mask[r]:
-            labels.append(0)
-            continue
-        rank = perm[r] + 1
-        labels.append(0 if p[r, 0] > p[r, rank] else rank)
-    return WindowAssignment(tuple(labels))
+    cost = np.where(dummy[..., None], _DUMMY_COST, neglog[..., 1:])
+    rank = np.asarray(hungarian(cost), dtype=np.intp) + 1
+    p_rank = np.take_along_axis(p, rank[..., None], axis=-1)[..., 0]
+    return np.where(dummy | (p[..., 0] > p_rank), 0, rank)
 
 
 def _dominance_counts(net: np.ndarray) -> np.ndarray:
@@ -142,80 +122,86 @@ def _dominance_counts(net: np.ndarray) -> np.ndarray:
     return strict.sum(axis=0)
 
 
-def aggregate_votes(
-    results, proposals: tuple[Proposal, ...], window_size: int = DEFAULT_WINDOW
-) -> Ranking:
-    """Combine per-window assignments into one Ranking over real proposals.
+def aggregate_votes(members, labels, probs, proposals: tuple[Proposal, ...]) -> Ranking:
+    """Combine every window's assignment into one Ranking over real proposals.
 
-    results: iterable of (Window, WindowAssignment, probabilities) triples,
-    probabilities being the W x C softmax matrix of the window's scores.
+    members, labels: (n_windows, W) int arrays of proposal positions and their
+    in-window labels; probs: the (n_windows, W, W+1) softmax of the windows'
+    scores.
     """
     n = len(proposals)
-    w = window_size
-    votes = [VoteState() for _ in range(n)]
-    net = np.zeros((n, n), dtype=int)
-    for window, assignment, probs in results:
-        members = window.member_ids
-        for k, idx in enumerate(members):
-            label = assignment.labels[k]
-            st = votes[idx]
-            st.appearances += 1
-            if label == 0:
-                st.zero_votes += 1
-            else:
-                st.rank_sum += label
-            st.salient_prob_sum += 1.0 - float(probs[k][0])
-        for a in range(w):
-            for b in range(a + 1, w):
-                la, lb = assignment.labels[a], assignment.labels[b]
-                if la > 0 and lb > 0 and la != lb:
-                    ia, ib = members[a], members[b]
-                    if la < lb:
-                        net[ia, ib] += 1
-                        net[ib, ia] -= 1
-                    else:
-                        net[ib, ia] += 1
-                        net[ia, ib] -= 1
+    w = members.shape[-1]
+    flat, lab = members.ravel(), labels.ravel()
+    appearances = np.bincount(flat, minlength=n)
+    zero_votes = np.bincount(flat[lab == 0], minlength=n)
+    rank_sum = np.bincount(flat, weights=lab, minlength=n)
+    # bincount adds in input order, so each sum runs window by window.
+    salient_prob_sum = np.bincount(flat, weights=1.0 - probs[..., 0].ravel(), minlength=n)
+
+    # Within a window, the lower of two distinct non-zero labels wins the pair.
+    a, b = np.triu_indices(w, 1)
+    la, lb = labels[:, a], labels[:, b]
+    voted = (la > 0) & (lb > 0) & (la != lb)
+    winners = np.where(la < lb, members[:, a], members[:, b])[voted]
+    losers = np.where(la < lb, members[:, b], members[:, a])[voted]
+    wins = np.zeros((n, n), dtype=int)
+    np.add.at(wins, (winners, losers), 1)
+    net = wins - wins.T
 
     for idx, p in enumerate(proposals):
-        if not p.is_dummy and n >= w and votes[idx].appearances != w:
+        if not p.is_dummy and n >= w and appearances[idx] != w:
             raise CoverageViolation(
-                f"proposal {p.id} appeared in {votes[idx].appearances} windows, expected {w}"
+                f"proposal {p.id} appeared in {appearances[idx]} windows, expected {w}"
             )
 
     alive = [
         idx
         for idx, p in enumerate(proposals)
-        if not p.is_dummy and votes[idx].zero_votes <= w / 2
+        if not p.is_dummy and zero_votes[idx] <= w / 2
     ]
     dom = _dominance_counts(net[np.ix_(alive, alive)]) if alive else np.zeros(0, int)
     order_key = {
         idx: (
             int(dom[pos]),
-            votes[idx].rank_sum + votes[idx].zero_votes * (w + 1),
-            -votes[idx].salient_prob_sum,
+            rank_sum[idx] + zero_votes[idx] * (w + 1),
+            -salient_prob_sum[idx],
             proposals[idx].id,
         )
         for pos, idx in enumerate(alive)
     }
     alive.sort(key=order_key.__getitem__)
 
-    labels = {p.id: 0 for p in proposals if not p.is_dummy}
+    ranks = {p.id: 0 for p in proposals if not p.is_dummy}
     for order, idx in enumerate(alive, start=1):
-        labels[proposals[idx].id] = order
-    return Ranking(labels)
+        ranks[proposals[idx].id] = order
+    return Ranking(ranks)
 
 
-def window_inputs(
-    features: np.ndarray, member_ids: tuple[int, ...]
-) -> np.ndarray:
+def window_inputs(features: np.ndarray, member_ids) -> np.ndarray:
     """Per-row scorer input: own 14 features plus 4 window-context entries
-    (mean and max of the members' fixation share and map max)."""
-    rows = features[list(member_ids)]
-    fs = rows[:, 0]
-    mm = rows[:, 3]
-    ctx = np.array([fs.mean(), fs.max(), mm.mean(), mm.max()])
-    return np.hstack([rows, np.tile(ctx, (rows.shape[0], 1))])
+    (mean and max of the members' fixation share and map max).
+
+    member_ids: one window's W positions (W x 18 result) or an (n, W) array
+    of windows (n x W x 18 result).
+    """
+    rows = features[np.asarray(member_ids, dtype=np.intp)]
+    fs = rows[..., 0]
+    mm = rows[..., 3]
+    ctx = np.stack([fs.mean(axis=-1), fs.max(axis=-1), mm.mean(axis=-1), mm.max(axis=-1)], axis=-1)
+    return np.concatenate([rows, np.broadcast_to(ctx[..., None, :], (*rows.shape[:-1], 4))], axis=-1)
+
+
+def window_batch(scene: Scene, features: np.ndarray, window_size: int = DEFAULT_WINDOW):
+    """Every circular window of a scene at once, row i being window i:
+    member positions, proposal ids and dummy flags, each (n, W), and the
+    scorer inputs, (n, W, 18)."""
+    n = len(scene.proposals)
+    if features.shape[0] != n:
+        raise ShapeMismatch(f"features rows {features.shape[0]} != proposals {n}")
+    members = np.array([w.member_ids for w in acb_sequences(n, window_size)], dtype=np.intp)
+    ids = np.array([p.id for p in scene.proposals])[members]
+    dummy = np.array([p.is_dummy for p in scene.proposals])[members]
+    return members, ids, dummy, window_inputs(features, members)
 
 
 def rank_scene(
@@ -226,19 +212,12 @@ def rank_scene(
 ) -> Ranking:
     """Full inference for one preprocessed scene.
 
-    scorer: callable (member_proposal_ids, inputs W x 18) -> logits W x (W+1).
+    scorer: callable (ids, inputs) -> logits, called once with every window
+    of the scene: ids (n, W) proposal ids, inputs (n, W, 18), logits
+    (n, W, W+1), row i being window i.
     Deterministic given scene, features and scorer parameters.
     """
-    n = len(scene.proposals)
-    if features.shape[0] != n:
-        raise ShapeMismatch(f"features rows {features.shape[0]} != proposals {n}")
-    windows = acb_sequences(n, window_size)
-    results = []
-    for window in windows:
-        ids = tuple(scene.proposals[i].id for i in window.member_ids)
-        x = window_inputs(features, window.member_ids)
-        logits = np.asarray(scorer(ids, x), dtype=float)
-        dummy_mask = [scene.proposals[i].is_dummy for i in window.member_ids]
-        assignment = exclusive_classify(logits, dummy_mask)
-        results.append((window, assignment, softmax(logits)))
-    return aggregate_votes(results, scene.proposals, window_size)
+    members, ids, dummy, inputs = window_batch(scene, features, window_size)
+    logits = np.asarray(scorer(ids, inputs), dtype=float)
+    labels = exclusive_classify(logits, dummy)
+    return aggregate_votes(members, labels, softmax(logits), scene.proposals)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .domain import Ranking
-from .errors import EmptyDataset, MissingFile, ShapeMismatch, TruncatedData
+from .errors import EmptyDataset, MissingFile, ShapeMismatch, TruncatedData, UnsupportedFormat
 from .ingest import write_atomic
 from .rankcore import softmax
 
@@ -81,22 +81,23 @@ def window_gt_labels(gt: Ranking, member_ids) -> tuple[int, ...]:
 
 
 def oracle_scorer(gt: Ranking):
-    """Scorer emitting one-hot-like logits at each member's GT-derived label."""
+    """Scorer emitting one-hot-like logits at each member's GT-derived label,
+    for one window of ids or an (n, W) array with one window per row."""
 
     def score(member_ids, inputs):
-        labels = window_gt_labels(gt, member_ids)
-        w = len(member_ids)
-        logits = np.zeros((w, w + 1))
-        for r, lab in enumerate(labels):
-            logits[r, lab] = ORACLE_PEAK
-        return logits
+        ids = np.asarray(member_ids)
+        rows = ids.reshape(-1, ids.shape[-1]).tolist()
+        labels = np.array([window_gt_labels(gt, row) for row in rows]).reshape(ids.shape)
+        classes = np.arange(ids.shape[-1] + 1)
+        return np.where(labels[..., None] == classes, ORACLE_PEAK, 0.0)
 
     return score
 
 
 def mlp_forward(model: ScorerModel, inputs: np.ndarray) -> np.ndarray:
+    """Logits (..., C) for inputs (..., d_in): one window or a stack of them."""
     inputs = np.asarray(inputs, dtype=float)
-    if inputs.ndim != 2 or inputs.shape[1] != model.w1.shape[0]:
+    if inputs.ndim < 2 or inputs.shape[-1] != model.w1.shape[0]:
         raise ShapeMismatch(
             f"expected inputs with {model.w1.shape[0]} columns, got {inputs.shape}"
         )
@@ -237,8 +238,9 @@ def load_model(path) -> ScorerModel:
     d_in, h, c = struct.unpack("<3i", data[4:16])
     shapes = [(d_in, h), (h,), (h, c), (c,)]
     need = 16 + sum(int(np.prod(s)) for s in shapes) * 8
-    if len(data) < need:
-        raise TruncatedData(f"{path}: expected {need} bytes, got {len(data)}")
+    if len(data) != need:
+        kind = TruncatedData if len(data) < need else UnsupportedFormat
+        raise kind(f"{path}: expected {need} bytes, got {len(data)}")
     offset = 16
     arrays = []
     for shape in shapes:

@@ -85,7 +85,7 @@ def test_criterion_03_ecs_exclusivity():
     for _ in range(10_000):
         logits = rng.normal(scale=2.0, size=(5, 6))
         dummy = (rng.random(5) < 0.15).tolist()
-        labels = exclusive_classify(logits, dummy).labels
+        labels = exclusive_classify(logits, dummy)
         nonzero = [l for l in labels if l > 0]
         assert len(set(nonzero)) == len(nonzero)
         assert all(1 <= l <= 5 for l in nonzero)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rankflow
@@ -13,7 +14,8 @@ from rankflow.cli import dispatch, gamma_grid
 from rankflow.pipeline import config_hash
 from rankflow.errors import RankflowError
 from rankflow.ingest import parse_ranking
-from rankflow.scorer import init_model, load_model, save_model
+from rankflow.rankcore import acb_sequences, window_inputs
+from rankflow.scorer import init_model, load_model, save_model, window_gt_labels
 
 
 def run(*argv):
@@ -114,6 +116,55 @@ class TestUsageErrors:
         assert run("eval", "--pred", gt, "--gt", gt, "--out", str(tmp_path / "nodir" / "r.json")) == 2
         assert "nodir" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("body", [b'{"jobs": \xff}', b"[\"jobs\"]", b'{"synth": 5}'])
+    def test_config_not_utf8_or_not_an_object(self, dataset, tmp_path, capsys, body):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(body)
+        argv = ["preprocess", "--config", str(cfg), "--in", str(dataset / "raw"), "--out", str(tmp_path / "p")]
+        assert run(*argv) == 2
+        assert "cfg.json" in capsys.readouterr().err
+
+    def test_scene_not_utf8(self, dataset, tmp_path, capsys):
+        raw = tmp_path / "raw"
+        shutil.copytree(dataset / "raw", raw)
+        scene = raw / "scenes" / "scene_00001.json"
+        scene.write_bytes(scene.read_bytes().replace(b'"scene_00001"', b'"scene_\xff"'))
+        assert run("gt-gen", "--in", str(raw), "--out", str(tmp_path / "gt.csv")) == 2
+        assert "scene_00001.json" in capsys.readouterr().err
+
+    def test_ranking_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"scene_id,proposal_id,order\n\xff\xfe,1,1\n")
+        assert run("eval", "--pred", str(bad), "--gt", str(bad), "--out", str(tmp_path / "r.json")) == 2
+        assert "bad.csv" in capsys.readouterr().err
+
+    def test_preprocess_out_under_a_file(self, dataset, tmp_path, capsys):
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "pre"
+        assert run("preprocess", "--in", str(dataset / "raw"), "--out", str(out)) == 2
+        assert str(out) in capsys.readouterr().err
+
+    def test_model_with_trailing_bytes(self, dataset, tmp_path, capsys):
+        model = tmp_path / "long.bin"
+        save_model(init_model(), model)
+        size = model.stat().st_size
+        model.write_bytes(model.read_bytes() + b"\0\0")
+        assert run("rank", "--in", str(dataset / "pre"), "--model", str(model), "--out", str(tmp_path / "p.csv")) == 2
+        err = capsys.readouterr().err
+        assert "long.bin" in err and f"expected {size} bytes, got {size + 2}" in err
+
+    def test_features_with_trailing_bytes(self, dataset, tmp_path, capsys):
+        pre = tmp_path / "pre"
+        shutil.copytree(dataset / "pre", pre)
+        feat = pre / "features" / "scene_00002.feat"
+        size = feat.stat().st_size
+        feat.write_bytes(feat.read_bytes() + b"\0\0")
+        model = tmp_path / "m.bin"
+        save_model(init_model(), model)
+        assert run("rank", "--in", str(pre), "--model", str(model), "--out", str(tmp_path / "p.csv")) == 2
+        err = capsys.readouterr().err
+        assert "scene_00002.feat" in err and f"expected {size} bytes, got {size + 2}" in err
 
     def test_module_entry_point(self, tmp_path):
         env = dict(os.environ, PYTHONPATH=str(Path(rankflow.__file__).parent.parent))
@@ -246,6 +297,26 @@ class TestPipelineStages:
         pipeline.rank_dataset(pre, model, tmp_path / "pred.csv")
         assert len(calls) == 1
         assert len(parse_ranking(tmp_path / "pred.csv")) == 3
+
+    def test_training_set_matches_per_window_samples(self, dataset):
+        gt = parse_ranking(dataset / "raw" / "gt.csv")
+        samples = pipeline.build_training_set(dataset / "pre", gt, 5)
+        expected = []
+        for scene, feats in pipeline.load_preprocessed(dataset / "pre"):
+            for window in acb_sequences(len(scene.proposals), 5):
+                ids = tuple(scene.proposals[i].id for i in window.member_ids)
+                expected.append(
+                    (
+                        window_inputs(feats, window.member_ids),
+                        window_gt_labels(gt[scene.scene_id], ids),
+                        [scene.proposals[i].is_dummy for i in window.member_ids],
+                    )
+                )
+        assert len(samples) == len(expected) > 4
+        for (x, labels, mask), (x0, labels0, mask0) in zip(samples, expected):
+            assert np.array_equal(x, x0)
+            assert labels == labels0
+            assert mask == mask0
 
     def test_map_rank(self, dataset):
         out = dataset / "map_pred.csv"

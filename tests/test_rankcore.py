@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 from rankflow.domain import BBox, Proposal
 from rankflow.errors import InvalidWindow, ShapeMismatch
 from rankflow.rankcore import (
-    WindowAssignment,
     acb_sequences,
     aggregate_votes,
     exclusive_classify,
     hungarian,
     rank_scene,
     softmax,
+    window_batch,
     window_inputs,
 )
 
@@ -133,6 +133,24 @@ class TestHungarian:
         assert perm == oracle_perm
         assert sum(cost[i][perm[i]] for i in range(k)) == pytest.approx(oracle_total)
 
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_stack_matches_per_matrix(self, k):
+        # Tie-heavy entries and 1e6 dummy rows, as exclusive_classify builds them.
+        rng = np.random.default_rng(k)
+        stack = rng.integers(0, 4, size=(40, k, k)) / 2.0
+        stack[rng.random((40, k)) < 0.3] = 1e6
+        assert hungarian(stack) == [hungarian(cost) for cost in stack]
+
+    def test_stack_checks_every_matrix(self):
+        stack = np.zeros((3, 4, 4))
+        stack[2, 1, 1] = np.inf
+        with pytest.raises(ShapeMismatch):
+            hungarian(stack)
+        with pytest.raises(ShapeMismatch):
+            hungarian(np.zeros((3, 4, 5)))
+        with pytest.raises(InvalidWindow):
+            hungarian(np.zeros((2, 8, 8)))
+
 
 class TestSoftmax:
     def test_rows_sum_to_one(self):
@@ -152,7 +170,7 @@ class TestExclusiveClassify:
         for r in range(5):
             logits[r, r + 1] = 5.0
         out = exclusive_classify(logits, [False] * 5)
-        assert out.labels == (1, 2, 3, 4, 5)
+        assert out.tolist() == [1, 2, 3, 4, 5]
 
     def test_conflicting_rows_stay_exclusive(self):
         # both rows want rank 1; exclusivity must hold
@@ -160,25 +178,40 @@ class TestExclusiveClassify:
         logits[0, 1] = 4.0
         logits[1, 1] = 3.0
         out = exclusive_classify(logits, [False] * 5)
-        nonzero = [l for l in out.labels if l > 0]
+        nonzero = [l for l in out if l > 0]
         assert len(set(nonzero)) == len(nonzero)
-        assert out.labels[0] == 1
+        assert out[0] == 1
 
     def test_class_zero_override(self):
         logits = np.full((5, 6), 0.0)
         logits[2, 0] = 6.0  # row 2 is confident non-salient
         out = exclusive_classify(logits, [False] * 5)
-        assert out.labels[2] == 0
+        assert out[2] == 0
 
     def test_dummy_rows_forced_zero(self):
         logits = np.zeros((5, 6))
         logits[3, 1] = 9.0
         out = exclusive_classify(logits, [False, False, False, True, True])
-        assert out.labels[3] == 0 and out.labels[4] == 0
+        assert out[3] == 0 and out[4] == 0
 
     def test_shape_check(self):
         with pytest.raises(ShapeMismatch):
             exclusive_classify(np.zeros((5, 5)), [False] * 5)
+
+    def test_mask_shape_check(self):
+        with pytest.raises(ShapeMismatch):
+            exclusive_classify(np.zeros((3, 5, 6)), [False] * 5)
+
+    def test_stack_matches_per_window(self):
+        rng = np.random.default_rng(11)
+        logits = rng.normal(scale=3.0, size=(300, 5, 6))
+        logits[::3] = np.round(logits[::3])  # exact ties
+        dummy = rng.random((300, 5)) < 0.2
+        labels = exclusive_classify(logits, dummy)
+        assert labels.shape == (300, 5)
+        assert labels.dtype.kind == "i"
+        for x, mask, row in zip(logits, dummy, labels):
+            assert np.array_equal(exclusive_classify(x, mask), row)
 
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=150)
@@ -188,12 +221,12 @@ class TestExclusiveClassify:
         )
         dummy = [rnd.random() < 0.2 for _ in range(5)]
         out = exclusive_classify(logits, dummy)
-        nonzero = [l for l in out.labels if l > 0]
+        nonzero = [l for l in out if l > 0]
         assert len(set(nonzero)) == len(nonzero)
         assert all(1 <= l <= 5 for l in nonzero)
         for r, d in enumerate(dummy):
             if d:
-                assert out.labels[r] == 0
+                assert out[r] == 0
 
 
 def _proposals(n):
@@ -203,34 +236,28 @@ def _proposals(n):
     )
 
 
-class TestWindowAssignment:
-    def test_rejects_duplicate_nonzero(self):
-        with pytest.raises(InvalidWindow):
-            WindowAssignment((1, 1, 0, 2, 3))
-
-
 class TestAggregateVotes:
-    def _uniform_probs(self):
-        return np.full((5, 6), 1.0 / 6)
+    def _uniform_probs(self, n):
+        return np.full((n, 5, 6), 1.0 / 6)
 
     def test_consistent_windows(self):
         # ground truth order = proposal index order
         n = 6
         proposals = _proposals(n)
         windows = acb_sequences(n, 5)
-        results = []
+        members, labels = [], []
         for w in windows:
             order = sorted(w.member_ids)
-            labels = tuple(order.index(m) + 1 for m in w.member_ids)
-            results.append((w, WindowAssignment(labels), self._uniform_probs()))
-        ranking = aggregate_votes(results, proposals, 5)
+            members.append(w.member_ids)
+            labels.append([order.index(m) + 1 for m in w.member_ids])
+        ranking = aggregate_votes(np.array(members), np.array(labels), self._uniform_probs(n), proposals)
         assert ranking.labels == {i: i + 1 for i in range(n)}
 
     def test_zero_majority_drops_proposal(self):
         n = 5
         proposals = _proposals(n)
         windows = acb_sequences(n, 5)
-        results = []
+        members, all_labels = [], []
         for w in windows:
             labels = []
             rank = 1
@@ -240,8 +267,9 @@ class TestAggregateVotes:
                 else:
                     order = sorted(x for x in w.member_ids if x != 4)
                     labels.append(order.index(m) + 1)
-            results.append((w, WindowAssignment(tuple(labels)), self._uniform_probs()))
-        ranking = aggregate_votes(results, proposals, 5)
+            members.append(w.member_ids)
+            all_labels.append(labels)
+        ranking = aggregate_votes(np.array(members), np.array(all_labels), self._uniform_probs(n), proposals)
         assert ranking.labels[4] == 0
         assert ranking.labels[0] == 1
 
@@ -258,6 +286,15 @@ class TestWindowInputs:
         assert x[0, 16] == pytest.approx(0.2)  # mean map max
         assert x[0, 17] == pytest.approx(1.0)  # max map max
         assert np.array_equal(x[2, :14], feats[2])
+
+    @pytest.mark.parametrize("w", [3, 5, 7])
+    def test_stack_matches_per_window(self, w):
+        feats = np.random.default_rng(w).random((11, 14))
+        windows = acb_sequences(11, w)
+        stacked = window_inputs(feats, np.array([win.member_ids for win in windows]))
+        assert stacked.shape == (11, w, 18)
+        for win, x in zip(windows, stacked):
+            assert np.array_equal(window_inputs(feats, win.member_ids), x)
 
 
 class TestRankSceneOracle:
@@ -282,3 +319,48 @@ class TestRankSceneOracle:
         scene = make_scene([(0, 0, 10, 10)] )
         with pytest.raises(ShapeMismatch):
             rank_scene(scene, np.zeros((3, 14)), oracle_scorer(Ranking({0: 1})), 5)
+
+
+class TestRankSceneBatch:
+    def test_one_scorer_call_per_scene(self):
+        from conftest import make_scene
+        from rankflow.domain import Ranking
+        from rankflow.scorer import oracle_scorer
+
+        n = 7
+        scene = make_scene([(i * 12, 0, i * 12 + 10, 10) for i in range(n)], width=200, height=50)
+        feats = np.random.default_rng(0).random((n, 14))
+        gt = Ranking({i: (i + 1 if i < 4 else 0) for i in range(n)})
+        oracle = oracle_scorer(gt)
+        calls = []
+
+        def scorer(ids, inputs):
+            calls.append((np.array(ids), np.array(inputs)))
+            return oracle(ids, inputs)
+
+        assert rank_scene(scene, feats, scorer, 5).labels == gt.labels
+        assert len(calls) == 1
+        ids, inputs = calls[0]
+        windows = acb_sequences(n, 5)
+        assert ids.tolist() == [list(w.member_ids) for w in windows]
+        assert inputs.shape == (n, 5, 18)
+        for w, x in zip(windows, inputs):
+            assert np.array_equal(window_inputs(feats, w.member_ids), x)
+
+    def test_batch_rows_follow_windows(self):
+        from conftest import make_scene
+        from rankflow.preprocess import FilterConfig, filter_proposals
+
+        scene = filter_proposals(make_scene([(0, 0, 10, 10), (20, 0, 30, 10)]), FilterConfig(min_count=5))
+        members, ids, dummy, inputs = window_batch(scene, np.zeros((5, 14)), 3)
+        assert members.tolist() == [list(w.member_ids) for w in acb_sequences(5, 3)]
+        assert ids.tolist() == [[scene.proposals[i].id for i in row] for row in members.tolist()]
+        assert dummy.tolist() == [[scene.proposals[i].is_dummy for i in row] for row in members.tolist()]
+        assert inputs.shape == (5, 3, 18)
+
+    def test_per_window_logits_rejected(self):
+        from conftest import make_scene
+
+        scene = make_scene([(i * 12, 0, i * 12 + 10, 10) for i in range(6)], width=200, height=50)
+        with pytest.raises(ShapeMismatch):
+            rank_scene(scene, np.zeros((6, 14)), lambda ids, inputs: np.zeros((5, 6)), 5)
