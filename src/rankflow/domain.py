@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -164,7 +165,16 @@ def iou(a: BBox, b: BBox) -> float:
     if ix <= 0 or iy <= 0:
         return 0.0
     inter = ix * iy
-    return inter / (a.area + b.area - inter)
+    union = a.area + b.area - inter
+    if 0.0 < inter <= union:
+        return inter / union
+    # Subnormal extents underflow or misround the float products; take the
+    # ratio exactly instead.
+    f = Fraction
+    inter = (f(min(a.x2, b.x2)) - f(max(a.x1, b.x1))) * (f(min(a.y2, b.y2)) - f(max(a.y1, b.y1)))
+    area_a = (f(a.x2) - f(a.x1)) * (f(a.y2) - f(a.y1))
+    area_b = (f(b.x2) - f(b.x1)) * (f(b.y2) - f(b.y1))
+    return float(inter / (area_a + area_b - inter))
 
 
 def sqrt_size(b: BBox) -> float:
