@@ -31,7 +31,7 @@ from .scorer import TrainConfig, save_model, train
 from .synth import SynthConfig, generate_dataset
 
 _CONFIG_SECTIONS = {"synth", "filter", "gt", "train"}
-_CONFIG_SCALARS = {"window_size", "lam", "jobs", "seed"}
+_CONFIG_SCALARS = {"window_size", "lam", "jobs"}
 _MAX_GAMMAS = 1000
 
 
@@ -57,6 +57,8 @@ def load_run_config(path) -> dict:
     for key in ("jobs", "window_size"):
         if key in doc and (type(doc[key]) is not int or doc[key] < 1):
             raise RankflowError(f"{path}: {key} must be an integer >= 1, got {doc[key]!r}")
+    if "lam" in doc:
+        _check_lambda(doc["lam"], f"{path}: lam")
     for section, cls in (
         ("synth", SynthConfig),
         ("filter", FilterConfig),
@@ -70,6 +72,11 @@ def load_run_config(path) -> dict:
         if extra:
             raise RankflowError(f"unknown keys in config section {section!r}: {sorted(extra)}")
     return doc
+
+
+def _check_lambda(lam, name: str) -> None:
+    if type(lam) not in (int, float) or not 0 < lam <= 1:
+        raise RankflowError(f"{name} must be a number in (0, 1], got {lam!r}")
 
 
 def _build_cfg(cls, section: dict, overrides: dict):
@@ -284,6 +291,8 @@ def _cmd_rank(args, run_cfg, jobs):
 
 
 def _cmd_map_rank(args, run_cfg, jobs):
+    if args.lam is not None:
+        _check_lambda(args.lam, "--lambda")
     lam = args.lam if args.lam is not None else run_cfg.get("lam", 0.5)
     map_rank_dataset(args.in_dir, args.maps, lam, args.out, jobs)
     write_provenance(args.out, {"lambda": lam})

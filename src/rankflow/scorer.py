@@ -4,9 +4,12 @@ margin-ranking term over expected class indices.
 """
 from __future__ import annotations
 
+import math
+import numbers
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +36,15 @@ class ScorerModel:
     def params(self):
         return [self.w1, self.b1, self.w2, self.b2]
 
-    def copy(self) -> "ScorerModel":
-        return ScorerModel(*(p.copy() for p in self.params()))
+
+def _flat_model(d_in: int, h: int, c: int) -> tuple[np.ndarray, ScorerModel]:
+    """A zeroed flat float64 buffer and a ScorerModel whose arrays are views
+    of it, laid out in params() order (the order of the model file)."""
+    shapes = [(d_in, h), (h,), (h, c), (c,)]
+    sizes = [math.prod(s) for s in shapes]
+    flat = np.zeros(sum(sizes))
+    parts = np.split(flat, np.cumsum(sizes)[:-1])
+    return flat, ScorerModel(*(part.reshape(s) for part, s in zip(parts, shapes)))
 
 
 @dataclass(frozen=True)
@@ -50,8 +60,22 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr < 0 or not 0 <= self.momentum < 1:
-            raise ValueError("lr must be >= 0 and momentum in [0,1)")
+        for name, low in (("epochs", 1), ("lr_decay_every", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        for name, ok, span in (
+            ("lr", lambda x: x >= 0, ">= 0"),
+            ("momentum", lambda x: 0 <= x < 1, "in [0, 1)"),
+            ("weight_decay", lambda x: x >= 0, ">= 0"),
+            ("lr_decay_factor", lambda x: 0 < x <= 1, "in (0, 1]"),
+            ("alpha", lambda x: x >= 0, ">= 0"),
+            ("margin", lambda x: x >= 0, ">= 0"),
+        ):
+            value = getattr(self, name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and math.isfinite(value) and ok(value)):
+                raise ValueError(f"{name} must be a finite number {span}, got {value!r}")
 
 
 def init_model(d_in: int = 18, hidden: int = 32, n_classes: int = 6, seed: int = 0) -> ScorerModel:
@@ -112,6 +136,71 @@ def make_scorer(model: ScorerModel):
     return score
 
 
+class _Window(NamedTuple):
+    """One training window with everything that depends only on its labels."""
+
+    inputs: np.ndarray  # W x d_in
+    hot: np.ndarray  # W x C bool one-hot CE targets, all False on dummy rows
+    keep: np.ndarray  # W x 1, 1.0 on valid rows and 0.0 on dummies
+    nv: int  # valid rows, or 1 when there are none (all terms are then 0)
+    pairs: np.ndarray  # W x W bool: both valid and salient, label[i] < label[j]
+
+
+def _prepare(inputs, gt_labels, dummy_mask, n_classes: int) -> _Window:
+    inputs = np.asarray(inputs, dtype=float)
+    w = inputs.shape[0]
+    labels = np.asarray(list(gt_labels), dtype=int)
+    valid = np.ones(w, bool) if dummy_mask is None else ~np.asarray(dummy_mask, dtype=bool)
+    if labels.shape != (w,) or valid.shape != (w,):
+        raise ShapeMismatch(f"{labels.size} labels and {valid.size} dummy flags for {w} rows")
+    if np.any((labels < 0) | (labels >= n_classes)):
+        raise ShapeMismatch(f"labels {labels.tolist()} outside 0..{n_classes - 1}")
+    hot = (labels[:, None] == np.arange(n_classes)) & valid[:, None]
+    salient = valid & (labels > 0)
+    pairs = salient[:, None] & salient[None, :] & (labels[:, None] < labels[None, :])
+    return _Window(inputs, hot, valid[:, None].astype(float), max(int(valid.sum()), 1), pairs)
+
+
+def _step(model: ScorerModel, grads: ScorerModel, win: _Window, alpha: float, margin: float) -> float:
+    """Loss of one prepared window; its parameter grads are written into grads.
+
+    The CE terms and the positive hinges are added one at a time, in row-major
+    order, as Python floats: np.sum adds 8 or more terms pairwise, in another
+    order. Loss and grads thus equal the per-row, per-pair loop form's bit for
+    bit (tests/test_scorer.py keeps that form as the reference).
+    """
+    hidden = np.maximum(0.0, win.inputs @ model.w1 + model.b1)
+    p = softmax(hidden @ model.w2 + model.b2)
+    loss = 0.0
+    for log_p in np.log(np.maximum(p[win.hot], 1e-300)).tolist():
+        loss -= log_p
+    loss /= win.nv
+    dlogits = (p * win.keep - win.hot) / win.nv
+
+    class_idx = np.arange(p.shape[1])
+    y_hat = p @ class_idx
+    hinge = -(y_hat[None, :] - y_hat[:, None]) + margin
+    hit = win.pairs & (hinge > 0)
+    positive = hinge[hit].tolist()
+    if positive:
+        rank_loss = 0.0
+        for term in positive:
+            rank_loss += term
+        loss += alpha * rank_loss
+        # Each positive hinge (i, j) pushes y_hat[i] up and y_hat[j] down.
+        grad_y = hit.sum(axis=1) - hit.sum(axis=0)
+        # d(y_hat)/d(logit_k) = p_k * (k - y_hat)
+        dlogits += alpha * grad_y[:, None] * p * (class_idx[None, :] - y_hat[:, None])
+
+    np.matmul(hidden.T, dlogits, out=grads.w2)
+    dlogits.sum(axis=0, out=grads.b2)
+    dhidden = dlogits @ model.w2.T
+    dhidden[hidden <= 0] = 0.0
+    np.matmul(win.inputs.T, dhidden, out=grads.w1)
+    dhidden.sum(axis=0, out=grads.b1)
+    return loss
+
+
 def loss_and_grad(
     model: ScorerModel,
     inputs: np.ndarray,
@@ -125,55 +214,9 @@ def loss_and_grad(
     expected class indices of salient pairs: the lower-ranked (less salient)
     member's expectation should exceed the higher-ranked one's by the margin.
     """
-    inputs = np.asarray(inputs, dtype=float)
-    w = inputs.shape[0]
-    if dummy_mask is None:
-        dummy_mask = [False] * w
-    gt_labels = list(gt_labels)
-    if len(gt_labels) != w:
-        raise ShapeMismatch(f"{len(gt_labels)} labels for {w} rows")
-
-    hidden = np.maximum(0.0, inputs @ model.w1 + model.b1)
-    logits = hidden @ model.w2 + model.b2
-    p = softmax(logits)
-    n_classes = logits.shape[1]
-    valid = [r for r in range(w) if not dummy_mask[r]]
-
-    dlogits = np.zeros_like(logits)
-    loss = 0.0
-
-    if valid:
-        for r in valid:
-            loss += -np.log(max(p[r, gt_labels[r]], 1e-300))
-            dlogits[r] += p[r]
-            dlogits[r, gt_labels[r]] -= 1.0
-        loss /= len(valid)
-        dlogits /= len(valid)
-
-    class_idx = np.arange(n_classes)
-    y_hat = p @ class_idx
-    grad_y = np.zeros(w)
-    rank_loss = 0.0
-    salient = [r for r in valid if gt_labels[r] > 0]
-    for i in salient:
-        for j in salient:
-            if gt_labels[i] < gt_labels[j]:
-                hinge = -(y_hat[j] - y_hat[i]) + cfg.margin
-                if hinge > 0:
-                    rank_loss += hinge
-                    grad_y[j] -= 1.0
-                    grad_y[i] += 1.0
-    loss += cfg.alpha * rank_loss
-    # d(y_hat)/d(logit_k) = p_k * (k - y_hat)
-    dlogits += cfg.alpha * grad_y[:, None] * p * (class_idx[None, :] - y_hat[:, None])
-
-    dw2 = hidden.T @ dlogits
-    db2 = dlogits.sum(axis=0)
-    dhidden = dlogits @ model.w2.T
-    dhidden[hidden <= 0] = 0.0
-    dw1 = inputs.T @ dhidden
-    db1 = dhidden.sum(axis=0)
-    return loss, ScorerModel(dw1, db1, dw2, db2)
+    _, grads = _flat_model(*model.dims)
+    win = _prepare(inputs, gt_labels, dummy_mask, model.dims[2])
+    return _step(model, grads, win, cfg.alpha, cfg.margin), grads
 
 
 @dataclass
@@ -186,7 +229,8 @@ def train(dataset, cfg: TrainConfig, model: ScorerModel | None = None) -> TrainR
     """SGD with momentum and weight decay over shuffled windows.
 
     dataset: sequence of (inputs W x d_in, gt_labels, dummy_mask) samples.
-    Deterministic: same seed, same data -> identical model.
+    Each window is prepared once; parameters, velocity and grads are each one
+    flat buffer. Deterministic: same seed, same data -> identical model.
     """
     dataset = list(dataset)
     if not dataset:
@@ -195,26 +239,29 @@ def train(dataset, cfg: TrainConfig, model: ScorerModel | None = None) -> TrainR
         d_in = dataset[0][0].shape[1]
         n_classes = len(dataset[0][1]) + 1
         model = init_model(d_in=d_in, n_classes=n_classes, seed=cfg.seed)
-    else:
-        model = model.copy()
-    velocity = [np.zeros_like(p) for p in model.params()]
+    theta, params = _flat_model(*model.dims)
+    for dst, src in zip(params.params(), model.params()):
+        dst[...] = src
+    grad, grads = _flat_model(*model.dims)
+    velocity = np.zeros_like(theta)
+    scratch = np.empty_like(theta)
+    windows = [_prepare(x, labels, mask, model.dims[2]) for x, labels, mask in dataset]
+    alpha, margin, decay, momentum = cfg.alpha, cfg.margin, cfg.weight_decay, cfg.momentum
     rng = np.random.default_rng(cfg.seed + 1)
     losses = []
     for epoch in range(cfg.epochs):
         lr = cfg.lr * cfg.lr_decay_factor ** (epoch // cfg.lr_decay_every)
-        order = rng.permutation(len(dataset))
+        order = rng.permutation(len(windows))
         total = 0.0
-        for idx in order:
-            inputs, labels, dummy_mask = dataset[idx]
-            loss, grads = loss_and_grad(model, inputs, labels, cfg, dummy_mask)
-            total += loss
-            for p, v, g in zip(model.params(), velocity, grads.params()):
-                g = g + cfg.weight_decay * p
-                v *= cfg.momentum
-                v += g
-                p -= lr * v
-        losses.append(total / len(dataset))
-    return TrainResult(model=model, epoch_losses=losses)
+        for idx in order.tolist():
+            total += _step(params, grads, windows[idx], alpha, margin)
+            # g = grad + decay * theta; v = momentum * v + g; theta -= lr * v
+            grad += np.multiply(theta, decay, out=scratch)
+            velocity *= momentum
+            velocity += grad
+            theta -= np.multiply(velocity, lr, out=scratch)
+        losses.append(total / len(windows))
+    return TrainResult(model=params, epoch_losses=losses)
 
 
 def save_model(model: ScorerModel, path) -> None:
@@ -236,17 +283,12 @@ def load_model(path) -> ScorerModel:
     if len(data) < 16:
         raise TruncatedData(f"{path}: expected a 16-byte header, got {len(data)} bytes")
     d_in, h, c = struct.unpack("<3i", data[4:16])
-    shapes = [(d_in, h), (h,), (h, c), (c,)]
-    need = 16 + sum(int(np.prod(s)) for s in shapes) * 8
+    if min(d_in, h, c) < 1:
+        raise UnsupportedFormat(f"{path}: model dimensions must be >= 1, got {(d_in, h, c)}")
+    need = 16 + (d_in * h + h + h * c + c) * 8
     if len(data) != need:
         kind = TruncatedData if len(data) < need else UnsupportedFormat
         raise kind(f"{path}: expected {need} bytes, got {len(data)}")
-    offset = 16
-    arrays = []
-    for shape in shapes:
-        count = int(np.prod(shape))
-        arrays.append(
-            np.frombuffer(data, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
-        )
-        offset += count * 8
-    return ScorerModel(*arrays)
+    flat, model = _flat_model(d_in, h, c)
+    flat[:] = np.frombuffer(data, dtype="<f8", offset=16)
+    return model

@@ -166,6 +166,55 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "scene_00002.feat" in err and f"expected {size} bytes, got {size + 2}" in err
 
+    @pytest.mark.parametrize(
+        "fields",
+        [{"lr_decay_every": 0}, {"epochs": "x"}, {"weight_decay": "x"}, {"margin": "x"},
+         {"epochs": -1}, {"epochs": True}, {"momentum": 1.0}, {"seed": -1}],
+    )
+    def test_bad_train_config(self, dataset, tmp_path, capsys, fields):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train": fields}))
+        argv = ["train", "--config", str(cfg), "--in", str(dataset / "pre"),
+                "--gt", str(dataset / "raw" / "gt.csv"), "--out", str(tmp_path / "m.bin")]
+        assert run(*argv) == 2
+        assert next(iter(fields)) in capsys.readouterr().err
+        assert not (tmp_path / "m.bin").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+    def test_bad_train_lr_flag(self, dataset, tmp_path, capsys, value):
+        argv = ["train", "--in", str(dataset / "pre"), "--gt", str(dataset / "raw" / "gt.csv"),
+                "--out", str(tmp_path / "m.bin"), f"--lr={value}"]
+        assert run(*argv) == 2
+        assert "lr must be" in capsys.readouterr().err
+
+    def test_model_with_negative_dimension(self, dataset, tmp_path, capsys):
+        # 198 float64 values: the sizes of (-1, 32, 6) summed as if they were valid
+        model = tmp_path / "neg.bin"
+        model.write_bytes(b"RFM1" + np.array([-1, 32, 6], "<i4").tobytes() + bytes(1584))
+        assert run("rank", "--in", str(dataset / "pre"), "--model", str(model), "--out", str(tmp_path / "p.csv")) == 2
+        err = capsys.readouterr().err
+        assert "neg.bin" in err and "dimensions must be >= 1" in err
+
+    @pytest.mark.parametrize("flag", ["2", "nan", "0"])
+    def test_bad_lambda_flag(self, tmp_path, capsys, flag):
+        argv = ["map-rank", "--in", str(tmp_path), f"--lambda={flag}", "--out", str(tmp_path / "p.csv")]
+        assert run(*argv) == 2
+        assert "--lambda must be a number in (0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lam", ["x", 2, True, None])
+    def test_bad_lambda_config(self, tmp_path, capsys, lam):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lam": lam}))
+        assert run("map-rank", "--config", str(cfg), "--in", str(tmp_path), "--out", str(tmp_path / "p.csv")) == 2
+        assert "cfg.json: lam must be a number in (0, 1]" in capsys.readouterr().err
+
+    def test_top_level_seed_is_unknown(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 9}))
+        assert run("synth", "--config", str(cfg), "--scenes", "1", "--out", str(tmp_path / "d")) == 2
+        assert "unknown config keys: ['seed']" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_module_entry_point(self, tmp_path):
         env = dict(os.environ, PYTHONPATH=str(Path(rankflow.__file__).parent.parent))
         proc = subprocess.run(
