@@ -90,18 +90,34 @@ def _build_cfg(cls, section: dict, overrides: dict):
 
 def _add_common(sub):
     sub.add_argument("--config", help="JSON run config; flags override its values")
-    sub.add_argument("--jobs", type=int, default=None, help="parallel workers (env RANKFLOW_JOBS)")
+    sub.add_argument(
+        "--jobs", type=int, default=None, help="parallel workers (default: env RANKFLOW_JOBS, else every usable CPU)"
+    )
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
 
 
 def _common(args):
+    """The run config and the worker count: ``--jobs``, else the config's
+    ``jobs``, else ``RANKFLOW_JOBS``, else every usable CPU."""
     run_cfg = load_run_config(args.config) if args.config else {}
     jobs = args.jobs if args.jobs is not None else run_cfg.get("jobs")
-    if jobs is None:
-        env = os.environ.get("RANKFLOW_JOBS", "1")
+    name = "--jobs"
+    if jobs is None and "RANKFLOW_JOBS" in os.environ:
+        env, name = os.environ["RANKFLOW_JOBS"], "RANKFLOW_JOBS"
         try:
             jobs = int(env)
         except ValueError as e:
             raise RankflowError(f"RANKFLOW_JOBS must be an integer, got {env!r}") from e
+    if jobs is None:
+        jobs = _usable_cpus()
+    if jobs < 1:
+        raise RankflowError(f"{name} must be an integer >= 1, got {jobs}")
     return run_cfg, jobs
 
 
@@ -191,7 +207,7 @@ def _cmd_synth(args, run_cfg, jobs):
     if args.no_maps:
         overrides["render_maps"] = False
     cfg = _build_cfg(SynthConfig, run_cfg.get("synth", {}), overrides)
-    generate_dataset(cfg, args.out)
+    generate_dataset(cfg, args.out, jobs)
     write_provenance(args.out, dataclasses.asdict(cfg), seed=cfg.seed)
     print(f"wrote {cfg.n_scenes} scenes to {args.out}", file=sys.stderr)
 
@@ -220,7 +236,8 @@ def _gt_cfg(args, run_cfg):
         overrides["binary_threshold"] = args.binary_threshold
     section = dict(run_cfg.get("gt", {}))
     if isinstance(section.get("method"), str):
-        section["method"] = GtMethod(section["method"])
+        # An unknown name stays a string, which GtConfig rejects by field name.
+        section["method"] = {m.value: m for m in GtMethod}.get(section["method"], section["method"])
     return _build_cfg(GtConfig, section, overrides)
 
 

@@ -19,6 +19,11 @@ class InvariantViolation(RankflowError):
         self.field = field
         self.reason = reason
 
+    def __reduce__(self):
+        # Rebuilt from (field, reason), not from the formatted message, so the
+        # error survives the trip back from a pool worker.
+        return type(self), (self.field, self.reason)
+
 
 class UnsupportedFormat(RankflowError):
     pass

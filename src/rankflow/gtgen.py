@@ -8,6 +8,7 @@ threshold-discrepancy analysis between adjacent GT thresholds.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -37,8 +38,18 @@ class GtConfig:
     binary_threshold: float = 128.0
 
     def __post_init__(self):
-        if self.gamma <= 0 or self.beta <= 0:
-            raise ValueError("gamma and beta must be positive")
+        for name, ok, span in (
+            ("gamma", lambda x: x > 0, "> 0"),
+            ("beta", lambda x: x > 0, "> 0"),
+            ("binary_threshold", lambda x: 0 < x < 255, "in (0, 255)"),
+        ):
+            value = getattr(self, name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and math.isfinite(value) and ok(value)):
+                raise ValueError(f"{name} must be a finite number {span}, got {value!r}")
+        if not isinstance(self.method, GtMethod):
+            names = [m.value for m in GtMethod]
+            raise ValueError(f"method must be one of {names}, got {self.method!r}")
 
 
 def ranking_from_scores(scores: dict[int, float]) -> Ranking:

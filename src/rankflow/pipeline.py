@@ -32,7 +32,8 @@ from .scorer import load_model, make_scorer, window_gt_labels
 
 def parallel_map(fn, items, jobs: int = 1):
     items = list(items)
-    if jobs <= 1 or len(items) <= 1:
+    jobs = min(jobs, len(items))  # never more workers than items
+    if jobs <= 1:
         return [fn(x) for x in items]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))
@@ -93,17 +94,22 @@ def gt_discrepancy(in_dir, cfg: GtConfig, thresholds, out_file) -> None:
     write_atomic(out_file, "threshold,t_offset\n" + "".join(f"{t:g},{offset}\n" for t, offset in rows))
 
 
-def load_preprocessed(pre_dir) -> list[tuple[Scene, "object"]]:
-    """(Scene, feature matrix) pairs from a preprocessed dataset directory."""
-    pre_dir = Path(pre_dir)
-    feat_dir = pre_dir / "features"
+def _feature_dir(pre_dir) -> Path:
+    feat_dir = Path(pre_dir) / "features"
     if not feat_dir.is_dir():
         raise MissingFile(f"{feat_dir} (run the preprocess stage first)")
-    out = []
-    for scene_path in list_scene_files(pre_dir):
-        scene = parse_scene(scene_path)
-        out.append((scene, read_features(feat_dir / f"{scene.scene_id}.feat")))
-    return out
+    return feat_dir
+
+
+def _load_one(scene_path, feat_dir: Path):
+    scene = parse_scene(scene_path)
+    return scene, read_features(feat_dir / f"{scene.scene_id}.feat")
+
+
+def load_preprocessed(pre_dir) -> list[tuple[Scene, "object"]]:
+    """(Scene, feature matrix) pairs from a preprocessed dataset directory."""
+    feat_dir = _feature_dir(pre_dir)
+    return [_load_one(p, feat_dir) for p in list_scene_files(pre_dir)]
 
 
 def build_training_set(pre_dir, gt: dict[str, Ranking], window_size: int = DEFAULT_WINDOW):
@@ -121,19 +127,24 @@ def build_training_set(pre_dir, gt: dict[str, Ranking], window_size: int = DEFAU
     return samples
 
 
-def _rank_one(item, model, window_size):
-    scene, features = item
+def _rank_one(scene_path, feat_dir: Path, model, window_size):
+    scene, features = _load_one(scene_path, feat_dir)
     return scene.scene_id, rank_scene(scene, features, make_scorer(model), window_size)
 
 
 def rank_dataset(pre_dir, model_path, out_file, jobs: int = 1) -> int:
     """Rank every preprocessed scene; returns the window size, which the
-    model fixes: one class per within-window rank plus non-salient."""
-    items = load_preprocessed(pre_dir)
+    model fixes: one class per within-window rank plus non-salient.
+
+    Workers read their own scene and features, so only paths and the model
+    are sent to them.
+    """
+    feat_dir = _feature_dir(pre_dir)
+    scene_paths = list_scene_files(pre_dir)
     model = load_model(model_path)
     window_size = model.dims[2] - 1
-    worker = partial(_rank_one, model=model, window_size=window_size)
-    write_ranking(parallel_map(worker, items, jobs), out_file)
+    worker = partial(_rank_one, feat_dir=feat_dir, model=model, window_size=window_size)
+    write_ranking(parallel_map(worker, scene_paths, jobs), out_file)
     return window_size
 
 

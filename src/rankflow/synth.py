@@ -12,7 +12,9 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,7 @@ from .domain import BBox, GrayMap, Proposal, Scene, iou, sqrt_size
 from .errors import GenerationFailure, IoFailure
 from .gtgen import GtConfig, rasrgt_rank, ranking_from_scores
 from .ingest import write_atomic, write_pgm, write_ranking, write_scene
+from .pipeline import parallel_map
 
 _MAX_BOX_ATTEMPTS = 400
 _MAX_SCENE_ATTEMPTS = 30
@@ -48,10 +51,30 @@ class SynthConfig:
     render_maps: bool = True
 
     def __post_init__(self):
-        if self.objects_min > self.objects_max or self.objects_min < 1:
-            raise ValueError("invalid object count range")
-        if not 0 <= self.salient_fraction <= 1 or not 0 <= self.noise_fixation_fraction <= 1:
-            raise ValueError("fractions must lie in [0,1]")
+        for name, low in (
+            ("seed", 0), ("n_scenes", 1), ("objects_min", 1), ("objects_max", self.objects_min),
+            ("width", 1), ("height", 1), ("fixations_per_scene", 0),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        for name, ok, span in (
+            ("salient_fraction", lambda x: 0 <= x <= 1, "in [0, 1]"),
+            ("noise_fixation_fraction", lambda x: 0 <= x <= 1, "in [0, 1]"),
+            ("splat_sigma", lambda x: x > 0, "> 0"),
+            ("box_frac_min", lambda x: 0 < x <= 1, "in (0, 1]"),
+            ("box_frac_max", lambda x: self.box_frac_min <= x <= 1, "in [box_frac_min, 1]"),
+            ("iou_cap", lambda x: 0 <= x <= 1, "in [0, 1]"),
+            ("min_weight_gap", lambda x: x >= 0, ">= 0"),
+            ("gamma", lambda x: x > 0, "> 0"),
+            ("beta", lambda x: x > 0, "> 0"),
+        ):
+            value = getattr(self, name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and math.isfinite(value) and ok(value)):
+                raise ValueError(f"{name} must be a finite number {span}, got {value!r}")
+        if not isinstance(self.render_maps, bool):
+            raise ValueError(f"render_maps must be true or false, got {self.render_maps!r}")
 
 
 def _sample_boxes(cfg: SynthConfig, n: int, rng) -> list[BBox]:
@@ -89,27 +112,55 @@ def _salient_shares(cfg: SynthConfig, penalties: np.ndarray, rng) -> np.ndarray:
     return base + extra  # still descending with adjacent gaps >= gap
 
 
-def _place_fixation(rng, box: BBox, forbidden):
-    for _attempt in range(_MAX_BOX_ATTEMPTS):
-        u = int(rng.integers(math.ceil(box.x1), math.ceil(box.x2)))
-        v = int(rng.integers(math.ceil(box.y1), math.ceil(box.y2)))
-        if all(not (b.x1 <= u < b.x2 and b.y1 <= v < b.y2) for b in forbidden):
-            return u, v
-    raise GenerationFailure("could not place a fixation outside other boxes")
+def _place_fixations(rng, box: BBox, others, cnt: int) -> list[tuple[int, int, int]]:
+    """``cnt`` (u, v, observer) rows inside ``box`` and outside every box in
+    ``others``, each point redrawn up to _MAX_BOX_ATTEMPTS times.
+
+    An integer u lies in [b.x1, b.x2) exactly when it lies in
+    [ceil b.x1, ceil b.x2), so one table of the box's free pixels replaces the
+    per-attempt test against every other box; the draws are unchanged.
+    """
+    x1, x2, y1, y2 = (math.ceil(c) for c in (box.x1, box.x2, box.y1, box.y2))
+    free = np.ones((y2 - y1, x2 - x1), dtype=bool)
+    for b in others:
+        cols = slice(max(math.ceil(b.x1) - x1, 0), max(math.ceil(b.x2) - x1, 0))
+        free[max(math.ceil(b.y1) - y1, 0) : max(math.ceil(b.y2) - y1, 0), cols] = False
+    free = free.tolist()
+    draw = rng.integers
+    rows = []
+    for _ in range(cnt):
+        for _attempt in range(_MAX_BOX_ATTEMPTS):
+            u = int(draw(x1, x2))
+            v = int(draw(y1, y2))
+            if free[v - y1][u - x1]:
+                break
+        else:
+            raise GenerationFailure("could not place a fixation outside other boxes")
+        rows.append((u, v, int(draw(0, 8))))
+    return rows
 
 
 def _render_map(cfg: SynthConfig, fixations: np.ndarray) -> bytes:
+    """Counts blurred as by ``gaussian_filter(counts, splat_sigma)``, scaled to 0..255.
+
+    That filter is one 1-D pass per axis, each line filtered on its own, so
+    the first pass runs only on the columns that hold a fixation: the others
+    are zero and stay zero.
+    """
     # Imported here: map rendering is the only user, and the import costs
     # every other CLI stage a noticeable share of its start-up.
-    from scipy.ndimage import gaussian_filter
+    from scipy.ndimage import gaussian_filter1d
 
     grid = np.zeros((cfg.height, cfg.width))
     np.add.at(grid, (fixations[:, 1], fixations[:, 0]), 1.0)
-    grid = gaussian_filter(grid, sigma=cfg.splat_sigma)
+    cols = np.unique(fixations[:, 0])
+    grid[:, cols] = gaussian_filter1d(grid[:, cols], cfg.splat_sigma, axis=0)
+    grid = gaussian_filter1d(grid, cfg.splat_sigma, axis=1)
     peak = grid.max()
     if peak > 0:
-        grid = grid / peak * 255.0
-    return np.round(grid).astype(np.uint8).tobytes()
+        grid /= peak
+        grid *= 255.0
+    return np.round(grid, out=grid).astype(np.uint8).tobytes()
 
 
 def generate_scene(cfg: SynthConfig, scene_index: int):
@@ -152,14 +203,10 @@ def _generate_once(cfg: SynthConfig, scene_index: int, rng):
         counts = rng.multinomial(n_target, weights[salient_idx] / weights[salient_idx].sum())
         for i, cnt in zip(salient_idx, counts):
             others = [boxes[j] for j in range(n) if j != i]
-            for _ in range(cnt):
-                u, v = _place_fixation(rng, boxes[i], others)
-                fixations.append((u, v, int(rng.integers(0, 8))))
-    for _ in range(n_noise):
-        u = int(rng.integers(0, cfg.width))
-        v = int(rng.integers(0, cfg.height))
-        fixations.append((u, v, int(rng.integers(0, 8))))
-    fixations = np.array(fixations, dtype=np.int64).reshape(-1, 3)
+            fixations += _place_fixations(rng, boxes[i], others, cnt)
+    # Same stream as n_noise rounds of scalar u, v and observer draws.
+    noise = rng.integers((0, 0, 0), (cfg.width, cfg.height, 8), size=(n_noise, 3))
+    fixations = np.concatenate([np.array(fixations, dtype=np.int64).reshape(-1, 3), noise])
 
     fixation_map = None
     if cfg.render_maps:
@@ -184,8 +231,33 @@ def latent_ranking(scene: Scene, weights) -> dict[int, int]:
     return ranking_from_scores({p.id: w for p, w in zip(scene.proposals, weights)}).labels
 
 
-def generate_dataset(cfg: SynthConfig, out_dir) -> dict:
-    """Write scenes, maps, GT rankings, latent weights and a manifest."""
+def _write_one(idx: int, cfg: SynthConfig, out_dir: Path):
+    """Generate and write one scene (and its map); returns its gt.csv,
+    latent.csv and manifest rows."""
+    scene, weights = generate_scene(cfg, idx)
+    scene_path = out_dir / "scenes" / f"{scene.scene_id}.json"
+    map_rel = None
+    if cfg.render_maps:
+        write_pgm(scene.fixation_map, out_dir / "maps" / f"{scene.scene_id}.pgm")
+        map_rel = f"../maps/{scene.scene_id}.pgm"
+    write_scene(scene, scene_path, fixation_map_path=map_rel)
+    ranking = rasrgt_rank(scene, GtConfig(gamma=cfg.gamma, beta=cfg.beta))
+    latent = [(scene.scene_id, p.id, w) for p, w in zip(scene.proposals, weights)]
+    entry = {
+        "scene_id": scene.scene_id,
+        "scene_path": str(scene_path.relative_to(out_dir)),
+        "map_path": f"maps/{scene.scene_id}.pgm" if cfg.render_maps else None,
+    }
+    return (scene.scene_id, ranking), latent, entry
+
+
+def generate_dataset(cfg: SynthConfig, out_dir, jobs: int = 1) -> dict:
+    """Write scenes, maps, GT rankings, latent weights and a manifest.
+
+    Scenes are generated and written on ``jobs`` workers; the files that list
+    every scene are written here, in scene order, so the output does not
+    depend on ``jobs``.
+    """
     out_dir = Path(out_dir)
     try:
         (out_dir / "scenes").mkdir(parents=True, exist_ok=True)
@@ -194,29 +266,14 @@ def generate_dataset(cfg: SynthConfig, out_dir) -> dict:
     except OSError as e:
         raise IoFailure(str(e)) from e
 
-    gt_cfg = GtConfig(gamma=cfg.gamma, beta=cfg.beta)
-    manifest = {"seed": cfg.seed, "config": asdict(cfg), "scenes": []}
-    rankings = []
-    latent_rows = []
-    for idx in range(cfg.n_scenes):
-        scene, weights = generate_scene(cfg, idx)
-        scene_path = out_dir / "scenes" / f"{scene.scene_id}.json"
-        map_rel = None
-        if cfg.render_maps:
-            map_path = out_dir / "maps" / f"{scene.scene_id}.pgm"
-            write_pgm(scene.fixation_map, map_path)
-            map_rel = f"../maps/{scene.scene_id}.pgm"
-        write_scene(scene, scene_path, fixation_map_path=map_rel)
-        rankings.append((scene.scene_id, rasrgt_rank(scene, gt_cfg)))
-        for p, w in zip(scene.proposals, weights):
-            latent_rows.append((scene.scene_id, p.id, w))
-        manifest["scenes"].append(
-            {
-                "scene_id": scene.scene_id,
-                "scene_path": str(scene_path.relative_to(out_dir)),
-                "map_path": f"maps/{scene.scene_id}.pgm" if cfg.render_maps else None,
-            }
-        )
+    if cfg.render_maps:
+        # Loaded here once, so workers started by fork (the Linux default before
+        # Python 3.14) inherit it; under spawn or forkserver each worker imports it.
+        import scipy.ndimage  # noqa: F401
+    rows = parallel_map(partial(_write_one, cfg=cfg, out_dir=out_dir), range(cfg.n_scenes), jobs)
+    rankings = [ranking for ranking, _, _ in rows]
+    latent_rows = [row for _, latent, _ in rows for row in latent]
+    manifest = {"seed": cfg.seed, "config": asdict(cfg), "scenes": [entry for _, _, entry in rows]}
 
     write_ranking(rankings, out_dir / "gt.csv")
     buf = io.StringIO()

@@ -10,7 +10,7 @@ import pytest
 
 import rankflow
 from rankflow import pipeline
-from rankflow.cli import dispatch, gamma_grid
+from rankflow.cli import _common, build_parser, dispatch, gamma_grid
 from rankflow.pipeline import config_hash
 from rankflow.errors import RankflowError
 from rankflow.ingest import parse_ranking
@@ -71,6 +71,40 @@ class TestUsageErrors:
         monkeypatch.setenv("RANKFLOW_JOBS", "abc")
         assert run("synth", "--scenes", "1", "--out", str(tmp_path / "d")) == 2
         assert "RANKFLOW_JOBS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one(self, tmp_path, monkeypatch, capsys, jobs):
+        assert run("synth", "--scenes", "1", "--jobs", jobs, "--out", str(tmp_path / "d")) == 2
+        assert f"--jobs must be an integer >= 1, got {jobs}" in capsys.readouterr().err
+        monkeypatch.setenv("RANKFLOW_JOBS", jobs)
+        assert run("synth", "--scenes", "1", "--out", str(tmp_path / "d")) == 2
+        assert f"RANKFLOW_JOBS must be an integer >= 1, got {jobs}" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    def test_jobs_default_to_usable_cpus(self, monkeypatch):
+        args = build_parser().parse_args(["eval", "--pred", "p", "--gt", "g", "--out", "o"])
+        monkeypatch.delenv("RANKFLOW_JOBS", raising=False)
+        assert _common(args) == ({}, len(os.sched_getaffinity(0)))
+        monkeypatch.setenv("RANKFLOW_JOBS", "3")
+        assert _common(args) == ({}, 3)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{"synth": {"n_scenes": -3}}, {"synth": {"n_scenes": "x"}}, {"synth": {"splat_sigma": 0}},
+         {"synth": {"render_maps": 1}}, {"gt": {"method": "zzz"}}, {"gt": {"beta": float("nan")}},
+         {"gt": {"gamma": "x"}}, {"gt": {"binary_threshold": 300}}],
+    )
+    def test_bad_synth_and_gt_config(self, dataset, tmp_path, capsys, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        section, fields = next(iter(doc.items()))
+        if section == "synth":
+            argv = ["synth", "--config", str(cfg), "--out", str(tmp_path / "d")]
+        else:
+            argv = ["gt-gen", "--config", str(cfg), "--in", str(dataset / "raw"), "--out", str(tmp_path / "gt.csv")]
+        assert run(*argv) == 2
+        assert f"{next(iter(fields))} must be" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_model_shorter_than_header(self, dataset, tmp_path, capsys):
         model = tmp_path / "short.bin"
@@ -331,6 +365,14 @@ class TestPipelineStages:
         assert run("gt-gen", "--method", "mapmax", "--in", str(raw), "--out", str(tmp_path / "m.csv")) == 2
         assert "fixation_map" in capsys.readouterr().err
 
+    def test_map_of_other_size_from_a_worker(self, dataset, tmp_path, capsys):
+        raw = tmp_path / "raw"
+        shutil.copytree(dataset / "raw", raw)
+        (raw / "maps" / "scene_00001.pgm").write_bytes(b"P5\n4 4\n255\n" + bytes(16))
+        argv = ["gt-gen", "--method", "mapmax", "--jobs", "2", "--in", str(raw), "--out", str(tmp_path / "m.csv")]
+        assert run(*argv) == 2
+        assert "fixation_map" in capsys.readouterr().err
+
     def test_rank_loads_model_once(self, tmp_path, monkeypatch):
         raw, pre, model = tmp_path / "raw", tmp_path / "pre", tmp_path / "m.bin"
         assert run("synth", "--seed", "5", "--scenes", "3", "--fixations", "100", "--no-maps", "--out", str(raw)) == 0
@@ -376,6 +418,16 @@ class TestPipelineStages:
 
 
 class TestDeterminism:
+    def test_synth_independent_of_jobs(self, tmp_path):
+        trees = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            argv = ["synth", "--seed", "8", "--scenes", "5", "--fixations", "200", "--jobs", jobs, "--out", str(out)]
+            assert run(*argv) == 0
+            trees.append({str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
+        assert len(trees[0]) == 5 + 5 + 4  # scenes, maps, gt.csv, latent.csv, manifest and provenance
+        assert trees[0] == trees[1]
+
     def test_rank_independent_of_jobs(self, dataset, tmp_path):
         model = tmp_path / "m.bin"
         assert run(

@@ -1,14 +1,21 @@
+import hashlib
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter
 
-from rankflow.domain import iou
+from rankflow.domain import BBox, iou
+from rankflow.errors import GenerationFailure
 from rankflow.gtgen import GtConfig, rasrgt_rank
-from rankflow.ingest import parse_ranking, parse_scene
+from rankflow.ingest import parse_ranking, parse_scene, scene_to_dict
 from rankflow.synth import (
+    _MAX_BOX_ATTEMPTS,
     SynthConfig,
+    _place_fixations,
+    _render_map,
     generate_dataset,
     generate_scene,
     latent_ranking,
@@ -131,3 +138,157 @@ class TestConfigValidation:
     def test_bad_fraction(self):
         with pytest.raises(ValueError):
             SynthConfig(salient_fraction=1.5)
+
+
+# --- byte identity of the optimised generator ----------------------------------
+
+
+def _place_fixation_reference(rng, box, forbidden):
+    """The scalar placement loop, kept as the reference: two bounded draws per
+    attempt, tested against every forbidden box."""
+    for _attempt in range(_MAX_BOX_ATTEMPTS):
+        u = int(rng.integers(math.ceil(box.x1), math.ceil(box.x2)))
+        v = int(rng.integers(math.ceil(box.y1), math.ceil(box.y2)))
+        if all(not (b.x1 <= u < b.x2 and b.y1 <= v < b.y2) for b in forbidden):
+            return u, v
+    raise GenerationFailure("could not place a fixation outside other boxes")
+
+
+def _place_fixations_reference(rng, box, others, cnt):
+    rows = []
+    for _ in range(cnt):
+        u, v = _place_fixation_reference(rng, box, others)
+        rows.append((u, v, int(rng.integers(0, 8))))
+    return rows
+
+
+def _random_box(rng, size=60.0):
+    """A box with fractional or (sometimes) integer edges inside [0, size]."""
+    x = np.sort(rng.uniform(0, size, 2))
+    y = np.sort(rng.uniform(0, size, 2))
+    if rng.random() < 0.3:
+        x, y = np.floor(x), np.floor(y)
+    return BBox(float(x[0]), float(y[0]), float(x[1]) + 1.0, float(y[1]) + 1.0)
+
+
+class TestPlaceFixations:
+    def test_matches_scalar_loop_and_stream(self):
+        meta = np.random.default_rng(2024)
+        failures = 0
+        for case in range(400):
+            box = _random_box(meta)
+            others = [_random_box(meta) for _ in range(int(meta.integers(0, 6)))]
+            if case % 10 == 0:  # a box whose pixels are all forbidden
+                others.append(BBox(max(box.x1 - 1.0, 0.0), max(box.y1 - 0.5, 0.0), box.x2 + 0.5, box.y2 + 1.0))
+            cnt = int(meta.integers(0, 30))
+            a = np.random.default_rng([7, case])
+            b = np.random.default_rng([7, case])
+            try:
+                expected = _place_fixations_reference(a, box, others, cnt)
+            except GenerationFailure:
+                with pytest.raises(GenerationFailure):
+                    _place_fixations(b, box, others, cnt)
+                failures += 1
+            else:
+                assert _place_fixations(b, box, others, cnt) == expected
+            assert a.bit_generator.state == b.bit_generator.state
+        assert 0 < failures < 400
+
+    def test_noise_rows_match_scalar_draws(self):
+        for n, (w, h) in ((0, (640, 480)), (1, (7, 5)), (250, (640, 480)), (33, (1, 1))):
+            a = np.random.default_rng([3, n])
+            b = np.random.default_rng([3, n])
+            a.integers(0, 5)  # leave half of a 64-bit draw buffered
+            b.integers(0, 5)
+            rows = [[int(a.integers(0, w)), int(a.integers(0, h)), int(a.integers(0, 8))] for _ in range(n)]
+            batched = b.integers((0, 0, 0), (w, h, 8), size=(n, 3))
+            assert batched.tolist() == rows
+            assert a.bit_generator.state == b.bit_generator.state
+
+
+def _render_map_reference(cfg, fixations):
+    grid = np.zeros((cfg.height, cfg.width))
+    np.add.at(grid, (fixations[:, 1], fixations[:, 0]), 1.0)
+    grid = gaussian_filter(grid, sigma=cfg.splat_sigma)
+    peak = grid.max()
+    if peak > 0:
+        grid = grid / peak * 255.0
+    return np.round(grid).astype(np.uint8).tobytes()
+
+
+class TestRenderMap:
+    @pytest.mark.parametrize("sigma", [8.0, 2.5, 0.7])
+    def test_equals_two_dimensional_filter(self, sigma):
+        cfg = replace(FAST, splat_sigma=sigma)
+        rng = np.random.default_rng(int(sigma * 10))
+        w, h = cfg.width, cfg.height
+        border = [(0, 0, 0), (w - 1, 0, 1), (0, h - 1, 2), (w - 1, h - 1, 3), (w - 1, 17, 4), (40, h - 1, 5)]
+        cases = [
+            np.zeros((0, 3), dtype=np.int64),
+            np.array(border, dtype=np.int64),
+            np.array([(5, 9, 0)] * 4, dtype=np.int64),
+            np.column_stack([rng.integers(0, w, 500), rng.integers(0, h, 500), rng.integers(0, 8, 500)]),
+        ]
+        for fixations in cases:
+            assert _render_map(cfg, fixations) == _render_map_reference(cfg, fixations)
+
+
+_SMALL = SynthConfig(
+    seed=23, n_scenes=3, objects_min=5, objects_max=9, width=160, height=120, fixations_per_scene=300
+)
+# SHA-256 of three scenes per config, taken from the scalar placement loop and
+# scipy's gaussian_filter; the generator must reproduce them byte for byte.
+_SCENE_DIGESTS = {
+    "base": (_SMALL, "f15caa4849cb1eb594eb37794c8d11fdebc6abb084f2006121ba5343fa208992"),
+    "twenty_objects": (
+        replace(_SMALL, objects_min=20, objects_max=20, width=320, height=240, fixations_per_scene=200),
+        "b48b961fb2cc829e6ad1622b8cdfb65c7f571d774c0e62aa41c5bd850991a3db",
+    ),
+    "no_fixations": (
+        replace(_SMALL, fixations_per_scene=0),
+        "67d0ac9c8a8395d56d993b8f62ab199272ac46eb819ae6d1f301d1c5fc20ae14",
+    ),
+    "no_salient_objects": (
+        replace(_SMALL, salient_fraction=0.0),
+        "ce94a256834578b027d246c60ae127332f5f78e790ce9bf3e11e530ccce7c92c",
+    ),
+    "noise_only": (
+        replace(_SMALL, noise_fixation_fraction=1.0),
+        "2a2ebc17edcd85d64b15a66e36ae4c987b94fe1e14b6b3d607b5ab0f2c4a7083",
+    ),
+    "iou_cap_0.9": (
+        replace(_SMALL, iou_cap=0.9),
+        "c38074a8574bbd03f4da068a76d49ddc2a2dff39d7f84747cd8fa2b909ff73b2",
+    ),
+    "sigma_2.5": (
+        replace(_SMALL, splat_sigma=2.5),
+        "fe7b75fbeef09a91ae918363b2b62d8338b38b8ce5f72ea8a95d063cf9b363cd",
+    ),
+}
+
+
+def _tree_digest(root) -> str:
+    h = hashlib.sha256()
+    for path in sorted(root.rglob("*")):
+        if path.is_file():
+            h.update(str(path.relative_to(root)).encode())
+            h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("name", sorted(_SCENE_DIGESTS))
+    def test_scene_digest(self, name):
+        cfg, expected = _SCENE_DIGESTS[name]
+        h = hashlib.sha256()
+        for idx in range(3):
+            scene, weights = generate_scene(cfg, idx)
+            h.update(json.dumps(scene_to_dict(scene), sort_keys=True).encode())
+            h.update(repr(weights).encode())
+            if scene.fixation_map is not None:
+                h.update(scene.fixation_map.values)
+        assert h.hexdigest() == expected
+
+    def test_dataset_tree_digest(self, tmp_path):
+        generate_dataset(replace(_SMALL, seed=61), tmp_path)
+        assert _tree_digest(tmp_path) == "900ccb6646a3f900cf622dd0b18f0c3e66452223882c38e9dba0cf9570ec3dd1"
