@@ -278,7 +278,7 @@ def _cmd_gt_discrepancy(args, run_cfg, jobs):
     args.gamma = None
     cfg = _gt_cfg(args, run_cfg)
     thresholds = gamma_grid(args.gammas)
-    gt_discrepancy(args.in_dir, cfg, thresholds, args.out)
+    gt_discrepancy(args.in_dir, cfg, thresholds, args.out, jobs)
     write_provenance(args.out, {"gammas": thresholds, "beta": cfg.beta})
     print(f"wrote discrepancy offsets to {args.out}", file=sys.stderr)
 

@@ -8,12 +8,28 @@ observer_id)`` rows, so fixation counts are single masked sums.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import InvariantViolation
+
+
+def check_fields(cfg, integers=(), reals=()) -> None:
+    """Raise ``ValueError`` naming the first bad field of a config:
+    ``integers`` are ``(name, low)`` pairs of integers >= low, ``reals``
+    ``(name, ok, span)`` triples of finite numbers for which ``ok`` holds."""
+    for name, low in integers:
+        value = getattr(cfg, name)
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    for name, ok, span in reals:
+        value = getattr(cfg, name)
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if not (real and math.isfinite(value) and ok(value)):
+            raise ValueError(f"{name} must be a finite number {span}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,12 @@ threshold-discrepancy analysis between adjacent GT thresholds.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .domain import GrayMap, Ranking, Scene, count_fixations, sqrt_size
+from .domain import GrayMap, Ranking, Scene, check_fields, count_fixations, sqrt_size
 from .errors import MissingFixationMap
 
 
@@ -38,15 +37,12 @@ class GtConfig:
     binary_threshold: float = 128.0
 
     def __post_init__(self):
-        for name, ok, span in (
+        reals = (
             ("gamma", lambda x: x > 0, "> 0"),
             ("beta", lambda x: x > 0, "> 0"),
             ("binary_threshold", lambda x: 0 < x < 255, "in (0, 255)"),
-        ):
-            value = getattr(self, name)
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not (real and math.isfinite(value) and ok(value)):
-                raise ValueError(f"{name} must be a finite number {span}, got {value!r}")
+        )
+        check_fields(self, reals=reals)
         if not isinstance(self.method, GtMethod):
             names = [m.value for m in GtMethod]
             raise ValueError(f"method must be one of {names}, got {self.method!r}")
@@ -111,12 +107,22 @@ def rank_binarized_map(scene: Scene, binary_threshold: float) -> Ranking:
     return ranking_from_scores(scores)
 
 
-def _rasrgt_from_count(scene: Scene, box, n_i: int, cfg: GtConfig) -> float:
-    """The combined score of a box holding ``n_i`` of the scene's fixations."""
+def _rasrgt_from_count(n_i: int, total: int, size_ratio: float, cfg: GtConfig) -> float:
+    """The combined score of a box holding ``n_i`` of a scene's ``total`` fixations."""
     if n_i == 0:
         return 0.0
-    size_ratio = sqrt_size(box) / math.sqrt(scene.width * scene.height)
-    return n_i / len(scene.fixations) + cfg.gamma * math.exp(cfg.beta * size_ratio)
+    return n_i / total + cfg.gamma * math.exp(cfg.beta * size_ratio)
+
+
+def rasrgt_counts(scene: Scene) -> tuple[int, list[tuple[int, int, float]]]:
+    """What the combined score reads of a scene, whatever its gamma: the
+    fixation total and, per real box, ``(id, fixation count, size ratio)``."""
+    image_sqrt = math.sqrt(scene.width * scene.height)
+    boxes = [
+        (p.id, count_fixations(p.box, scene.fixations), sqrt_size(p.box) / image_sqrt)
+        for p in scene.real_proposals
+    ]
+    return len(scene.fixations), boxes
 
 
 def rasrgt_score(scene: Scene, proposal, cfg: GtConfig) -> float:
@@ -124,13 +130,17 @@ def rasrgt_score(scene: Scene, proposal, cfg: GtConfig) -> float:
 
     Zero fixations inside the box means zero score regardless of size.
     """
-    return _rasrgt_from_count(scene, proposal.box, count_fixations(proposal.box, scene.fixations), cfg)
+    n_i = count_fixations(proposal.box, scene.fixations)
+    size_ratio = sqrt_size(proposal.box) / math.sqrt(scene.width * scene.height)
+    return _rasrgt_from_count(n_i, len(scene.fixations), size_ratio, cfg)
+
+
+def _rank_counts(total: int, boxes, cfg: GtConfig) -> Ranking:
+    return ranking_from_scores({pid: _rasrgt_from_count(n, total, ratio, cfg) for pid, n, ratio in boxes})
 
 
 def rasrgt_rank(scene: Scene, cfg: GtConfig | None = None) -> Ranking:
-    cfg = cfg or GtConfig()
-    scores = {p.id: rasrgt_score(scene, p, cfg) for p in scene.real_proposals}
-    return ranking_from_scores(scores)
+    return _rank_counts(*rasrgt_counts(scene), cfg or GtConfig())
 
 
 def generate_ranking(scene: Scene, cfg: GtConfig) -> Ranking:
@@ -150,19 +160,19 @@ def discrepancy_offsets(scenes, cfg_base: GtConfig, thresholds) -> list[tuple[fl
     """Total rank-order change between each pair of adjacent GT thresholds.
 
     For each consecutive threshold pair (t_prev, t) sums |order_t - order_t_prev|
-    over every proposal of every scene.  Fixation counts do not depend on the
-    threshold, so each box is counted once.
+    over every proposal of every scene.
     """
+    return offsets_from_counts([rasrgt_counts(s) for s in scenes], cfg_base, thresholds)
+
+
+def offsets_from_counts(counted, cfg_base: GtConfig, thresholds) -> list[tuple[float, int]]:
+    """``discrepancy_offsets`` from each scene's ``rasrgt_counts``: fixation
+    counts do not depend on the threshold, so each box is counted once."""
     thresholds = list(thresholds)
-    counted = [(s, [count_fixations(p.box, s.fixations) for p in s.real_proposals]) for s in scenes]
     rank_cache = []
     for t in thresholds:
         cfg = replace(cfg_base, gamma=t)
-        scores = [
-            {p.id: _rasrgt_from_count(s, p.box, n, cfg) for p, n in zip(s.real_proposals, counts)}
-            for s, counts in counted
-        ]
-        rank_cache.append([ranking_from_scores(sc) for sc in scores])
+        rank_cache.append([_rank_counts(total, boxes, cfg) for total, boxes in counted])
     out = []
     for idx in range(1, len(thresholds)):
         total = 0

@@ -15,7 +15,7 @@ from pathlib import Path
 from . import __version__
 from .domain import Ranking, Scene
 from .errors import IoFailure, MissingFile
-from .gtgen import GtConfig, discrepancy_offsets, generate_ranking
+from .gtgen import GtConfig, generate_ranking, offsets_from_counts, rasrgt_counts
 from .ingest import (
     list_scene_files,
     parse_pgm,
@@ -88,9 +88,14 @@ def gt_generate(in_dir, cfg: GtConfig, out_file, jobs: int = 1) -> None:
     write_ranking(rankings, out_file)
 
 
-def gt_discrepancy(in_dir, cfg: GtConfig, thresholds, out_file) -> None:
-    scenes = [parse_scene(p, load_map=False) for p in list_scene_files(in_dir)]
-    rows = discrepancy_offsets(scenes, cfg, thresholds)
+def _count_one(scene_path):
+    return rasrgt_counts(parse_scene(scene_path, load_map=False))
+
+
+def gt_discrepancy(in_dir, cfg: GtConfig, thresholds, out_file, jobs: int = 1) -> None:
+    """Workers parse the scenes and count their boxes, so only the counts
+    reach this process."""
+    rows = offsets_from_counts(parallel_map(_count_one, list_scene_files(in_dir), jobs), cfg, thresholds)
     write_atomic(out_file, "threshold,t_offset\n" + "".join(f"{t:g},{offset}\n" for t, offset in rows))
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import BBox, Proposal, Scene, count_fixations, iou, sqrt_size
+from .domain import BBox, Proposal, Scene, check_fields, count_fixations, iou, sqrt_size
 from .errors import MissingFile, TruncatedData, UnsupportedFormat
 from .gtgen import map_region
 from .ingest import write_atomic
@@ -30,10 +30,12 @@ class FilterConfig:
     min_count: int = 5
 
     def __post_init__(self):
-        if not 0 < self.iou_discard <= 1:
-            raise ValueError("iou_discard must lie in (0,1]")
-        if self.max_area_frac <= 0 or self.min_area_px <= 0 or self.min_count < 1:
-            raise ValueError("filter thresholds must be positive")
+        reals = (
+            ("iou_discard", lambda x: 0 < x <= 1, "in (0, 1]"),
+            ("max_area_frac", lambda x: x > 0, "> 0"),
+            ("min_area_px", lambda x: x > 0, "> 0"),
+        )
+        check_fields(self, (("min_count", 1),), reals)
 
 
 def filter_proposals(scene: Scene, cfg: FilterConfig | None = None) -> Scene:

@@ -5,7 +5,6 @@ margin-ranking term over expected class indices.
 from __future__ import annotations
 
 import math
-import numbers
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -13,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domain import Ranking
+from .domain import Ranking, check_fields
 from .errors import EmptyDataset, MissingFile, ShapeMismatch, TruncatedData, UnsupportedFormat
 from .ingest import write_atomic
 from .rankcore import softmax
@@ -60,22 +59,16 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("epochs", 1), ("lr_decay_every", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        for name, ok, span in (
+        integers = (("epochs", 1), ("lr_decay_every", 1), ("seed", 0))
+        reals = (
             ("lr", lambda x: x >= 0, ">= 0"),
             ("momentum", lambda x: 0 <= x < 1, "in [0, 1)"),
             ("weight_decay", lambda x: x >= 0, ">= 0"),
             ("lr_decay_factor", lambda x: 0 < x <= 1, "in (0, 1]"),
             ("alpha", lambda x: x >= 0, ">= 0"),
             ("margin", lambda x: x >= 0, ">= 0"),
-        ):
-            value = getattr(self, name)
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not (real and math.isfinite(value) and ok(value)):
-                raise ValueError(f"{name} must be a finite number {span}, got {value!r}")
+        )
+        check_fields(self, integers, reals)
 
 
 def init_model(d_in: int = 18, hidden: int = 32, n_classes: int = 6, seed: int = 0) -> ScorerModel:

@@ -106,6 +106,19 @@ class TestUsageErrors:
         assert f"{next(iter(fields))} must be" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg]
 
+    @pytest.mark.parametrize(
+        "fields",
+        [{"iou_discard": "x"}, {"iou_discard": 0}, {"min_count": 2.5}, {"min_count": True},
+         {"min_area_px": float("nan")}, {"max_area_frac": -1}],
+    )
+    def test_bad_filter_config(self, dataset, tmp_path, capsys, fields):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"filter": fields}))
+        argv = ["preprocess", "--config", str(cfg), "--in", str(dataset / "raw"), "--out", str(tmp_path / "p")]
+        assert run(*argv) == 2
+        assert f"error: {next(iter(fields))} must be" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_model_shorter_than_header(self, dataset, tmp_path, capsys):
         model = tmp_path / "short.bin"
         model.write_bytes(b"RFM1\x05\x00")
@@ -317,6 +330,26 @@ class TestPipelineStages:
         lines = out.read_text().splitlines()
         assert lines[0] == "threshold,t_offset"
         assert len(lines) == 5  # header + 4 adjacent pairs
+
+    def test_gt_discrepancy_on_workers(self, dataset, tmp_path, monkeypatch):
+        from rankflow.gtgen import GtConfig, discrepancy_offsets
+        from rankflow.ingest import list_scene_files, parse_scene
+
+        seen = []
+        pooled = pipeline.parallel_map
+        monkeypatch.setattr(pipeline, "parallel_map", lambda fn, items, jobs: seen.append(jobs) or pooled(fn, items, jobs))
+        outs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"disc{jobs}.csv"
+            argv = ["gt-discrepancy", "--gammas", "0.1:1.0:0.1", "--in", str(dataset / "raw"), "--out", str(out)]
+            assert run(*argv, "--jobs", jobs) == 0
+            outs.append(out.read_text())
+        assert seen == [1, 2]
+        assert outs[0] == outs[1]
+        scenes = [parse_scene(p) for p in list_scene_files(dataset / "raw")]
+        grid = [round(0.1 * i, 10) for i in range(1, 11)]
+        rows = discrepancy_offsets(scenes, GtConfig(), grid)
+        assert outs[0] == "threshold,t_offset\n" + "".join(f"{t:g},{offset}\n" for t, offset in rows)
 
     def test_train_rank_eval(self, dataset):
         model = dataset / "model.bin"

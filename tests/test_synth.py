@@ -1,12 +1,18 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.ndimage import gaussian_filter
+from scipy.ndimage import gaussian_filter, gaussian_filter1d
 
+import rankflow
 from rankflow.domain import BBox, iou
 from rankflow.errors import GenerationFailure
 from rankflow.gtgen import GtConfig, rasrgt_rank
@@ -14,6 +20,10 @@ from rankflow.ingest import parse_ranking, parse_scene, scene_to_dict
 from rankflow.synth import (
     _MAX_BOX_ATTEMPTS,
     SynthConfig,
+    _blur,
+    _correlate_scipy,
+    _gaussian_weights,
+    _padded,
     _place_fixations,
     _render_map,
     generate_dataset,
@@ -231,6 +241,80 @@ class TestRenderMap:
         ]
         for fixations in cases:
             assert _render_map(cfg, fixations) == _render_map_reference(cfg, fixations)
+
+    @pytest.mark.parametrize("width, height", [(1, 1), (5, 7), (1, 300), (20, 64), (53, 37), (640, 480)])
+    @pytest.mark.parametrize("sigma", [0.7, 2.5, 8.0, 20.0])
+    def test_folding_sizes(self, width, height, sigma):
+        # Radii up to 80 px fold the reflect boundary many times over on the small images.
+        cfg = replace(FAST, width=width, height=height, splat_sigma=sigma)
+        rng = np.random.default_rng([width, height, int(sigma * 10)])
+        for n in (0, 1, 100, 1000):
+            fixations = np.column_stack([rng.integers(0, width, n), rng.integers(0, height, n), np.zeros(n, int)])
+            assert _render_map(cfg, fixations) == _render_map_reference(cfg, fixations)
+
+    def test_rounding_tie(self):
+        # scipy scales pixel (x, y) = (2, 1) to exactly 127.5, which rounds to
+        # 128; the block products alone land a few ulps lower and give 127.
+        cfg = replace(FAST, width=14, height=2, splat_sigma=1.0)
+        fixations = np.array([(3, 1, 0), (7, 0, 0), (9, 0, 0)], dtype=np.int64)
+        assert _render_map(cfg, fixations) == _render_map_reference(cfg, fixations)
+
+    @pytest.mark.parametrize("n, m", [(1, 3), (2, 5), (7, 4), (300, 2), (64, 33)])
+    @pytest.mark.parametrize("sigma", [0.3, 1.0, 2.5, 8.0, 20.0])
+    def test_scipy_order_pass_matches_scipy_bits(self, n, m, sigma):
+        # Every float of the pass a rounding tie falls back on is scipy's.
+        weights = _gaussian_weights(sigma)
+        r = len(weights) // 2
+        lines = np.random.default_rng([n, m, int(sigma * 10)]).random((n, m))
+        padded = _padded(n, m, r)
+        padded[r : n + r, :m] = lines
+        got = _correlate_scipy(padded, weights, n, m)
+        assert got.tobytes() == gaussian_filter1d(lines, sigma, axis=0).tobytes()
+
+    @pytest.mark.parametrize("width, height", [(4000, 3), (3, 4000)])
+    def test_memory_grows_with_the_radius_not_the_side(self, width, height):
+        # A dense (n, n) filter matrix for n = 4000 alone would take 128 MB.
+        cfg = replace(FAST, width=width, height=height)
+        rng = np.random.default_rng(3)
+        fixations = np.column_stack([rng.integers(0, width, 500), rng.integers(0, height, 500), np.zeros(500, int)])
+        tracemalloc.start()
+        try:
+            _render_map(cfg, fixations)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_fallback_memory_does_not_grow_with_the_radius_squared(self):
+        # The pass a rounding tie falls back on, at a 240 px radius: memory
+        # taken per pixel and per tap square would be hundreds of MB.
+        cfg = replace(FAST, width=640, height=480, splat_sigma=60.0)
+        rng = np.random.default_rng(5)
+        fixations = np.column_stack([rng.integers(0, 640, 1000), rng.integers(0, 480, 1000), np.zeros(1000, int)])
+        tracemalloc.start()
+        try:
+            grid = _blur(cfg, fixations, _gaussian_weights(60.0), _correlate_scipy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        counts = np.zeros((480, 640))
+        np.add.at(counts, (fixations[:, 1], fixations[:, 0]), 1.0)
+        assert grid.T.tobytes() == gaussian_filter(counts, 60.0).tobytes()
+        assert peak < 32 * 2**20
+
+    def test_synth_runs_without_scipy(self, tmp_path):
+        code = (
+            "import sys\n"
+            "from rankflow.cli import dispatch\n"
+            f"assert dispatch(['synth', '--scenes', '2', '--jobs', '1', '--out', {str(tmp_path / 'd')!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(rankflow.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+        assert len(list((tmp_path / "d" / "maps").iterdir())) == 2
 
 
 _SMALL = SynthConfig(
