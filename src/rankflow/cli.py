@@ -15,8 +15,9 @@ from pathlib import Path
 
 from .errors import MalformedJson, RankflowError
 from .gtgen import GtConfig, GtMethod
-from .ingest import read_text
+from .ingest import parse_ranking, read_text
 from .pipeline import (
+    build_training_set,
     evaluate_files,
     gt_discrepancy,
     gt_generate,
@@ -30,7 +31,7 @@ from .rankcore import DEFAULT_WINDOW
 from .scorer import TrainConfig, save_model, train
 from .synth import SynthConfig, generate_dataset
 
-_CONFIG_SECTIONS = {"synth", "filter", "gt", "train"}
+_SECTIONS = {"synth": SynthConfig, "filter": FilterConfig, "gt": GtConfig, "train": TrainConfig}
 _CONFIG_SCALARS = {"window_size", "lam", "jobs"}
 _MAX_GAMMAS = 1000
 
@@ -45,13 +46,11 @@ class _Parser(argparse.ArgumentParser):
 def load_run_config(path) -> dict:
     try:
         doc = json.loads(read_text(path))
-    except OSError as e:
-        raise RankflowError(str(e)) from e
     except json.JSONDecodeError as e:
         raise MalformedJson(f"{path}: line {e.lineno}: {e.msg}") from e
     if not isinstance(doc, dict):
         raise RankflowError(f"{path}: a run config must be a JSON object, got {type(doc).__name__}")
-    unknown = set(doc) - _CONFIG_SECTIONS - _CONFIG_SCALARS
+    unknown = set(doc) - _SECTIONS.keys() - _CONFIG_SCALARS
     if unknown:
         raise RankflowError(f"unknown config keys: {sorted(unknown)}")
     for key in ("jobs", "window_size"):
@@ -59,12 +58,7 @@ def load_run_config(path) -> dict:
             raise RankflowError(f"{path}: {key} must be an integer >= 1, got {doc[key]!r}")
     if "lam" in doc:
         _check_lambda(doc["lam"], f"{path}: lam")
-    for section, cls in (
-        ("synth", SynthConfig),
-        ("filter", FilterConfig),
-        ("gt", GtConfig),
-        ("train", TrainConfig),
-    ):
+    for section, cls in _SECTIONS.items():
         fields = doc.get(section, {})
         if not isinstance(fields, dict):
             raise RankflowError(f"{path}: config section {section!r} must be a JSON object")
@@ -79,11 +73,14 @@ def _check_lambda(lam, name: str) -> None:
         raise RankflowError(f"{name} must be a number in (0, 1], got {lam!r}")
 
 
-def _build_cfg(cls, section: dict, overrides: dict):
-    merged = dict(section)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
+def _section_cfg(args, run_cfg: dict, section: str, **extra):
+    """The config object of a run-config ``section``: its values, overridden by
+    every flag whose dest is a field of the section's class, then by ``extra``."""
+    cls = _SECTIONS[section]
+    names = {f.name for f in dataclasses.fields(cls)}
+    flags = {k: v for k, v in vars(args).items() if k in names and v is not None}
     try:
-        return cls(**merged)
+        return cls(**{**run_cfg.get(section, {}), **flags, **extra})
     except (TypeError, ValueError) as e:
         raise RankflowError(str(e)) from e
 
@@ -128,19 +125,21 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate a seeded synthetic dataset")
     _add_common(p)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--scenes", type=int, default=None)
+    p.add_argument("--scenes", dest="n_scenes", type=int, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--objects", default=None, help="min:max objects per scene")
-    p.add_argument("--fixations", type=int, default=None)
-    p.add_argument("--no-maps", action="store_true", help="skip fixation map rendering")
+    p.add_argument("--fixations", dest="fixations_per_scene", type=int, default=None)
+    p.add_argument(
+        "--no-maps", dest="render_maps", action="store_false", default=None, help="skip fixation map rendering"
+    )
 
     p = sub.add_parser("preprocess", help="filter proposals and cache features")
     _add_common(p)
     p.add_argument("--in", dest="in_dir", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--iou", type=float, default=None)
-    p.add_argument("--max-area", type=float, default=None)
-    p.add_argument("--min-area", type=float, default=None)
+    p.add_argument("--iou", dest="iou_discard", type=float, default=None)
+    p.add_argument("--max-area", dest="max_area_frac", type=float, default=None)
+    p.add_argument("--min-area", dest="min_area_px", type=float, default=None)
     p.add_argument("--min-count", type=int, default=None)
 
     p = sub.add_parser("gt-gen", help="generate GT rank orders from fixation data")
@@ -192,57 +191,28 @@ def build_parser() -> _Parser:
 
 
 def _cmd_synth(args, run_cfg, jobs):
-    overrides = {
-        "seed": args.seed,
-        "n_scenes": args.scenes,
-        "fixations_per_scene": args.fixations,
-    }
+    objects = {}
     if args.objects:
         try:
             lo, hi = (int(x) for x in args.objects.split(":"))
         except ValueError as e:
             raise RankflowError(f"--objects expects min:max integers, got {args.objects!r}") from e
-        overrides["objects_min"] = lo
-        overrides["objects_max"] = hi
-    if args.no_maps:
-        overrides["render_maps"] = False
-    cfg = _build_cfg(SynthConfig, run_cfg.get("synth", {}), overrides)
+        objects = {"objects_min": lo, "objects_max": hi}
+    cfg = _section_cfg(args, run_cfg, "synth", **objects)
     generate_dataset(cfg, args.out, jobs)
     write_provenance(args.out, dataclasses.asdict(cfg), seed=cfg.seed)
     print(f"wrote {cfg.n_scenes} scenes to {args.out}", file=sys.stderr)
 
 
 def _cmd_preprocess(args, run_cfg, jobs):
-    cfg = _build_cfg(
-        FilterConfig,
-        run_cfg.get("filter", {}),
-        {
-            "iou_discard": args.iou,
-            "max_area_frac": args.max_area,
-            "min_area_px": args.min_area,
-            "min_count": args.min_count,
-        },
-    )
+    cfg = _section_cfg(args, run_cfg, "filter")
     ids = preprocess_dataset(args.in_dir, args.out, cfg, jobs)
     write_provenance(args.out, dataclasses.asdict(cfg))
     print(f"preprocessed {len(ids)} scenes into {args.out}", file=sys.stderr)
 
 
-def _gt_cfg(args, run_cfg):
-    overrides = {"gamma": args.gamma, "beta": getattr(args, "beta", None)}
-    if getattr(args, "method", None):
-        overrides["method"] = GtMethod(args.method)
-    if getattr(args, "binary_threshold", None) is not None:
-        overrides["binary_threshold"] = args.binary_threshold
-    section = dict(run_cfg.get("gt", {}))
-    if isinstance(section.get("method"), str):
-        # An unknown name stays a string, which GtConfig rejects by field name.
-        section["method"] = {m.value: m for m in GtMethod}.get(section["method"], section["method"])
-    return _build_cfg(GtConfig, section, overrides)
-
-
 def _cmd_gt_gen(args, run_cfg, jobs):
-    cfg = _gt_cfg(args, run_cfg)
+    cfg = _section_cfg(args, run_cfg, "gt")
     gt_generate(args.in_dir, cfg, args.out, jobs)
     # raw_penalty: a removed option, recorded as off so the config hash still
     # matches records written while it existed.
@@ -275,8 +245,7 @@ def gamma_grid(spec: str) -> list[float]:
 
 
 def _cmd_gt_discrepancy(args, run_cfg, jobs):
-    args.gamma = None
-    cfg = _gt_cfg(args, run_cfg)
+    cfg = _section_cfg(args, run_cfg, "gt")
     thresholds = gamma_grid(args.gammas)
     gt_discrepancy(args.in_dir, cfg, thresholds, args.out, jobs)
     write_provenance(args.out, {"gammas": thresholds, "beta": cfg.beta})
@@ -284,14 +253,7 @@ def _cmd_gt_discrepancy(args, run_cfg, jobs):
 
 
 def _cmd_train(args, run_cfg, jobs):
-    from .ingest import parse_ranking
-    from .pipeline import build_training_set
-
-    cfg = _build_cfg(
-        TrainConfig,
-        run_cfg.get("train", {}),
-        {"epochs": args.epochs, "seed": args.seed, "alpha": args.alpha, "lr": args.lr},
-    )
+    cfg = _section_cfg(args, run_cfg, "train")
     window = args.window if args.window is not None else run_cfg.get("window_size", DEFAULT_WINDOW)
     dataset = build_training_set(args.in_dir, parse_ranking(args.gt), window)
     result = train(dataset, cfg)

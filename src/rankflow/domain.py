@@ -108,6 +108,9 @@ class Scene:
     fixation_map: GrayMap | None = None
 
     def __post_init__(self):
+        # Stages name their output files after the id, so it must stay in its directory.
+        if self.scene_id in ("", ".", "..") or any(c in self.scene_id for c in "/\\\0"):
+            raise InvariantViolation("scene_id", f"must be a plain file name, got {self.scene_id!r}")
         fix = np.array(self.fixations, dtype=np.int64).reshape(-1, 3)
         fix.flags.writeable = False
         object.__setattr__(self, "fixations", fix)

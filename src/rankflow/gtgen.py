@@ -43,9 +43,11 @@ class GtConfig:
             ("binary_threshold", lambda x: 0 < x < 255, "in (0, 255)"),
         )
         check_fields(self, reals=reals)
-        if not isinstance(self.method, GtMethod):
+        try:  # a method name becomes its GtMethod
+            object.__setattr__(self, "method", GtMethod(self.method))
+        except (TypeError, ValueError):
             names = [m.value for m in GtMethod]
-            raise ValueError(f"method must be one of {names}, got {self.method!r}")
+            raise ValueError(f"method must be one of {names}, got {self.method!r}") from None
 
 
 def ranking_from_scores(scores: dict[int, float]) -> Ranking:

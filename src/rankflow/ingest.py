@@ -42,32 +42,47 @@ def write_atomic(path, data) -> None:
         raise IoFailure(f"cannot write {path}: {e.strerror or e}") from e
 
 
-def read_text(path) -> str:
-    """A file's UTF-8 text, line endings untouched.  A missing file raises
-    MissingFile, bytes that are not UTF-8 UnsupportedFormat, each naming it."""
+def read_bytes(path) -> bytes:
+    """A file's bytes, the read-side twin of ``write_atomic``.  A path that is
+    not a regular file raises MissingFile, a failed read IoFailure, each naming it."""
     path = Path(path)
-    if not path.is_file():
-        raise MissingFile(str(path))
     try:
-        return path.read_bytes().decode("utf-8")
+        if path.is_file():
+            return path.read_bytes()
+    except OSError as e:
+        raise IoFailure(f"cannot read {path}: {e.strerror or e}") from e
+    raise MissingFile(str(path))
+
+
+def read_text(path) -> str:
+    """A file's UTF-8 text, line endings untouched.  Bytes that are not UTF-8
+    raise UnsupportedFormat naming the file."""
+    try:
+        return read_bytes(path).decode("utf-8")
     except UnicodeDecodeError as e:
         raise UnsupportedFormat(f"{path}: not UTF-8 text (byte {e.start})") from e
 
 
 def parse_scene(path, load_map: bool = True) -> Scene:
-    """Scene from a JSON file; ``load_map=False`` leaves its PGM map unread."""
+    """Scene from a JSON file; ``load_map=False`` leaves its PGM map unread.
+    Every error in the file's contents names the file."""
     path = Path(path)
     try:
         doc = json.loads(read_text(path))
     except json.JSONDecodeError as e:
         raise MalformedJson(f"{path}: line {e.lineno}: {e.msg}") from e
-    return scene_from_dict(doc, base_dir=path.parent, load_map=load_map)
+    try:
+        return scene_from_dict(doc, base_dir=path.parent, load_map=load_map)
+    except InvariantViolation as e:
+        raise InvariantViolation(f"{path}: {e.field}", e.reason) from e
 
 
 def scene_from_dict(doc: dict, base_dir=None, load_map: bool = True) -> Scene:
     try:
         proposals = []
-        for p in doc["proposals"]:
+        for i, p in enumerate(doc["proposals"]):
+            if not isinstance(p, dict):
+                raise InvariantViolation("proposals", f"entry {i} is a {type(p).__name__}, not a JSON object")
             if p.get("is_dummy", False):
                 proposals.append(Proposal(id=int(p["id"]), box=None, is_dummy=True))
             else:
@@ -134,11 +149,7 @@ def write_scene(scene: Scene, path, fixation_map_path=None) -> None:
 
 
 def parse_pgm(path) -> GrayMap:
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFile(str(path))
-    data = path.read_bytes()
-    return pgm_from_bytes(data, name=str(path))
+    return pgm_from_bytes(read_bytes(path), name=str(path))
 
 
 def pgm_from_bytes(data: bytes, name="<pgm>") -> GrayMap:

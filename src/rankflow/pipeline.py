@@ -19,6 +19,7 @@ from .gtgen import GtConfig, generate_ranking, offsets_from_counts, rasrgt_count
 from .ingest import (
     list_scene_files,
     parse_pgm,
+    parse_ranking,
     parse_scene,
     write_atomic,
     write_ranking,
@@ -168,8 +169,6 @@ def map_rank_dataset(in_dir, maps_dir, lam, out_file, jobs: int = 1) -> None:
 
 
 def evaluate_files(pred_file, gt_file, out_file=None) -> dict:
-    from .ingest import parse_ranking
-
     report = evaluate_rankings(parse_ranking(pred_file), parse_ranking(gt_file))
     doc = report.to_dict()
     if out_file is not None:

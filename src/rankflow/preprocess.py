@@ -10,14 +10,13 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from .domain import BBox, Proposal, Scene, check_fields, count_fixations, iou, sqrt_size
-from .errors import MissingFile, TruncatedData, UnsupportedFormat
+from .errors import TruncatedData, UnsupportedFormat
 from .gtgen import map_region
-from .ingest import write_atomic
+from .ingest import read_bytes, write_atomic
 
 FEATURE_DIM = 14
 
@@ -143,10 +142,7 @@ def write_features(features: np.ndarray, path) -> None:
 
 
 def read_features(path) -> np.ndarray:
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFile(str(path))
-    data = path.read_bytes()
+    data = read_bytes(path)
     if len(data) < 4:
         raise TruncatedData(str(path))
     (count,) = struct.unpack("<I", data[:4])

@@ -26,7 +26,6 @@ _DUMMY_COST = 1.0e6
 
 @dataclass(frozen=True)
 class Window:
-    index: int
     member_ids: tuple[int, ...]  # proposal positions in the scene's order
 
 
@@ -36,9 +35,7 @@ def acb_sequences(n: int, window_size: int = DEFAULT_WINDOW) -> list[Window]:
         raise InvalidWindow(f"window size must lie in 1..{MAX_WINDOW}, got {window_size}")
     if n < window_size:
         raise InvalidWindow(f"need at least {window_size} proposals, got {n}")
-    return [
-        Window(i, tuple((i + k) % n for k in range(window_size))) for i in range(n)
-    ]
+    return [Window(tuple((i + k) % n for k in range(window_size))) for i in range(n)]
 
 
 @functools.cache

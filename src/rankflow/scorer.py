@@ -7,14 +7,13 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .domain import Ranking, check_fields
-from .errors import EmptyDataset, MissingFile, ShapeMismatch, TruncatedData, UnsupportedFormat
-from .ingest import write_atomic
+from .errors import EmptyDataset, ShapeMismatch, TruncatedData, UnsupportedFormat
+from .ingest import read_bytes, write_atomic
 from .rankcore import softmax
 
 MODEL_MAGIC = b"RFM1"
@@ -218,7 +217,7 @@ class TrainResult:
     epoch_losses: list[float] = field(default_factory=list)
 
 
-def train(dataset, cfg: TrainConfig, model: ScorerModel | None = None) -> TrainResult:
+def train(dataset, cfg: TrainConfig) -> TrainResult:
     """SGD with momentum and weight decay over shuffled windows.
 
     dataset: sequence of (inputs W x d_in, gt_labels, dummy_mask) samples.
@@ -228,10 +227,7 @@ def train(dataset, cfg: TrainConfig, model: ScorerModel | None = None) -> TrainR
     dataset = list(dataset)
     if not dataset:
         raise EmptyDataset("no training windows")
-    if model is None:
-        d_in = dataset[0][0].shape[1]
-        n_classes = len(dataset[0][1]) + 1
-        model = init_model(d_in=d_in, n_classes=n_classes, seed=cfg.seed)
+    model = init_model(d_in=dataset[0][0].shape[1], n_classes=len(dataset[0][1]) + 1, seed=cfg.seed)
     theta, params = _flat_model(*model.dims)
     for dst, src in zip(params.params(), model.params()):
         dst[...] = src
@@ -267,10 +263,7 @@ def save_model(model: ScorerModel, path) -> None:
 
 
 def load_model(path) -> ScorerModel:
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFile(str(path))
-    data = path.read_bytes()
+    data = read_bytes(path)
     if data[:4] != MODEL_MAGIC:
         raise TruncatedData(f"{path}: bad magic")
     if len(data) < 16:

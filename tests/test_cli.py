@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 import rankflow
-from rankflow import pipeline
-from rankflow.cli import _common, build_parser, dispatch, gamma_grid
+from rankflow import cli, pipeline
+from rankflow.cli import _SECTIONS, _common, build_parser, dispatch, gamma_grid
 from rankflow.pipeline import config_hash
 from rankflow.errors import RankflowError
 from rankflow.ingest import parse_ranking
@@ -475,3 +476,112 @@ class TestDeterminism:
         assert run("rank", "--in", str(dataset / "pre"), "--model", str(model), "--out", str(a), "--jobs", "1") == 0
         assert run("rank", "--in", str(dataset / "pre"), "--model", str(model), "--out", str(b), "--jobs", "2") == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class _Captured(Exception):
+    """Raised in place of a stage; its one argument is the config the stage was given."""
+
+
+def _capture(*args):
+    raise _Captured(next(a for a in args if dataclasses.is_dataclass(a)))
+
+
+def _stage_cfg(monkeypatch, argv):
+    """The config object ``argv``'s command hands to its stage."""
+    for name in ("generate_dataset", "preprocess_dataset", "gt_generate", "gt_discrepancy", "train"):
+        monkeypatch.setattr(cli, name, _capture)
+    with pytest.raises(_Captured) as info:
+        dispatch(argv)
+    return info.value.args[0]
+
+
+def _required(command, dataset, tmp_path):
+    raw, pre = str(dataset / "raw"), str(dataset / "pre")
+    return {
+        "synth": ["--out", str(tmp_path / "d")],
+        "preprocess": ["--in", raw, "--out", str(tmp_path / "p")],
+        "gt-gen": ["--in", raw, "--out", str(tmp_path / "gt.csv")],
+        "gt-discrepancy": ["--in", raw, "--out", str(tmp_path / "d.csv")],
+        "train": ["--in", pre, "--gt", str(dataset / "raw" / "gt.csv"), "--out", str(tmp_path / "m.bin")],
+    }[command]
+
+
+# Each config-overriding flag, with the same setting as fields of a run-config section.
+OVERRIDES = [
+    (["synth", "--seed", "4"], "synth", {"seed": 4}),
+    (["synth", "--scenes", "3"], "synth", {"n_scenes": 3}),
+    (["synth", "--objects", "2:3"], "synth", {"objects_min": 2, "objects_max": 3}),
+    (["synth", "--fixations", "50"], "synth", {"fixations_per_scene": 50}),
+    (["synth", "--no-maps"], "synth", {"render_maps": False}),
+    (["preprocess", "--iou", "0.5"], "filter", {"iou_discard": 0.5}),
+    (["preprocess", "--max-area", "0.5"], "filter", {"max_area_frac": 0.5}),
+    (["preprocess", "--min-area", "12.5"], "filter", {"min_area_px": 12.5}),
+    (["preprocess", "--min-count", "6"], "filter", {"min_count": 6}),
+    (["gt-gen", "--method", "binmap"], "gt", {"method": "binmap"}),
+    (["gt-gen", "--gamma", "0.3"], "gt", {"gamma": 0.3}),
+    (["gt-gen", "--beta", "0.7"], "gt", {"beta": 0.7}),
+    (["gt-gen", "--binary-threshold", "100.5"], "gt", {"binary_threshold": 100.5}),
+    (["gt-discrepancy", "--beta", "0.7"], "gt", {"beta": 0.7}),
+    (["train", "--epochs", "2"], "train", {"epochs": 2}),
+    (["train", "--seed", "4"], "train", {"seed": 4}),
+    (["train", "--alpha", "0.5"], "train", {"alpha": 0.5}),
+    (["train", "--lr", "0.01"], "train", {"lr": 0.01}),
+]
+
+
+class TestFlagsAreFields:
+    @pytest.mark.parametrize("flag, section, fields", OVERRIDES, ids=[" ".join(argv) for argv, _, _ in OVERRIDES])
+    def test_flag_equals_config_section(self, dataset, tmp_path, monkeypatch, flag, section, fields):
+        command, *flag = flag
+        required = _required(command, dataset, tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: fields}))
+        from_flag = _stage_cfg(monkeypatch, [command, *flag, *required])
+        from_config = _stage_cfg(monkeypatch, [command, "--config", str(cfg), *required])
+        assert from_flag == from_config
+        assert from_flag != type(from_flag)()
+
+    @pytest.mark.parametrize("command", ["synth", "preprocess", "gt-gen", "gt-discrepancy", "train"])
+    def test_every_field_flag_is_listed(self, dataset, tmp_path, command):
+        args = build_parser().parse_args([command, *_required(command, dataset, tmp_path)])
+        fields = {f.name for cls in _SECTIONS.values() for f in dataclasses.fields(cls)}
+        listed = {name for argv, _, changed in OVERRIDES if argv[0] == command for name in changed}
+        assert set(vars(args)) & fields <= listed
+
+    def test_unhashable_method_in_config(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gt": {"method": ["x"]}}))
+        assert run("gt-gen", "--config", str(cfg), *_required("gt-gen", dataset, tmp_path)) == 2
+        assert "method must be one of" in capsys.readouterr().err
+
+
+def _raw_with_scene(dataset, tmp_path, **change):
+    """A copy of the shared raw dataset whose scene_00001.json has ``change`` applied."""
+    raw = tmp_path / "raw"
+    shutil.copytree(dataset / "raw", raw)
+    path = raw / "scenes" / "scene_00001.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), **change}))
+    return raw
+
+
+class TestBadSceneFiles:
+    @pytest.mark.parametrize(
+        "change",
+        [{"fixations": [{"u": 1}]}, {"proposals": [{"id": 1, "box": [1, 2]}]}, {"proposals": [5]}, {"width": "x"}],
+        ids=["missing-field", "short-box", "proposal-not-object", "bad-width"],
+    )
+    def test_error_names_the_file(self, dataset, tmp_path, capsys, change):
+        raw = _raw_with_scene(dataset, tmp_path, **change)
+        assert run("gt-gen", "--in", str(raw), "--out", str(tmp_path / "gt.csv"), "--jobs", "2") == 2
+        assert "scene_00001.json: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scene_id", ["../../escaped", "..", "a\\b", "a\0b"])
+    def test_scene_id_cannot_leave_the_output(self, dataset, tmp_path, capsys, scene_id):
+        raw = _raw_with_scene(dataset, tmp_path, scene_id=scene_id)
+        work = tmp_path / "work"
+        work.mkdir()
+        assert run("preprocess", "--in", str(raw), "--out", str(work / "pre"), "--jobs", "1") == 2
+        assert "scene_id: must be a plain file name" in capsys.readouterr().err
+        assert [p.name for p in work.iterdir()] == ["pre"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["raw", "work"]
+        assert not list(tmp_path.rglob("escaped*"))

@@ -122,6 +122,11 @@ class TestSceneFixations:
         with pytest.raises(InvariantViolation, match="fixation_map: 10x8 map for a 10x10 scene"):
             Scene("s", 10, 10, (), fixation_map=GrayMap(10, 8, bytes(80)))
 
+    @pytest.mark.parametrize("scene_id", ["", ".", "..", "../x", "a/b", "a\\b", "a\0b"])
+    def test_rejects_id_that_is_not_a_plain_file_name(self, scene_id):
+        with pytest.raises(InvariantViolation, match="scene_id: must be a plain file name"):
+            Scene(scene_id, 10, 10, ())
+
     def test_equal_by_value(self):
         a = Scene("s", 10, 10, (), [(1, 2, 0)])
         assert a == Scene("s", 10, 10, (), np.array([[1, 2, 0]]))

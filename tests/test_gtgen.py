@@ -7,6 +7,7 @@ from conftest import make_scene
 from rankflow.errors import MissingFixationMap
 from rankflow.gtgen import (
     GtConfig,
+    GtMethod,
     discrepancy_offsets,
     rank_binarized_map,
     rank_fixation_map,
@@ -14,6 +15,18 @@ from rankflow.gtgen import (
     rasrgt_rank,
     rasrgt_score,
 )
+
+
+class TestGtConfig:
+    @pytest.mark.parametrize("method", list(GtMethod))
+    def test_method_name_becomes_its_method(self, method):
+        assert GtConfig(method=method.value) == GtConfig(method=method)
+        assert GtConfig(method=method.value).method is method
+
+    @pytest.mark.parametrize("method", ["zzz", ["x"], {}, None, 3])
+    def test_other_methods_rejected(self, method):
+        with pytest.raises(ValueError, match="method must be one of"):
+            GtConfig(method=method)
 
 
 class TestFixationPoints:

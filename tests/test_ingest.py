@@ -1,4 +1,6 @@
 import json
+import pickle
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +18,7 @@ from rankflow.ingest import (
     parse_ranking,
     parse_scene,
     pgm_from_bytes,
+    read_bytes,
     pgm_to_bytes,
     write_atomic,
     write_pgm,
@@ -75,6 +78,23 @@ class TestParseScene:
         assert parse_scene(write_json(tmp_path, doc), load_map=False).fixation_map is None
         with pytest.raises(MissingFile):
             parse_scene(write_json(tmp_path, doc))
+
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"proposals": [{"id": 1, "box": [10, 10, 30]}]}, "scene"),
+            ({"fixations": [{"u": 1}]}, "v"),
+            ({"proposals": [5]}, "proposals"),
+            ({"scene_id": "../out"}, "scene_id"),
+        ],
+    )
+    def test_content_errors_name_the_file(self, tmp_path, change, field):
+        path = write_json(tmp_path, {**MINIMAL, **change}, name="bad_scene.json")
+        with pytest.raises(InvariantViolation) as info:
+            parse_scene(path)
+        assert info.value.field == f"{path}: {field}"
+        back = pickle.loads(pickle.dumps(info.value))
+        assert (back.field, back.reason) == (info.value.field, info.value.reason)
 
     def test_observer_id_defaults_to_zero(self, tmp_path):
         doc = dict(MINIMAL, fixations=[{"u": 5, "v": 6}, {"u": 7, "v": 8, "observer_id": 3}])
@@ -173,6 +193,27 @@ class TestRankingCsv:
             write_ranking(rankings, path)
             parsed = parse_ranking(path)
         assert parsed == dict(rankings)
+
+
+class TestReadBytes:
+    def test_reads_a_file(self, tmp_path):
+        (tmp_path / "a.bin").write_bytes(b"\x00\xff")
+        assert read_bytes(tmp_path / "a.bin") == b"\x00\xff"
+
+    @pytest.mark.parametrize("name", ["nope", "."])
+    def test_missing_file_or_directory(self, tmp_path, name):
+        with pytest.raises(MissingFile):
+            read_bytes(tmp_path / name)
+
+    def test_failed_read_names_the_file(self, tmp_path, monkeypatch):
+        (tmp_path / "a.bin").write_bytes(b"x")
+
+        def failing_read(self):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(Path, "read_bytes", failing_read)
+        with pytest.raises(IoFailure, match="a.bin: Permission denied"):
+            read_bytes(tmp_path / "a.bin")
 
 
 class TestWriteAtomic:
