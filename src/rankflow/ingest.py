@@ -226,9 +226,12 @@ def parse_ranking(path) -> dict[str, Ranking]:
 
 
 def list_scene_files(directory) -> list[Path]:
-    """Scene JSONs in a dataset directory, sorted for deterministic processing."""
+    """Scene JSONs in a dataset directory, sorted for deterministic processing:
+    every one in its ``scenes/``, or, with no ``scenes/``, every one beside
+    the dataset's own ``manifest.json`` and ``provenance.json``."""
     directory = Path(directory)
     if not directory.is_dir():
         raise MissingFile(str(directory))
-    scenes_dir = directory / "scenes" if (directory / "scenes").is_dir() else directory
-    return sorted(p for p in scenes_dir.glob("*.json") if p.name not in ("manifest.json", "provenance.json"))
+    if (directory / "scenes").is_dir():
+        return sorted((directory / "scenes").glob("*.json"))
+    return sorted(p for p in directory.glob("*.json") if p.name not in ("manifest.json", "provenance.json"))

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import __version__
 from .domain import Ranking, Scene
-from .errors import IoFailure, MissingFile
+from .errors import InvariantViolation, IoFailure, MissingFile
 from .gtgen import GtConfig, generate_ranking, offsets_from_counts, rasrgt_counts
 from .ingest import (
     list_scene_files,
@@ -40,6 +40,21 @@ def parallel_map(fn, items, jobs: int = 1):
         return list(pool.map(fn, items))
 
 
+def map_scenes(fn, in_dir, jobs: int = 1) -> list:
+    """``fn`` on every scene file of ``in_dir`` on ``jobs`` workers, in file
+    order. Each call returns a tuple whose first item is the file's scene_id;
+    a scene_id found in two files raises InvariantViolation naming both, so
+    no stage merges two scenes into one."""
+    paths = list_scene_files(in_dir)
+    rows = parallel_map(fn, paths, jobs)
+    first = {}
+    for path, row in zip(paths, rows):
+        other = first.setdefault(row[0], path)
+        if other != path:
+            raise InvariantViolation("scene_id", f"{row[0]!r} is in both {other} and {path}")
+    return rows
+
+
 def config_hash(config: dict) -> str:
     blob = json.dumps(config, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
@@ -58,12 +73,12 @@ def write_provenance(target, config: dict, seed=None) -> None:
     write_atomic(path, json.dumps(record, sort_keys=True) + "\n")
 
 
-def _preprocess_one(scene_path, out_dir: Path, cfg: FilterConfig) -> str:
+def _preprocess_one(scene_path, out_dir: Path, cfg: FilterConfig) -> tuple[str]:
     scene = parse_scene(scene_path)
     filtered = filter_proposals(scene, cfg)
     write_scene(filtered, out_dir / "scenes" / f"{filtered.scene_id}.json")
     write_features(scene_features(filtered), out_dir / "features" / f"{filtered.scene_id}.feat")
-    return filtered.scene_id
+    return (filtered.scene_id,)
 
 
 def preprocess_dataset(in_dir, out_dir, cfg: FilterConfig | None = None, jobs: int = 1) -> list[str]:
@@ -75,7 +90,7 @@ def preprocess_dataset(in_dir, out_dir, cfg: FilterConfig | None = None, jobs: i
     except OSError as e:
         raise IoFailure(f"cannot create {out_dir}: {e.strerror or e}") from e
     worker = partial(_preprocess_one, out_dir=out_dir, cfg=cfg)
-    return parallel_map(worker, list_scene_files(in_dir), jobs)
+    return [scene_id for (scene_id,) in map_scenes(worker, in_dir, jobs)]
 
 
 def _gt_one(scene_path, cfg: GtConfig):
@@ -85,18 +100,19 @@ def _gt_one(scene_path, cfg: GtConfig):
 
 def gt_generate(in_dir, cfg: GtConfig, out_file, jobs: int = 1) -> None:
     worker = partial(_gt_one, cfg=cfg)
-    rankings = parallel_map(worker, list_scene_files(in_dir), jobs)
-    write_ranking(rankings, out_file)
+    write_ranking(map_scenes(worker, in_dir, jobs), out_file)
 
 
 def _count_one(scene_path):
-    return rasrgt_counts(parse_scene(scene_path, load_map=False))
+    scene = parse_scene(scene_path, load_map=False)
+    return scene.scene_id, rasrgt_counts(scene)
 
 
 def gt_discrepancy(in_dir, cfg: GtConfig, thresholds, out_file, jobs: int = 1) -> None:
     """Workers parse the scenes and count their boxes, so only the counts
     reach this process."""
-    rows = offsets_from_counts(parallel_map(_count_one, list_scene_files(in_dir), jobs), cfg, thresholds)
+    counts = [c for _, c in map_scenes(_count_one, in_dir, jobs)]
+    rows = offsets_from_counts(counts, cfg, thresholds)
     write_atomic(out_file, "threshold,t_offset\n" + "".join(f"{t:g},{offset}\n" for t, offset in rows))
 
 
@@ -109,13 +125,14 @@ def _feature_dir(pre_dir) -> Path:
 
 def _load_one(scene_path, feat_dir: Path):
     scene = parse_scene(scene_path)
-    return scene, read_features(feat_dir / f"{scene.scene_id}.feat")
+    return scene.scene_id, scene, read_features(feat_dir / f"{scene.scene_id}.feat")
 
 
 def load_preprocessed(pre_dir) -> list[tuple[Scene, "object"]]:
     """(Scene, feature matrix) pairs from a preprocessed dataset directory."""
     feat_dir = _feature_dir(pre_dir)
-    return [_load_one(p, feat_dir) for p in list_scene_files(pre_dir)]
+    rows = map_scenes(partial(_load_one, feat_dir=feat_dir), pre_dir)
+    return [(scene, features) for _, scene, features in rows]
 
 
 def build_training_set(pre_dir, gt: dict[str, Ranking], window_size: int = DEFAULT_WINDOW):
@@ -134,8 +151,8 @@ def build_training_set(pre_dir, gt: dict[str, Ranking], window_size: int = DEFAU
 
 
 def _rank_one(scene_path, feat_dir: Path, model, window_size):
-    scene, features = _load_one(scene_path, feat_dir)
-    return scene.scene_id, rank_scene(scene, features, make_scorer(model), window_size)
+    scene_id, scene, features = _load_one(scene_path, feat_dir)
+    return scene_id, rank_scene(scene, features, make_scorer(model), window_size)
 
 
 def rank_dataset(pre_dir, model_path, out_file, jobs: int = 1) -> int:
@@ -146,11 +163,10 @@ def rank_dataset(pre_dir, model_path, out_file, jobs: int = 1) -> int:
     are sent to them.
     """
     feat_dir = _feature_dir(pre_dir)
-    scene_paths = list_scene_files(pre_dir)
     model = load_model(model_path)
     window_size = model.dims[2] - 1
     worker = partial(_rank_one, feat_dir=feat_dir, model=model, window_size=window_size)
-    write_ranking(parallel_map(worker, scene_paths, jobs), out_file)
+    write_ranking(map_scenes(worker, pre_dir, jobs), out_file)
     return window_size
 
 
@@ -164,8 +180,7 @@ def _map_rank_one(scene_path, maps_dir: Path, lam: float):
 
 def map_rank_dataset(in_dir, maps_dir, lam, out_file, jobs: int = 1) -> None:
     worker = partial(_map_rank_one, maps_dir=Path(maps_dir) if maps_dir else None, lam=lam)
-    rankings = parallel_map(worker, list_scene_files(in_dir), jobs)
-    write_ranking(rankings, out_file)
+    write_ranking(map_scenes(worker, in_dir, jobs), out_file)
 
 
 def evaluate_files(pred_file, gt_file, out_file=None) -> dict:

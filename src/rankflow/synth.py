@@ -106,31 +106,112 @@ def _salient_shares(cfg: SynthConfig, penalties: np.ndarray, rng) -> np.ndarray:
     return base + extra  # still descending with adjacent gaps >= gap
 
 
+def _offsets(words: np.ndarray, span) -> np.ndarray:
+    """What ``rng.integers(0, span)`` makes of each raw 32-bit word, or -1
+    where it rejects the word and takes the next one; ``span`` may be a
+    column of spans, one output row each.
+
+    For ``1 < span < 2**32`` numpy uses Lemire's method: it returns
+    ``w * span >> 32`` unless the low 32 bits of ``w * span`` are below
+    ``(2**32 - span) % span``. So a power-of-two span rejects no word, and a
+    span of 1 (which this does not cover) draws no word at all.
+    """
+    span = np.asarray(span, dtype=np.uint64)
+    m = words.astype(np.uint64) * span
+    out = (m >> np.uint64(32)).astype(np.int64)
+    out[(m & np.uint64(2**32 - 1)) < (2**32 - span) % span] = -1
+    return out
+
+
+def _read_attempt(offsets, axes, q: int):
+    """The pixel offsets one attempt reads from word ``q`` on, skipping
+    rejected words, and the word after them; None if the words run out."""
+    at = [0, 0]
+    for d, a in zip(offsets, axes):
+        while q < len(d) and d[q] < 0:
+            q += 1
+        if q == len(d):
+            return None
+        at[a] = int(d[q])
+        q += 1
+    return at, q
+
+
 def _place_fixations(rng, box: BBox, others, cnt: int) -> list[tuple[int, int, int]]:
     """``cnt`` (u, v, observer) rows inside ``box`` and outside every box in
     ``others``, each point redrawn up to _MAX_BOX_ATTEMPTS times.
 
-    An integer u lies in [b.x1, b.x2) exactly when it lies in
-    [ceil b.x1, ceil b.x2), so one table of the box's free pixels replaces the
-    per-attempt test against every other box; the draws are unchanged.
+    The rows and the generator's final state are those of the scalar loop:
+    ``u = rng.integers(x1, x2)``, ``v = rng.integers(y1, y2)`` until the pixel
+    is free, then ``observer = rng.integers(0, 8)``. An integer u lies in
+    [b.x1, b.x2) exactly when it lies in [ceil b.x1, ceil b.x2), so one table
+    of the box's free pixels replaces the test against every other box.
+
+    The draws come in blocks of raw 32-bit words that ``_offsets`` decodes.
+    An attempt reads one word per axis wider than one pixel (``k`` of them)
+    and a hit one more. A block is never longer than the fewest words the
+    loop can still take, ``k + 1`` per point left and ``k`` per attempt the
+    current point has left, so no word is drawn that the loop would not draw,
+    and the generator ends where the loop leaves it, also on GenerationFailure.
+    A box without a whole pixel fails at once, where the loop's first draw
+    raised numpy's ValueError.
     """
     x1, x2, y1, y2 = (math.ceil(c) for c in (box.x1, box.x2, box.y1, box.y2))
-    free = np.ones((y2 - y1, x2 - x1), dtype=bool)
+    if cnt and (x2 == x1 or y2 == y1):
+        raise GenerationFailure("a box holds no whole pixel")
+    # 1 for a free pixel, 0 for a taken one; the offset -1 of a rejected
+    # word reads the extra last row or column, -1.
+    table = np.full((y2 - y1 + 1, x2 - x1 + 1), -1, dtype=np.int8)
+    free = table[:-1, :-1]
+    free[...] = 1
     for b in others:
         cols = slice(max(math.ceil(b.x1) - x1, 0), max(math.ceil(b.x2) - x1, 0))
-        free[max(math.ceil(b.y1) - y1, 0) : max(math.ceil(b.y2) - y1, 0), cols] = False
-    free = free.tolist()
-    draw = rng.integers
-    rows = []
-    for _ in range(cnt):
-        for _attempt in range(_MAX_BOX_ATTEMPTS):
-            u = int(draw(x1, x2))
-            v = int(draw(y1, y2))
-            if free[v - y1][u - x1]:
-                break
-        else:
+        free[max(math.ceil(b.y1) - y1, 0) : max(math.ceil(b.y2) - y1, 0), cols] = 0
+    size = (x2 - x1, y2 - y1)
+    axes = [a for a in (0, 1) if size[a] > 1]
+    k = len(axes)
+    spans = [[size[a]] for a in axes] + [[8]]  # the observer's last
+    rows, tries = [], 0
+    words = np.empty(0, dtype=np.uint32)  # the words of an attempt the last block left unfinished
+    while len(rows) < cnt:
+        need = (cnt - len(rows)) * (k + 1)
+        if k:
+            need = min(need, (_MAX_BOX_ATTEMPTS - tries) * k)
+        elif not free[0, 0]:  # a one-pixel box: every attempt misses and draws nothing
             raise GenerationFailure("could not place a fixation outside other boxes")
-        rows.append((u, v, int(draw(0, 8))))
+        words = np.concatenate([words, rng.integers(0, 2**32, max(need - len(words), 1), dtype=np.uint32)])
+        n = len(words)
+        offsets = _offsets(words, spans)
+        observers = offsets[k].tolist()
+        # An attempt that starts at word j and meets no rejected word reads
+        # its i-th axis from word j + i: look up all of them at once. Its
+        # outcome is 1 for a free pixel, 0 for a taken one, -1 if not clean.
+        m = n - k + 1
+        start = np.zeros((2, m), dtype=np.int64)
+        for i, a in enumerate(axes):
+            start[a] = offsets[i, i : i + m]
+        outcome = table[start[1], start[0]].tolist()
+        su, sv = start.tolist()
+        p = 0
+        while p < n:
+            if p < m and outcome[p] >= 0:
+                du, dv, ok, q = su[p], sv[p], outcome[p], p + k
+            else:  # a rejected word on the way, or the block ends first
+                read = _read_attempt(offsets, axes, p)
+                if read is None:
+                    break
+                (du, dv), q = read
+                ok = free[dv, du]
+            if ok:
+                if q == n:
+                    break
+                rows.append((x1 + du, y1 + dv, observers[q]))
+                p, tries = q + 1, 0
+            else:
+                p, tries = q, tries + 1
+                if tries == _MAX_BOX_ATTEMPTS:
+                    raise GenerationFailure("could not place a fixation outside other boxes")
+        words = words[p:]
     return rows
 
 

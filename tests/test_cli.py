@@ -585,3 +585,55 @@ class TestBadSceneFiles:
         assert [p.name for p in work.iterdir()] == ["pre"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["raw", "work"]
         assert not list(tmp_path.rglob("escaped*"))
+
+
+class TestSceneIds:
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize(
+        "stage, out",
+        [("preprocess", "pre"), ("gt-gen", "gt.csv"), ("gt-discrepancy", "d.csv"), ("map-rank", "m.csv")],
+    )
+    def test_duplicate_raw_id_names_both_files(self, dataset, tmp_path, capsys, stage, out, jobs):
+        raw = _raw_with_scene(dataset, tmp_path, scene_id="scene_00002")
+        assert run(stage, "--in", str(raw), "--out", str(tmp_path / out), "--jobs", jobs) == 2
+        err = capsys.readouterr().err
+        assert "'scene_00002' is in both" in err
+        assert "scene_00001.json" in err and "scene_00002.json" in err
+        written = tmp_path / out  # neither the CSV nor any provenance
+        assert not written.is_file() and not (written / "provenance.json").exists()
+        assert not list(tmp_path.glob("*.provenance.json"))
+
+    @pytest.mark.parametrize("stage", ["train", "rank"])
+    def test_duplicate_preprocessed_id_names_both_files(self, dataset, tmp_path, capsys, stage):
+        pre, model = tmp_path / "pre", tmp_path / "m.bin"
+        shutil.copytree(dataset / "pre", pre)
+        shutil.copy(pre / "scenes" / "scene_00000.json", pre / "scenes" / "scene_00009.json")
+        save_model(init_model(), model)
+        if stage == "train":
+            argv = ["train", "--gt", str(dataset / "raw" / "gt.csv"), "--out", str(tmp_path / "new.bin")]
+        else:
+            argv = ["rank", "--model", str(model), "--out", str(tmp_path / "pred.csv")]
+        assert run(*argv, "--in", str(pre)) == 2
+        err = capsys.readouterr().err
+        assert "'scene_00000' is in both" in err and "scene_00009.json" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.bin", "pre"]
+
+    @pytest.mark.parametrize("scene_id", ["provenance", "manifest"])
+    def test_reserved_names_are_scenes_under_scenes_dir(self, dataset, tmp_path, scene_id):
+        raw = _raw_with_scene(dataset, tmp_path, scene_id=scene_id)
+        pre, model, pred = tmp_path / "pre", tmp_path / "m.bin", tmp_path / "pred.csv"
+        assert run("preprocess", "--in", str(raw), "--out", str(pre)) == 0
+        assert (pre / "scenes" / f"{scene_id}.json").is_file()
+        save_model(init_model(), model)
+        assert run("rank", "--in", str(pre), "--model", str(model), "--out", str(pred)) == 0
+        assert sorted(parse_ranking(pred)) == sorted([scene_id, "scene_00000", "scene_00002", "scene_00003"])
+
+    def test_flat_directory_skips_the_sidecars(self, dataset, tmp_path):
+        flat = tmp_path / "flat"
+        flat.mkdir()
+        for name in ("scene_00000.json", "scene_00002.json"):
+            shutil.copy(dataset / "pre" / "scenes" / name, flat / name)
+        (flat / "manifest.json").write_text("{}")
+        (flat / "provenance.json").write_text("{}")
+        assert run("gt-gen", "--in", str(flat), "--out", str(tmp_path / "gt.csv")) == 0
+        assert sorted(parse_ranking(tmp_path / "gt.csv")) == ["scene_00000", "scene_00002"]

@@ -23,6 +23,7 @@ from rankflow.synth import (
     _blur,
     _correlate_scipy,
     _gaussian_weights,
+    _offsets,
     _padded,
     _place_fixations,
     _render_map,
@@ -216,6 +217,152 @@ class TestPlaceFixations:
             assert a.bit_generator.state == b.bit_generator.state
 
 
+    @pytest.mark.parametrize(
+        "box",
+        [
+            BBox(3.5, 2.0, 4.5, 40.0),  # one pixel wide
+            BBox(2.0, 7.2, 50.0, 8.2),  # one pixel tall
+            BBox(4.0, 4.0, 5.0, 5.0),  # a single pixel
+        ],
+        ids=["one-wide", "one-tall", "one-pixel"],
+    )
+    @pytest.mark.parametrize("forbid", [False, True], ids=["open", "half-taken"])
+    def test_boxes_one_pixel_wide_or_tall(self, box, forbid):
+        others = [BBox(0.0, 0.0, 30.0, 20.0)] if forbid else []  # the single pixel too
+        for cnt in (0, 1, 7, 300):
+            a = np.random.default_rng([11, cnt])
+            b = np.random.default_rng([11, cnt])
+            a.integers(0, 5)
+            b.integers(0, 5)
+            try:
+                expected = _place_fixations_reference(a, box, others, cnt)
+            except GenerationFailure:
+                with pytest.raises(GenerationFailure):
+                    _place_fixations(b, box, others, cnt)
+                assert forbid and box.x2 - box.x1 == 1.0 == box.y2 - box.y1
+            else:
+                assert _place_fixations(b, box, others, cnt) == expected
+            assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("wide", [True, False], ids=["wide", "tall"])
+    def test_frequently_rejected_words(self, wide):
+        # 2**32 + 1 = 641 * 6,700,417, so numpy rejects a word for a span of
+        # 6,700,417 about once in 641 draws; spans of real boxes almost never.
+        length = 6_700_417.0
+        box = BBox(0.0, 0.0, length, 3.0) if wide else BBox(0.0, 0.0, 3.0, length)
+        others = [BBox(0.0, 0.0, length / 3, 2.0) if wide else BBox(0.0, 0.0, 2.0, length / 3)]
+        for seed in range(4):
+            a = np.random.default_rng([13, seed])
+            b = np.random.default_rng([13, seed])
+            expected = _place_fixations_reference(a, box, others, 1500)
+            assert _place_fixations(b, box, others, 1500) == expected
+            assert a.bit_generator.state == b.bit_generator.state
+        counter = np.random.default_rng([13, 0]).integers(0, 2**32, 4000, dtype=np.uint32)
+        assert (_offsets(counter, int(length)) < 0).sum() > 2
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_streams_dense_with_rejected_words(self, seed):
+        # A third of the words are ones numpy rejects for a span of 641, so
+        # rejections fall on u, v and observer words and across block ends.
+        meta = np.random.default_rng([29, seed])
+        words = meta.integers(0, 2**32, 624, dtype=np.uint32).tolist()
+        for i in np.flatnonzero(meta.random(624) < 1 / 3):
+            words[i] = _word_with_low_bits(int(meta.integers(0, 640)), 641)
+        box = BBox(0.0, 0.0, 641.0, 641.0) if seed % 2 else BBox(0.5, 0.0, 641.5, 1.0)
+        others = [BBox(0.0, 0.0, 300.0, 400.0), BBox(500.0, 0.0, 641.0, 641.0)]
+        cnt = int(meta.integers(1, 120))
+        a, b = _word_stream(words), _word_stream(words)
+        try:
+            expected = _place_fixations_reference(a, box, others, cnt)
+        except GenerationFailure:
+            with pytest.raises(GenerationFailure):
+                _place_fixations(b, box, others, cnt)
+        else:
+            assert _place_fixations(b, box, others, cnt) == expected
+        assert a.bit_generator.state["state"]["pos"] == b.bit_generator.state["state"]["pos"]
+        assert np.array_equal(a.bit_generator.state["state"]["key"], b.bit_generator.state["state"]["key"])
+
+    def test_box_without_a_whole_pixel(self):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        box = BBox(2.2, 1.0, 2.9, 30.0)  # no integer u in [2.2, 2.9)
+        assert _place_fixations(rng, box, [], 0) == []
+        with pytest.raises(GenerationFailure):
+            _place_fixations(rng, box, [], 4)
+        assert rng.bit_generator.state == state
+
+
+def _untemper(y: int) -> int:
+    """The MT19937 key word that its output tempering turns into ``y``."""
+    y ^= y >> 18
+    y ^= (y << 15) & 0xEFC60000
+    t = y
+    for _ in range(4):
+        t = y ^ ((t << 7) & 0x9D2C5680)
+    y = t & 0xFFFFFFFF
+    t = y
+    for _ in range(2):
+        t = y ^ (t >> 11)
+    return t & 0xFFFFFFFF
+
+
+def _word_stream(words) -> np.random.Generator:
+    """A generator whose next 32-bit draws are ``words`` (at most 624):
+    MT19937 emits its key words one by one through the tempering."""
+    key = [_untemper(int(w)) for w in words] + [0] * (624 - len(words))
+    bits = np.random.MT19937(0)
+    bits.state = {"bit_generator": "MT19937", "state": {"key": np.array(key, dtype=np.uint32), "pos": 0}}
+    return np.random.Generator(bits)
+
+
+def _word_with_low_bits(low: int, span: int) -> int:
+    """The word w with (w * span) % 2**32 == low, for an odd span."""
+    return low * pow(span, -1, 2**32) % 2**32
+
+
+class TestOffsets:
+    @pytest.mark.parametrize("span", [1, 2, 3, 8, 100, 640, 2**31 + 1, 2**32 - 1])
+    def test_matches_scalar_draws(self, span):
+        a, b, c = (np.random.default_rng([17, span]) for _ in range(3))
+        for rng in (a, b, c):
+            rng.integers(0, 5)  # leave half of a 64-bit draw buffered
+        words = b.integers(0, 2**32, 2000, dtype=np.uint32)
+        offsets = _offsets(words, span)
+        if span == 1:  # numpy draws no word for a span of 1
+            state = a.bit_generator.state
+            assert a.integers(0, 1) == 0 and (offsets == 0).all()
+            assert a.bit_generator.state == state
+            return
+        kept = offsets[offsets >= 0]
+        assert [int(a.integers(0, span)) for _ in kept] == kept.tolist()
+        c.integers(0, 2**32, int(np.flatnonzero(offsets >= 0)[-1]) + 1, dtype=np.uint32)
+        assert a.bit_generator.state == c.bit_generator.state  # up to the last word kept
+        rejected = (offsets < 0).mean()
+        if span == 2**31 + 1:
+            assert 0.4 < rejected < 0.6
+        else:
+            assert rejected < 0.01
+
+    @pytest.mark.parametrize("span", [3, 641, 6_700_417, 2**31 + 1, 2**32 - 1])
+    def test_words_at_the_rejection_threshold(self, span):
+        threshold = (2**32 - span) % span
+        lows = [threshold - 1, threshold, 0, 2**32 - 1, threshold + 1, threshold]
+        words = [_word_with_low_bits(low, span) for low in lows] + [0, 2**32 - 1]
+        words.append(_word_with_low_bits(threshold, span))  # kept, so the draws end here
+        offsets = _offsets(np.array(words, dtype=np.uint32), span)
+        assert offsets[:2].tolist() == [-1, words[1] * span >> 32]
+        rng = _word_stream(words)
+        kept = offsets[offsets >= 0].tolist()
+        assert [int(rng.integers(0, span)) for _ in kept] == kept
+        assert rng.bit_generator.state["state"]["pos"] == len(words)
+
+    def test_column_of_spans(self):
+        words = np.random.default_rng(19).integers(0, 2**32, 500, dtype=np.uint32)
+        rows = _offsets(words, [[640], [3], [8]])
+        for row, span in zip(rows, (640, 3, 8)):
+            assert row.tolist() == _offsets(words, span).tolist()
+
+
 def _render_map_reference(cfg, fixations):
     grid = np.zeros((cfg.height, cfg.width))
     np.add.at(grid, (fixations[:, 1], fixations[:, 0]), 1.0)
@@ -347,6 +494,18 @@ _SCENE_DIGESTS = {
     "sigma_2.5": (
         replace(_SMALL, splat_sigma=2.5),
         "fe7b75fbeef09a91ae918363b2b62d8338b38b8ce5f72ea8a95d063cf9b363cd",
+    ),
+    # Dense recipes: the benchmark's cli-flow scenes and criterion 7's.
+    "cli_flow": (
+        SynthConfig(seed=5, objects_min=5, objects_max=9, fixations_per_scene=1000),
+        "9541074a464ca65dbc6d81c6795ef5f80f25506ce5162bfe01c869b2eeb9942d",
+    ),
+    "criterion_7": (
+        SynthConfig(
+            seed=7, objects_min=5, objects_max=9, width=320, height=240,
+            fixations_per_scene=1000, render_maps=False,
+        ),
+        "9edebad5ff5a6916eb0c5d3c535ccc83b853f4fdbdfac893008edc375aaf88e9",
     ),
 }
 
