@@ -221,7 +221,10 @@ def parse_ranking(path) -> dict[str, Ranking]:
             pid, order = int(pid), int(order)
         except ValueError as e:
             raise InvariantViolation(str(path), f"line {reader.line_num}: bad row {row}") from e
-        per_scene.setdefault(scene_id, {})[pid] = order
+        labels = per_scene.setdefault(scene_id, {})
+        if pid in labels:
+            raise InvariantViolation(str(path), f"line {reader.line_num}: proposal {pid} of {scene_id!r} ranked again")
+        labels[pid] = order
     return {sid: Ranking(labels) for sid, labels in per_scene.items()}
 
 

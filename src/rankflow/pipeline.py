@@ -6,15 +6,18 @@ are merged in scene order so output never depends on the job count.
 """
 from __future__ import annotations
 
-import json
 import hashlib
+import json
+import os
+import shutil
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 
 from . import __version__
 from .domain import Ranking, Scene
-from .errors import InvariantViolation, IoFailure, MissingFile
+from .errors import InvariantViolation, IoFailure, MissingFile, MissingFixationMap
 from .gtgen import GtConfig, generate_ranking, offsets_from_counts, rasrgt_counts
 from .ingest import (
     list_scene_files,
@@ -73,28 +76,52 @@ def write_provenance(target, config: dict, seed=None) -> None:
     write_atomic(path, json.dumps(record, sort_keys=True) + "\n")
 
 
-def _preprocess_one(scene_path, out_dir: Path, cfg: FilterConfig) -> tuple[str]:
+def _preprocess_one(scene_path, staging: Path, cfg: FilterConfig) -> tuple[str]:
     scene = parse_scene(scene_path)
     filtered = filter_proposals(scene, cfg)
-    write_scene(filtered, out_dir / "scenes" / f"{filtered.scene_id}.json")
-    write_features(scene_features(filtered), out_dir / "features" / f"{filtered.scene_id}.feat")
+    write_scene(filtered, staging / f"{filtered.scene_id}.json")
+    write_features(scene_features(filtered), staging / f"{filtered.scene_id}.feat")
     return (filtered.scene_id,)
 
 
 def preprocess_dataset(in_dir, out_dir, cfg: FilterConfig | None = None, jobs: int = 1) -> list[str]:
+    """Filter every scene and write it to ``scenes/``, its features to
+    ``features/``. Workers write into one staging directory under
+    ``out_dir``, whose files move into place only once every scene is done;
+    it is removed in any case, so a failed run adds no scene or feature file."""
     cfg = cfg or FilterConfig()
     out_dir = Path(out_dir)
     try:
-        (out_dir / "scenes").mkdir(parents=True, exist_ok=True)
-        (out_dir / "features").mkdir(exist_ok=True)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
     except OSError as e:
         raise IoFailure(f"cannot create {out_dir}: {e.strerror or e}") from e
-    worker = partial(_preprocess_one, out_dir=out_dir, cfg=cfg)
-    return [scene_id for (scene_id,) in map_scenes(worker, in_dir, jobs)]
+    try:
+        worker = partial(_preprocess_one, staging=staging, cfg=cfg)
+        ids = [scene_id for (scene_id,) in map_scenes(worker, in_dir, jobs)]
+        try:
+            for sub, suffix in (("scenes", ".json"), ("features", ".feat")):
+                (out_dir / sub).mkdir(exist_ok=True)
+                for scene_id in ids:
+                    os.replace(staging / f"{scene_id}{suffix}", out_dir / sub / f"{scene_id}{suffix}")
+        except OSError as e:
+            raise IoFailure(f"cannot move the preprocessed files into {out_dir}: {e.strerror or e}") from e
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    return ids
+
+
+def _parse_scene(scene_path, load_map: bool) -> Scene:
+    """``parse_scene``; with ``load_map``, a scene without a map raises
+    MissingFixationMap naming its file."""
+    scene = parse_scene(scene_path, load_map=load_map)
+    if load_map and scene.fixation_map is None:
+        raise MissingFixationMap(f"{scene_path}: no fixation_map_path, so the scene has no fixation map")
+    return scene
 
 
 def _gt_one(scene_path, cfg: GtConfig):
-    scene = parse_scene(scene_path, load_map=cfg.method.reads_map)
+    scene = _parse_scene(scene_path, cfg.method.reads_map)
     return scene.scene_id, generate_ranking(scene, cfg)
 
 
@@ -171,7 +198,7 @@ def rank_dataset(pre_dir, model_path, out_file, jobs: int = 1) -> int:
 
 
 def _map_rank_one(scene_path, maps_dir: Path, lam: float):
-    scene = parse_scene(scene_path, load_map=maps_dir is None)
+    scene = _parse_scene(scene_path, maps_dir is None)
     gmap = scene.fixation_map
     if maps_dir is not None:
         gmap = parse_pgm(maps_dir / f"{scene.scene_id}.pgm")

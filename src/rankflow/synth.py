@@ -114,27 +114,13 @@ def _offsets(words: np.ndarray, span) -> np.ndarray:
     For ``1 < span < 2**32`` numpy uses Lemire's method: it returns
     ``w * span >> 32`` unless the low 32 bits of ``w * span`` are below
     ``(2**32 - span) % span``. So a power-of-two span rejects no word, and a
-    span of 1 (which this does not cover) draws no word at all.
+    span of 1 draws no word at all: its row here is all 0 and not a draw.
     """
     span = np.asarray(span, dtype=np.uint64)
     m = words.astype(np.uint64) * span
     out = (m >> np.uint64(32)).astype(np.int64)
     out[(m & np.uint64(2**32 - 1)) < (2**32 - span) % span] = -1
     return out
-
-
-def _read_attempt(offsets, axes, q: int):
-    """The pixel offsets one attempt reads from word ``q`` on, skipping
-    rejected words, and the word after them; None if the words run out."""
-    at = [0, 0]
-    for d, a in zip(offsets, axes):
-        while q < len(d) and d[q] < 0:
-            q += 1
-        if q == len(d):
-            return None
-        at[a] = int(d[q])
-        q += 1
-    return at, q
 
 
 def _place_fixations(rng, box: BBox, others, cnt: int) -> list[tuple[int, int, int]]:
@@ -147,71 +133,55 @@ def _place_fixations(rng, box: BBox, others, cnt: int) -> list[tuple[int, int, i
     [b.x1, b.x2) exactly when it lies in [ceil b.x1, ceil b.x2), so one table
     of the box's free pixels replaces the test against every other box.
 
-    The draws come in blocks of raw 32-bit words that ``_offsets`` decodes.
-    An attempt reads one word per axis wider than one pixel (``k`` of them)
-    and a hit one more. A block is never longer than the fewest words the
-    loop can still take, ``k + 1`` per point left and ``k`` per attempt the
-    current point has left, so no word is drawn that the loop would not draw,
-    and the generator ends where the loop leaves it, also on GenerationFailure.
-    A box without a whole pixel fails at once, where the loop's first draw
-    raised numpy's ValueError.
+    The loop runs over raw 32-bit words drawn ahead and decoded by
+    ``_offsets``: an axis one pixel wide draws no word, and a rejected word
+    is skipped. Then the generator is rewound and draws exactly the words the
+    loop read, so it ends where the scalar loop leaves it, also on
+    GenerationFailure. A box without a whole pixel fails at once, where the
+    loop's first draw raised numpy's ValueError.
     """
+    if not cnt:
+        return []
     x1, x2, y1, y2 = (math.ceil(c) for c in (box.x1, box.x2, box.y1, box.y2))
-    if cnt and (x2 == x1 or y2 == y1):
+    w, h = x2 - x1, y2 - y1
+    if not w or not h:
         raise GenerationFailure("a box holds no whole pixel")
-    # 1 for a free pixel, 0 for a taken one; the offset -1 of a rejected
-    # word reads the extra last row or column, -1.
-    table = np.full((y2 - y1 + 1, x2 - x1 + 1), -1, dtype=np.int8)
-    free = table[:-1, :-1]
-    free[...] = 1
+    table = np.ones((h, w), dtype=np.uint8)
     for b in others:
         cols = slice(max(math.ceil(b.x1) - x1, 0), max(math.ceil(b.x2) - x1, 0))
-        free[max(math.ceil(b.y1) - y1, 0) : max(math.ceil(b.y2) - y1, 0), cols] = 0
-    size = (x2 - x1, y2 - y1)
-    axes = [a for a in (0, 1) if size[a] > 1]
-    k = len(axes)
-    spans = [[size[a]] for a in axes] + [[8]]  # the observer's last
-    rows, tries = [], 0
-    words = np.empty(0, dtype=np.uint32)  # the words of an attempt the last block left unfinished
+        table[max(math.ceil(b.y1) - y1, 0) : max(math.ceil(b.y2) - y1, 0), cols] = 0
+    free = table.tobytes()
+    spans = [[w], [h], [8]]
+    state = rng.bit_generator.state
+    us, vs, observers = _offsets(rng.integers(0, 2**32, 4 * cnt + 64, dtype=np.uint32), spans).tolist()
+    rows, tries, q = [], 0, 0  # q: the words read so far
     while len(rows) < cnt:
-        need = (cnt - len(rows)) * (k + 1)
-        if k:
-            need = min(need, (_MAX_BOX_ATTEMPTS - tries) * k)
-        elif not free[0, 0]:  # a one-pixel box: every attempt misses and draws nothing
-            raise GenerationFailure("could not place a fixation outside other boxes")
-        words = np.concatenate([words, rng.integers(0, 2**32, max(need - len(words), 1), dtype=np.uint32)])
-        n = len(words)
-        offsets = _offsets(words, spans)
-        observers = offsets[k].tolist()
-        # An attempt that starts at word j and meets no rejected word reads
-        # its i-th axis from word j + i: look up all of them at once. Its
-        # outcome is 1 for a free pixel, 0 for a taken one, -1 if not clean.
-        m = n - k + 1
-        start = np.zeros((2, m), dtype=np.int64)
-        for i, a in enumerate(axes):
-            start[a] = offsets[i, i : i + m]
-        outcome = table[start[1], start[0]].tolist()
-        su, sv = start.tolist()
-        p = 0
-        while p < n:
-            if p < m and outcome[p] >= 0:
-                du, dv, ok, q = su[p], sv[p], outcome[p], p + k
-            else:  # a rejected word on the way, or the block ends first
-                read = _read_attempt(offsets, axes, p)
-                if read is None:
-                    break
-                (du, dv), q = read
-                ok = free[dv, du]
-            if ok:
-                if q == n:
-                    break
+        start, du, dv = q, 0, 0
+        try:
+            if w > 1:
+                while us[q] < 0:
+                    q += 1
+                du, q = us[q], q + 1
+            if h > 1:
+                while vs[q] < 0:
+                    q += 1
+                dv, q = vs[q], q + 1
+            if free[dv * w + du]:
                 rows.append((x1 + du, y1 + dv, observers[q]))
-                p, tries = q + 1, 0
-            else:
-                p, tries = q, tries + 1
-                if tries == _MAX_BOX_ATTEMPTS:
-                    raise GenerationFailure("could not place a fixation outside other boxes")
-        words = words[p:]
+                q, tries = q + 1, 0
+                continue
+        except IndexError:  # the words ran out: draw as many again and redo the attempt
+            more = _offsets(rng.integers(0, 2**32, len(us), dtype=np.uint32), spans).tolist()
+            us, vs, observers = (d + extra for d, extra in zip((us, vs, observers), more))
+            q = start
+            continue
+        tries += 1
+        if tries == _MAX_BOX_ATTEMPTS:
+            break
+    rng.bit_generator.state = state
+    rng.integers(0, 2**32, q, dtype=np.uint32)
+    if len(rows) < cnt:
+        raise GenerationFailure("could not place a fixation outside other boxes")
     return rows
 
 

@@ -156,6 +156,14 @@ class TestUsageErrors:
         assert run("eval", "--pred", str(bad), "--gt", str(bad), "--out", str(tmp_path / "r.json")) == 2
         assert "bad.csv: line 2" in capsys.readouterr().err
 
+    def test_repeated_ranking_row(self, tmp_path, capsys):
+        gt, pred = tmp_path / "gt.csv", tmp_path / "pred.csv"
+        gt.write_text("scene_id,proposal_id,order\ns,1,1\ns,2,2\n")
+        pred.write_text("scene_id,proposal_id,order\ns,1,1\ns,2,2\ns,1,2\n")
+        assert run("eval", "--pred", str(pred), "--gt", str(gt), "--out", str(tmp_path / "r.json")) == 2
+        assert "pred.csv: line 4: proposal 1 of 's' ranked again" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_output_in_missing_directory(self, dataset, tmp_path, capsys):
         disc = ["gt-discrepancy", "--in", str(dataset / "raw"), "--out", str(tmp_path / "nodir" / "d.csv")]
         assert run(*disc) == 2
@@ -317,6 +325,19 @@ class TestPipelineStages:
         feats = list((pre / "features").glob("*.feat"))
         assert len(scenes) == 4 and len(feats) == 4
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_preprocess_writes_no_scene(self, tmp_path, capsys, jobs):
+        raw, pre = tmp_path / "raw", tmp_path / "pre"
+        assert run("synth", "--seed", "5", "--scenes", "6", "--fixations", "50", "--no-maps", "--out", str(raw)) == 0
+        path = raw / "scenes" / "scene_00003.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "width": "x"}))
+        assert run("preprocess", "--in", str(raw), "--out", str(pre), "--jobs", jobs) == 2
+        assert "scene_00003.json" in capsys.readouterr().err
+        assert list(pre.iterdir()) == []  # no scene, .feat or staging file
+        path.write_text(json.dumps({**json.loads(path.read_text()), "width": 640}))
+        assert run("preprocess", "--in", str(raw), "--out", str(pre), "--jobs", jobs) == 0
+        assert sorted(p.name for p in pre.iterdir()) == ["features", "provenance.json", "scenes"]
+
     def test_gt_gen_methods_agree_with_synth_gt(self, dataset):
         out = dataset / "gt_rasrgt.csv"
         assert run("gt-gen", "--method", "rasrgt", "--in", str(dataset / "raw"), "--out", str(out)) == 0
@@ -442,6 +463,16 @@ class TestPipelineStages:
             assert np.array_equal(x, x0)
             assert labels == labels0
             assert mask == mask0
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("stage", [["gt-gen", "--method", "mapmax"], ["map-rank"]], ids=["gt-gen", "map-rank"])
+    def test_scenes_without_maps(self, tmp_path, capsys, stage, jobs):
+        raw, out = tmp_path / "raw", tmp_path / "out.csv"
+        assert run("synth", "--seed", "5", "--scenes", "2", "--fixations", "50", "--no-maps", "--out", str(raw)) == 0
+        assert run(*stage, "--in", str(raw), "--out", str(out), "--jobs", jobs) == 2
+        err = capsys.readouterr().err
+        assert "scene_00000.json: no fixation_map_path" in err
+        assert not out.exists()
 
     def test_map_rank(self, dataset):
         out = dataset / "map_pred.csv"

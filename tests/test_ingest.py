@@ -163,6 +163,12 @@ class TestRankingCsv:
         with pytest.raises(InvariantViolation, match=r"r\.csv: line 3"):
             parse_ranking(path)
 
+    def test_repeated_proposal_names_file_and_line(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("scene_id,proposal_id,order\ns,1,1\nt,1,0\ns,1,2\n")
+        with pytest.raises(InvariantViolation, match=r"r\.csv: line 4: proposal 1 of 's' ranked again"):
+            parse_ranking(path)
+
     def test_sorted_rows(self, tmp_path):
         path = tmp_path / "r.csv"
         write_ranking([("s", Ranking({7: 1, 3: 0}))], path)

@@ -260,10 +260,27 @@ class TestPlaceFixations:
         counter = np.random.default_rng([13, 0]).integers(0, 2**32, 4000, dtype=np.uint32)
         assert (_offsets(counter, int(length)) < 0).sum() > 2
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mostly_taken_box_outruns_the_words_drawn_ahead(self, seed, monkeypatch):
+        # 90 % of the box is taken, so a point takes about ten attempts and
+        # the words drawn ahead (four per point) run out several times.
+        decoded = []
+        monkeypatch.setattr(rankflow.synth, "_offsets", lambda *a: decoded.append(a) or _offsets(*a))
+        box = BBox(0.0, 0.5, 100.0, 100.5)
+        others = [BBox(0.0, 0.0, 95.0, 95.2), BBox(99.0, 99.0, 120.0, 120.0)]
+        a = np.random.default_rng([31, seed])
+        b = np.random.default_rng([31, seed])
+        a.integers(0, 5)
+        b.integers(0, 5)
+        expected = _place_fixations_reference(a, box, others, 300)
+        assert _place_fixations(b, box, others, 300) == expected
+        assert a.bit_generator.state == b.bit_generator.state
+        assert len(decoded) >= 3
+
     @pytest.mark.parametrize("seed", range(6))
     def test_streams_dense_with_rejected_words(self, seed):
         # A third of the words are ones numpy rejects for a span of 641, so
-        # rejections fall on u, v and observer words and across block ends.
+        # rejections fall on u, v and observer words, often several in a row.
         meta = np.random.default_rng([29, seed])
         words = meta.integers(0, 2**32, 624, dtype=np.uint32).tolist()
         for i in np.flatnonzero(meta.random(624) < 1 / 3):
@@ -494,6 +511,12 @@ _SCENE_DIGESTS = {
     "sigma_2.5": (
         replace(_SMALL, splat_sigma=2.5),
         "fe7b75fbeef09a91ae918363b2b62d8338b38b8ce5f72ea8a95d063cf9b363cd",
+    ),
+    # Twenty overlapping boxes in a small image: most boxes are largely
+    # taken by others, so placement often misses.
+    "dense_boxes": (
+        replace(_SMALL, objects_min=20, objects_max=20, iou_cap=0.6, fixations_per_scene=500),
+        "80adbce838e28132c9f20356f5c543a4d6ad48e2c4890ded5d9a3b906f4b7cec",
     ),
     # Dense recipes: the benchmark's cli-flow scenes and criterion 7's.
     "cli_flow": (
