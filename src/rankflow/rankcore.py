@@ -21,7 +21,6 @@ from .errors import CoverageViolation, InvalidWindow, ShapeMismatch
 
 DEFAULT_WINDOW = 5
 MAX_WINDOW = 7  # 5,040 permutations per assignment
-_DUMMY_COST = 1.0e6
 
 
 @dataclass(frozen=True)
@@ -87,8 +86,10 @@ def exclusive_classify(scores: np.ndarray, dummy_mask) -> np.ndarray:
     scores: one W x (W+1) matrix or a (..., W, W+1) stack of them, with a
     dummy mask of the same leading shape; returns int labels of that shape.
     Rank columns are classes 1..W; class 0 overrides a row's assigned rank
-    when the row prefers non-salient.  Dummy rows get a flat large cost so
-    they never displace real rows, and are forced to label 0.
+    when the row prefers non-salient.  Dummy rows cost 0 in every column:
+    a flat row adds the same to every permutation, so it never displaces
+    real rows nor widens the assignment's tie tolerance.  Dummy rows are
+    forced to label 0.
     """
     scores = np.asarray(scores, dtype=float)
     w, c = scores.shape[-2:]
@@ -99,7 +100,7 @@ def exclusive_classify(scores: np.ndarray, dummy_mask) -> np.ndarray:
         raise ShapeMismatch(f"dummy mask shape {dummy.shape} != score rows {scores.shape[:-1]}")
     p = softmax(scores)
     neglog = -np.log(np.maximum(p, 1e-300))
-    cost = np.where(dummy[..., None], _DUMMY_COST, neglog[..., 1:])
+    cost = np.where(dummy[..., None], 0.0, neglog[..., 1:])
     rank = np.asarray(hungarian(cost), dtype=np.intp) + 1
     p_rank = np.take_along_axis(p, rank[..., None], axis=-1)[..., 0]
     return np.where(dummy | (p[..., 0] > p_rank), 0, rank)

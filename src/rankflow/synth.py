@@ -106,83 +106,28 @@ def _salient_shares(cfg: SynthConfig, penalties: np.ndarray, rng) -> np.ndarray:
     return base + extra  # still descending with adjacent gaps >= gap
 
 
-def _offsets(words: np.ndarray, span) -> np.ndarray:
-    """What ``rng.integers(0, span)`` makes of each raw 32-bit word, or -1
-    where it rejects the word and takes the next one; ``span`` may be a
-    column of spans, one output row each.
+def _place_fixations(rng, box: BBox, others, cnt: int) -> np.ndarray:
+    """``cnt`` (u, v, observer) rows: each pixel drawn uniformly from the
+    whole pixels of ``box`` that no box in ``others`` covers, each observer
+    uniformly from 0..7. ``cnt == 0`` gives no rows and draws nothing.
 
-    For ``1 < span < 2**32`` numpy uses Lemire's method: it returns
-    ``w * span >> 32`` unless the low 32 bits of ``w * span`` are below
-    ``(2**32 - span) % span``. So a power-of-two span rejects no word, and a
-    span of 1 draws no word at all: its row here is all 0 and not a draw.
-    """
-    span = np.asarray(span, dtype=np.uint64)
-    m = words.astype(np.uint64) * span
-    out = (m >> np.uint64(32)).astype(np.int64)
-    out[(m & np.uint64(2**32 - 1)) < (2**32 - span) % span] = -1
-    return out
-
-
-def _place_fixations(rng, box: BBox, others, cnt: int) -> list[tuple[int, int, int]]:
-    """``cnt`` (u, v, observer) rows inside ``box`` and outside every box in
-    ``others``, each point redrawn up to _MAX_BOX_ATTEMPTS times.
-
-    The rows and the generator's final state are those of the scalar loop:
-    ``u = rng.integers(x1, x2)``, ``v = rng.integers(y1, y2)`` until the pixel
-    is free, then ``observer = rng.integers(0, 8)``. An integer u lies in
-    [b.x1, b.x2) exactly when it lies in [ceil b.x1, ceil b.x2), so one table
-    of the box's free pixels replaces the test against every other box.
-
-    The loop runs over raw 32-bit words drawn ahead and decoded by
-    ``_offsets``: an axis one pixel wide draws no word, and a rejected word
-    is skipped. Then the generator is rewound and draws exactly the words the
-    loop read, so it ends where the scalar loop leaves it, also on
-    GenerationFailure. A box without a whole pixel fails at once, where the
-    loop's first draw raised numpy's ValueError.
+    An integer u lies in [b.x1, b.x2) exactly when it lies in
+    [ceil b.x1, ceil b.x2), so one table of the box's free pixels replaces
+    the test against every other box.
     """
     if not cnt:
-        return []
+        return np.zeros((0, 3), dtype=np.int64)
     x1, x2, y1, y2 = (math.ceil(c) for c in (box.x1, box.x2, box.y1, box.y2))
-    w, h = x2 - x1, y2 - y1
-    if not w or not h:
-        raise GenerationFailure("a box holds no whole pixel")
-    table = np.ones((h, w), dtype=np.uint8)
+    w = x2 - x1
+    table = np.ones((y2 - y1, w), dtype=bool)
     for b in others:
         cols = slice(max(math.ceil(b.x1) - x1, 0), max(math.ceil(b.x2) - x1, 0))
-        table[max(math.ceil(b.y1) - y1, 0) : max(math.ceil(b.y2) - y1, 0), cols] = 0
-    free = table.tobytes()
-    spans = [[w], [h], [8]]
-    state = rng.bit_generator.state
-    us, vs, observers = _offsets(rng.integers(0, 2**32, 4 * cnt + 64, dtype=np.uint32), spans).tolist()
-    rows, tries, q = [], 0, 0  # q: the words read so far
-    while len(rows) < cnt:
-        start, du, dv = q, 0, 0
-        try:
-            if w > 1:
-                while us[q] < 0:
-                    q += 1
-                du, q = us[q], q + 1
-            if h > 1:
-                while vs[q] < 0:
-                    q += 1
-                dv, q = vs[q], q + 1
-            if free[dv * w + du]:
-                rows.append((x1 + du, y1 + dv, observers[q]))
-                q, tries = q + 1, 0
-                continue
-        except IndexError:  # the words ran out: draw as many again and redo the attempt
-            more = _offsets(rng.integers(0, 2**32, len(us), dtype=np.uint32), spans).tolist()
-            us, vs, observers = (d + extra for d, extra in zip((us, vs, observers), more))
-            q = start
-            continue
-        tries += 1
-        if tries == _MAX_BOX_ATTEMPTS:
-            break
-    rng.bit_generator.state = state
-    rng.integers(0, 2**32, q, dtype=np.uint32)
-    if len(rows) < cnt:
-        raise GenerationFailure("could not place a fixation outside other boxes")
-    return rows
+        table[max(math.ceil(b.y1) - y1, 0) : max(math.ceil(b.y2) - y1, 0), cols] = False
+    free = np.flatnonzero(table)
+    if not free.size:
+        raise GenerationFailure("a box holds no whole pixel outside the other boxes")
+    pick = free[rng.integers(0, free.size, cnt)]
+    return np.column_stack([x1 + pick % w, y1 + pick // w, rng.integers(0, 8, cnt)])
 
 
 # numpy's bundled OpenBLAS runs a matrix product on one thread when m * n * k
@@ -223,14 +168,6 @@ def _padded(n: int, m: int, r: int) -> np.ndarray:
     return np.zeros((-(-n // b) * b + 2 * r, -(-max(m, 1) // c) * c))
 
 
-def _reflect(padded: np.ndarray, n: int, r: int) -> None:
-    """Fill the ``r`` pad rows either side of the ``n`` rows at
-    ``padded[r : n + r]`` as scipy.ndimage's ``reflect`` boundary reads them."""
-    fold = _fold(n, r) + r
-    padded[:r] = padded[fold[:r]]
-    padded[n + r : n + 2 * r] = padded[fold[n + r :]]
-
-
 def _correlate_rows(padded: np.ndarray, weights: np.ndarray, n: int, m: int) -> np.ndarray:
     """``weights`` correlated down the rows of a ``_padded`` buffer with the
     ``reflect`` boundary; the result is the ``[:n, :m]`` corner.
@@ -240,7 +177,9 @@ def _correlate_rows(padded: np.ndarray, weights: np.ndarray, n: int, m: int) -> 
     squared, and no product is large enough for OpenBLAS to start threads.
     """
     r = len(weights) // 2
-    _reflect(padded, n, r)
+    fold = _fold(n, r) + r  # fill the pad rows as the ``reflect`` boundary reads them
+    padded[:r] = padded[fold[:r]]
+    padded[n + r : n + 2 * r] = padded[fold[n + r :]]
     b, c = _blocks(n, m, r)
     band = np.zeros((b, b + 2 * r))
     band[np.arange(b)[:, None], np.arange(b)[:, None] + np.arange(2 * r + 1)] = weights
@@ -250,22 +189,9 @@ def _correlate_rows(padded: np.ndarray, weights: np.ndarray, n: int, m: int) -> 
     return out
 
 
-def _correlate_scipy(padded: np.ndarray, weights: np.ndarray, n: int, m: int) -> np.ndarray:
-    """``_correlate_rows`` summed as scipy's ``correlate1d`` sums a symmetric
-    kernel: the centre tap, then each pair of taps from the outside in, as
-    ``acc += (left + right) * weight``. The same operations in the same order
-    give scipy's bits; numpy only runs each across all the lines at once."""
-    r = len(weights) // 2
-    _reflect(padded, n, r)
-    out = padded[r : n + r, :m] * weights[r]
-    for j in range(r, 0, -1):
-        out += (padded[r - j : n + r - j, :m] + padded[r + j : n + r + j, :m]) * weights[r + j]
-    return out
-
-
-def _blur(cfg: SynthConfig, fixations: np.ndarray, weights: np.ndarray, correlate) -> np.ndarray:
-    """The fixation counts through ``gaussian_filter``'s two passes, each done
-    by ``correlate``; the result is transposed, ``(width, height)``.
+def _blur(cfg: SynthConfig, fixations: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The fixation counts through ``gaussian_filter``'s two passes; the
+    result is transposed, ``(width, height)``.
 
     Each line is filtered on its own, so the first pass runs only on the
     columns that hold a fixation: the others are zero and stay zero. The
@@ -277,42 +203,29 @@ def _blur(cfg: SynthConfig, fixations: np.ndarray, weights: np.ndarray, correlat
     # Each buffer is dropped as soon as it is spent, to keep the peak low.
     padded = _padded(h, len(cols), r)
     np.add.at(padded, (fixations[:, 1] + r, col_of), 1.0)
-    down = correlate(padded, weights, h, len(cols))
+    down = _correlate_rows(padded, weights, h, len(cols))
     del padded
     padded = _padded(w, h, r)  # row r + x holds column x
     padded[cols + r, :h] = down[:h, : len(cols)].T
     del down
-    return correlate(padded, weights, w, h)[:w, :h]
+    return _correlate_rows(padded, weights, w, h)[:w, :h]
 
 
 def _render_map(cfg: SynthConfig, fixations: np.ndarray) -> bytes:
-    """Counts blurred as by scipy's ``gaussian_filter(counts, splat_sigma)``,
-    scaled to 0..255, byte for byte.
+    """Counts blurred as by scipy's ``gaussian_filter(counts, splat_sigma)``
+    (the taps of ``_gaussian_weights``, one pass per axis, ``reflect``
+    boundary), scaled so the peak is 255 and rounded.
 
-    That filter is one 1-D pass per axis with the taps of
-    ``_gaussian_weights`` and the ``reflect`` boundary. ``_correlate_rows``
-    takes those sums in another order than scipy. Every term is
-    non-negative, so each of its two passes is within a relative
-    ``2 (2r + 2) 2**-53`` of the exact blur, and its scaled values, peak
-    included, are within an eighth of ``tie`` of scipy's. Only a value that
-    close to a rounding tie (``k + 0.5``) can round differently; if any is,
-    the map is blurred again by ``_correlate_scipy``, in scipy's own order.
-    That pass alone would cost a 640x480 map about what scipy's does, near
-    three times the block products, so it runs only then.
+    The block products sum in another order than scipy, so a value within a
+    few ulps of a rounding tie (``k + 0.5``) may round the other way: a map
+    is within one gray level of scipy's, and equal to it elsewhere.
     """
-    weights = _gaussian_weights(cfg.splat_sigma)
-    tie = 255.0 * (len(weights) // 2 + 1) * 2.0**-46
-    for correlate in (_correlate_rows, _correlate_scipy):
-        grid = _blur(cfg, fixations, weights, correlate)
-        peak = grid.max()
-        if peak > 0:
-            grid /= peak
-            grid *= 255.0
-        out = np.round(grid)
-        grid -= out
-        if np.abs(grid, out=grid).max() <= 0.5 - tie:
-            break
-    return out.astype(np.uint8).T.tobytes()
+    grid = _blur(cfg, fixations, _gaussian_weights(cfg.splat_sigma))
+    peak = grid.max()
+    if peak > 0:
+        grid /= peak
+        grid *= 255.0
+    return np.round(grid).astype(np.uint8).T.tobytes()
 
 
 def generate_scene(cfg: SynthConfig, scene_index: int):
@@ -355,10 +268,9 @@ def _generate_once(cfg: SynthConfig, scene_index: int, rng):
         counts = rng.multinomial(n_target, weights[salient_idx] / weights[salient_idx].sum())
         for i, cnt in zip(salient_idx, counts):
             others = [boxes[j] for j in range(n) if j != i]
-            fixations += _place_fixations(rng, boxes[i], others, cnt)
-    # Same stream as n_noise rounds of scalar u, v and observer draws.
-    noise = rng.integers((0, 0, 0), (cfg.width, cfg.height, 8), size=(n_noise, 3))
-    fixations = np.concatenate([np.array(fixations, dtype=np.int64).reshape(-1, 3), noise])
+            fixations.append(_place_fixations(rng, boxes[i], others, cnt))
+    fixations.append(rng.integers((0, 0, 0), (cfg.width, cfg.height, 8), size=(n_noise, 3)))
+    fixations = np.concatenate(fixations)
 
     fixation_map = None
     if cfg.render_maps:

@@ -1,0 +1,67 @@
+"""The names the benchmark harness reaches into ``rankflow`` for.
+
+``benchmarks/`` is run against each commit as it stands, so a function it
+traces or calls that is renamed or deleted in ``src/`` breaks its runs with
+an ``AttributeError``; these tests catch that here.
+"""
+import ast
+import importlib
+from pathlib import Path
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def _resolves(module: str, name: str) -> bool:
+    return hasattr(importlib.import_module(f"rankflow.{module}"), name)
+
+
+def _code_trees(tree: ast.AST):
+    """``tree``, and every string constant in it that is Python code itself,
+    such as the one-liners the harness runs with ``python -c``."""
+    yield tree
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                yield ast.parse(node.value)
+            except SyntaxError:
+                pass
+
+
+def _workload_names() -> set[tuple[str, str]]:
+    """Every (module, name) of ``rankflow`` that ``benchmarks/workloads.py``
+    imports or reads as an attribute of a module it imported."""
+    names, aliases = set(), {}
+    trees = list(_code_trees(ast.parse((BENCHMARKS / "workloads.py").read_text())))
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "rankflow":
+                aliases.update({a.asname or a.name: a.name for a in node.names})
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("rankflow."):
+                names.update((node.module.split(".", 1)[1], a.name) for a in node.names)
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+                names.add((aliases[node.value.id], node.attr))
+    return names
+
+
+def test_traced_functions_exist(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    targets = importlib.import_module("tracing").TARGETS
+    assert ("synth", "generate_scene") in targets
+    assert [t for t in targets if not _resolves(*t)] == []
+
+
+def test_workload_names_exist():
+    names = _workload_names()
+    for expected in (
+        ("synth", "generate_scene"),
+        ("rankcore", "acb_sequences"),
+        ("scorer", "window_gt_labels"),
+        ("scorer", "oracle_scorer"),
+        ("cli", "main"),
+        ("domain", "Ranking"),
+    ):
+        assert expected in names
+    assert sorted(n for n in names if not _resolves(*n)) == []
+

@@ -194,6 +194,17 @@ class TestExclusiveClassify:
         out = exclusive_classify(logits, [False, False, False, True, True])
         assert out[3] == 0 and out[4] == 0
 
+    def test_dummy_row_leaves_the_real_rows_optimal(self):
+        # The real rows' optimum gives row 1 rank 1 and is 5e-4 below the
+        # lexicographically first permutation, which gives it rank 2; a dummy
+        # row must not widen the tie tolerance enough to take the latter.
+        cost = np.full((5, 5), 5.0)
+        cost[1, :2] = [0.0, 0.0005]
+        cost[2, 2] = cost[3, 3] = cost[4, 4] = 0.0
+        logits = np.column_stack([np.full(5, -20.0), -cost])
+        out = exclusive_classify(logits, [True, False, False, False, False])
+        assert out.tolist() == [0, 1, 3, 4, 5]
+
     def test_shape_check(self):
         with pytest.raises(ShapeMismatch):
             exclusive_classify(np.zeros((5, 5)), [False] * 5)
