@@ -178,8 +178,44 @@ def _check_rows(rows, cnt, free) -> None:
     assert ((rows[:, 2] >= 0) & (rows[:, 2] < 8)).all()
 
 
+def _place_fixations_reference(rng, box, others, cnt):
+    """The placement law as a scalar loop: each pixel is the k-th free pixel
+    in row-major order, k drawn from 0..n_free-1, then one observer per row."""
+    free = sorted(_free_pixels(box, others), key=lambda p: (p[1], p[0]))
+    picks = [free[int(rng.integers(0, len(free)))] for _ in range(cnt)]
+    return [[u, v, int(rng.integers(0, 8))] for u, v in picks]
+
+
+def _untemper(y: int) -> int:
+    """The MT19937 key word that its output tempering turns into ``y``."""
+    y ^= y >> 18
+    y ^= (y << 15) & 0xEFC60000
+    t = y
+    for _ in range(4):
+        t = y ^ ((t << 7) & 0x9D2C5680)
+    y = t & 0xFFFFFFFF
+    t = y
+    for _ in range(2):
+        t = y ^ (t >> 11)
+    return t & 0xFFFFFFFF
+
+
+def _word_stream(words) -> np.random.Generator:
+    """A generator whose next 32-bit draws are ``words`` (at most 624):
+    MT19937 emits its key words one by one through the tempering."""
+    key = [_untemper(int(w)) for w in words] + [0] * (624 - len(words))
+    bits = np.random.MT19937(0)
+    bits.state = {"bit_generator": "MT19937", "state": {"key": np.array(key, dtype=np.uint32), "pos": 0}}
+    return np.random.Generator(bits)
+
+
+def _word_with_low_bits(low: int, span: int) -> int:
+    """The word w with (w * span) % 2**32 == low, for an odd span."""
+    return low * pow(span, -1, 2**32) % 2**32
+
+
 class TestPlaceFixations:
-    def test_rows_lie_on_free_pixels(self):
+    def test_matches_scalar_loop_and_stream(self):
         meta = np.random.default_rng(2024)
         failures = 0
         for case in range(400):
@@ -189,14 +225,68 @@ class TestPlaceFixations:
                 others.append(BBox(max(box.x1 - 1.0, 0.0), max(box.y1 - 0.5, 0.0), box.x2 + 0.5, box.y2 + 1.0))
             cnt = int(meta.integers(1, 30))
             free = _free_pixels(box, others)
-            rng = np.random.default_rng([7, case])
+            a = np.random.default_rng([7, case])
+            b = np.random.default_rng([7, case])
             if not free:
                 with pytest.raises(GenerationFailure):
-                    _place_fixations(rng, box, others, cnt)
+                    _place_fixations(b, box, others, cnt)
                 failures += 1
-                continue
-            _check_rows(_place_fixations(rng, box, others, cnt), cnt, free)
+            else:
+                rows = _place_fixations(b, box, others, cnt)
+                _check_rows(rows, cnt, free)
+                assert rows.tolist() == _place_fixations_reference(a, box, others, cnt)
+                assert a.bit_generator.state == b.bit_generator.state
         assert 40 <= failures < 400
+
+    def test_noise_rows_match_scalar_draws(self):
+        for n, (w, h) in ((0, (640, 480)), (1, (7, 5)), (250, (640, 480)), (33, (1, 1))):
+            a = np.random.default_rng([3, n])
+            b = np.random.default_rng([3, n])
+            a.integers(0, 5)  # leave half of a 64-bit draw buffered
+            b.integers(0, 5)
+            rows = [[int(a.integers(0, w)), int(a.integers(0, h)), int(a.integers(0, 8))] for _ in range(n)]
+            batched = b.integers((0, 0, 0), (w, h, 8), size=(n, 3))
+            assert batched.tolist() == rows
+            assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("wide", [True, False], ids=["wide", "tall"])
+    def test_frequently_rejected_words(self, wide):
+        # The free pixels form one line of 6,700,417; as 2**32 + 1 = 641 *
+        # 6,700,417, numpy's bounded draw over that many rejects about one
+        # 32-bit word in 641, where spans of real boxes almost never do.
+        length = 6_700_417
+        box = BBox(0.0, 0.0, length, 3.0) if wide else BBox(0.0, 0.0, 3.0, length)
+        others = [BBox(0.0, 0.0, length, 2.0) if wide else BBox(0.0, 0.0, 2.0, length)]
+        for seed in range(4):
+            a = np.random.default_rng([13, seed])
+            b = np.random.default_rng([13, seed])
+            picks = [int(a.integers(0, length)) for _ in range(1500)]
+            observers = [int(a.integers(0, 8)) for _ in range(1500)]
+            expected = [[k, 2, o] if wide else [2, k, o] for k, o in zip(picks, observers)]
+            assert _place_fixations(b, box, others, 1500).tolist() == expected
+            assert a.bit_generator.state == b.bit_generator.state
+        words = np.random.default_rng([13, 0]).integers(0, 2**32, 4000, dtype=np.uint32).astype(np.uint64)
+        assert ((words * length) % 2**32 < length - 1).sum() > 2  # words numpy rejects
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_streams_dense_with_rejected_words(self, seed):
+        # 641 free pixels, and a third of the words are ones numpy's bounded
+        # draw rejects for a span of 641, often several in a row.
+        meta = np.random.default_rng([29, seed])
+        words = meta.integers(0, 2**32, 624, dtype=np.uint32).tolist()
+        for i in np.flatnonzero(meta.random(624) < 1 / 3):
+            words[i] = _word_with_low_bits(int(meta.integers(0, 640)), 641)
+        if seed % 2:
+            box, others = BBox(0.0, 0.0, 641.0, 641.0), [BBox(0.0, 0.0, 641.0, 300.0), BBox(0.0, 299.5, 641.0, 640.0)]
+        else:
+            box, others = BBox(0.5, 0.0, 641.5, 1.0), []
+        assert len(_free_pixels(box, others)) == 641
+        cnt = int(meta.integers(1, 120))
+        a, b = _word_stream(words), _word_stream(words)
+        expected = _place_fixations_reference(a, box, others, cnt)
+        assert _place_fixations(b, box, others, cnt).tolist() == expected
+        assert a.bit_generator.state["state"]["pos"] == b.bit_generator.state["state"]["pos"]
+        assert b.bit_generator.state["state"]["pos"] > 2 * cnt  # rejected words were skipped
 
     def test_uniform_over_free_pixels(self):
         # An L-shaped free region: the box holds pixels 1..4 on each axis,
