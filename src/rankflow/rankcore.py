@@ -51,9 +51,11 @@ def hungarian(cost) -> list:
     (..., k, k) stack, by a scan over every permutation.
 
     Per matrix, returns the lexicographically first permutation whose total
-    lies within a relative 1e-9 of the minimum, so near-ties (float rounding,
-    or a 1e6 dummy row) resolve to the same answer every time.  The result is
-    a list, nested like the stack.
+    lies within a relative 1e-9 of the minimum, so near-ties from float
+    rounding resolve to the same answer every time.  The tolerance scales
+    with the minimum total, so a large flat row (say 1e6 in every column)
+    widens it to ~1e-3; exclusive_classify's dummy rows cost 0 and do not.
+    The result is a list, nested like the stack.
     """
     try:
         cost = np.array(cost, dtype=float)

@@ -7,7 +7,6 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -18,6 +17,7 @@ from .rankcore import softmax
 
 MODEL_MAGIC = b"RFM1"
 ORACLE_PEAK = 10.0
+BATCH = 16  # windows per SGD step
 
 
 @dataclass
@@ -47,10 +47,10 @@ def _flat_model(d_in: int, h: int, c: int) -> tuple[np.ndarray, ScorerModel]:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    lr: float = 0.001
+    lr: float = 0.03
     momentum: float = 0.9
     weight_decay: float = 1e-4
-    lr_decay_every: int = 10
+    lr_decay_every: int = 20
     lr_decay_factor: float = 0.1
     alpha: float = 1.0
     margin: float = 0.0
@@ -128,69 +128,26 @@ def make_scorer(model: ScorerModel):
     return score
 
 
-class _Window(NamedTuple):
-    """One training window with everything that depends only on its labels."""
-
-    inputs: np.ndarray  # W x d_in
-    hot: np.ndarray  # W x C bool one-hot CE targets, all False on dummy rows
-    keep: np.ndarray  # W x 1, 1.0 on valid rows and 0.0 on dummies
-    nv: int  # valid rows, or 1 when there are none (all terms are then 0)
-    pairs: np.ndarray  # W x W bool: both valid and salient, label[i] < label[j]
-
-
-def _prepare(inputs, gt_labels, dummy_mask, n_classes: int) -> _Window:
-    inputs = np.asarray(inputs, dtype=float)
-    w = inputs.shape[0]
-    labels = np.asarray(list(gt_labels), dtype=int)
-    valid = np.ones(w, bool) if dummy_mask is None else ~np.asarray(dummy_mask, dtype=bool)
-    if labels.shape != (w,) or valid.shape != (w,):
-        raise ShapeMismatch(f"{labels.size} labels and {valid.size} dummy flags for {w} rows")
+def _targets(gt_labels, dummy_mask, rows: tuple, n_classes: int):
+    """Labels and valid-row flags as arrays of the inputs' row shape (W,) or
+    (B, W); dummy_mask None means every row is real."""
+    try:
+        labels = np.asarray(gt_labels, dtype=int)
+        valid = np.ones(rows, bool) if dummy_mask is None else ~np.asarray(dummy_mask, dtype=bool)
+    except ValueError:  # ragged rows
+        raise ShapeMismatch(f"labels and dummy flags must each have shape {rows}") from None
+    if labels.shape != rows or valid.shape != rows:
+        raise ShapeMismatch(f"{labels.shape} labels and {valid.shape} dummy flags for {rows} rows")
     if np.any((labels < 0) | (labels >= n_classes)):
-        raise ShapeMismatch(f"labels {labels.tolist()} outside 0..{n_classes - 1}")
-    hot = (labels[:, None] == np.arange(n_classes)) & valid[:, None]
-    salient = valid & (labels > 0)
-    pairs = salient[:, None] & salient[None, :] & (labels[:, None] < labels[None, :])
-    return _Window(inputs, hot, valid[:, None].astype(float), max(int(valid.sum()), 1), pairs)
+        raise ShapeMismatch(f"labels outside 0..{n_classes - 1}")
+    return labels, valid
 
 
-def _step(model: ScorerModel, grads: ScorerModel, win: _Window, alpha: float, margin: float) -> float:
-    """Loss of one prepared window; its parameter grads are written into grads.
-
-    The CE terms and the positive hinges are added one at a time, in row-major
-    order, as Python floats: np.sum adds 8 or more terms pairwise, in another
-    order. Loss and grads thus equal the per-row, per-pair loop form's bit for
-    bit (tests/test_scorer.py keeps that form as the reference).
-    """
-    hidden = np.maximum(0.0, win.inputs @ model.w1 + model.b1)
-    p = softmax(hidden @ model.w2 + model.b2)
-    loss = 0.0
-    for log_p in np.log(np.maximum(p[win.hot], 1e-300)).tolist():
-        loss -= log_p
-    loss /= win.nv
-    dlogits = (p * win.keep - win.hot) / win.nv
-
-    class_idx = np.arange(p.shape[1])
-    y_hat = p @ class_idx
-    hinge = -(y_hat[None, :] - y_hat[:, None]) + margin
-    hit = win.pairs & (hinge > 0)
-    positive = hinge[hit].tolist()
-    if positive:
-        rank_loss = 0.0
-        for term in positive:
-            rank_loss += term
-        loss += alpha * rank_loss
-        # Each positive hinge (i, j) pushes y_hat[i] up and y_hat[j] down.
-        grad_y = hit.sum(axis=1) - hit.sum(axis=0)
-        # d(y_hat)/d(logit_k) = p_k * (k - y_hat)
-        dlogits += alpha * grad_y[:, None] * p * (class_idx[None, :] - y_hat[:, None])
-
-    np.matmul(hidden.T, dlogits, out=grads.w2)
-    dlogits.sum(axis=0, out=grads.b2)
-    dhidden = dlogits @ model.w2.T
-    dhidden[hidden <= 0] = 0.0
-    np.matmul(win.inputs.T, dhidden, out=grads.w1)
-    dhidden.sum(axis=0, out=grads.b1)
-    return loss
+def _window_sums(terms: np.ndarray) -> np.ndarray:
+    """Per-window sums of (..., W, K) terms, added one at a time in row-major
+    order as the per-row, per-pair loop form adds them (np.sum adds 8 or more
+    terms pairwise), so one window's loss matches that form bit for bit."""
+    return np.cumsum(terms.reshape(terms.shape[:-2] + (-1,)), axis=-1)[..., -1]
 
 
 def loss_and_grad(
@@ -200,15 +157,44 @@ def loss_and_grad(
     cfg: TrainConfig,
     dummy_mask=None,
 ):
-    """Total loss (CE + alpha * margin ranking) and analytic parameter grads.
+    """Loss (CE + alpha * margin ranking) and analytic parameter grads of one
+    window (W x d_in inputs, W labels and dummy flags) or the mean over a
+    batch of them ((B, W, d_in) inputs, (B, W) labels and flags).
 
     Dummy rows are masked out of both terms.  The ranking term compares
     expected class indices of salient pairs: the lower-ranked (less salient)
     member's expectation should exceed the higher-ranked one's by the margin.
     """
-    _, grads = _flat_model(*model.dims)
-    win = _prepare(inputs, gt_labels, dummy_mask, model.dims[2])
-    return _step(model, grads, win, cfg.alpha, cfg.margin), grads
+    inputs = np.asarray(inputs, dtype=float)
+    d_in, _, c = model.dims
+    labels, valid = _targets(gt_labels, dummy_mask, inputs.shape[:-1], c)
+    x = inputs.reshape(-1, d_in)
+    hidden = np.maximum(0.0, x @ model.w1 + model.b1)
+    p2 = softmax(hidden @ model.w2 + model.b2)
+    p = p2.reshape(labels.shape + (c,))
+    class_idx = np.arange(c)
+    hot = (labels[..., None] == class_idx) & valid[..., None]
+    nv = np.maximum(valid.sum(axis=-1), 1)
+    log_p = np.where(hot, np.log(np.maximum(p, 1e-300)), 0.0)
+    loss = -_window_sums(log_p) / nv
+    dlogits = (p * valid[..., None] - hot) / nv[..., None, None]
+
+    y_hat = (p2 @ class_idx).reshape(labels.shape)
+    hinge = y_hat[..., :, None] - y_hat[..., None, :] + cfg.margin
+    # Ordered salient pairs (i, j): label[i] < label[j], both real and salient.
+    salient = np.where(valid, labels, 0)
+    hit = (salient[..., :, None] > 0) & (salient[..., :, None] < salient[..., None, :]) & (hinge > 0)
+    loss += cfg.alpha * _window_sums(np.where(hit, hinge, 0.0))
+    # Each positive hinge (i, j) pushes y_hat[i] up and y_hat[j] down;
+    # d(y_hat)/d(logit_k) = p_k * (k - y_hat).
+    grad_y = hit.sum(axis=-1) - hit.sum(axis=-2)
+    dlogits += cfg.alpha * grad_y[..., None] * p * (class_idx - y_hat[..., None])
+
+    batch = loss.size
+    dlogits = dlogits.reshape(-1, c) / batch
+    dhidden = np.where(hidden > 0, dlogits @ model.w2.T, 0.0)
+    grads = ScorerModel(x.T @ dhidden, dhidden.sum(axis=0), hidden.T @ dlogits, dlogits.sum(axis=0))
+    return float(loss.sum()) / batch, grads
 
 
 @dataclass
@@ -218,38 +204,49 @@ class TrainResult:
 
 
 def train(dataset, cfg: TrainConfig) -> TrainResult:
-    """SGD with momentum and weight decay over shuffled windows.
+    """Minibatch SGD with momentum and weight decay over shuffled windows.
 
     dataset: sequence of (inputs W x d_in, gt_labels, dummy_mask) samples.
-    Each window is prepared once; parameters, velocity and grads are each one
-    flat buffer. Deterministic: same seed, same data -> identical model.
+    Each epoch steps once per BATCH windows of a fresh permutation (the last
+    batch may be smaller) on the batch's mean loss and grads. Labels and
+    dummy flags are held as (N, W) arrays; each batch's inputs are gathered
+    from the samples, never all stacked at once. Parameters and velocity are
+    each one flat buffer. Deterministic: same seed, same data -> identical
+    model.
     """
     dataset = list(dataset)
     if not dataset:
         raise EmptyDataset("no training windows")
-    model = init_model(d_in=dataset[0][0].shape[1], n_classes=len(dataset[0][1]) + 1, seed=cfg.seed)
+    w, d_in = shape = np.shape(dataset[0][0])
+    if any(np.shape(x) != shape for x, _, _ in dataset):
+        raise ShapeMismatch(f"every window's inputs must have shape {shape}")
+    model = init_model(d_in=d_in, n_classes=w + 1, seed=cfg.seed)
+    masks = [[False] * w if mask is None else mask for _, _, mask in dataset]
+    labels, valid = _targets([gt for _, gt, _ in dataset], masks, (len(dataset), w), w + 1)
+    dummy = ~valid
     theta, params = _flat_model(*model.dims)
     for dst, src in zip(params.params(), model.params()):
         dst[...] = src
-    grad, grads = _flat_model(*model.dims)
     velocity = np.zeros_like(theta)
     scratch = np.empty_like(theta)
-    windows = [_prepare(x, labels, mask, model.dims[2]) for x, labels, mask in dataset]
-    alpha, margin, decay, momentum = cfg.alpha, cfg.margin, cfg.weight_decay, cfg.momentum
     rng = np.random.default_rng(cfg.seed + 1)
     losses = []
     for epoch in range(cfg.epochs):
         lr = cfg.lr * cfg.lr_decay_factor ** (epoch // cfg.lr_decay_every)
-        order = rng.permutation(len(windows))
+        order = rng.permutation(len(dataset))
         total = 0.0
-        for idx in order.tolist():
-            total += _step(params, grads, windows[idx], alpha, margin)
+        for start in range(0, len(order), BATCH):
+            idx = order[start : start + BATCH]
+            x = np.array([dataset[i][0] for i in idx.tolist()], dtype=float)
+            loss, grads = loss_and_grad(params, x, labels[idx], cfg, dummy[idx])
+            total += loss * len(idx)
             # g = grad + decay * theta; v = momentum * v + g; theta -= lr * v
-            grad += np.multiply(theta, decay, out=scratch)
-            velocity *= momentum
+            grad = np.concatenate([g.ravel() for g in grads.params()])
+            grad += np.multiply(theta, cfg.weight_decay, out=scratch)
+            velocity *= cfg.momentum
             velocity += grad
             theta -= np.multiply(velocity, lr, out=scratch)
-        losses.append(total / len(windows))
+        losses.append(total / len(dataset))
     return TrainResult(model=params, epoch_losses=losses)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import shutil
@@ -507,6 +508,29 @@ class TestDeterminism:
         assert run("rank", "--in", str(dataset / "pre"), "--model", str(model), "--out", str(a), "--jobs", "1") == 0
         assert run("rank", "--in", str(dataset / "pre"), "--model", str(model), "--out", str(b), "--jobs", "2") == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_train_independent_of_blas_threads(self, dataset, tmp_path):
+        # Minibatch training runs batched matmuls; the model file must not
+        # depend on how many threads BLAS uses for them.
+        src = str(Path(rankflow.__file__).parents[1])
+        models = []
+        for threads in ("1", "2"):
+            model = tmp_path / f"m{threads}.bin"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            done = subprocess.run(
+                [sys.executable, "-m", "rankflow.cli", "train", "--in", str(dataset / "pre"),
+                 "--gt", str(dataset / "raw" / "gt.csv"), "--out", str(model), "--seed", "1"],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            models.append(model.read_bytes())
+        assert models[0] == models[1]
+        assert hashlib.sha256(models[0]).hexdigest() == CLI_MODEL_SHA256
+
+
+# SHA-256 of the model that `train --seed 1` writes for the shared dataset.
+CLI_MODEL_SHA256 = "12043c11bd68df4faf9df0f6908db04758810efd2d48c8c2cb7ec09f450732ab"
 
 
 class _Captured(Exception):

@@ -96,7 +96,8 @@ class TestHungarian:
             hungarian(np.zeros((8, 8)))
 
     def test_dummy_row_tolerance(self):
-        # The dummy row makes the tolerance 1e-9 * 1e6 = 1e-3, so the total
+        # A large flat row (1e6 in every column; exclusive_classify's dummy
+        # rows now cost 0) makes the tolerance 1e-9 * 1e6 = 1e-3, so the total
         # 5e-4 above the optimum at [1, 0, 2, 3, 4] still counts as optimal and
         # the lexicographically first permutation wins; a plain argmin would
         # return [1, 0, 2, 3, 4].
@@ -113,8 +114,8 @@ class TestHungarian:
     @settings(max_examples=60, deadline=None)
     def test_matches_tolerance_oracle(self, k, data):
         # Multiples of 2**-12 keep every total exact, so both sides compare the
-        # same numbers; the steps are fine enough to fall inside a dummy row's
-        # 1e-3 tolerance.
+        # same numbers; the steps are fine enough to fall inside the 1e-3
+        # tolerance that a large flat 1e6 row gives.
         step = st.integers(0, 64).map(lambda x: x / 4096)
         cost = [data.draw(st.lists(step, min_size=k, max_size=k)) for _ in range(k)]
         for r in data.draw(st.lists(st.integers(0, k - 1), max_size=k - 1, unique=True)):
@@ -135,7 +136,8 @@ class TestHungarian:
 
     @pytest.mark.parametrize("k", range(2, 8))
     def test_stack_matches_per_matrix(self, k):
-        # Tie-heavy entries and 1e6 dummy rows, as exclusive_classify builds them.
+        # Tie-heavy entries and large flat 1e6 rows, which widen the tolerance
+        # (exclusive_classify's dummy rows cost 0 and build no such rows).
         rng = np.random.default_rng(k)
         stack = rng.integers(0, 4, size=(40, k, k)) / 2.0
         stack[rng.random((40, k)) < 0.3] = 1e6

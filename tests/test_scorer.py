@@ -4,9 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from rankflow import scorer
 from rankflow.domain import Ranking
 from rankflow.errors import EmptyDataset, ShapeMismatch, TruncatedData, UnsupportedFormat
+from rankflow.gtgen import rasrgt_rank
+from rankflow.metrics import srcc
+from rankflow.preprocess import filter_proposals, scene_features
+from rankflow.rankcore import rank_scene, window_batch
 from rankflow.scorer import (
+    BATCH,
     ScorerModel,
     TrainConfig,
     init_model,
@@ -19,6 +25,7 @@ from rankflow.scorer import (
     train,
     window_gt_labels,
 )
+from rankflow.synth import SynthConfig, generate_scene
 
 
 class TestWindowGtLabels:
@@ -107,6 +114,13 @@ class TestLoss:
             loss_and_grad(model, x, [1, 2, 0, 0, 0], TrainConfig(), dummy_mask=[False] * 4)
         with pytest.raises(ShapeMismatch):
             loss_and_grad(model, x, [6, 0, 0, 0, 0], TrainConfig())
+        batch = np.zeros((2, 5, 18))
+        with pytest.raises(ShapeMismatch):
+            loss_and_grad(model, batch, [[1, 0, 0, 0, 0], [1, 0, 0]], TrainConfig())
+        with pytest.raises(ShapeMismatch):
+            loss_and_grad(model, batch, [[0] * 5] * 2, TrainConfig(), dummy_mask=[False] * 5)
+        with pytest.raises(ShapeMismatch):
+            loss_and_grad(model, batch, [[0] * 5, [0, 0, -1, 0, 0]], TrainConfig())
 
     def _numeric_grad(self, model, x, labels, cfg, dummy_mask, eps=1e-6):
         grads = []
@@ -190,6 +204,62 @@ class TestTrain:
         result = train(data, TrainConfig(epochs=10, lr=0.01, seed=0))
         assert result.epoch_losses[-1] < result.epoch_losses[0]
 
+    def test_one_loss_and_grad_call_per_batch(self, monkeypatch):
+        sizes = []
+
+        def counted(model, inputs, *args):
+            sizes.append(inputs.shape)
+            return loss_and_grad(model, inputs, *args)
+
+        monkeypatch.setattr(scorer, "loss_and_grad", counted)
+        train(self._dataset(n=2 * BATCH + 3), TrainConfig(epochs=2))
+        assert sizes == [(BATCH, 5, 18), (BATCH, 5, 18), (3, 5, 18)] * 2
+
+    def test_rejects_windows_that_do_not_fit(self):
+        data = self._dataset()
+        for bad in (
+            (np.zeros((4, 18)), [1, 0, 0, 0], [False] * 4),  # another window size
+            (np.zeros((5, 18)), [1, 0, 0], [False] * 5),
+            (np.zeros((5, 18)), [1, 0, 0, 0, 0], [False] * 3),
+            (np.zeros((5, 18)), [6, 0, 0, 0, 0], [False] * 5),
+        ):
+            with pytest.raises(ShapeMismatch):
+                train(data[:7] + [bad] + data[7:], TrainConfig(epochs=1))
+
+    def test_accepts_missing_dummy_mask(self):
+        data = self._dataset()
+        cfg = TrainConfig(epochs=2)
+        a = train(data, cfg)
+        b = train([(x, labels, None) for x, labels, _ in data], cfg)
+        assert a.epoch_losses == b.epoch_losses
+
+
+def _windows(items):
+    samples = []
+    for scene, feats, gt in items:
+        _, ids, dummy, inputs = window_batch(scene, feats, 5)
+        samples += [(x, window_gt_labels(gt, row), d) for x, row, d in zip(inputs, ids.tolist(), dummy.tolist())]
+    return samples
+
+
+class TestSmallData:
+    # 150 training scenes of 300 fixations, 100 held out, default TrainConfig.
+    # With one SGD step per window at lr 1e-3, decayed tenfold every 10 epochs,
+    # training stalled here at held-out SRCC 0.589, 0.559 and 0.475.
+    @pytest.mark.parametrize("seed", [101, 102, 103])
+    def test_default_schedule_learns(self, seed):
+        cfg = SynthConfig(
+            seed=seed, objects_min=5, objects_max=9, width=320, height=240,
+            fixations_per_scene=300, render_maps=False,
+        )
+        items = []
+        for idx in range(250):
+            scene = filter_proposals(generate_scene(cfg, idx)[0])
+            items.append((scene, scene_features(scene), rasrgt_rank(scene)))
+        model = train(_windows(items[:150]), TrainConfig(seed=seed)).model
+        held_out = [srcc(rank_scene(scene, feats, make_scorer(model), 5), gt) for scene, feats, gt in items[150:]]
+        assert np.mean(held_out) >= 0.9
+
 
 class TestModelIo:
     def test_round_trip(self, tmp_path):
@@ -224,12 +294,15 @@ class TestModelIo:
             load_model(path)
 
 
-PINNED_MODEL_SHA256 = "c5a9184f02d1a772098b1d752da3652f3324a195958f477fb2d1ee1d31fc309d"
+PINNED_MODEL_SHA256 = "574c2def8dd3e2d90ef2d2fa0e12f3d51be6b0b68f0cb553b76d22495be97002"
 
 
-# Frozen reference: the per-window loop form of the loss and the
-# per-parameter SGD update that `train` used before windows were prepared
-# once and stepped on flat buffers. `train` must reproduce it bit for bit.
+# Reference: the per-row, per-pair loop form of one window's loss and grads,
+# and minibatch SGD written as a loop over it: each batch of BATCH windows of
+# the epoch's permutation (the last one may be smaller) steps on the mean of
+# its windows' losses and grads, one parameter at a time. A batched matmul
+# adds terms in another order than the per-window one, so `train` matches it
+# to rtol 1e-12, not bit for bit; a single window matches bit for bit.
 def _reference_loss_and_grad(model, inputs, gt_labels, cfg, dummy_mask=None):
     from rankflow.rankcore import softmax
 
@@ -285,12 +358,18 @@ def _reference_train(dataset, cfg):
         lr = cfg.lr * cfg.lr_decay_factor ** (epoch // cfg.lr_decay_every)
         order = rng.permutation(len(dataset))
         total = 0.0
-        for idx in order:
-            inputs, labels, dummy_mask = dataset[idx]
-            loss, grads = _reference_loss_and_grad(model, inputs, labels, cfg, dummy_mask)
+        for start in range(0, len(order), BATCH):
+            batch = order[start : start + BATCH]
+            loss, grads = 0.0, [np.zeros_like(p) for p in model.params()]
+            for idx in batch:
+                inputs, labels, dummy_mask = dataset[idx]
+                win_loss, win_grads = _reference_loss_and_grad(model, inputs, labels, cfg, dummy_mask)
+                loss += win_loss
+                for g, wg in zip(grads, win_grads.params()):
+                    g += wg
             total += loss
-            for p, v, g in zip(model.params(), velocity, grads.params()):
-                g = g + cfg.weight_decay * p
+            for p, v, g in zip(model.params(), velocity, grads):
+                g = g / len(batch) + cfg.weight_decay * p
                 v *= cfg.momentum
                 v += g
                 p -= lr * v
@@ -322,13 +401,14 @@ class TestSameTrajectory:
         "alpha, margin", [(1.0, 0.0), (0.0, 0.5), (0.6, 2.0)], ids=["margin0", "alpha0", "both"]
     )
     def test_train_matches_reference(self, w, alpha, margin):
+        # 42 windows: two full batches and a last one of 10.
         data = _mixed_windows(w, 40, seed=w)
         cfg = TrainConfig(epochs=4, lr=0.02, lr_decay_every=2, alpha=alpha, margin=margin, seed=w)
         model, losses = _reference_train(data, cfg)
         result = train(data, cfg)
-        assert result.epoch_losses == losses
+        np.testing.assert_allclose(result.epoch_losses, losses, rtol=1e-12, atol=0)
         for got, want in zip(result.model.params(), model.params()):
-            assert got.tobytes() == want.tobytes()
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_loss_and_grad_matches_reference(self):
         rng = np.random.default_rng(11)
@@ -341,13 +421,29 @@ class TestSameTrajectory:
                 if k % 2:  # dummy rows may carry any label; both forms ignore it
                     labels = [int(rng.integers(0, w + 1)) if d else l for l, d in zip(labels, dummy)]
                 want_loss, want = _reference_loss_and_grad(model, x, labels, cfg, dummy)
-                got_loss, got = loss_and_grad(model, x, labels, cfg, dummy)
-                assert got_loss == want_loss
-                for a, b in zip(got.params(), want.params()):
-                    assert a.tobytes() == b.tobytes()
+                for got_loss, got in (
+                    loss_and_grad(model, x, labels, cfg, dummy),
+                    loss_and_grad(model, x[None], [labels], cfg, [dummy]),  # a batch of one
+                ):
+                    assert got_loss == want_loss
+                    for a, b in zip(got.params(), want.params()):
+                        assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("w", [2, 5, 12])
+    def test_batch_is_mean_of_windows(self, w):
+        cfg = TrainConfig(alpha=0.6, margin=0.5)
+        model = init_model(n_classes=w + 1, seed=w)
+        data = _mixed_windows(w, 14, seed=w)
+        x, labels, dummy = (np.array([sample[i] for sample in data]) for i in range(3))
+        loss, grads = loss_and_grad(model, x, labels, cfg, dummy)
+        per_window = [_reference_loss_and_grad(model, *sample[:2], cfg, sample[2]) for sample in data]
+        np.testing.assert_allclose(loss, np.mean([lo for lo, _ in per_window]), rtol=1e-12, atol=0)
+        for k, got in enumerate(grads.params()):
+            want = np.mean([g.params()[k] for _, g in per_window], axis=0)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_saved_model_bytes_pinned(self, tmp_path):
-        # SHA-256 of the model file written by the loop-form trainer.
+        # SHA-256 of the model file written by the minibatch trainer.
         path = tmp_path / "m.bin"
         save_model(train(_mixed_windows(5, 30, seed=1), TrainConfig(epochs=3, margin=0.2, seed=5)).model, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_MODEL_SHA256
