@@ -61,56 +61,35 @@ def ranking_from_scores(scores: dict[int, float]) -> Ranking:
     return Ranking(labels)
 
 
-def rank_fixation_points(scene: Scene) -> Ranking:
-    scores = {
-        p.id: count_fixations(p.box, scene.fixations) / sqrt_size(p.box)
-        for p in scene.real_proposals
-    }
-    return ranking_from_scores(scores)
-
-
 def map_region(gmap: GrayMap, box) -> np.ndarray:
     """Map pixels a box covers under the half-open rule (possibly empty)."""
     grid = np.frombuffer(gmap.values, dtype=np.uint8).reshape(gmap.height, gmap.width)
     return grid[math.ceil(box.y1) : math.ceil(box.y2), math.ceil(box.x1) : math.ceil(box.x2)]
 
 
-def rank_fixation_map(scene: Scene, mode: str = "max") -> Ranking:
-    if scene.fixation_map is None:
-        raise MissingFixationMap(scene.scene_id)
-    if mode not in ("max", "avg"):
-        raise ValueError(f"mode must be 'max' or 'avg', got {mode!r}")
-    scores = {}
-    for p in scene.real_proposals:
-        vals = map_region(scene.fixation_map, p.box)
-        if vals.size == 0:
-            scores[p.id] = 0.0
-        elif mode == "max":
-            scores[p.id] = float(vals.max())
-        else:
-            scores[p.id] = float(vals.mean())
-    return ranking_from_scores(scores)
+def _box_score(scene: Scene, box, cfg: GtConfig) -> float:
+    """A box's score under any method but rasrgt: fixations per sqrt-size,
+    the max or mean of the map under it, or its share of map pixels above
+    ``binary_threshold`` times its sqrt-size ratio to the image."""
+    if cfg.method is GtMethod.FIX_POINTS:
+        return count_fixations(box, scene.fixations) / sqrt_size(box)
+    vals = map_region(scene.fixation_map, box)
+    if vals.size == 0:
+        return 0.0
+    if cfg.method is GtMethod.MAP_MAX:
+        return float(vals.max())
+    if cfg.method is GtMethod.MAP_AVG:
+        return float(vals.mean())
+    white = int((vals > cfg.binary_threshold).sum())
+    return (white / vals.size) * (sqrt_size(box) / math.sqrt(scene.width * scene.height))
 
 
-def rank_binarized_map(scene: Scene, binary_threshold: float) -> Ranking:
-    if scene.fixation_map is None:
-        raise MissingFixationMap(scene.scene_id)
-    if not 0 < binary_threshold < 255:
-        raise ValueError("binary_threshold must lie in (0, 255)")
-    image_sqrt = math.sqrt(scene.width * scene.height)
-    scores = {}
-    for p in scene.real_proposals:
-        vals = map_region(scene.fixation_map, p.box)
-        white = int((vals > binary_threshold).sum())
-        if vals.size == 0 or white == 0:
-            scores[p.id] = 0.0
-        else:
-            scores[p.id] = (white / vals.size) * (sqrt_size(p.box) / image_sqrt)
-    return ranking_from_scores(scores)
+def rasrgt_score(n_i: int, total: int, size_ratio: float, cfg: GtConfig) -> float:
+    """Combined score of a box holding ``n_i`` of a scene's ``total``
+    fixations: fixation share plus gamma * e^(beta * size ratio).
 
-
-def _rasrgt_from_count(n_i: int, total: int, size_ratio: float, cfg: GtConfig) -> float:
-    """The combined score of a box holding ``n_i`` of a scene's ``total`` fixations."""
+    Zero fixations inside the box means zero score regardless of size.
+    """
     if n_i == 0:
         return 0.0
     return n_i / total + cfg.gamma * math.exp(cfg.beta * size_ratio)
@@ -127,18 +106,8 @@ def rasrgt_counts(scene: Scene) -> tuple[int, list[tuple[int, int, float]]]:
     return len(scene.fixations), boxes
 
 
-def rasrgt_score(scene: Scene, proposal, cfg: GtConfig) -> float:
-    """Combined score: fixation share plus gamma * e^(beta * size ratio).
-
-    Zero fixations inside the box means zero score regardless of size.
-    """
-    n_i = count_fixations(proposal.box, scene.fixations)
-    size_ratio = sqrt_size(proposal.box) / math.sqrt(scene.width * scene.height)
-    return _rasrgt_from_count(n_i, len(scene.fixations), size_ratio, cfg)
-
-
 def _rank_counts(total: int, boxes, cfg: GtConfig) -> Ranking:
-    return ranking_from_scores({pid: _rasrgt_from_count(n, total, ratio, cfg) for pid, n, ratio in boxes})
+    return ranking_from_scores({pid: rasrgt_score(n, total, ratio, cfg) for pid, n, ratio in boxes})
 
 
 def rasrgt_rank(scene: Scene, cfg: GtConfig | None = None) -> Ranking:
@@ -146,30 +115,23 @@ def rasrgt_rank(scene: Scene, cfg: GtConfig | None = None) -> Ranking:
 
 
 def generate_ranking(scene: Scene, cfg: GtConfig) -> Ranking:
-    """Dispatch on cfg.method."""
-    if cfg.method is GtMethod.FIX_POINTS:
-        return rank_fixation_points(scene)
-    if cfg.method is GtMethod.MAP_MAX:
-        return rank_fixation_map(scene, "max")
-    if cfg.method is GtMethod.MAP_AVG:
-        return rank_fixation_map(scene, "avg")
-    if cfg.method is GtMethod.BINARIZED_MAP:
-        return rank_binarized_map(scene, cfg.binary_threshold)
-    return rasrgt_rank(scene, cfg)
+    """The scene's ranking under ``cfg.method``; a method that reads the
+    fixation map raises MissingFixationMap on a scene without one."""
+    if cfg.method is GtMethod.RA_SRGT:
+        return rasrgt_rank(scene, cfg)
+    if cfg.method.reads_map and scene.fixation_map is None:
+        raise MissingFixationMap(scene.scene_id)
+    return ranking_from_scores({p.id: _box_score(scene, p.box, cfg) for p in scene.real_proposals})
 
 
-def discrepancy_offsets(scenes, cfg_base: GtConfig, thresholds) -> list[tuple[float, int]]:
-    """Total rank-order change between each pair of adjacent GT thresholds.
+def discrepancy_offsets(counted, cfg_base: GtConfig, thresholds) -> list[tuple[float, int]]:
+    """Total rank-order change between each pair of adjacent GT thresholds,
+    from each scene's ``rasrgt_counts``: fixation counts do not depend on
+    the threshold, so each box is counted once.
 
     For each consecutive threshold pair (t_prev, t) sums |order_t - order_t_prev|
     over every proposal of every scene.
     """
-    return offsets_from_counts([rasrgt_counts(s) for s in scenes], cfg_base, thresholds)
-
-
-def offsets_from_counts(counted, cfg_base: GtConfig, thresholds) -> list[tuple[float, int]]:
-    """``discrepancy_offsets`` from each scene's ``rasrgt_counts``: fixation
-    counts do not depend on the threshold, so each box is counted once."""
     thresholds = list(thresholds)
     rank_cache = []
     for t in thresholds:

@@ -180,7 +180,10 @@ def pgm_from_bytes(data: bytes, name="<pgm>") -> GrayMap:
     raster = data[pos : pos + width * height]
     if len(raster) < width * height:
         raise TruncatedData(f"{name}: expected {width * height} raster bytes, got {len(raster)}")
-    return GrayMap(width=width, height=height, values=raster)
+    try:
+        return GrayMap(width=width, height=height, values=raster)
+    except InvariantViolation as e:
+        raise InvariantViolation(f"{name}: {e.field}", e.reason) from e
 
 
 def pgm_to_bytes(gmap: GrayMap) -> bytes:

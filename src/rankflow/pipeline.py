@@ -17,8 +17,15 @@ from pathlib import Path
 
 from . import __version__
 from .domain import Ranking, Scene
-from .errors import InvariantViolation, IoFailure, MissingFile, MissingFixationMap
-from .gtgen import GtConfig, generate_ranking, offsets_from_counts, rasrgt_counts
+from .errors import (
+    InvariantViolation,
+    IoFailure,
+    MissingFile,
+    MissingFixationMap,
+    SceneMismatch,
+    UnsupportedFormat,
+)
+from .gtgen import GtConfig, discrepancy_offsets, generate_ranking, rasrgt_counts
 from .ingest import (
     list_scene_files,
     parse_pgm,
@@ -29,8 +36,8 @@ from .ingest import (
     write_scene,
 )
 from .metrics import evaluate_rankings, rank_from_saliency_map
-from .preprocess import FilterConfig, filter_proposals, read_features, scene_features, write_features
-from .rankcore import DEFAULT_WINDOW, rank_scene, window_batch
+from .preprocess import FEATURE_DIM, FilterConfig, filter_proposals, read_features, scene_features, write_features
+from .rankcore import DEFAULT_WINDOW, MAX_WINDOW, rank_scene, window_batch
 from .scorer import load_model, make_scorer, window_gt_labels
 
 
@@ -139,7 +146,7 @@ def gt_discrepancy(in_dir, cfg: GtConfig, thresholds, out_file, jobs: int = 1) -
     """Workers parse the scenes and count their boxes, so only the counts
     reach this process."""
     counts = [c for _, c in map_scenes(_count_one, in_dir, jobs)]
-    rows = offsets_from_counts(counts, cfg, thresholds)
+    rows = discrepancy_offsets(counts, cfg, thresholds)
     write_atomic(out_file, "threshold,t_offset\n" + "".join(f"{t:g},{offset}\n" for t, offset in rows))
 
 
@@ -191,7 +198,12 @@ def rank_dataset(pre_dir, model_path, out_file, jobs: int = 1) -> int:
     """
     feat_dir = _feature_dir(pre_dir)
     model = load_model(model_path)
-    window_size = model.dims[2] - 1
+    d_in, _, c = model.dims
+    n_in = FEATURE_DIM + 4  # window_inputs adds 4 window-context columns
+    if d_in != n_in or not 2 <= c <= MAX_WINDOW + 1:
+        need = f"a model of {n_in} inputs and 2..{MAX_WINDOW + 1} classes"
+        raise UnsupportedFormat(f"{model_path}: {need} is needed, got dims {model.dims}")
+    window_size = c - 1
     worker = partial(_rank_one, feat_dir=feat_dir, model=model, window_size=window_size)
     write_ranking(map_scenes(worker, pre_dir, jobs), out_file)
     return window_size
@@ -199,10 +211,13 @@ def rank_dataset(pre_dir, model_path, out_file, jobs: int = 1) -> int:
 
 def _map_rank_one(scene_path, maps_dir: Path, lam: float):
     scene = _parse_scene(scene_path, maps_dir is None)
-    gmap = scene.fixation_map
-    if maps_dir is not None:
-        gmap = parse_pgm(maps_dir / f"{scene.scene_id}.pgm")
-    return scene.scene_id, rank_from_saliency_map(scene, gmap, lam)
+    if maps_dir is None:
+        return scene.scene_id, rank_from_saliency_map(scene, scene.fixation_map, lam)
+    map_path = maps_dir / f"{scene.scene_id}.pgm"
+    try:
+        return scene.scene_id, rank_from_saliency_map(scene, parse_pgm(map_path), lam)
+    except SceneMismatch as e:
+        raise SceneMismatch(f"{map_path}: {e}") from e
 
 
 def map_rank_dataset(in_dir, maps_dir, lam, out_file, jobs: int = 1) -> None:

@@ -18,6 +18,7 @@ from rankflow.gtgen import (
     GtMethod,
     discrepancy_offsets,
     generate_ranking,
+    rasrgt_counts,
     rasrgt_rank,
 )
 from rankflow.metrics import SrccUndefined, f1_salient, srcc
@@ -270,7 +271,8 @@ def test_criterion_09_discrepancy_offsets():
     scenes = [generate_scene(cfg, idx)[0] for idx in range(cfg.n_scenes)]
     base = GtConfig()
     grid = [round(0.1 * i, 10) for i in range(1, 11)]
-    rows = discrepancy_offsets(scenes, base, grid)
+    counted = [rasrgt_counts(s) for s in scenes]
+    rows = discrepancy_offsets(counted, base, grid)
     assert len(rows) == len(grid) - 1
     for (t, offset), t_prev in zip(rows, grid):
         expected = 0
@@ -280,7 +282,7 @@ def test_criterion_09_discrepancy_offsets():
             expected += sum(abs(cur.labels[p] - prev.labels[p]) for p in cur.labels)
         assert offset == expected
     # a grid step so small that no ranking changes must give offset 0
-    flat = discrepancy_offsets(scenes, base, [0.2, 0.2 + 1e-12])
+    flat = discrepancy_offsets(counted, base, [0.2, 0.2 + 1e-12])
     assert flat == [(0.2 + 1e-12, 0)]
     ok(9, "offsets equal brute-force double sum; identical rankings give 0")
 

@@ -15,6 +15,7 @@ from rankflow import cli, pipeline
 from rankflow.cli import _SECTIONS, _common, build_parser, dispatch, gamma_grid
 from rankflow.pipeline import config_hash
 from rankflow.errors import RankflowError
+from rankflow.gtgen import GtMethod
 from rankflow.ingest import parse_ranking
 from rankflow.rankcore import acb_sequences, window_inputs
 from rankflow.scorer import init_model, load_model, save_model, window_gt_labels
@@ -252,6 +253,33 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "neg.bin" in err and "dimensions must be >= 1" in err
 
+    @pytest.mark.parametrize(
+        "dims", [(17, 32, 6), (18, 32, 9), (18, 32, 1)], ids=["17-inputs", "window-8", "window-0"]
+    )
+    def test_model_of_unusable_dims(self, dataset, tmp_path, capsys, dims):
+        model = tmp_path / "dims.bin"
+        save_model(init_model(*dims), model)
+        assert run("rank", "--in", str(dataset / "pre"), "--model", str(model), "--out", str(tmp_path / "p.csv")) == 2
+        err = capsys.readouterr().err
+        assert f"{model}: a model of 18 inputs and 2..8 classes is needed, got dims {dims}" in err
+        assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize(
+        "pgm, expected",
+        [(b"P5\n0 480\n255\n", "graymap: width and height must be positive"),
+         (b"P5\n64 48\n255\n" + bytes(64 * 48), "map 64x48 vs scene 640x480")],
+        ids=["zero-width", "other-size"],
+    )
+    def test_bad_map_rank_map_names_its_file(self, dataset, tmp_path, capsys, pgm, expected):
+        maps = tmp_path / "maps"
+        shutil.copytree(dataset / "raw" / "maps", maps)
+        (maps / "scene_00002.pgm").write_bytes(pgm)
+        argv = ["map-rank", "--in", str(dataset / "raw"), "--maps", str(maps), "--out", str(tmp_path / "p.csv")]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert f"{maps / 'scene_00002.pgm'}: " in err and expected in err
+        assert not (tmp_path / "p.csv").exists()
+
     @pytest.mark.parametrize("flag", ["2", "nan", "0"])
     def test_bad_lambda_flag(self, tmp_path, capsys, flag):
         argv = ["map-rank", "--in", str(tmp_path), f"--lambda={flag}", "--out", str(tmp_path / "p.csv")]
@@ -355,12 +383,14 @@ class TestPipelineStages:
         assert len(lines) == 5  # header + 4 adjacent pairs
 
     def test_gt_discrepancy_on_workers(self, dataset, tmp_path, monkeypatch):
-        from rankflow.gtgen import GtConfig, discrepancy_offsets
+        from rankflow.gtgen import GtConfig, discrepancy_offsets, rasrgt_counts
         from rankflow.ingest import list_scene_files, parse_scene
 
-        seen = []
+        seen, ranked = [], []
         pooled = pipeline.parallel_map
         monkeypatch.setattr(pipeline, "parallel_map", lambda fn, items, jobs: seen.append(jobs) or pooled(fn, items, jobs))
+        # the name the benchmark tracer wraps, so its span times the ranking
+        monkeypatch.setattr(pipeline, "discrepancy_offsets", lambda *a: ranked.append(a) or discrepancy_offsets(*a))
         outs = []
         for jobs in ("1", "2"):
             out = tmp_path / f"disc{jobs}.csv"
@@ -368,10 +398,11 @@ class TestPipelineStages:
             assert run(*argv, "--jobs", jobs) == 0
             outs.append(out.read_text())
         assert seen == [1, 2]
+        assert len(ranked) == 2
         assert outs[0] == outs[1]
         scenes = [parse_scene(p) for p in list_scene_files(dataset / "raw")]
         grid = [round(0.1 * i, 10) for i in range(1, 11)]
-        rows = discrepancy_offsets(scenes, GtConfig(), grid)
+        rows = discrepancy_offsets([rasrgt_counts(s) for s in scenes], GtConfig(), grid)
         assert outs[0] == "threshold,t_offset\n" + "".join(f"{t:g},{offset}\n" for t, offset in rows)
 
     def test_train_rank_eval(self, dataset):
@@ -481,6 +512,41 @@ class TestPipelineStages:
             "map-rank", "--in", str(dataset / "raw"), "--lambda", "0.5", "--out", str(out)
         ) == 0
         assert len(parse_ranking(out)) == 4
+
+
+# SHA-256 of each GT output on the ``maps_dataset`` below.
+GT_DIGESTS = {
+    "fixpoints": "d1cf779a38a42868c4528a8699105b5c7c34a44da587bd4a5e01df4609e07f4b",
+    "mapmax": "734940f9b1e6a08a9efc65d96fca5961c2804f763749a948348a5e8647676c02",
+    "mapavg": "c5c23fbe9abc0e0ab5756d00da946bda84cdc1a8623ff84ce231e1924b92fa8c",
+    "binmap": "b0ccdbf22904e6add2a4295117be2a7c173a250698a9488bc379574072a131ed",
+    "rasrgt": "e243e0f1c6579c04200c25deb72eb7ab30a3fec32e108d9e138e80302c5d325d",
+    "binmap-40": "783cc0aae2a7cb4a0d682d622ded0dca4576ac29945f21c3adc5dd1383868de3",
+    "discrepancy": "cea764246b5a3c509207c8ffeee4a8f54d8d15459b0765a16d7f987e6ca8b2fb",
+}
+GT_RUNS = {
+    **{m.value: ["gt-gen", "--method", m.value] for m in GtMethod},
+    "binmap-40": ["gt-gen", "--method", "binmap", "--binary-threshold", "40"],
+    "discrepancy": ["gt-discrepancy"],
+}
+
+
+@pytest.fixture(scope="module")
+def maps_dataset(tmp_path_factory):
+    raw = tmp_path_factory.mktemp("maps") / "raw"
+    argv = ["--seed", "11", "--scenes", "8", "--objects", "5:9", "--fixations", "300", "--jobs", "1"]
+    assert run("synth", *argv, "--out", str(raw)) == 0
+    return raw
+
+
+class TestGtOutputsPinned:
+    """Every GT method's output, byte for byte, on a seeded maps-on dataset."""
+
+    @pytest.mark.parametrize("name", list(GT_RUNS))
+    def test_output_digest(self, maps_dataset, tmp_path, name):
+        out = tmp_path / "out.csv"
+        assert run(*GT_RUNS[name], "--jobs", "1", "--in", str(maps_dataset), "--out", str(out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GT_DIGESTS[name]
 
 
 class TestDeterminism:

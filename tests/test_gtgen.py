@@ -9,12 +9,25 @@ from rankflow.gtgen import (
     GtConfig,
     GtMethod,
     discrepancy_offsets,
-    rank_binarized_map,
-    rank_fixation_map,
-    rank_fixation_points,
+    generate_ranking,
+    rasrgt_counts,
     rasrgt_rank,
     rasrgt_score,
 )
+
+FIX_POINTS = GtConfig(method="fixpoints")
+MAP_MAX = GtConfig(method="mapmax")
+
+
+def binarized(threshold):
+    return GtConfig(method="binmap", binary_threshold=threshold)
+
+
+def box_score(scene, idx, cfg):
+    """``rasrgt_score`` of the scene's ``idx``-th box, from its counts."""
+    total, boxes = rasrgt_counts(scene)
+    _, n_i, size_ratio = boxes[idx]
+    return rasrgt_score(n_i, total, size_ratio, cfg)
 
 
 class TestGtConfig:
@@ -32,7 +45,7 @@ class TestGtConfig:
 class TestFixationPoints:
     def test_no_fixations_is_order_zero(self):
         scene = make_scene([(0, 0, 10, 10)])
-        assert rank_fixation_points(scene).labels == {0: 0}
+        assert generate_ranking(scene, FIX_POINTS).labels == {0: 0}
 
     def test_size_penalty(self):
         # Q0: 10 fixations in a 5x5 box -> 10/5 = 2.0
@@ -41,12 +54,12 @@ class TestFixationPoints:
             (50 + i % 10, 50 + i // 10) for i in range(12)
         ]
         scene = make_scene([(0, 0, 5, 5), (50, 50, 60, 60)], fixations)
-        assert rank_fixation_points(scene).labels == {0: 1, 1: 2}
+        assert generate_ranking(scene, FIX_POINTS).labels == {0: 1, 1: 2}
 
     def test_tie_broken_by_id(self):
         fixations = [(2, 2), (52, 52)]
         scene = make_scene([(0, 0, 10, 10), (50, 50, 60, 60)], fixations)
-        assert rank_fixation_points(scene).labels == {0: 1, 1: 2}
+        assert generate_ranking(scene, FIX_POINTS).labels == {0: 1, 1: 2}
 
     def test_scaling_halves_scores_keeps_order(self):
         fixations = [(2, 2), (3, 3), (52, 52)]
@@ -57,30 +70,30 @@ class TestFixationPoints:
             width=200,
             height=200,
         )
-        assert rank_fixation_points(scene).labels == rank_fixation_points(doubled).labels
+        assert generate_ranking(scene, FIX_POINTS).labels == generate_ranking(doubled, FIX_POINTS).labels
 
 
 class TestFixationMap:
     def test_uniform_tie(self, uniform_map_scene):
-        assert rank_fixation_map(uniform_map_scene, "max").labels == {0: 1, 1: 2}
+        assert generate_ranking(uniform_map_scene, MAP_MAX).labels == {0: 1, 1: 2}
 
     def test_max_mode_orders_by_peak(self):
         grid = np.zeros((100, 100), dtype=np.uint8)
         grid[15, 15] = 200
         grid[60, 60] = 120
         scene = make_scene([(10, 10, 30, 30), (50, 50, 90, 90)], map_values=grid)
-        assert rank_fixation_map(scene, "max").labels == {0: 1, 1: 2}
+        assert generate_ranking(scene, MAP_MAX).labels == {0: 1, 1: 2}
 
     def test_missing_map(self):
         scene = make_scene([(0, 0, 10, 10)])
         with pytest.raises(MissingFixationMap):
-            rank_fixation_map(scene, "max")
+            generate_ranking(scene, MAP_MAX)
 
 
 class TestBinarizedMap:
     def test_all_black(self):
         scene = make_scene([(0, 0, 10, 10), (50, 50, 60, 60)], map_values=np.zeros((100, 100)))
-        assert rank_binarized_map(scene, 128).labels == {0: 0, 1: 0}
+        assert generate_ranking(scene, binarized(128)).labels == {0: 0, 1: 0}
 
     def test_white_ratio_times_size_ratio(self):
         # Q0: ratio 0.5, sqrt-size ratio 0.2 -> 0.10
@@ -89,17 +102,17 @@ class TestBinarizedMap:
         grid[0:10, 0:20] = 255  # half of Q0 (0,0,20,20)
         grid[50:65, 40:90] = 255  # 750 of Q1's 2500 px (40,40,90,90)
         scene = make_scene([(0, 0, 20, 20), (40, 40, 90, 90)], map_values=grid)
-        assert rank_binarized_map(scene, 128).labels == {0: 2, 1: 1}
+        assert generate_ranking(scene, binarized(128)).labels == {0: 2, 1: 1}
 
     def test_threshold_above_all_values(self):
         scene = make_scene([(0, 0, 10, 10)], map_values=np.full((100, 100), 200))
-        assert rank_binarized_map(scene, 254).labels == {0: 0}
+        assert generate_ranking(scene, binarized(254)).labels == {0: 0}
 
 
 class TestRaSrgtScore:
     def test_zero_fixations(self):
         scene = make_scene([(40, 40, 60, 60)], [(5, 5)])
-        assert rasrgt_score(scene, scene.proposals[0], GtConfig()) == 0.0
+        assert box_score(scene, 0, GtConfig()) == 0.0
 
     def test_hand_value(self):
         # 100x100 image, 50 fixations total; 30 inside a 20x20 box
@@ -108,7 +121,7 @@ class TestRaSrgtScore:
         outside = [(i, 0) for i in range(20)]
         scene = make_scene([(40, 40, 60, 60)], inside + outside)
         expected = 0.6 + 0.2 * math.exp(0.5 * 0.2)
-        score = rasrgt_score(scene, scene.proposals[0], GtConfig())
+        score = box_score(scene, 0, GtConfig())
         assert score == pytest.approx(expected)
         assert score == pytest.approx(0.8210, abs=1e-4)
 
@@ -121,8 +134,8 @@ class TestRaSrgtScore:
             inside1 + inside2 + outside,
         )
         cfg = GtConfig()
-        s1 = rasrgt_score(scene, scene.proposals[0], cfg)
-        s2 = rasrgt_score(scene, scene.proposals[1], cfg)
+        s1 = box_score(scene, 0, cfg)
+        s2 = box_score(scene, 1, cfg)
         assert s1 == pytest.approx(0.6 + 0.2 * math.exp(0.5 * 0.2))
         assert s1 > s2
 
@@ -131,9 +144,7 @@ class TestRaSrgtScore:
         scene_small = make_scene([(40, 40, 60, 60)], fixations)
         scene_big = make_scene([(35, 35, 65, 65)], fixations)
         cfg = GtConfig()
-        assert rasrgt_score(scene_big, scene_big.proposals[0], cfg) > rasrgt_score(
-            scene_small, scene_small.proposals[0], cfg
-        )
+        assert box_score(scene_big, 0, cfg) > box_score(scene_small, 0, cfg)
 
 
 class TestRaSrgtRank:
@@ -153,7 +164,7 @@ class TestRaSrgtRank:
 
     def test_argsort_invariance(self):
         # doubling gamma rescales nothing ordinal when sizes are equal
-        fixations = [(2, 2)] * 0 + [(2, 2), (3, 3), (52, 52)]
+        fixations = [(2, 2), (3, 3), (52, 52)]
         scene = make_scene([(0, 0, 10, 10), (50, 50, 60, 60)], fixations)
         a = rasrgt_rank(scene, GtConfig(gamma=0.2))
         b = rasrgt_rank(scene, GtConfig(gamma=0.4))
@@ -168,7 +179,7 @@ class TestDiscrepancyOffsets:
 
     def test_identical_rankings_zero_offset(self):
         scene = self._scene()
-        out = discrepancy_offsets([scene], GtConfig(), [0.2, 0.2000001])
+        out = discrepancy_offsets([rasrgt_counts(scene)], GtConfig(), [0.2, 0.2000001])
         assert out == [(0.2000001, 0)]
 
     def test_brute_force_equivalence(self):
@@ -176,7 +187,7 @@ class TestDiscrepancyOffsets:
 
         scenes = [self._scene()]
         thresholds = [round(0.1 * i, 10) for i in range(1, 11)]
-        out = discrepancy_offsets(scenes, GtConfig(), thresholds)
+        out = discrepancy_offsets([rasrgt_counts(s) for s in scenes], GtConfig(), thresholds)
         for (t, offset), t_prev in zip(out, thresholds):
             expected = 0
             for scene in scenes:
@@ -188,12 +199,10 @@ class TestDiscrepancyOffsets:
             assert offset == expected
 
     def test_hand_swap_counts_two(self):
-        # ranks (1,2,3) vs (2,1,3) -> |1-2| + |2-1| + 0 = 2, built from real scenes
-        scenes_a = make_scene(
-            [(0, 0, 10, 10), (20, 0, 30, 10), (40, 0, 50, 10)],
-            [(5, 5), (5, 6), (25, 5), (45, 5)],
-        )
-        # verify the arithmetic of the offset formula directly
-        prev = {0: 1, 1: 2, 2: 3}
-        cur = {0: 2, 1: 1, 2: 3}
-        assert sum(abs(cur[p] - prev[p]) for p in cur) == 2
+        # 5 fixations: A = 0.6 + g*e^0.05 leads at g = 0.5, B = 0.4 + g*e^0.25
+        # at g = 1.0, so orders (1, 2) become (2, 1): |1-2| + |2-1| = 2
+        fixations = [(2, 2), (3, 3), (4, 4), (50, 50), (60, 60)]
+        scene = make_scene([(0, 0, 10, 10), (40, 40, 90, 90)], fixations)
+        assert rasrgt_rank(scene, GtConfig(gamma=0.5)).labels == {0: 1, 1: 2}
+        assert rasrgt_rank(scene, GtConfig(gamma=1.0)).labels == {0: 2, 1: 1}
+        assert discrepancy_offsets([rasrgt_counts(scene)], GtConfig(), [0.5, 1.0]) == [(1.0, 2)]
