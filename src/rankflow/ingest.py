@@ -120,6 +120,11 @@ def scene_from_dict(doc: dict, base_dir=None, load_map: bool = True) -> Scene:
 
 
 def scene_to_dict(scene: Scene, fixation_map_path=None) -> dict:
+    fixations = [{"u": u, "v": v, "observer_id": o} for u, v, o in scene.fixations.tolist()]
+    return _scene_doc(scene, fixations, fixation_map_path)
+
+
+def _scene_doc(scene: Scene, fixations: list, fixation_map_path) -> dict:
     doc = {
         "scene_id": scene.scene_id,
         "width": scene.width,
@@ -134,18 +139,24 @@ def scene_to_dict(scene: Scene, fixation_map_path=None) -> dict:
             }
             for p in scene.proposals
         ],
-        "fixations": [
-            {"u": u, "v": v, "observer_id": o} for u, v, o in scene.fixations.tolist()
-        ],
+        "fixations": fixations,
     }
     if fixation_map_path is not None:
         doc["fixation_map_path"] = str(fixation_map_path)
     return doc
 
 
+_FIXATION_JSON = '{"observer_id": %d, "u": %d, "v": %d}'
+
+
 def write_scene(scene: Scene, path, fixation_map_path=None) -> None:
-    doc = scene_to_dict(scene, fixation_map_path=fixation_map_path)
-    write_atomic(path, json.dumps(doc, sort_keys=True) + "\n")
+    """Write scene_to_dict's document as sorted-key JSON.  The fixation rows,
+    most of the file, are formatted straight into that layout instead of
+    each becoming a dict for json.dumps.  The replaced '"fixations": []' can
+    only be the key: inside a JSON string its middle quote would be escaped."""
+    rows = ", ".join([_FIXATION_JSON % (o, u, v) for u, v, o in scene.fixations.tolist()])
+    text = json.dumps(_scene_doc(scene, [], fixation_map_path), sort_keys=True)
+    write_atomic(path, text.replace('"fixations": []', f'"fixations": [{rows}]', 1) + "\n")
 
 
 def parse_pgm(path) -> GrayMap:

@@ -77,9 +77,13 @@ def hungarian(cost) -> list:
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     z = np.asarray(logits, dtype=float)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    # A max is exact in any order, and a reduce down the columns of the
+    # transpose runs faster than one along each short row.
+    peak = np.maximum.reduce(np.ascontiguousarray(z.reshape(-1, z.shape[-1]).T), axis=0)
+    e = np.subtract(z, peak.reshape(z.shape[:-1] + (1,)))
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def exclusive_classify(scores: np.ndarray, dummy_mask) -> np.ndarray:
@@ -184,11 +188,17 @@ def window_inputs(features: np.ndarray, member_ids) -> np.ndarray:
     member_ids: one window's W positions (W x 18 result) or an (n, W) array
     of windows (n x W x 18 result).
     """
-    rows = features[np.asarray(member_ids, dtype=np.intp)]
-    fs = rows[..., 0]
-    mm = rows[..., 3]
-    ctx = np.stack([fs.mean(axis=-1), fs.max(axis=-1), mm.mean(axis=-1), mm.max(axis=-1)], axis=-1)
-    return np.concatenate([rows, np.broadcast_to(ctx[..., None, :], (*rows.shape[:-1], 4))], axis=-1)
+    ids = np.asarray(member_ids, dtype=np.intp)
+    w, f = ids.shape[-1], features.shape[-1]
+    out = np.empty(ids.shape + (f + 4,))
+    out[..., :f] = features[ids]
+    fs, mm = out[..., 0], out[..., 3]
+    # add.reduce / W is how mean computes it; each result fills its column.
+    out[..., f] = np.add.reduce(fs, axis=-1, keepdims=True) / w
+    out[..., f + 1] = np.maximum.reduce(fs, axis=-1, keepdims=True)
+    out[..., f + 2] = np.add.reduce(mm, axis=-1, keepdims=True) / w
+    out[..., f + 3] = np.maximum.reduce(mm, axis=-1, keepdims=True)
+    return out
 
 
 def window_batch(scene: Scene, features: np.ndarray, window_size: int = DEFAULT_WINDOW):

@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -128,38 +129,51 @@ def make_scorer(model: ScorerModel):
     return score
 
 
-def _targets(gt_labels, dummy_mask, rows: tuple, n_classes: int):
-    """Labels and valid-row flags as arrays of the inputs' row shape (W,) or
-    (B, W); dummy_mask None means every row is real."""
+class Targets(NamedTuple):
+    """The label-only arrays of one window or a (..., W) stack of them, with
+    C = W + 1 classes (0 non-salient, then within-window ranks 1..W)."""
+
+    hot: np.ndarray  # (..., W, C) bool: one-hot CE target, all False on dummy rows
+    keep: np.ndarray  # (..., W, 1) float: 1.0 on real rows, 0.0 on dummy rows
+    nv: np.ndarray  # (...,) float: real rows per window, 1 when there are none
+    pairs: np.ndarray  # (..., W, W) bool: ordered salient pairs, label[i] < label[j]
+
+    def take(self, idx) -> "Targets":
+        """The windows idx (an index array or a slice) of a (N, W) stack."""
+        return Targets(*(a[idx] for a in self))
+
+
+def prepare_targets(gt_labels, dummy_mask=None) -> Targets:
+    """Check one window's labels and dummy flags, or a (..., W) stack of
+    them, and build their Targets; dummy_mask None means every row is real."""
     try:
         labels = np.asarray(gt_labels, dtype=int)
-        valid = np.ones(rows, bool) if dummy_mask is None else ~np.asarray(dummy_mask, dtype=bool)
+        valid = np.ones(labels.shape, bool) if dummy_mask is None else ~np.asarray(dummy_mask, dtype=bool)
     except ValueError:  # ragged rows
-        raise ShapeMismatch(f"labels and dummy flags must each have shape {rows}") from None
-    if labels.shape != rows or valid.shape != rows:
-        raise ShapeMismatch(f"{labels.shape} labels and {valid.shape} dummy flags for {rows} rows")
-    if np.any((labels < 0) | (labels >= n_classes)):
-        raise ShapeMismatch(f"labels outside 0..{n_classes - 1}")
-    return labels, valid
+        raise ShapeMismatch("labels and dummy flags must each be one (..., W) array") from None
+    if labels.ndim < 1 or labels.shape != valid.shape:
+        raise ShapeMismatch(f"{labels.shape} labels and {valid.shape} dummy flags")
+    c = labels.shape[-1] + 1
+    if np.any((labels < 0) | (labels >= c)):
+        raise ShapeMismatch(f"labels outside 0..{c - 1}")
+    hot = (labels[..., None] == np.arange(c)) & valid[..., None]
+    nv = np.maximum(valid.sum(axis=-1), 1).astype(float)
+    salient = np.where(valid, labels, 0)
+    pairs = (salient[..., :, None] > 0) & (salient[..., :, None] < salient[..., None, :])
+    return Targets(hot, valid[..., None].astype(float), nv, pairs)
 
 
 def _window_sums(terms: np.ndarray) -> np.ndarray:
     """Per-window sums of (..., W, K) terms, added one at a time in row-major
     order as the per-row, per-pair loop form adds them (np.sum adds 8 or more
     terms pairwise), so one window's loss matches that form bit for bit."""
-    return np.cumsum(terms.reshape(terms.shape[:-2] + (-1,)), axis=-1)[..., -1]
+    return np.add.accumulate(terms.reshape(terms.shape[:-2] + (-1,)), axis=-1)[..., -1]
 
 
-def loss_and_grad(
-    model: ScorerModel,
-    inputs: np.ndarray,
-    gt_labels,
-    cfg: TrainConfig,
-    dummy_mask=None,
-):
+def loss_and_grad(model: ScorerModel, inputs: np.ndarray, targets: Targets, cfg: TrainConfig):
     """Loss (CE + alpha * margin ranking) and analytic parameter grads of one
-    window (W x d_in inputs, W labels and dummy flags) or the mean over a
-    batch of them ((B, W, d_in) inputs, (B, W) labels and flags).
+    window (W x d_in inputs) or the mean over a batch of them ((B, W, d_in)
+    inputs), against the windows' prepare_targets.
 
     Dummy rows are masked out of both terms.  The ranking term compares
     expected class indices of salient pairs: the lower-ranked (less salient)
@@ -167,33 +181,49 @@ def loss_and_grad(
     """
     inputs = np.asarray(inputs, dtype=float)
     d_in, _, c = model.dims
-    labels, valid = _targets(gt_labels, dummy_mask, inputs.shape[:-1], c)
+    hot, keep, nv, pairs = targets
+    rows = inputs.shape[:-1]
+    if hot.shape != rows + (c,):
+        raise ShapeMismatch(f"targets of shape {hot.shape} for {rows} input rows and {c} classes")
     x = inputs.reshape(-1, d_in)
-    hidden = np.maximum(0.0, x @ model.w1 + model.b1)
-    p2 = softmax(hidden @ model.w2 + model.b2)
-    p = p2.reshape(labels.shape + (c,))
-    class_idx = np.arange(c)
-    hot = (labels[..., None] == class_idx) & valid[..., None]
-    nv = np.maximum(valid.sum(axis=-1), 1)
-    log_p = np.where(hot, np.log(np.maximum(p, 1e-300)), 0.0)
-    loss = -_window_sums(log_p) / nv
-    dlogits = (p * valid[..., None] - hot) / nv[..., None, None]
+    hidden = x @ model.w1
+    hidden += model.b1
+    np.maximum(0.0, hidden, out=hidden)
+    logits = hidden @ model.w2
+    logits += model.b2
+    p2 = softmax(logits)
+    p = p2.reshape(hot.shape)
+    log_p = np.maximum(p, 1e-300)
+    np.log(log_p, out=log_p)
+    loss = -_window_sums(np.where(hot, log_p, 0.0))
+    loss /= nv
+    dlogits = np.multiply(p, keep)
+    dlogits -= hot
+    dlogits /= nv[..., None, None]
 
-    y_hat = (p2 @ class_idx).reshape(labels.shape)
-    hinge = y_hat[..., :, None] - y_hat[..., None, :] + cfg.margin
-    # Ordered salient pairs (i, j): label[i] < label[j], both real and salient.
-    salient = np.where(valid, labels, 0)
-    hit = (salient[..., :, None] > 0) & (salient[..., :, None] < salient[..., None, :]) & (hinge > 0)
+    class_idx = np.arange(c, dtype=float)
+    y_hat = (p2 @ class_idx).reshape(rows)
+    hinge = np.subtract(y_hat[..., :, None], y_hat[..., None, :])
+    hinge += cfg.margin
+    hit = np.greater(hinge, 0)
+    hit &= pairs
     loss += cfg.alpha * _window_sums(np.where(hit, hinge, 0.0))
-    # Each positive hinge (i, j) pushes y_hat[i] up and y_hat[j] down;
+    # Each positive hinge (i, j) pushes y_hat[i] up and y_hat[j] down, so
+    # grad_y[i] = hits (i, .) - hits (., i), an exact integer;
     # d(y_hat)/d(logit_k) = p_k * (k - y_hat).
-    grad_y = hit.sum(axis=-1) - hit.sum(axis=-2)
-    dlogits += cfg.alpha * grad_y[..., None] * p * (class_idx - y_hat[..., None])
+    flags = hit.view(np.int8)
+    grad_y = np.add.reduce(flags - flags.swapaxes(-1, -2), axis=-1)
+    rank = np.multiply(cfg.alpha, grad_y[..., None]) * p
+    rank *= np.subtract(class_idx, y_hat[..., None])
+    dlogits += rank
 
     batch = loss.size
-    dlogits = dlogits.reshape(-1, c) / batch
+    dlogits = dlogits.reshape(-1, c)
+    dlogits /= batch
     dhidden = np.where(hidden > 0, dlogits @ model.w2.T, 0.0)
-    grads = ScorerModel(x.T @ dhidden, dhidden.sum(axis=0), hidden.T @ dlogits, dlogits.sum(axis=0))
+    grads = ScorerModel(
+        x.T @ dhidden, np.add.reduce(dhidden, axis=0), hidden.T @ dlogits, np.add.reduce(dlogits, axis=0)
+    )
     return float(loss.sum()) / batch, grads
 
 
@@ -208,11 +238,11 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
 
     dataset: sequence of (inputs W x d_in, gt_labels, dummy_mask) samples.
     Each epoch steps once per BATCH windows of a fresh permutation (the last
-    batch may be smaller) on the batch's mean loss and grads. Labels and
-    dummy flags are held as (N, W) arrays; each batch's inputs are gathered
-    from the samples, never all stacked at once. Parameters and velocity are
-    each one flat buffer. Deterministic: same seed, same data -> identical
-    model.
+    batch may be smaller) on the batch's mean loss and grads. The windows'
+    Targets are prepared once, as one (N, W) stack, permuted once per epoch
+    and sliced per batch; each batch's inputs are gathered from the samples,
+    never all stacked at once. Parameters and velocity are each one flat
+    buffer. Deterministic: same seed, same data -> identical model.
     """
     dataset = list(dataset)
     if not dataset:
@@ -222,8 +252,7 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
         raise ShapeMismatch(f"every window's inputs must have shape {shape}")
     model = init_model(d_in=d_in, n_classes=w + 1, seed=cfg.seed)
     masks = [[False] * w if mask is None else mask for _, _, mask in dataset]
-    labels, valid = _targets([gt for _, gt, _ in dataset], masks, (len(dataset), w), w + 1)
-    dummy = ~valid
+    targets = prepare_targets([gt for _, gt, _ in dataset], masks)
     theta, params = _flat_model(*model.dims)
     for dst, src in zip(params.params(), model.params()):
         dst[...] = src
@@ -234,11 +263,12 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
     for epoch in range(cfg.epochs):
         lr = cfg.lr * cfg.lr_decay_factor ** (epoch // cfg.lr_decay_every)
         order = rng.permutation(len(dataset))
+        shuffled = targets.take(order)
         total = 0.0
         for start in range(0, len(order), BATCH):
-            idx = order[start : start + BATCH]
-            x = np.array([dataset[i][0] for i in idx.tolist()], dtype=float)
-            loss, grads = loss_and_grad(params, x, labels[idx], cfg, dummy[idx])
+            idx = order[start : start + BATCH].tolist()
+            x = np.array([dataset[i][0] for i in idx], dtype=float)
+            loss, grads = loss_and_grad(params, x, shuffled.take(slice(start, start + BATCH)), cfg)
             total += loss * len(idx)
             # g = grad + decay * theta; v = momentum * v + g; theta -= lr * v
             grad = np.concatenate([g.ravel() for g in grads.params()])

@@ -36,6 +36,7 @@ from rankflow.scorer import (
     loss_and_grad,
     make_scorer,
     oracle_scorer,
+    prepare_targets,
     train,
     window_gt_labels,
 )
@@ -128,16 +129,16 @@ def test_criterion_05_gradient_check():
         labels = [int(l) for l in rng.permutation([1, 2, 3, 0, 0])]
         dummy = [False, False, False, False, bool(rng.random() < 0.3)]
         cfg = TrainConfig(alpha=float(rng.uniform(0.2, 1.5)), margin=float(rng.uniform(0, 0.3)))
-        _, analytic = loss_and_grad(model, x, labels, cfg, dummy)
+        _, analytic = loss_and_grad(model, x, prepare_targets(labels, dummy), cfg)
         for p, a in zip(model.params(), analytic.params()):
             it = np.nditer(p, flags=["multi_index"])
             for _ in it:
                 idx = it.multi_index
                 old = p[idx]
                 p[idx] = old + eps
-                lp, _ = loss_and_grad(model, x, labels, cfg, dummy)
+                lp, _ = loss_and_grad(model, x, prepare_targets(labels, dummy), cfg)
                 p[idx] = old - eps
-                lm, _ = loss_and_grad(model, x, labels, cfg, dummy)
+                lm, _ = loss_and_grad(model, x, prepare_targets(labels, dummy), cfg)
                 p[idx] = old
                 numeric = (lp - lm) / (2 * eps)
                 rel = abs(a[idx] - numeric) / max(1.0, abs(a[idx]), abs(numeric))

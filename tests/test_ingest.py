@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from rankflow.domain import GrayMap, Ranking
+from rankflow.domain import BBox, GrayMap, Proposal, Ranking, Scene
 from rankflow.errors import (
     InvariantViolation,
     IoFailure,
@@ -20,6 +20,7 @@ from rankflow.ingest import (
     pgm_from_bytes,
     read_bytes,
     pgm_to_bytes,
+    scene_to_dict,
     write_atomic,
     write_pgm,
     write_ranking,
@@ -110,6 +111,33 @@ class TestParseScene:
             out = tmp_path / path.name
             write_scene(parse_scene(path), out, fixation_map_path=map_path)
             assert out.read_bytes() == path.read_bytes()
+
+
+class TestWriteScene:
+    """write_scene formats the fixation rows itself; its bytes must stay those
+    of json.dumps(scene_to_dict(...), sort_keys=True)."""
+
+    def _scene(self, scene_id="s1", fixations=((3, 4, 0), (10, 2, 7))):
+        proposals = (
+            Proposal(id=0, box=BBox(1.0, 2.5, 30.0, 40.0), detector_confidence=0.75),
+            Proposal(id=1, box=None, is_dummy=True),
+            Proposal(id=2, box=BBox(0.0, 0.0, 5.0, 5.0)),
+        )
+        return Scene(scene_id=scene_id, width=64, height=48, proposals=proposals, fixations=list(fixations))
+
+    @pytest.mark.parametrize(
+        "scene_id, fixations",
+        [("s1", ((3, 4, 0), (10, 2, 7))), ("s1", ()), ('q"t\tab\té', ((0, 0, 0),)), ('"fixations": []', ((63, 47, 123456),))],
+        ids=["rows", "no-fixations", "escaped-id", "id-like-key"],
+    )
+    @pytest.mark.parametrize("map_path", [None, "maps/s1.pgm", 'odd "fixations": [] \\path.pgm'], ids=["no-map", "map", "odd-map"])
+    def test_bytes_match_scene_to_dict(self, tmp_path, scene_id, fixations, map_path):
+        scene = self._scene(scene_id, fixations)
+        out = tmp_path / "scene.json"
+        write_scene(scene, out, fixation_map_path=map_path)
+        want = json.dumps(scene_to_dict(scene, fixation_map_path=map_path), sort_keys=True) + "\n"
+        assert out.read_bytes() == want.encode("utf-8")
+        assert parse_scene(out, load_map=False) == scene
 
 
 class TestPgm:

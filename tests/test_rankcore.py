@@ -310,6 +310,23 @@ class TestWindowInputs:
             assert np.array_equal(window_inputs(feats, win.member_ids), x)
 
 
+    @pytest.mark.parametrize("w", range(1, 8))
+    def test_bytes_match_stack_formula(self, w):
+        # Reference: the stack/concatenate formula, whose bytes window_inputs keeps.
+        def reference(features, member_ids):
+            rows = features[np.asarray(member_ids, dtype=np.intp)]
+            fs, mm = rows[..., 0], rows[..., 3]
+            ctx = np.stack([fs.mean(axis=-1), fs.max(axis=-1), mm.mean(axis=-1), mm.max(axis=-1)], axis=-1)
+            return np.concatenate([rows, np.broadcast_to(ctx[..., None, :], (*rows.shape[:-1], 4))], axis=-1)
+
+        feats = np.random.default_rng(w).random((9, 14)) * [1e3] + np.arange(14) * 1e-7
+        members = np.array([win.member_ids for win in acb_sequences(9, w)])
+        for ids in (members[0], tuple(members[4]), members):
+            got, want = window_inputs(feats, ids), reference(feats, ids)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
 class TestRankSceneOracle:
     def test_oracle_recovers_gt(self):
         from conftest import make_scene

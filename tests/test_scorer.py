@@ -21,6 +21,7 @@ from rankflow.scorer import (
     make_scorer,
     mlp_forward,
     oracle_scorer,
+    prepare_targets,
     save_model,
     train,
     window_gt_labels,
@@ -77,7 +78,7 @@ class TestLoss:
             w1=np.zeros((18, 4)), b1=np.zeros(4), w2=np.zeros((4, 6)), b2=np.zeros(6)
         )
         x = np.random.default_rng(0).normal(size=(5, 18))
-        loss, _ = loss_and_grad(model, x, [1, 2, 3, 0, 0], TrainConfig(alpha=0.0))
+        loss, _ = loss_and_grad(model, x, prepare_targets([1, 2, 3, 0, 0]), TrainConfig(alpha=0.0))
         assert loss == pytest.approx(math.log(6))
         assert loss == pytest.approx(1.7918, abs=1e-4)
 
@@ -85,12 +86,12 @@ class TestLoss:
         model = init_model(seed=0)
         x = np.random.default_rng(1).normal(size=(5, 18))
         loss_a, grads_a = loss_and_grad(
-            model, x, [1, 2, 0, 0, 0], TrainConfig(), dummy_mask=[False, False, False, True, True]
+            model, x, prepare_targets([1, 2, 0, 0, 0], dummy_mask=[False, False, False, True, True]), TrainConfig()
         )
         x2 = x.copy()
         x2[3:] = 99.0  # dummy inputs must not matter
         loss_b, grads_b = loss_and_grad(
-            model, x2, [1, 2, 0, 0, 0], TrainConfig(), dummy_mask=[False, False, False, True, True]
+            model, x2, prepare_targets([1, 2, 0, 0, 0], dummy_mask=[False, False, False, True, True]), TrainConfig()
         )
         assert loss_a == pytest.approx(loss_b)
         assert np.allclose(grads_a.w1, grads_b.w1)
@@ -99,9 +100,9 @@ class TestLoss:
         # logits already strongly ordered: rank hinge contributes nothing extra
         model = init_model(seed=0)
         x = np.random.default_rng(2).normal(size=(5, 18))
-        base, _ = loss_and_grad(model, x, [1, 2, 3, 0, 0], TrainConfig(alpha=0.0))
+        base, _ = loss_and_grad(model, x, prepare_targets([1, 2, 3, 0, 0]), TrainConfig(alpha=0.0))
         with_rank, _ = loss_and_grad(
-            model, x, [1, 2, 3, 0, 0], TrainConfig(alpha=1.0, margin=0.0)
+            model, x, prepare_targets([1, 2, 3, 0, 0]), TrainConfig(alpha=1.0, margin=0.0)
         )
         assert with_rank >= base
 
@@ -109,18 +110,24 @@ class TestLoss:
         model = init_model()
         x = np.zeros((5, 18))
         with pytest.raises(ShapeMismatch):
-            loss_and_grad(model, x, [1, 2, 0], TrainConfig())
+            loss_and_grad(model, x, prepare_targets([1, 2, 0]), TrainConfig())
         with pytest.raises(ShapeMismatch):
-            loss_and_grad(model, x, [1, 2, 0, 0, 0], TrainConfig(), dummy_mask=[False] * 4)
+            loss_and_grad(model, x, prepare_targets([1, 2, 0, 0, 0], dummy_mask=[False] * 4), TrainConfig())
         with pytest.raises(ShapeMismatch):
-            loss_and_grad(model, x, [6, 0, 0, 0, 0], TrainConfig())
+            loss_and_grad(model, x, prepare_targets([6, 0, 0, 0, 0]), TrainConfig())
         batch = np.zeros((2, 5, 18))
         with pytest.raises(ShapeMismatch):
-            loss_and_grad(model, batch, [[1, 0, 0, 0, 0], [1, 0, 0]], TrainConfig())
+            loss_and_grad(model, batch, prepare_targets([[1, 0, 0, 0, 0], [1, 0, 0]]), TrainConfig())
         with pytest.raises(ShapeMismatch):
-            loss_and_grad(model, batch, [[0] * 5] * 2, TrainConfig(), dummy_mask=[False] * 5)
+            loss_and_grad(model, batch, prepare_targets([[0] * 5] * 2, dummy_mask=[False] * 5), TrainConfig())
         with pytest.raises(ShapeMismatch):
-            loss_and_grad(model, batch, [[0] * 5, [0, 0, -1, 0, 0]], TrainConfig())
+            loss_and_grad(model, batch, prepare_targets([[0] * 5, [0, 0, -1, 0, 0]]), TrainConfig())
+
+    def test_rejects_targets_of_other_windows(self):
+        model = init_model()
+        for targets in (prepare_targets([1, 2, 0, 0, 0]), prepare_targets([[1, 2, 0, 0, 0]] * 3)):
+            with pytest.raises(ShapeMismatch):
+                loss_and_grad(model, np.zeros((2, 5, 18)), targets, TrainConfig())
 
     def _numeric_grad(self, model, x, labels, cfg, dummy_mask, eps=1e-6):
         grads = []
@@ -131,9 +138,9 @@ class TestLoss:
                 idx = it.multi_index
                 old = p[idx]
                 p[idx] = old + eps
-                lp, _ = loss_and_grad(model, x, labels, cfg, dummy_mask)
+                lp, _ = loss_and_grad(model, x, prepare_targets(labels, dummy_mask), cfg)
                 p[idx] = old - eps
-                lm, _ = loss_and_grad(model, x, labels, cfg, dummy_mask)
+                lm, _ = loss_and_grad(model, x, prepare_targets(labels, dummy_mask), cfg)
                 p[idx] = old
                 g[idx] = (lp - lm) / (2 * eps)
             grads.append(g)
@@ -146,10 +153,33 @@ class TestLoss:
         labels = [2, 1, 0, 3, 0]
         cfg = TrainConfig(alpha=0.7, margin=0.1)
         dummy = [False, False, False, False, True]
-        _, analytic = loss_and_grad(model, x, labels, cfg, dummy)
+        _, analytic = loss_and_grad(model, x, prepare_targets(labels, dummy), cfg)
         numeric = self._numeric_grad(model, x, labels, cfg, dummy)
         for a, n in zip(analytic.params(), numeric):
             assert np.allclose(a, n, rtol=1e-4, atol=1e-6)
+
+
+class TestPrepareTargets:
+    def test_arrays(self):
+        t = prepare_targets([[2, 0, 1, 3], [1, 0, 0, 2]], [[False, False, False, True], [True] * 4])
+        assert t.hot.shape == (2, 4, 5) and t.hot.dtype == bool
+        assert np.argwhere(t.hot[0]).tolist() == [[0, 2], [1, 0], [2, 1]]  # the dummy row's label 3 is dropped
+        assert not t.hot[1].any()
+        assert t.keep.tolist() == [[[1.0], [1.0], [1.0], [0.0]], [[0.0]] * 4]
+        assert t.nv.tolist() == [3.0, 1.0]  # a window with no real row counts 1
+        # Ordered salient pairs among real rows: label 1 (row 2) before label 2 (row 0).
+        assert np.argwhere(t.pairs[0]).tolist() == [[2, 0]]
+        assert not t.pairs[1].any()
+
+    def test_take(self):
+        t = prepare_targets([[1, 0], [0, 1], [2, 1]])
+        for idx in ([2, 0], slice(1, 3)):
+            for got, full in zip(t.take(idx), t):
+                assert np.array_equal(got, full[idx])
+
+    def test_one_window(self):
+        t = prepare_targets([0, 1, 2])
+        assert t.hot.shape == (3, 4) and t.keep.shape == (3, 1) and t.nv.shape == () and t.pairs.shape == (3, 3)
 
 
 class TestTrainConfig:
@@ -214,6 +244,17 @@ class TestTrain:
         monkeypatch.setattr(scorer, "loss_and_grad", counted)
         train(self._dataset(n=2 * BATCH + 3), TrainConfig(epochs=2))
         assert sizes == [(BATCH, 5, 18), (BATCH, 5, 18), (3, 5, 18)] * 2
+
+    def test_targets_prepared_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(np.shape(args[0]))
+            return prepare_targets(*args)
+
+        monkeypatch.setattr(scorer, "prepare_targets", counted)
+        train(self._dataset(n=2 * BATCH + 3), TrainConfig(epochs=2))
+        assert calls == [(2 * BATCH + 3, 5)]
 
     def test_rejects_windows_that_do_not_fit(self):
         data = self._dataset()
@@ -417,13 +458,21 @@ class TestSameTrajectory:
             w = int(rng.integers(2, 13))
             cfg = TrainConfig(alpha=[0.0, 0.3, 1.0][k % 3], margin=[0.0, 0.5, 2.0][k // 3 % 3])
             model = init_model(n_classes=w + 1, seed=k)
+            windows = []
             for x, labels, dummy in _mixed_windows(w, 3, seed=k):
-                if k % 2:  # dummy rows may carry any label; both forms ignore it
+                if k % 2:  # dummy rows may carry any label; every form ignores it
                     labels = [int(rng.integers(0, w + 1)) if d else l for l, d in zip(labels, dummy)]
+                windows.append((x, labels, dummy))
+            # Targets prepared once for every window, permuted and sliced as train does.
+            perm = np.random.default_rng(k).permutation(len(windows))
+            shuffled = prepare_targets([s[1] for s in windows], [s[2] for s in windows]).take(perm)
+            for i, (x, labels, dummy) in enumerate(windows):
                 want_loss, want = _reference_loss_and_grad(model, x, labels, cfg, dummy)
+                at = int(np.flatnonzero(perm == i)[0])
                 for got_loss, got in (
-                    loss_and_grad(model, x, labels, cfg, dummy),
-                    loss_and_grad(model, x[None], [labels], cfg, [dummy]),  # a batch of one
+                    loss_and_grad(model, x, prepare_targets(labels, dummy), cfg),
+                    loss_and_grad(model, x[None], prepare_targets([labels], [dummy]), cfg),  # a batch of one
+                    loss_and_grad(model, x[None], shuffled.take(slice(at, at + 1)), cfg),
                 ):
                     assert got_loss == want_loss
                     for a, b in zip(got.params(), want.params()):
@@ -435,7 +484,7 @@ class TestSameTrajectory:
         model = init_model(n_classes=w + 1, seed=w)
         data = _mixed_windows(w, 14, seed=w)
         x, labels, dummy = (np.array([sample[i] for sample in data]) for i in range(3))
-        loss, grads = loss_and_grad(model, x, labels, cfg, dummy)
+        loss, grads = loss_and_grad(model, x, prepare_targets(labels, dummy), cfg)
         per_window = [_reference_loss_and_grad(model, *sample[:2], cfg, sample[2]) for sample in data]
         np.testing.assert_allclose(loss, np.mean([lo for lo, _ in per_window]), rtol=1e-12, atol=0)
         for k, got in enumerate(grads.params()):
