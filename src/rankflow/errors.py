@@ -4,6 +4,10 @@
 class RankflowError(Exception):
     """Base class for all structured rankflow errors (CLI exit code 2)."""
 
+    def naming(self, where) -> "RankflowError":
+        """This error again, its message led by ``where`` (a file path)."""
+        return type(self)(f"{where}: {self}")
+
 
 class MissingFile(RankflowError):
     pass
@@ -18,6 +22,9 @@ class InvariantViolation(RankflowError):
         super().__init__(f"{field}: {reason}")
         self.field = field
         self.reason = reason
+
+    def naming(self, where) -> "InvariantViolation":
+        return type(self)(f"{where}: {self.field}", self.reason)
 
     def __reduce__(self):
         # Rebuilt from (field, reason), not from the formatted message, so the

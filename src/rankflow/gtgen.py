@@ -114,13 +114,20 @@ def rasrgt_rank(scene: Scene, cfg: GtConfig | None = None) -> Ranking:
     return _rank_counts(*rasrgt_counts(scene), cfg or GtConfig())
 
 
+def require_map(scene: Scene) -> GrayMap:
+    """The scene's fixation map; MissingFixationMap if it has none."""
+    if scene.fixation_map is None:
+        raise MissingFixationMap("no fixation_map_path, so the scene has no fixation map")
+    return scene.fixation_map
+
+
 def generate_ranking(scene: Scene, cfg: GtConfig) -> Ranking:
     """The scene's ranking under ``cfg.method``; a method that reads the
     fixation map raises MissingFixationMap on a scene without one."""
     if cfg.method is GtMethod.RA_SRGT:
         return rasrgt_rank(scene, cfg)
-    if cfg.method.reads_map and scene.fixation_map is None:
-        raise MissingFixationMap(scene.scene_id)
+    if cfg.method.reads_map:
+        require_map(scene)
     return ranking_from_scores({p.id: _box_score(scene, p.box, cfg) for p in scene.real_proposals})
 
 

@@ -19,6 +19,7 @@ from .errors import (
     IoFailure,
     MalformedJson,
     MissingFile,
+    RankflowError,
     TruncatedData,
     UnsupportedFormat,
 )
@@ -65,7 +66,7 @@ def read_text(path) -> str:
 
 def parse_scene(path, load_map: bool = True) -> Scene:
     """Scene from a JSON file; ``load_map=False`` leaves its PGM map unread.
-    Every error in the file's contents names the file."""
+    Every error in the file's contents, or in the map it names, names the file."""
     path = Path(path)
     try:
         doc = json.loads(read_text(path))
@@ -73,8 +74,8 @@ def parse_scene(path, load_map: bool = True) -> Scene:
         raise MalformedJson(f"{path}: line {e.lineno}: {e.msg}") from e
     try:
         return scene_from_dict(doc, base_dir=path.parent, load_map=load_map)
-    except InvariantViolation as e:
-        raise InvariantViolation(f"{path}: {e.field}", e.reason) from e
+    except RankflowError as e:
+        raise e.naming(path) from e
 
 
 def scene_from_dict(doc: dict, base_dir=None, load_map: bool = True) -> Scene:
@@ -119,12 +120,14 @@ def scene_from_dict(doc: dict, base_dir=None, load_map: bool = True) -> Scene:
         raise InvariantViolation("scene", str(e)) from e
 
 
-def scene_to_dict(scene: Scene, fixation_map_path=None) -> dict:
-    fixations = [{"u": u, "v": v, "observer_id": o} for u, v, o in scene.fixations.tolist()]
-    return _scene_doc(scene, fixations, fixation_map_path)
+_FIXATION_JSON = '{"observer_id": %d, "u": %d, "v": %d}'
 
 
-def _scene_doc(scene: Scene, fixations: list, fixation_map_path) -> dict:
+def write_scene(scene: Scene, path, fixation_map_path=None) -> None:
+    """Write the scene as sorted-key JSON.  The fixation rows, most of the
+    file, are formatted straight into that layout instead of each becoming a
+    dict for json.dumps.  The replaced '"fixations": []' can only be the key:
+    inside a JSON string its middle quote would be escaped."""
     doc = {
         "scene_id": scene.scene_id,
         "width": scene.width,
@@ -139,23 +142,12 @@ def _scene_doc(scene: Scene, fixations: list, fixation_map_path) -> dict:
             }
             for p in scene.proposals
         ],
-        "fixations": fixations,
+        "fixations": [],
     }
     if fixation_map_path is not None:
         doc["fixation_map_path"] = str(fixation_map_path)
-    return doc
-
-
-_FIXATION_JSON = '{"observer_id": %d, "u": %d, "v": %d}'
-
-
-def write_scene(scene: Scene, path, fixation_map_path=None) -> None:
-    """Write scene_to_dict's document as sorted-key JSON.  The fixation rows,
-    most of the file, are formatted straight into that layout instead of
-    each becoming a dict for json.dumps.  The replaced '"fixations": []' can
-    only be the key: inside a JSON string its middle quote would be escaped."""
     rows = ", ".join([_FIXATION_JSON % (o, u, v) for u, v, o in scene.fixations.tolist()])
-    text = json.dumps(_scene_doc(scene, [], fixation_map_path), sort_keys=True)
+    text = json.dumps(doc, sort_keys=True)
     write_atomic(path, text.replace('"fixations": []', f'"fixations": [{rows}]', 1) + "\n")
 
 
@@ -194,7 +186,7 @@ def pgm_from_bytes(data: bytes, name="<pgm>") -> GrayMap:
     try:
         return GrayMap(width=width, height=height, values=raster)
     except InvariantViolation as e:
-        raise InvariantViolation(f"{name}: {e.field}", e.reason) from e
+        raise e.naming(name) from e
 
 
 def pgm_to_bytes(gmap: GrayMap) -> bytes:

@@ -10,23 +10,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import GrayMap, Ranking, Scene, sqrt_size
-from .errors import MissingFixationMap, SceneMismatch, SrccUndefined
+from .errors import SceneMismatch, SrccUndefined
 from .gtgen import map_region, ranking_from_scores
 
 
 def midranks(values) -> np.ndarray:
     """Average-rank (fractional) ranks, 1-based, ties share the mean rank."""
-    values = np.asarray(values, dtype=float)
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2 + 1
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(np.asarray(values, dtype=float), return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)  # 1-based rank of each distinct value's last copy
+    return (ends - (counts - 1) / 2)[inverse]
 
 
 def srcc(pred: Ranking, gt: Ranking) -> float:
@@ -62,14 +54,11 @@ def f1_salient(pred: Ranking, gt: Ranking) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def map_threshold(scene: Scene, lam: float, gray: GrayMap | None = None) -> float:
+def map_threshold(scene: Scene, gmap: GrayMap, lam: float) -> float:
     """Per-object average-intensity binarization threshold.
 
     T = (1 / (n * lam)) * sum_i sum(values in box_i) / sqrt(area_i).
     """
-    gmap = gray if gray is not None else scene.fixation_map
-    if gmap is None:
-        raise MissingFixationMap(scene.scene_id)
     if not 0 < lam <= 1:
         raise ValueError("lambda must lie in (0,1]")
     proposals = scene.real_proposals
@@ -85,7 +74,7 @@ def rank_from_saliency_map(scene: Scene, gmap: GrayMap, lam: float) -> Ranking:
         raise SceneMismatch(
             f"{scene.scene_id}: map {gmap.width}x{gmap.height} vs scene {scene.width}x{scene.height}"
         )
-    threshold = map_threshold(scene, lam, gray=gmap)
+    threshold = map_threshold(scene, gmap, lam)
     return ranking_from_scores(
         {p.id: float((map_region(gmap, p.box) > threshold).sum()) for p in scene.real_proposals}
     )

@@ -1,8 +1,11 @@
 """Dataset-level stages shared by the CLI: preprocessing, GT generation,
 training-set assembly, ranking and map-based ranking.
 
-Scene work is independent, so stages parallelize with a process pool; results
-are merged in scene order so output never depends on the job count.
+Every stage runs one per-scene function through one runner, ``map_scenes``,
+which parses each scene file, returns ``(scene_id, result)`` rows and puts
+the file's path in front of any data error.  Scene work is independent, so
+it runs on a process pool; rows keep file order, so output never depends on
+the job count.
 """
 from __future__ import annotations
 
@@ -21,11 +24,11 @@ from .errors import (
     InvariantViolation,
     IoFailure,
     MissingFile,
-    MissingFixationMap,
+    RankflowError,
     SceneMismatch,
     UnsupportedFormat,
 )
-from .gtgen import GtConfig, discrepancy_offsets, generate_ranking, rasrgt_counts
+from .gtgen import GtConfig, discrepancy_offsets, generate_ranking, rasrgt_counts, require_map
 from .ingest import (
     list_scene_files,
     parse_pgm,
@@ -37,7 +40,7 @@ from .ingest import (
 )
 from .metrics import evaluate_rankings, rank_from_saliency_map
 from .preprocess import FEATURE_DIM, FilterConfig, filter_proposals, read_features, scene_features, write_features
-from .rankcore import DEFAULT_WINDOW, MAX_WINDOW, rank_scene, window_batch
+from .rankcore import DEFAULT_WINDOW, MAX_WINDOW, check_window_size, rank_scene, window_batch
 from .scorer import load_model, make_scorer, window_gt_labels
 
 
@@ -50,18 +53,28 @@ def parallel_map(fn, items, jobs: int = 1):
         return list(pool.map(fn, items))
 
 
-def map_scenes(fn, in_dir, jobs: int = 1) -> list:
-    """``fn`` on every scene file of ``in_dir`` on ``jobs`` workers, in file
-    order. Each call returns a tuple whose first item is the file's scene_id;
-    a scene_id found in two files raises InvariantViolation naming both, so
+def _run_scene(path, fn, load_map: bool):
+    """``(scene_id, fn(scene))`` for one scene file; a RankflowError from
+    ``fn`` is raised again with the file's path in front."""
+    scene = parse_scene(path, load_map)
+    try:
+        return scene.scene_id, fn(scene)
+    except RankflowError as e:
+        raise e.naming(path) from e
+
+
+def map_scenes(fn, in_dir, jobs: int = 1, load_map: bool = False) -> list:
+    """``(scene_id, fn(scene))`` for every scene file of ``in_dir``, in file
+    order, on ``jobs`` workers; ``load_map`` reads each scene's PGM map too.
+    A scene_id found in two files raises InvariantViolation naming both, so
     no stage merges two scenes into one."""
     paths = list_scene_files(in_dir)
-    rows = parallel_map(fn, paths, jobs)
+    rows = parallel_map(partial(_run_scene, fn=fn, load_map=load_map), paths, jobs)
     first = {}
-    for path, row in zip(paths, rows):
-        other = first.setdefault(row[0], path)
+    for path, (scene_id, _) in zip(paths, rows):
+        other = first.setdefault(scene_id, path)
         if other != path:
-            raise InvariantViolation("scene_id", f"{row[0]!r} is in both {other} and {path}")
+            raise InvariantViolation("scene_id", f"{scene_id!r} is in both {other} and {path}")
     return rows
 
 
@@ -83,12 +96,10 @@ def write_provenance(target, config: dict, seed=None) -> None:
     write_atomic(path, json.dumps(record, sort_keys=True) + "\n")
 
 
-def _preprocess_one(scene_path, staging: Path, cfg: FilterConfig) -> tuple[str]:
-    scene = parse_scene(scene_path)
+def _preprocess_one(scene: Scene, staging: Path, cfg: FilterConfig) -> None:
     filtered = filter_proposals(scene, cfg)
     write_scene(filtered, staging / f"{filtered.scene_id}.json")
     write_features(scene_features(filtered), staging / f"{filtered.scene_id}.feat")
-    return (filtered.scene_id,)
 
 
 def preprocess_dataset(in_dir, out_dir, cfg: FilterConfig | None = None, jobs: int = 1) -> list[str]:
@@ -105,7 +116,7 @@ def preprocess_dataset(in_dir, out_dir, cfg: FilterConfig | None = None, jobs: i
         raise IoFailure(f"cannot create {out_dir}: {e.strerror or e}") from e
     try:
         worker = partial(_preprocess_one, staging=staging, cfg=cfg)
-        ids = [scene_id for (scene_id,) in map_scenes(worker, in_dir, jobs)]
+        ids = [scene_id for scene_id, _ in map_scenes(worker, in_dir, jobs, load_map=True)]
         try:
             for sub, suffix in (("scenes", ".json"), ("features", ".feat")):
                 (out_dir / sub).mkdir(exist_ok=True)
@@ -118,75 +129,53 @@ def preprocess_dataset(in_dir, out_dir, cfg: FilterConfig | None = None, jobs: i
     return ids
 
 
-def _parse_scene(scene_path, load_map: bool) -> Scene:
-    """``parse_scene``; with ``load_map``, a scene without a map raises
-    MissingFixationMap naming its file."""
-    scene = parse_scene(scene_path, load_map=load_map)
-    if load_map and scene.fixation_map is None:
-        raise MissingFixationMap(f"{scene_path}: no fixation_map_path, so the scene has no fixation map")
-    return scene
-
-
-def _gt_one(scene_path, cfg: GtConfig):
-    scene = _parse_scene(scene_path, cfg.method.reads_map)
-    return scene.scene_id, generate_ranking(scene, cfg)
-
-
 def gt_generate(in_dir, cfg: GtConfig, out_file, jobs: int = 1) -> None:
-    worker = partial(_gt_one, cfg=cfg)
-    write_ranking(map_scenes(worker, in_dir, jobs), out_file)
-
-
-def _count_one(scene_path):
-    scene = parse_scene(scene_path, load_map=False)
-    return scene.scene_id, rasrgt_counts(scene)
+    rows = map_scenes(partial(generate_ranking, cfg=cfg), in_dir, jobs, load_map=cfg.method.reads_map)
+    write_ranking(rows, out_file)
 
 
 def gt_discrepancy(in_dir, cfg: GtConfig, thresholds, out_file, jobs: int = 1) -> None:
     """Workers parse the scenes and count their boxes, so only the counts
     reach this process."""
-    counts = [c for _, c in map_scenes(_count_one, in_dir, jobs)]
+    counts = [c for _, c in map_scenes(rasrgt_counts, in_dir, jobs)]
     rows = discrepancy_offsets(counts, cfg, thresholds)
     write_atomic(out_file, "threshold,t_offset\n" + "".join(f"{t:g},{offset}\n" for t, offset in rows))
 
 
-def _feature_dir(pre_dir) -> Path:
+def _with_features(scene: Scene, feat_dir: Path, fn):
+    return fn(scene, read_features(feat_dir / f"{scene.scene_id}.feat"))
+
+
+def load_preprocessed(pre_dir, fn, jobs: int = 1) -> list:
+    """``map_scenes`` rows of ``fn(scene, features)`` for every scene of a
+    preprocessed dataset directory."""
     feat_dir = Path(pre_dir) / "features"
     if not feat_dir.is_dir():
         raise MissingFile(f"{feat_dir} (run the preprocess stage first)")
-    return feat_dir
+    return map_scenes(partial(_with_features, feat_dir=feat_dir, fn=fn), pre_dir, jobs)
 
 
-def _load_one(scene_path, feat_dir: Path):
-    scene = parse_scene(scene_path)
-    return scene.scene_id, scene, read_features(feat_dir / f"{scene.scene_id}.feat")
-
-
-def load_preprocessed(pre_dir) -> list[tuple[Scene, "object"]]:
-    """(Scene, feature matrix) pairs from a preprocessed dataset directory."""
-    feat_dir = _feature_dir(pre_dir)
-    rows = map_scenes(partial(_load_one, feat_dir=feat_dir), pre_dir)
-    return [(scene, features) for _, scene, features in rows]
+def _scene_samples(scene: Scene, features, gt: dict[str, Ranking], window_size: int) -> list:
+    if scene.scene_id not in gt:
+        return []
+    _, ids, dummy, inputs = window_batch(scene, features, window_size)
+    ranking = gt[scene.scene_id]
+    return [
+        (x, window_gt_labels(ranking, row), mask)
+        for x, row, mask in zip(inputs, ids.tolist(), dummy.tolist())
+    ]
 
 
 def build_training_set(pre_dir, gt: dict[str, Ranking], window_size: int = DEFAULT_WINDOW):
-    """One training sample per circular window of every preprocessed scene."""
-    samples = []
-    for scene, features in load_preprocessed(pre_dir):
-        if scene.scene_id not in gt:
-            continue
-        _, ids, dummy, inputs = window_batch(scene, features, window_size)
-        ranking = gt[scene.scene_id]
-        samples += [
-            (x, window_gt_labels(ranking, row), mask)
-            for x, row, mask in zip(inputs, ids.tolist(), dummy.tolist())
-        ]
-    return samples
+    """One training sample per circular window of every preprocessed scene.
+    The window size is checked first, so an error about it names no scene."""
+    check_window_size(window_size)
+    rows = load_preprocessed(pre_dir, partial(_scene_samples, gt=gt, window_size=window_size))
+    return [sample for _, samples in rows for sample in samples]
 
 
-def _rank_one(scene_path, feat_dir: Path, model, window_size):
-    scene_id, scene, features = _load_one(scene_path, feat_dir)
-    return scene_id, rank_scene(scene, features, make_scorer(model), window_size)
+def _rank_one(scene: Scene, features, model, window_size: int) -> Ranking:
+    return rank_scene(scene, features, make_scorer(model), window_size)
 
 
 def rank_dataset(pre_dir, model_path, out_file, jobs: int = 1) -> int:
@@ -196,7 +185,6 @@ def rank_dataset(pre_dir, model_path, out_file, jobs: int = 1) -> int:
     Workers read their own scene and features, so only paths and the model
     are sent to them.
     """
-    feat_dir = _feature_dir(pre_dir)
     model = load_model(model_path)
     d_in, _, c = model.dims
     n_in = FEATURE_DIM + 4  # window_inputs adds 4 window-context columns
@@ -204,25 +192,25 @@ def rank_dataset(pre_dir, model_path, out_file, jobs: int = 1) -> int:
         need = f"a model of {n_in} inputs and 2..{MAX_WINDOW + 1} classes"
         raise UnsupportedFormat(f"{model_path}: {need} is needed, got dims {model.dims}")
     window_size = c - 1
-    worker = partial(_rank_one, feat_dir=feat_dir, model=model, window_size=window_size)
-    write_ranking(map_scenes(worker, pre_dir, jobs), out_file)
+    ranker = partial(_rank_one, model=model, window_size=window_size)
+    write_ranking(load_preprocessed(pre_dir, ranker, jobs), out_file)
     return window_size
 
 
-def _map_rank_one(scene_path, maps_dir: Path, lam: float):
-    scene = _parse_scene(scene_path, maps_dir is None)
+def _map_rank_one(scene: Scene, maps_dir: Path | None, lam: float) -> Ranking:
     if maps_dir is None:
-        return scene.scene_id, rank_from_saliency_map(scene, scene.fixation_map, lam)
+        return rank_from_saliency_map(scene, require_map(scene), lam)
     map_path = maps_dir / f"{scene.scene_id}.pgm"
     try:
-        return scene.scene_id, rank_from_saliency_map(scene, parse_pgm(map_path), lam)
+        return rank_from_saliency_map(scene, parse_pgm(map_path), lam)
     except SceneMismatch as e:
-        raise SceneMismatch(f"{map_path}: {e}") from e
+        raise e.naming(map_path) from e
 
 
 def map_rank_dataset(in_dir, maps_dir, lam, out_file, jobs: int = 1) -> None:
-    worker = partial(_map_rank_one, maps_dir=Path(maps_dir) if maps_dir else None, lam=lam)
-    write_ranking(map_scenes(worker, in_dir, jobs), out_file)
+    maps_dir = Path(maps_dir) if maps_dir else None
+    rows = map_scenes(partial(_map_rank_one, maps_dir=maps_dir, lam=lam), in_dir, jobs, load_map=maps_dir is None)
+    write_ranking(rows, out_file)
 
 
 def evaluate_files(pred_file, gt_file, out_file=None) -> dict:

@@ -28,10 +28,14 @@ class Window:
     member_ids: tuple[int, ...]  # proposal positions in the scene's order
 
 
-def acb_sequences(n: int, window_size: int = DEFAULT_WINDOW) -> list[Window]:
-    """n circular windows; window i holds indices (i, i+1, ..., i+W-1) mod n."""
+def check_window_size(window_size: int) -> None:
     if not 1 <= window_size <= MAX_WINDOW:
         raise InvalidWindow(f"window size must lie in 1..{MAX_WINDOW}, got {window_size}")
+
+
+def acb_sequences(n: int, window_size: int = DEFAULT_WINDOW) -> list[Window]:
+    """n circular windows; window i holds indices (i, i+1, ..., i+W-1) mod n."""
+    check_window_size(window_size)
     if n < window_size:
         raise InvalidWindow(f"need at least {window_size} proposals, got {n}")
     return [Window(tuple((i + k) % n for k in range(window_size))) for i in range(n)]

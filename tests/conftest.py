@@ -4,6 +4,26 @@ import pytest
 from rankflow.domain import BBox, GrayMap, Proposal, Scene
 
 
+def scene_to_dict(scene, fixation_map_path=None) -> dict:
+    """The document ``ingest.write_scene`` writes as sorted-key JSON, built
+    the plain way: the reference its fast formatting is checked against."""
+    doc = {
+        "scene_id": scene.scene_id,
+        "width": scene.width,
+        "height": scene.height,
+        "proposals": [
+            {"id": p.id, "is_dummy": True}
+            if p.is_dummy
+            else {"id": p.id, "box": [p.box.x1, p.box.y1, p.box.x2, p.box.y2], "confidence": p.detector_confidence}
+            for p in scene.proposals
+        ],
+        "fixations": [{"u": u, "v": v, "observer_id": o} for u, v, o in scene.fixations.tolist()],
+    }
+    if fixation_map_path is not None:
+        doc["fixation_map_path"] = str(fixation_map_path)
+    return doc
+
+
 def make_scene(
     boxes,
     fixations=(),

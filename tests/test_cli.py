@@ -14,9 +14,10 @@ import rankflow
 from rankflow import cli, pipeline
 from rankflow.cli import _SECTIONS, _common, build_parser, dispatch, gamma_grid
 from rankflow.pipeline import config_hash
-from rankflow.errors import RankflowError
+from rankflow.errors import InvariantViolation, RankflowError, SceneMismatch
 from rankflow.gtgen import GtMethod
 from rankflow.ingest import parse_ranking
+from rankflow.preprocess import FEATURE_DIM
 from rankflow.rankcore import acb_sequences, window_inputs
 from rankflow.scorer import init_model, load_model, save_model, window_gt_labels
 
@@ -145,7 +146,7 @@ class TestUsageErrors:
         argv = ["train", "--in", str(dataset / "pre"), "--gt", str(dataset / "raw" / "gt.csv"),
                 "--out", str(tmp_path / "m.bin"), "--window", "-1"]
         assert run(*argv) == 2
-        assert "window size" in capsys.readouterr().err
+        assert "error: window size must lie in 1..7, got -1\n" in capsys.readouterr().err  # names no scene
 
     def test_rank_takes_no_window_flag(self, dataset, tmp_path):
         argv = ["rank", "--in", str(dataset / "pre"), "--model", str(tmp_path / "m.bin"),
@@ -480,7 +481,7 @@ class TestPipelineStages:
         gt = parse_ranking(dataset / "raw" / "gt.csv")
         samples = pipeline.build_training_set(dataset / "pre", gt, 5)
         expected = []
-        for scene, feats in pipeline.load_preprocessed(dataset / "pre"):
+        for _, (scene, feats) in pipeline.load_preprocessed(dataset / "pre", lambda *pair: pair):
             for window in acb_sequences(len(scene.proposals), 5):
                 ids = tuple(scene.proposals[i].id for i in window.member_ids)
                 expected.append(
@@ -706,6 +707,59 @@ class TestBadSceneFiles:
         assert [p.name for p in work.iterdir()] == ["pre"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["raw", "work"]
         assert not list(tmp_path.rglob("escaped*"))
+
+
+    @pytest.mark.parametrize(
+        "error", [InvariantViolation("box", "too small"), SceneMismatch("no such proposal")], ids=["field", "message"]
+    )
+    def test_runner_puts_the_file_in_front(self, dataset, error):
+        def fail(scene):
+            raise error
+
+        path = dataset / "raw" / "scenes" / "scene_00000.json"
+        with pytest.raises(type(error)) as raised:
+            pipeline.map_scenes(fail, dataset / "raw")
+        assert str(raised.value) == f"{path}: {error}"
+        if isinstance(error, InvariantViolation):
+            assert (raised.value.field, raised.value.reason) == (f"{path}: box", "too small")
+
+
+class TestPreprocessedSceneErrors:
+    """A data error that train or rank meets in one preprocessed scene names
+    the scene file, whichever stage reads it."""
+
+    @staticmethod
+    def _run_stage(stage, pre, gt, tmp_path):
+        if stage == "train":
+            return run("train", "--in", str(pre), "--gt", str(gt), "--out", str(tmp_path / "new.bin"))
+        model = tmp_path / "m.bin"
+        save_model(init_model(), model)  # 6 classes: window size 5
+        return run("rank", "--in", str(pre), "--model", str(model), "--out", str(tmp_path / "p.csv"), "--jobs", "2")
+
+    @pytest.mark.parametrize("stage", ["train", "rank"])
+    def test_fewer_proposals_than_the_window(self, tmp_path, capsys, stage):
+        raw, pre = tmp_path / "raw", tmp_path / "pre"
+        argv = ["--seed", "5", "--scenes", "2", "--objects", "3:3", "--fixations", "50", "--no-maps"]
+        assert run("synth", *argv, "--out", str(raw)) == 0
+        assert run("preprocess", "--min-count", "3", "--in", str(raw), "--out", str(pre)) == 0
+        n = len(json.loads((pre / "scenes" / "scene_00000.json").read_text())["proposals"])
+        assert self._run_stage(stage, pre, raw / "gt.csv", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert f"{pre / 'scenes' / 'scene_00000.json'}: need at least 5 proposals, got {n}" in err
+        assert not list(tmp_path.glob("*.provenance.json"))
+
+    @pytest.mark.parametrize("stage", ["train", "rank"])
+    def test_feature_file_short_of_a_row(self, dataset, tmp_path, capsys, stage):
+        pre = tmp_path / "pre"
+        shutil.copytree(dataset / "pre", pre)
+        feat = pre / "features" / "scene_00002.feat"
+        data = feat.read_bytes()
+        n = int.from_bytes(data[:4], "little")
+        feat.write_bytes((n - 1).to_bytes(4, "little") + data[4 : -FEATURE_DIM * 8])  # header kept consistent
+        assert self._run_stage(stage, pre, dataset / "raw" / "gt.csv", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert f"{pre / 'scenes' / 'scene_00002.json'}: features rows {n - 1} != proposals {n}" in err
+        assert not list(tmp_path.glob("*.provenance.json"))
 
 
 class TestSceneIds:

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import scene_to_dict
 from rankflow.domain import BBox, GrayMap, Proposal, Ranking, Scene
 from rankflow.errors import (
     InvariantViolation,
@@ -20,7 +21,6 @@ from rankflow.ingest import (
     pgm_from_bytes,
     read_bytes,
     pgm_to_bytes,
-    scene_to_dict,
     write_atomic,
     write_pgm,
     write_ranking,
@@ -77,8 +77,10 @@ class TestParseScene:
     def test_map_skipped(self, tmp_path):
         doc = dict(MINIMAL, fixation_map_path="absent.pgm")
         assert parse_scene(write_json(tmp_path, doc), load_map=False).fixation_map is None
-        with pytest.raises(MissingFile):
-            parse_scene(write_json(tmp_path, doc))
+        path = write_json(tmp_path, doc)
+        with pytest.raises(MissingFile) as raised:
+            parse_scene(path)
+        assert str(raised.value) == f"{path}: {tmp_path / 'absent.pgm'}"  # the scene file, then its map
 
     @pytest.mark.parametrize(
         "change, field",

@@ -26,6 +26,12 @@ class TestMidranks:
     def test_all_equal(self):
         assert midranks([7, 7, 7, 7]).tolist() == [2.5] * 4
 
+    @given(st.lists(st.integers(0, 6), max_size=24))
+    @settings(max_examples=300)
+    def test_equals_scipy_exactly(self, values):
+        # mid-ranks are half-integers, so they are exact in float64
+        assert midranks(values).tolist() == stats.rankdata(values, method="average").tolist()
+
 
 class TestSrcc:
     def test_hand_example(self):
@@ -96,16 +102,16 @@ class TestMapThreshold:
         # one 10x10 box over a uniform map of 100s:
         # T = (10000 / 10) / (1 * 1) = 1000
         scene = make_scene([(0, 0, 10, 10)], map_values=np.full((100, 100), 100))
-        assert map_threshold(scene, 1.0) == pytest.approx(1000.0)
+        assert map_threshold(scene, scene.fixation_map, 1.0) == pytest.approx(1000.0)
 
     def test_lambda_scales_inverse(self):
         scene = make_scene([(0, 0, 10, 10)], map_values=np.full((100, 100), 100))
-        assert map_threshold(scene, 0.5) == pytest.approx(2000.0)
+        assert map_threshold(scene, scene.fixation_map, 0.5) == pytest.approx(2000.0)
 
     def test_rejects_bad_lambda(self):
         scene = make_scene([(0, 0, 10, 10)], map_values=np.zeros((100, 100)))
         with pytest.raises(ValueError):
-            map_threshold(scene, 0.0)
+            map_threshold(scene, scene.fixation_map, 0.0)
 
 
 class TestRankFromSaliencyMap:

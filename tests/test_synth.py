@@ -14,10 +14,11 @@ from scipy import stats
 from scipy.ndimage import gaussian_filter
 
 import rankflow
+from conftest import scene_to_dict
 from rankflow.domain import BBox, iou
 from rankflow.errors import GenerationFailure
 from rankflow.gtgen import GtConfig, rasrgt_rank
-from rankflow.ingest import parse_ranking, parse_scene, scene_to_dict
+from rankflow.ingest import parse_ranking, parse_scene
 from rankflow.synth import (
     SynthConfig,
     _place_fixations,
