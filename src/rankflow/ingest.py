@@ -52,7 +52,7 @@ def read_bytes(path) -> bytes:
             return path.read_bytes()
     except OSError as e:
         raise IoFailure(f"cannot read {path}: {e.strerror or e}") from e
-    raise MissingFile(str(path))
+    raise MissingFile(f"{path}: no such file")
 
 
 def read_text(path) -> str:
@@ -240,7 +240,7 @@ def list_scene_files(directory) -> list[Path]:
     the dataset's own ``manifest.json`` and ``provenance.json``."""
     directory = Path(directory)
     if not directory.is_dir():
-        raise MissingFile(str(directory))
+        raise MissingFile(f"{directory}: no such directory")
     if (directory / "scenes").is_dir():
         return sorted((directory / "scenes").glob("*.json"))
     return sorted(p for p in directory.glob("*.json") if p.name not in ("manifest.json", "provenance.json"))

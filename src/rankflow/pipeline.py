@@ -151,7 +151,7 @@ def load_preprocessed(pre_dir, fn, jobs: int = 1) -> list:
     preprocessed dataset directory."""
     feat_dir = Path(pre_dir) / "features"
     if not feat_dir.is_dir():
-        raise MissingFile(f"{feat_dir} (run the preprocess stage first)")
+        raise MissingFile(f"{feat_dir}: no such directory (run the preprocess stage first)")
     return map_scenes(partial(_with_features, feat_dir=feat_dir, fn=fn), pre_dir, jobs)
 
 

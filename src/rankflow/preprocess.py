@@ -144,10 +144,14 @@ def write_features(features: np.ndarray, path) -> None:
 def read_features(path) -> np.ndarray:
     data = read_bytes(path)
     if len(data) < 4:
-        raise TruncatedData(str(path))
+        raise TruncatedData(f"{path}: expected a 4-byte header, got {len(data)} bytes")
     (count,) = struct.unpack("<I", data[:4])
     expected = 4 + count * FEATURE_DIM * 8
     if len(data) != expected:
         kind = TruncatedData if len(data) < expected else UnsupportedFormat
         raise kind(f"{path}: expected {expected} bytes, got {len(data)}")
-    return np.frombuffer(data[4:expected], dtype="<f8").reshape(count, FEATURE_DIM).copy()
+    feats = np.frombuffer(data[4:expected], dtype="<f8").reshape(count, FEATURE_DIM).copy()
+    bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
+    if bad.size:
+        raise UnsupportedFormat(f"{path}: row {bad[0]}: features must be finite")
+    return feats

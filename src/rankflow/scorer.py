@@ -4,7 +4,6 @@ margin-ranking term over expected class indices.
 """
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -36,14 +35,18 @@ class ScorerModel:
         return [self.w1, self.b1, self.w2, self.b2]
 
 
+def _views(flat: np.ndarray, d_in: int, h: int, c: int) -> ScorerModel:
+    """A ScorerModel whose arrays are views of flat, laid out in params()
+    order (the order of the model file)."""
+    a, b, e = d_in * h, d_in * h + h, d_in * h + h + h * c
+    return ScorerModel(flat[:a].reshape(d_in, h), flat[a:b], flat[b:e].reshape(h, c), flat[e:])
+
+
 def _flat_model(d_in: int, h: int, c: int) -> tuple[np.ndarray, ScorerModel]:
     """A zeroed flat float64 buffer and a ScorerModel whose arrays are views
     of it, laid out in params() order (the order of the model file)."""
-    shapes = [(d_in, h), (h,), (h, c), (c,)]
-    sizes = [math.prod(s) for s in shapes]
-    flat = np.zeros(sum(sizes))
-    parts = np.split(flat, np.cumsum(sizes)[:-1])
-    return flat, ScorerModel(*(part.reshape(s) for part, s in zip(parts, shapes)))
+    flat = np.zeros(d_in * h + h + h * c + c)
+    return flat, _views(flat, d_in, h, c)
 
 
 @dataclass(frozen=True)
@@ -166,21 +169,27 @@ def prepare_targets(gt_labels, dummy_mask=None) -> Targets:
 def _window_sums(terms: np.ndarray) -> np.ndarray:
     """Per-window sums of (..., W, K) terms, added one at a time in row-major
     order as the per-row, per-pair loop form adds them (np.sum adds 8 or more
-    terms pairwise), so one window's loss matches that form bit for bit."""
-    return np.add.accumulate(terms.reshape(terms.shape[:-2] + (-1,)), axis=-1)[..., -1]
+    terms pairwise), so one window's loss matches that form bit for bit.
+    Sums in place: terms is overwritten."""
+    flat = terms.reshape(terms.shape[:-2] + (-1,))
+    return np.add.accumulate(flat, axis=-1, out=flat)[..., -1].copy()
 
 
-def loss_and_grad(model: ScorerModel, inputs: np.ndarray, targets: Targets, cfg: TrainConfig):
-    """Loss (CE + alpha * margin ranking) and analytic parameter grads of one
-    window (W x d_in inputs) or the mean over a batch of them ((B, W, d_in)
-    inputs), against the windows' prepare_targets.
+def batch_grads(model: ScorerModel, inputs: np.ndarray, targets: Targets, cfg: TrainConfig, grad: np.ndarray):
+    """Analytic parameter grads of the loss (CE + alpha * margin ranking) of
+    one window (W x d_in inputs) or of the mean over a batch of them ((B, W,
+    d_in) inputs), against the windows' prepare_targets, written into grad,
+    a flat buffer in _flat_model layout.
 
-    Dummy rows are masked out of both terms.  The ranking term compares
-    expected class indices of salient pairs: the lower-ranked (less salient)
-    member's expectation should exceed the higher-ranked one's by the margin.
+    Returns the windows' class probabilities p (..., W, C), hinge terms and
+    positive-hinge mask hit (..., W, W), from which window_losses scores
+    them.  Dummy rows are masked out of both terms.  The ranking term
+    compares expected class indices of salient pairs: the lower-ranked (less
+    salient) member's expectation should exceed the higher-ranked one's by
+    the margin.
     """
     inputs = np.asarray(inputs, dtype=float)
-    d_in, _, c = model.dims
+    d_in, h, c = model.dims
     hot, keep, nv, pairs = targets
     rows = inputs.shape[:-1]
     if hot.shape != rows + (c,):
@@ -193,10 +202,6 @@ def loss_and_grad(model: ScorerModel, inputs: np.ndarray, targets: Targets, cfg:
     logits += model.b2
     p2 = softmax(logits)
     p = p2.reshape(hot.shape)
-    log_p = np.maximum(p, 1e-300)
-    np.log(log_p, out=log_p)
-    loss = -_window_sums(np.where(hot, log_p, 0.0))
-    loss /= nv
     dlogits = np.multiply(p, keep)
     dlogits -= hot
     dlogits /= nv[..., None, None]
@@ -207,7 +212,6 @@ def loss_and_grad(model: ScorerModel, inputs: np.ndarray, targets: Targets, cfg:
     hinge += cfg.margin
     hit = np.greater(hinge, 0)
     hit &= pairs
-    loss += cfg.alpha * _window_sums(np.where(hit, hinge, 0.0))
     # Each positive hinge (i, j) pushes y_hat[i] up and y_hat[j] down, so
     # grad_y[i] = hits (i, .) - hits (., i), an exact integer;
     # d(y_hat)/d(logit_k) = p_k * (k - y_hat).
@@ -217,14 +221,38 @@ def loss_and_grad(model: ScorerModel, inputs: np.ndarray, targets: Targets, cfg:
     rank *= np.subtract(class_idx, y_hat[..., None])
     dlogits += rank
 
-    batch = loss.size
     dlogits = dlogits.reshape(-1, c)
-    dlogits /= batch
+    dlogits /= nv.size
     dhidden = np.where(hidden > 0, dlogits @ model.w2.T, 0.0)
-    grads = ScorerModel(
-        x.T @ dhidden, np.add.reduce(dhidden, axis=0), hidden.T @ dlogits, np.add.reduce(dlogits, axis=0)
-    )
-    return float(loss.sum()) / batch, grads
+    g = _views(grad, d_in, h, c)
+    np.matmul(x.T, dhidden, out=g.w1)
+    np.add.reduce(dhidden, axis=0, out=g.b1)
+    np.matmul(hidden.T, dlogits, out=g.w2)
+    np.add.reduce(dlogits, axis=0, out=g.b2)
+    return p, hinge, hit
+
+
+def window_losses(p: np.ndarray, hinge: np.ndarray, hit: np.ndarray, targets: Targets, cfg: TrainConfig) -> np.ndarray:
+    """Each window's loss, CE / (real rows) + alpha * margin ranking, from
+    batch_grads' p, hinge and hit for the windows of targets."""
+    ranking = _window_sums(np.where(hit, hinge, 0.0))
+    log_p = np.maximum(p, 1e-300)
+    np.log(log_p, out=log_p)
+    np.copyto(log_p, 0.0, where=~targets.hot)
+    loss = -_window_sums(log_p)
+    loss /= targets.nv
+    loss += cfg.alpha * ranking
+    return loss
+
+
+def loss_and_grad(model: ScorerModel, inputs: np.ndarray, targets: Targets, cfg: TrainConfig):
+    """Loss (CE + alpha * margin ranking) and analytic parameter grads of one
+    window (W x d_in inputs) or the mean over a batch of them ((B, W, d_in)
+    inputs), against the windows' prepare_targets: batch_grads, then
+    window_losses of its outputs."""
+    flat, grads = _flat_model(*model.dims)
+    loss = window_losses(*batch_grads(model, inputs, targets, cfg, flat), targets, cfg)
+    return float(loss.sum()) / loss.size, grads
 
 
 @dataclass
@@ -238,11 +266,14 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
 
     dataset: sequence of (inputs W x d_in, gt_labels, dummy_mask) samples.
     Each epoch steps once per BATCH windows of a fresh permutation (the last
-    batch may be smaller) on the batch's mean loss and grads. The windows'
-    Targets are prepared once, as one (N, W) stack, permuted once per epoch
-    and sliced per batch; each batch's inputs are gathered from the samples,
-    never all stacked at once. Parameters and velocity are each one flat
-    buffer. Deterministic: same seed, same data -> identical model.
+    batch may be smaller) on the batch's mean grads. The windows' inputs are
+    stacked and their Targets prepared once, as (N, W) stacks; each batch
+    takes its inputs' rows by index, and the Targets are permuted once per
+    epoch and sliced per batch. A step computes only grads; each epoch's
+    losses are scored once, in one window_losses call over the p, hinge and
+    hit its steps kept, and summed per batch in batch order. Parameters,
+    grads and velocity are each one flat buffer. Deterministic: same seed,
+    same data -> identical model.
     """
     dataset = list(dataset)
     if not dataset:
@@ -253,30 +284,41 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
     model = init_model(d_in=d_in, n_classes=w + 1, seed=cfg.seed)
     masks = [[False] * w if mask is None else mask for _, _, mask in dataset]
     targets = prepare_targets([gt for _, gt, _ in dataset], masks)
+    inputs = np.array([x for x, _, _ in dataset], dtype=float)
     theta, params = _flat_model(*model.dims)
     for dst, src in zip(params.params(), model.params()):
         dst[...] = src
+    grad = np.empty_like(theta)
     velocity = np.zeros_like(theta)
     scratch = np.empty_like(theta)
+    n = len(dataset)
+    p = np.empty(targets.hot.shape)
+    hinge = np.empty(targets.pairs.shape)
+    hit = np.empty(targets.pairs.shape, dtype=bool)
+    batches = [slice(start, start + BATCH) for start in range(0, n, BATCH)]
     rng = np.random.default_rng(cfg.seed + 1)
     losses = []
     for epoch in range(cfg.epochs):
         lr = cfg.lr * cfg.lr_decay_factor ** (epoch // cfg.lr_decay_every)
-        order = rng.permutation(len(dataset))
+        order = rng.permutation(n)
         shuffled = targets.take(order)
-        total = 0.0
-        for start in range(0, len(order), BATCH):
-            idx = order[start : start + BATCH].tolist()
-            x = np.array([dataset[i][0] for i in idx], dtype=float)
-            loss, grads = loss_and_grad(params, x, shuffled.take(slice(start, start + BATCH)), cfg)
-            total += loss * len(idx)
+        for batch in batches:
+            p[batch], hinge[batch], hit[batch] = batch_grads(
+                params, inputs[order[batch]], shuffled.take(batch), cfg, grad
+            )
             # g = grad + decay * theta; v = momentum * v + g; theta -= lr * v
-            grad = np.concatenate([g.ravel() for g in grads.params()])
             grad += np.multiply(theta, cfg.weight_decay, out=scratch)
             velocity *= cfg.momentum
             velocity += grad
             theta -= np.multiply(velocity, lr, out=scratch)
-        losses.append(total / len(dataset))
+        loss = window_losses(p, hinge, hit, shuffled, cfg)
+        total = 0.0
+        for batch in batches:
+            # The batch's mean loss times its size, as a loop of one
+            # loss_and_grad call per batch adds it: same epoch loss bits.
+            part = loss[batch]
+            total += float(part.sum()) / part.size * part.size
+        losses.append(total / n)
     return TrainResult(model=params, epoch_losses=losses)
 
 
@@ -304,4 +346,6 @@ def load_model(path) -> ScorerModel:
         raise kind(f"{path}: expected {need} bytes, got {len(data)}")
     flat, model = _flat_model(d_in, h, c)
     flat[:] = np.frombuffer(data, dtype="<f8", offset=16)
+    if not np.isfinite(flat).all():
+        raise UnsupportedFormat(f"{path}: model parameters must be finite")
     return model

@@ -54,8 +54,9 @@ class TestUsageErrors:
     def test_missing_required_flag(self):
         assert run("synth") == 1
 
-    def test_missing_input_dir(self, tmp_path):
+    def test_missing_input_dir(self, tmp_path, capsys):
         assert run("preprocess", "--in", str(tmp_path / "nope"), "--out", str(tmp_path / "o")) == 2
+        assert f"{tmp_path / 'nope'}: no such directory" in capsys.readouterr().err
 
     def test_bad_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -225,6 +226,35 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "scene_00002.feat" in err and f"expected {size} bytes, got {size + 2}" in err
 
+    @pytest.mark.parametrize("stage", ["train", "rank"])
+    def test_non_finite_feature(self, dataset, tmp_path, capsys, stage):
+        pre = tmp_path / "pre"
+        shutil.copytree(dataset / "pre", pre)
+        feat = pre / "features" / "scene_00001.feat"
+        data = bytearray(feat.read_bytes())
+        at = 4 + (2 * FEATURE_DIM + 3) * 8  # row 2, column 3
+        data[at : at + 8] = np.array([np.nan], "<f8").tobytes()
+        feat.write_bytes(bytes(data))
+        out = tmp_path / ("m.bin" if stage == "train" else "p.csv")
+        if stage == "train":
+            argv = ["train", "--in", str(pre), "--gt", str(dataset / "raw" / "gt.csv"), "--out", str(out)]
+        else:
+            save_model(init_model(), tmp_path / "ok.bin")
+            argv = ["rank", "--in", str(pre), "--model", str(tmp_path / "ok.bin"), "--out", str(out)]
+        assert run(*argv) == 2
+        assert f"{feat}: row 2: features must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_model_with_non_finite_parameter(self, dataset, tmp_path, capsys):
+        model = tmp_path / "nan.bin"
+        save_model(init_model(), model)
+        data = bytearray(model.read_bytes())
+        data[-8:] = np.array([np.inf], "<f8").tobytes()
+        model.write_bytes(bytes(data))
+        assert run("rank", "--in", str(dataset / "pre"), "--model", str(model), "--out", str(tmp_path / "p.csv")) == 2
+        assert f"{model}: model parameters must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
+
     @pytest.mark.parametrize(
         "fields",
         [{"lr_decay_every": 0}, {"epochs": "x"}, {"weight_decay": "x"}, {"margin": "x"},
@@ -280,6 +310,25 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert f"{maps / 'scene_00002.pgm'}: " in err and expected in err
         assert not (tmp_path / "p.csv").exists()
+
+    def test_map_rank_map_missing(self, dataset, tmp_path, capsys):
+        maps = tmp_path / "maps"
+        shutil.copytree(dataset / "raw" / "maps", maps)
+        (maps / "scene_00002.pgm").unlink()
+        argv = ["map-rank", "--in", str(dataset / "raw"), "--maps", str(maps), "--out", str(tmp_path / "p.csv")]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert f"{dataset / 'raw' / 'scenes' / 'scene_00002.json'}: {maps / 'scene_00002.pgm'}: no such file" in err
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_gt_gen_map_deleted(self, dataset, tmp_path, capsys):
+        raw = tmp_path / "raw"
+        shutil.copytree(dataset / "raw", raw)
+        (raw / "maps" / "scene_00001.pgm").unlink()
+        assert run("gt-gen", "--method", "mapmax", "--in", str(raw), "--out", str(tmp_path / "m.csv")) == 2
+        err = capsys.readouterr().err
+        assert f"{raw / 'scenes' / 'scene_00001.json'}: " in err and "maps/scene_00001.pgm: no such file" in err
+        assert not (tmp_path / "m.csv").exists()
 
     @pytest.mark.parametrize("flag", ["2", "nan", "0"])
     def test_bad_lambda_flag(self, tmp_path, capsys, flag):

@@ -80,7 +80,7 @@ class TestParseScene:
         path = write_json(tmp_path, doc)
         with pytest.raises(MissingFile) as raised:
             parse_scene(path)
-        assert str(raised.value) == f"{path}: {tmp_path / 'absent.pgm'}"  # the scene file, then its map
+        assert str(raised.value) == f"{path}: {tmp_path / 'absent.pgm'}: no such file"  # the scene file, then its map
 
     @pytest.mark.parametrize(
         "change, field",
@@ -238,8 +238,9 @@ class TestReadBytes:
 
     @pytest.mark.parametrize("name", ["nope", "."])
     def test_missing_file_or_directory(self, tmp_path, name):
-        with pytest.raises(MissingFile):
+        with pytest.raises(MissingFile) as raised:
             read_bytes(tmp_path / name)
+        assert str(raised.value) == f"{tmp_path / name}: no such file"
 
     def test_failed_read_names_the_file(self, tmp_path, monkeypatch):
         (tmp_path / "a.bin").write_bytes(b"x")

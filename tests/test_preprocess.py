@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import make_scene
-from rankflow.errors import MissingFile, TruncatedData
+from rankflow.errors import MissingFile, TruncatedData, UnsupportedFormat
 from rankflow.preprocess import (
     FEATURE_DIM,
     FilterConfig,
@@ -116,6 +116,15 @@ class TestFeatureFiles:
     def test_missing(self, tmp_path):
         with pytest.raises(MissingFile):
             read_features(tmp_path / "nope.feat")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite(self, tmp_path, value):
+        feats = np.ones((3, FEATURE_DIM))
+        feats[1, 4] = value
+        path = tmp_path / "a.feat"
+        write_features(feats, path)
+        with pytest.raises(UnsupportedFormat, match=r"a\.feat: row 1: features must be finite"):
+            read_features(path)
 
     def test_truncated(self, tmp_path):
         feats = np.ones((2, FEATURE_DIM))

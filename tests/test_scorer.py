@@ -15,6 +15,8 @@ from rankflow.scorer import (
     BATCH,
     ScorerModel,
     TrainConfig,
+    _flat_model,
+    batch_grads,
     init_model,
     load_model,
     loss_and_grad,
@@ -25,6 +27,7 @@ from rankflow.scorer import (
     save_model,
     train,
     window_gt_labels,
+    window_losses,
 )
 from rankflow.synth import SynthConfig, generate_scene
 
@@ -234,16 +237,22 @@ class TestTrain:
         result = train(data, TrainConfig(epochs=10, lr=0.01, seed=0))
         assert result.epoch_losses[-1] < result.epoch_losses[0]
 
-    def test_one_loss_and_grad_call_per_batch(self, monkeypatch):
-        sizes = []
+    def test_one_batch_grads_call_per_batch(self, monkeypatch):
+        sizes, scored = [], []
 
         def counted(model, inputs, *args):
             sizes.append(inputs.shape)
-            return loss_and_grad(model, inputs, *args)
+            return batch_grads(model, inputs, *args)
 
-        monkeypatch.setattr(scorer, "loss_and_grad", counted)
+        def counted_losses(p, *args):
+            scored.append(p.shape[0])
+            return window_losses(p, *args)
+
+        monkeypatch.setattr(scorer, "batch_grads", counted)
+        monkeypatch.setattr(scorer, "window_losses", counted_losses)
         train(self._dataset(n=2 * BATCH + 3), TrainConfig(epochs=2))
         assert sizes == [(BATCH, 5, 18), (BATCH, 5, 18), (3, 5, 18)] * 2
+        assert scored == [2 * BATCH + 3] * 2  # one call per epoch, over every window
 
     def test_targets_prepared_once(self, monkeypatch):
         calls = []
@@ -324,6 +333,14 @@ class TestModelIo:
             load_model(path)
         path.write_bytes(b"RFM1" + np.array([18, 0, 6], "<i4").tobytes() + bytes(48))
         with pytest.raises(UnsupportedFormat):
+            load_model(path)
+
+    def test_non_finite_parameter(self, tmp_path):
+        model = init_model(seed=2)
+        model.b1[3] = np.nan
+        path = tmp_path / "m.bin"
+        save_model(model, path)
+        with pytest.raises(UnsupportedFormat, match="m.bin: model parameters must be finite"):
             load_model(path)
 
     def test_truncated(self, tmp_path):
@@ -436,6 +453,39 @@ def _mixed_windows(w, n, seed):
     return data
 
 
+def _per_batch_train(dataset, cfg):
+    """`train` as one loss_and_grad call per batch: each batch's inputs
+    gathered from the samples, its mean loss added to the epoch total as it
+    steps, its grads concatenated into one flat buffer."""
+    w = len(dataset[0][1])
+    model = init_model(d_in=dataset[0][0].shape[1], n_classes=w + 1, seed=cfg.seed)
+    targets = prepare_targets([gt for _, gt, _ in dataset], [mask for _, _, mask in dataset])
+    theta, params = _flat_model(*model.dims)
+    for dst, src in zip(params.params(), model.params()):
+        dst[...] = src
+    velocity = np.zeros_like(theta)
+    scratch = np.empty_like(theta)
+    rng = np.random.default_rng(cfg.seed + 1)
+    losses = []
+    for epoch in range(cfg.epochs):
+        lr = cfg.lr * cfg.lr_decay_factor ** (epoch // cfg.lr_decay_every)
+        order = rng.permutation(len(dataset))
+        shuffled = targets.take(order)
+        total = 0.0
+        for start in range(0, len(order), BATCH):
+            idx = order[start : start + BATCH].tolist()
+            x = np.array([dataset[i][0] for i in idx], dtype=float)
+            loss, grads = loss_and_grad(params, x, shuffled.take(slice(start, start + BATCH)), cfg)
+            total += loss * len(idx)
+            grad = np.concatenate([g.ravel() for g in grads.params()])
+            grad += np.multiply(theta, cfg.weight_decay, out=scratch)
+            velocity *= cfg.momentum
+            velocity += grad
+            theta -= np.multiply(velocity, lr, out=scratch)
+        losses.append(total / len(dataset))
+    return params, losses
+
+
 class TestSameTrajectory:
     @pytest.mark.parametrize("w", [3, 5, 7])
     @pytest.mark.parametrize(
@@ -450,6 +500,20 @@ class TestSameTrajectory:
         np.testing.assert_allclose(result.epoch_losses, losses, rtol=1e-12, atol=0)
         for got, want in zip(result.model.params(), model.params()):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("w", [3, 5, 7])
+    @pytest.mark.parametrize(
+        "alpha, margin", [(1.0, 0.0), (0.0, 0.5), (0.6, 2.0)], ids=["margin0", "alpha0", "both"]
+    )
+    def test_train_matches_per_batch_loop_bit_for_bit(self, w, alpha, margin):
+        # 39 windows: two full batches and a last one of 7.
+        data = _mixed_windows(w, 37, seed=w)
+        cfg = TrainConfig(epochs=4, lr=0.02, lr_decay_every=2, alpha=alpha, margin=margin, seed=w)
+        model, losses = _per_batch_train(data, cfg)
+        result = train(data, cfg)
+        assert result.epoch_losses == losses
+        for got, want in zip(result.model.params(), model.params()):
+            assert got.tobytes() == want.tobytes()
 
     def test_loss_and_grad_matches_reference(self):
         rng = np.random.default_rng(11)
