@@ -66,20 +66,12 @@ def read_text(path) -> str:
 
 def parse_scene(path, load_map: bool = True) -> Scene:
     """Scene from a JSON file; ``load_map=False`` leaves its PGM map unread.
-    Every error in the file's contents, or in the map it names, names the file."""
+    Every error in the file's contents, or in the map it names, names the file.
+    A relative ``fixation_map_path`` is read beside the scene file."""
     path = Path(path)
+    text = read_text(path)
     try:
-        doc = json.loads(read_text(path))
-    except json.JSONDecodeError as e:
-        raise MalformedJson(f"{path}: line {e.lineno}: {e.msg}") from e
-    try:
-        return scene_from_dict(doc, base_dir=path.parent, load_map=load_map)
-    except RankflowError as e:
-        raise e.naming(path) from e
-
-
-def scene_from_dict(doc: dict, base_dir=None, load_map: bool = True) -> Scene:
-    try:
+        doc = json.loads(text)
         proposals = []
         for i, p in enumerate(doc["proposals"]):
             if not isinstance(p, dict):
@@ -99,13 +91,8 @@ def scene_from_dict(doc: dict, base_dir=None, load_map: bool = True) -> Scene:
             (int(f["u"]), int(f["v"]), int(f.get("observer_id", 0)))
             for f in doc.get("fixations", [])
         ]
-        fixation_map = None
         map_path = doc.get("fixation_map_path")
-        if load_map and map_path is not None:
-            resolved = Path(map_path)
-            if base_dir is not None and not resolved.is_absolute():
-                resolved = Path(base_dir) / resolved
-            fixation_map = parse_pgm(resolved)
+        fixation_map = parse_pgm(path.parent.joinpath(map_path)) if load_map and map_path is not None else None
         return Scene(
             scene_id=str(doc["scene_id"]),
             width=int(doc["width"]),
@@ -114,10 +101,14 @@ def scene_from_dict(doc: dict, base_dir=None, load_map: bool = True) -> Scene:
             fixations=fixations,
             fixation_map=fixation_map,
         )
+    except json.JSONDecodeError as e:
+        raise MalformedJson(f"{path}: line {e.lineno}: {e.msg}") from e
     except KeyError as e:
-        raise InvariantViolation(str(e.args[0]), "required field missing") from e
+        raise InvariantViolation(f"{path}: {e.args[0]}", "required field missing") from e
     except (TypeError, ValueError, OverflowError) as e:
-        raise InvariantViolation("scene", str(e)) from e
+        raise InvariantViolation(f"{path}: scene", str(e)) from e
+    except RankflowError as e:
+        raise e.naming(path) from e
 
 
 _FIXATION_JSON = '{"observer_id": %d, "u": %d, "v": %d}'
@@ -231,7 +222,13 @@ def parse_ranking(path) -> dict[str, Ranking]:
         if pid in labels:
             raise InvariantViolation(str(path), f"line {reader.line_num}: proposal {pid} of {scene_id!r} ranked again")
         labels[pid] = order
-    return {sid: Ranking(labels) for sid, labels in per_scene.items()}
+    rankings = {}
+    for sid, labels in per_scene.items():
+        try:
+            rankings[sid] = Ranking(labels)
+        except InvariantViolation as e:
+            raise e.naming(f"{path}: scene {sid!r}") from e
+    return rankings
 
 
 def list_scene_files(directory) -> list[Path]:

@@ -113,7 +113,10 @@ def evaluate_rankings(pred: dict[str, Ranking], gt: dict[str, Ranking]) -> EvalR
     srcc_values = []
     f1_values = []
     for sid in sorted(gt):
-        f1 = f1_salient(pred[sid], gt[sid])
+        try:
+            f1 = f1_salient(pred[sid], gt[sid])
+        except SceneMismatch as e:
+            raise e.naming(f"scene {sid!r}") from e
         try:
             rho = srcc(pred[sid], gt[sid])
             srcc_values.append(rho)

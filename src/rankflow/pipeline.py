@@ -214,7 +214,11 @@ def map_rank_dataset(in_dir, maps_dir, lam, out_file, jobs: int = 1) -> None:
 
 
 def evaluate_files(pred_file, gt_file, out_file=None) -> dict:
-    report = evaluate_rankings(parse_ranking(pred_file), parse_ranking(gt_file))
+    pred, gt = parse_ranking(pred_file), parse_ranking(gt_file)
+    try:
+        report = evaluate_rankings(pred, gt)
+    except SceneMismatch as e:
+        raise e.naming(f"{pred_file} and {gt_file}") from e
     doc = report.to_dict()
     if out_file is not None:
         write_atomic(out_file, json.dumps(doc, sort_keys=True, indent=2) + "\n")

@@ -20,33 +20,27 @@ ORACLE_PEAK = 10.0
 BATCH = 16  # windows per SGD step
 
 
-@dataclass
 class ScorerModel:
-    w1: np.ndarray  # d_in x h
-    b1: np.ndarray  # h
-    w2: np.ndarray  # h x C
-    b2: np.ndarray  # C
+    """The MLP's parameters, d_in -> h (ReLU) -> C logits, in one float64
+    buffer flat laid out as the model file: w1 (d_in x h), b1 (h), w2 (h x C),
+    b2 (C).  w1, b1, w2 and b2 are views of flat.  ScorerModel(d_in, h, c)
+    starts at zeros; ScorerModel(d_in, h, c, flat) wraps flat."""
 
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.w1.shape[0], self.w1.shape[1], self.w2.shape[1]
+    def __init__(self, d_in: int, h: int, c: int, flat=None):
+        self.dims = d_in, h, c
+        a, b, e = d_in * h, d_in * h + h, d_in * h + h + h * c
+        self.flat = np.zeros(e + c) if flat is None else flat
+        self.w1 = self.flat[:a].reshape(d_in, h)
+        self.b1 = self.flat[a:b]
+        self.w2 = self.flat[b:e].reshape(h, c)
+        self.b2 = self.flat[e:]
+
+    def __reduce__(self):
+        # Rebuilt around one buffer; a default pickle would give four detached copies.
+        return ScorerModel, (*self.dims, self.flat)
 
     def params(self):
         return [self.w1, self.b1, self.w2, self.b2]
-
-
-def _views(flat: np.ndarray, d_in: int, h: int, c: int) -> ScorerModel:
-    """A ScorerModel whose arrays are views of flat, laid out in params()
-    order (the order of the model file)."""
-    a, b, e = d_in * h, d_in * h + h, d_in * h + h + h * c
-    return ScorerModel(flat[:a].reshape(d_in, h), flat[a:b], flat[b:e].reshape(h, c), flat[e:])
-
-
-def _flat_model(d_in: int, h: int, c: int) -> tuple[np.ndarray, ScorerModel]:
-    """A zeroed flat float64 buffer and a ScorerModel whose arrays are views
-    of it, laid out in params() order (the order of the model file)."""
-    flat = np.zeros(d_in * h + h + h * c + c)
-    return flat, _views(flat, d_in, h, c)
 
 
 @dataclass(frozen=True)
@@ -77,17 +71,11 @@ class TrainConfig:
 def init_model(d_in: int = 18, hidden: int = 32, n_classes: int = 6, seed: int = 0) -> ScorerModel:
     """Glorot-uniform weights, zero biases, deterministic under seed."""
     rng = np.random.default_rng(seed)
-
-    def glorot(fan_in, fan_out):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-    return ScorerModel(
-        w1=glorot(d_in, hidden),
-        b1=np.zeros(hidden),
-        w2=glorot(hidden, n_classes),
-        b2=np.zeros(n_classes),
-    )
+    model = ScorerModel(d_in, hidden, n_classes)
+    for w in (model.w1, model.w2):
+        limit = np.sqrt(6.0 / sum(w.shape))
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
+    return model
 
 
 def window_gt_labels(gt: Ranking, member_ids) -> tuple[int, ...]:
@@ -114,15 +102,22 @@ def oracle_scorer(gt: Ranking):
     return score
 
 
+def _forward(model: ScorerModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ReLU hidden layer (..., h) and the logits (..., C) of x (..., d_in)."""
+    hidden = x @ model.w1
+    hidden += model.b1
+    np.maximum(0.0, hidden, out=hidden)
+    logits = hidden @ model.w2
+    logits += model.b2
+    return hidden, logits
+
+
 def mlp_forward(model: ScorerModel, inputs: np.ndarray) -> np.ndarray:
     """Logits (..., C) for inputs (..., d_in): one window or a stack of them."""
     inputs = np.asarray(inputs, dtype=float)
-    if inputs.ndim < 2 or inputs.shape[-1] != model.w1.shape[0]:
-        raise ShapeMismatch(
-            f"expected inputs with {model.w1.shape[0]} columns, got {inputs.shape}"
-        )
-    hidden = np.maximum(0.0, inputs @ model.w1 + model.b1)
-    return hidden @ model.w2 + model.b2
+    if inputs.ndim < 2 or inputs.shape[-1] != model.dims[0]:
+        raise ShapeMismatch(f"expected inputs with {model.dims[0]} columns, got {inputs.shape}")
+    return _forward(model, inputs)[1]
 
 
 def make_scorer(model: ScorerModel):
@@ -175,11 +170,11 @@ def _window_sums(terms: np.ndarray) -> np.ndarray:
     return np.add.accumulate(flat, axis=-1, out=flat)[..., -1].copy()
 
 
-def batch_grads(model: ScorerModel, inputs: np.ndarray, targets: Targets, cfg: TrainConfig, grad: np.ndarray):
+def batch_grads(model: ScorerModel, inputs: np.ndarray, targets: Targets, cfg: TrainConfig, grad: ScorerModel):
     """Analytic parameter grads of the loss (CE + alpha * margin ranking) of
     one window (W x d_in inputs) or of the mean over a batch of them ((B, W,
-    d_in) inputs), against the windows' prepare_targets, written into grad,
-    a flat buffer in _flat_model layout.
+    d_in) inputs), against the windows' prepare_targets, written through the
+    views of grad, a ScorerModel of model's dims, into its one buffer.
 
     Returns the windows' class probabilities p (..., W, C), hinge terms and
     positive-hinge mask hit (..., W, W), from which window_losses scores
@@ -189,17 +184,13 @@ def batch_grads(model: ScorerModel, inputs: np.ndarray, targets: Targets, cfg: T
     the margin.
     """
     inputs = np.asarray(inputs, dtype=float)
-    d_in, h, c = model.dims
+    d_in, _, c = model.dims
     hot, keep, nv, pairs = targets
     rows = inputs.shape[:-1]
     if hot.shape != rows + (c,):
         raise ShapeMismatch(f"targets of shape {hot.shape} for {rows} input rows and {c} classes")
     x = inputs.reshape(-1, d_in)
-    hidden = x @ model.w1
-    hidden += model.b1
-    np.maximum(0.0, hidden, out=hidden)
-    logits = hidden @ model.w2
-    logits += model.b2
+    hidden, logits = _forward(model, x)
     p2 = softmax(logits)
     p = p2.reshape(hot.shape)
     dlogits = np.multiply(p, keep)
@@ -224,11 +215,10 @@ def batch_grads(model: ScorerModel, inputs: np.ndarray, targets: Targets, cfg: T
     dlogits = dlogits.reshape(-1, c)
     dlogits /= nv.size
     dhidden = np.where(hidden > 0, dlogits @ model.w2.T, 0.0)
-    g = _views(grad, d_in, h, c)
-    np.matmul(x.T, dhidden, out=g.w1)
-    np.add.reduce(dhidden, axis=0, out=g.b1)
-    np.matmul(hidden.T, dlogits, out=g.w2)
-    np.add.reduce(dlogits, axis=0, out=g.b2)
+    np.matmul(x.T, dhidden, out=grad.w1)
+    np.add.reduce(dhidden, axis=0, out=grad.b1)
+    np.matmul(hidden.T, dlogits, out=grad.w2)
+    np.add.reduce(dlogits, axis=0, out=grad.b2)
     return p, hinge, hit
 
 
@@ -250,8 +240,8 @@ def loss_and_grad(model: ScorerModel, inputs: np.ndarray, targets: Targets, cfg:
     window (W x d_in inputs) or the mean over a batch of them ((B, W, d_in)
     inputs), against the windows' prepare_targets: batch_grads, then
     window_losses of its outputs."""
-    flat, grads = _flat_model(*model.dims)
-    loss = window_losses(*batch_grads(model, inputs, targets, cfg, flat), targets, cfg)
+    grads = ScorerModel(*model.dims)
+    loss = window_losses(*batch_grads(model, inputs, targets, cfg, grads), targets, cfg)
     return float(loss.sum()) / loss.size, grads
 
 
@@ -271,9 +261,10 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
     takes its inputs' rows by index, and the Targets are permuted once per
     epoch and sliced per batch. A step computes only grads; each epoch's
     losses are scored once, in one window_losses call over the p, hinge and
-    hit its steps kept, and summed per batch in batch order. Parameters,
-    grads and velocity are each one flat buffer. Deterministic: same seed,
-    same data -> identical model.
+    hit its steps kept, and summed per batch in batch order. The step
+    updates the model's one flat buffer in place; the grads are a second
+    ScorerModel and the velocity a buffer of the same layout. Deterministic:
+    same seed, same data -> identical model.
     """
     dataset = list(dataset)
     if not dataset:
@@ -285,10 +276,8 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
     masks = [[False] * w if mask is None else mask for _, _, mask in dataset]
     targets = prepare_targets([gt for _, gt, _ in dataset], masks)
     inputs = np.array([x for x, _, _ in dataset], dtype=float)
-    theta, params = _flat_model(*model.dims)
-    for dst, src in zip(params.params(), model.params()):
-        dst[...] = src
-    grad = np.empty_like(theta)
+    theta = model.flat
+    grad = ScorerModel(*model.dims)
     velocity = np.zeros_like(theta)
     scratch = np.empty_like(theta)
     n = len(dataset)
@@ -304,12 +293,12 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
         shuffled = targets.take(order)
         for batch in batches:
             p[batch], hinge[batch], hit[batch] = batch_grads(
-                params, inputs[order[batch]], shuffled.take(batch), cfg, grad
+                model, inputs[order[batch]], shuffled.take(batch), cfg, grad
             )
             # g = grad + decay * theta; v = momentum * v + g; theta -= lr * v
-            grad += np.multiply(theta, cfg.weight_decay, out=scratch)
+            grad.flat += np.multiply(theta, cfg.weight_decay, out=scratch)
             velocity *= cfg.momentum
-            velocity += grad
+            velocity += grad.flat
             theta -= np.multiply(velocity, lr, out=scratch)
         loss = window_losses(p, hinge, hit, shuffled, cfg)
         total = 0.0
@@ -319,16 +308,12 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
             part = loss[batch]
             total += float(part.sum()) / part.size * part.size
         losses.append(total / n)
-    return TrainResult(model=params, epoch_losses=losses)
+    return TrainResult(model=model, epoch_losses=losses)
 
 
 def save_model(model: ScorerModel, path) -> None:
     """Flat little-endian file: magic, int32 dims (d_in, h, C), float64 params."""
-    d_in, h, c = model.dims
-    blob = MODEL_MAGIC + struct.pack("<3i", d_in, h, c)
-    for p in model.params():
-        blob += p.astype("<f8").tobytes()
-    write_atomic(path, blob)
+    write_atomic(path, MODEL_MAGIC + struct.pack("<3i", *model.dims) + model.flat.astype("<f8").tobytes())
 
 
 def load_model(path) -> ScorerModel:
@@ -344,8 +329,7 @@ def load_model(path) -> ScorerModel:
     if len(data) != need:
         kind = TruncatedData if len(data) < need else UnsupportedFormat
         raise kind(f"{path}: expected {need} bytes, got {len(data)}")
-    flat, model = _flat_model(d_in, h, c)
-    flat[:] = np.frombuffer(data, dtype="<f8", offset=16)
-    if not np.isfinite(flat).all():
+    model = ScorerModel(d_in, h, c, np.frombuffer(data, dtype="<f8", offset=16).astype(float))
+    if not np.isfinite(model.flat).all():
         raise UnsupportedFormat(f"{path}: model parameters must be finite")
     return model

@@ -168,6 +168,36 @@ class TestUsageErrors:
         assert "pred.csv: line 4: proposal 1 of 's' ranked again" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize(
+        "rows, reason",
+        [
+            ("s1,0,1\ns1,1,1\n", "non-zero orders must be a permutation of 1..k, got [1, 1]"),
+            ("s0,0,1\ns1,0,-1\n", "orders must be non-negative"),
+        ],
+        ids=["repeated-order", "negative-order"],
+    )
+    def test_bad_ranking_orders(self, tmp_path, capsys, rows, reason):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("scene_id,proposal_id,order\n" + rows)
+        assert run("eval", "--pred", str(bad), "--gt", str(bad), "--out", str(tmp_path / "r.json")) == 2
+        assert capsys.readouterr().err == f"error: {bad}: scene 's1': ranking: {reason}\n"
+
+    def test_eval_proposal_ids_differ(self, tmp_path, capsys):
+        gt, pred = tmp_path / "gt.csv", tmp_path / "pred.csv"
+        gt.write_text("scene_id,proposal_id,order\na,1,1\nb,1,1\nb,2,0\n")
+        pred.write_text("scene_id,proposal_id,order\na,1,1\nb,1,1\nb,3,0\n")
+        assert run("eval", "--pred", str(pred), "--gt", str(gt), "--out", str(tmp_path / "r.json")) == 2
+        want = f"error: {pred} and {gt}: scene 'b': pred and gt cover different proposal ids\n"
+        assert capsys.readouterr().err == want
+        assert not (tmp_path / "r.json").exists()
+
+    def test_eval_scene_ids_differ(self, tmp_path, capsys):
+        gt, pred = tmp_path / "gt.csv", tmp_path / "pred.csv"
+        gt.write_text("scene_id,proposal_id,order\na,1,1\nb,1,1\n")
+        pred.write_text("scene_id,proposal_id,order\na,1,1\nc,1,1\n")
+        assert run("eval", "--pred", str(pred), "--gt", str(gt), "--out", str(tmp_path / "r.json")) == 2
+        assert capsys.readouterr().err == f"error: {pred} and {gt}: scene id sets differ: ['b', 'c']\n"
+
     def test_output_in_missing_directory(self, dataset, tmp_path, capsys):
         disc = ["gt-discrepancy", "--in", str(dataset / "raw"), "--out", str(tmp_path / "nodir" / "d.csv")]
         assert run(*disc) == 2

@@ -3,7 +3,7 @@ import pickle
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import scene_to_dict
 from rankflow.domain import BBox, GrayMap, Proposal, Ranking, Scene
@@ -11,6 +11,7 @@ from rankflow.errors import (
     InvariantViolation,
     IoFailure,
     MissingFile,
+    RankflowError,
     TruncatedData,
     UnsupportedFormat,
 )
@@ -73,6 +74,10 @@ class TestParseScene:
         ])
         scene = parse_scene(write_json(tmp_path, doc))
         assert scene.fixation_map == gmap
+        # An absolute map path is read as it is, not beside the scene file.
+        (tmp_path / "sub").mkdir()
+        doc["fixation_map_path"] = str(tmp_path / "m.pgm")
+        assert parse_scene(write_json(tmp_path / "sub", doc)).fixation_map == gmap
 
     def test_map_skipped(self, tmp_path):
         doc = dict(MINIMAL, fixation_map_path="absent.pgm")
@@ -198,6 +203,38 @@ class TestRankingCsv:
         path.write_text("scene_id,proposal_id,order\ns,1,1\nt,1,0\ns,1,2\n")
         with pytest.raises(InvariantViolation, match=r"r\.csv: line 4: proposal 1 of 's' ranked again"):
             parse_ranking(path)
+
+    @pytest.mark.parametrize(
+        "rows, reason",
+        [("s,1,1\nt,0,1\nt,1,1\n", "non-zero orders must be a permutation of 1..k, got [1, 1]"),
+         ("s,1,0\nt,1,-1\n", "orders must be non-negative")],
+    )
+    def test_bad_orders_name_file_and_scene(self, tmp_path, rows, reason):
+        path = tmp_path / "r.csv"
+        path.write_text("scene_id,proposal_id,order\n" + rows)
+        with pytest.raises(InvariantViolation) as info:
+            parse_ranking(path)
+        assert str(info.value) == f"{path}: scene 't': ranking: {reason}"
+
+    @settings(max_examples=100)
+    @given(
+        st.lists(st.tuples(st.sampled_from("st"), st.integers(0, 3), st.integers(-1, 3)), max_size=6),
+        st.lists(st.tuples(st.integers(0, 5), st.text(alphabet='st,"\n\r -0123x.', max_size=8)), max_size=2),
+    )
+    def test_mutated_body_names_the_file(self, tmp_path_factory, rows, edits):
+        # Rows of few ids and orders, so proposals and orders repeat, some
+        # overwritten by arbitrary text: either the body parses or the error
+        # is led by the file's path.
+        lines = [f"{sid},{pid},{order}" for sid, pid, order in rows]
+        for at, text in edits:
+            if at < len(lines):
+                lines[at] = text
+        path = tmp_path_factory.getbasetemp() / "mutated.csv"
+        path.write_bytes("\n".join(["scene_id,proposal_id,order", *lines]).encode())
+        try:
+            parse_ranking(path)
+        except RankflowError as e:
+            assert str(e).startswith(f"{path}: ")
 
     def test_sorted_rows(self, tmp_path):
         path = tmp_path / "r.csv"

@@ -152,3 +152,9 @@ class TestEvaluateRankings:
     def test_scene_set_mismatch(self):
         with pytest.raises(SceneMismatch):
             evaluate_rankings({"a": Ranking({0: 1})}, {"b": Ranking({0: 1})})
+
+    def test_proposal_mismatch_names_the_scene(self):
+        pred = {"a": Ranking({0: 1}), "b": Ranking({0: 1, 2: 0})}
+        gt = {"a": Ranking({0: 1}), "b": Ranking({0: 1, 1: 0})}
+        with pytest.raises(SceneMismatch, match=r"^scene 'b': pred and gt cover different proposal ids$"):
+            evaluate_rankings(pred, gt)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from rankflow.scorer import (
     BATCH,
     ScorerModel,
     TrainConfig,
-    _flat_model,
     batch_grads,
     init_model,
     load_model,
@@ -77,9 +77,7 @@ class TestInitAndForward:
 class TestLoss:
     def test_uniform_ce_value(self):
         # zero model -> uniform softmax over 6 classes -> CE = ln 6 per row
-        model = ScorerModel(
-            w1=np.zeros((18, 4)), b1=np.zeros(4), w2=np.zeros((4, 6)), b2=np.zeros(6)
-        )
+        model = ScorerModel(18, 4, 6)
         x = np.random.default_rng(0).normal(size=(5, 18))
         loss, _ = loss_and_grad(model, x, prepare_targets([1, 2, 3, 0, 0]), TrainConfig(alpha=0.0))
         assert loss == pytest.approx(math.log(6))
@@ -320,6 +318,22 @@ class TestModelIo:
         assert loaded.dims == model.dims
         assert all(np.array_equal(a, b) for a, b in zip(loaded.params(), model.params()))
 
+    def test_pickle_keeps_one_buffer(self):
+        model = init_model(seed=2)
+        copy = pickle.loads(pickle.dumps(model))
+        assert copy.dims == model.dims
+        assert copy.flat.tobytes() == model.flat.tobytes()
+        for view in copy.params():
+            assert np.shares_memory(view, copy.flat)
+        copy.b2[0] = 1.0
+        assert copy.flat[-copy.dims[2]] == 1.0
+
+    def test_views_follow_the_file_order(self):
+        model = ScorerModel(2, 3, 4, np.arange(2 * 3 + 3 + 3 * 4 + 4, dtype=float))
+        assert model.w1.tolist() == [[0, 1, 2], [3, 4, 5]]
+        assert model.b1.tolist() == [6, 7, 8]
+        assert model.w2[0].tolist() == [9, 10, 11, 12] and model.b2.tolist() == [21, 22, 23, 24]
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.bin"
         path.write_bytes(b"XXXX" + bytes(100))
@@ -404,7 +418,10 @@ def _reference_loss_and_grad(model, inputs, gt_labels, cfg, dummy_mask=None):
     dhidden[hidden <= 0] = 0.0
     dw1 = inputs.T @ dhidden
     db1 = dhidden.sum(axis=0)
-    return loss, ScorerModel(dw1, db1, dw2, db2)
+    grads = ScorerModel(*model.dims)
+    for g, value in zip(grads.params(), (dw1, db1, dw2, db2)):
+        g[...] = value
+    return loss, grads
 
 
 def _reference_train(dataset, cfg):
@@ -460,9 +477,10 @@ def _per_batch_train(dataset, cfg):
     w = len(dataset[0][1])
     model = init_model(d_in=dataset[0][0].shape[1], n_classes=w + 1, seed=cfg.seed)
     targets = prepare_targets([gt for _, gt, _ in dataset], [mask for _, _, mask in dataset])
-    theta, params = _flat_model(*model.dims)
+    params = ScorerModel(*model.dims)
     for dst, src in zip(params.params(), model.params()):
         dst[...] = src
+    theta = params.flat
     velocity = np.zeros_like(theta)
     scratch = np.empty_like(theta)
     rng = np.random.default_rng(cfg.seed + 1)
