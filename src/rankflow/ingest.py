@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import os
 from pathlib import Path
@@ -64,9 +65,20 @@ def read_text(path) -> str:
         raise UnsupportedFormat(f"{path}: not UTF-8 text (byte {e.start})") from e
 
 
+_JSON_TYPES = {"integer": (int,), "number": (int, float), "bool": (bool,), "string": (str,)}
+
+
+def _checked(value, field: str, kind: str):
+    """``value`` if JSON gave it the ``kind`` asked for (a bool is no integer)."""
+    if type(value) not in _JSON_TYPES[kind]:
+        raise InvariantViolation(field, f"must be a JSON {kind}, got {value!r}")
+    return value
+
+
 def parse_scene(path, load_map: bool = True) -> Scene:
     """Scene from a JSON file; ``load_map=False`` leaves its PGM map unread.
     Every error in the file's contents, or in the map it names, names the file.
+    Each field must have its JSON type: nothing is coerced.
     A relative ``fixation_map_path`` is read beside the scene file."""
     path = Path(path)
     text = read_text(path)
@@ -76,27 +88,24 @@ def parse_scene(path, load_map: bool = True) -> Scene:
         for i, p in enumerate(doc["proposals"]):
             if not isinstance(p, dict):
                 raise InvariantViolation("proposals", f"entry {i} is a {type(p).__name__}, not a JSON object")
-            if p.get("is_dummy", False):
-                proposals.append(Proposal(id=int(p["id"]), box=None, is_dummy=True))
+            pid = _checked(p["id"], "id", "integer")
+            if _checked(p.get("is_dummy", False), "is_dummy", "bool"):
+                proposals.append(Proposal(id=pid, box=None, is_dummy=True))
             else:
-                x1, y1, x2, y2 = p["box"]
-                proposals.append(
-                    Proposal(
-                        id=int(p["id"]),
-                        box=BBox(float(x1), float(y1), float(x2), float(y2)),
-                        detector_confidence=float(p.get("confidence", 1.0)),
-                    )
-                )
-        fixations = [
-            (int(f["u"]), int(f["v"]), int(f.get("observer_id", 0)))
-            for f in doc.get("fixations", [])
-        ]
+                x1, y1, x2, y2 = (float(_checked(c, "box", "number")) for c in p["box"])
+                conf = float(_checked(p.get("confidence", 1.0), "confidence", "number"))
+                proposals.append(Proposal(id=pid, box=BBox(x1, y1, x2, y2), detector_confidence=conf))
+        fixations = [(f["u"], f["v"], f.get("observer_id", 0)) for f in doc.get("fixations", [])]
+        if not set(map(type, itertools.chain.from_iterable(fixations))) <= {int}:
+            for row in fixations:
+                for field, value in zip(("u", "v", "observer_id"), row):
+                    _checked(value, field, "integer")
         map_path = doc.get("fixation_map_path")
         fixation_map = parse_pgm(path.parent.joinpath(map_path)) if load_map and map_path is not None else None
         return Scene(
-            scene_id=str(doc["scene_id"]),
-            width=int(doc["width"]),
-            height=int(doc["height"]),
+            scene_id=_checked(doc["scene_id"], "scene_id", "string"),
+            width=_checked(doc["width"], "width", "integer"),
+            height=_checked(doc["height"], "height", "integer"),
             proposals=tuple(proposals),
             fixations=fixations,
             fixation_map=fixation_map,

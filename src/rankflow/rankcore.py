@@ -1,12 +1,14 @@
 """Inference engine: circular window scheduling, exclusive per-window rank
 assignment (softmax + Hungarian), and cross-window vote aggregation.
 
-Aggregation orders salient proposals primarily by a transitive dominance count
-derived from pairwise within-window comparisons.  A plain sum of in-window
-ranks is kept as tie-break: summed ranks alone can invert the global order
-when proposals meet different window neighborhoods, while the dominance count
-recovers the exact order whenever every pair of indices shares a window
-(n <= 2*W - 1).
+Aggregation marks non-salient every proposal labelled 0 in more than W/2 of
+its windows and orders the others by: how many proposals beat it transitively
+in within-window comparisons (its dominance count), fewest first; then its
+summed in-window ranks, each zero vote counted as W+1; then its summed salient
+probability, descending; then its id, ascending.  Summed ranks alone can
+invert the global order when proposals meet different window neighborhoods,
+while the dominance count recovers the exact order whenever every pair of
+indices shares a window (n <= 2*W - 1).
 """
 from __future__ import annotations
 
@@ -156,33 +158,20 @@ def aggregate_votes(members, labels, probs, proposals: tuple[Proposal, ...]) -> 
     np.add.at(wins, (winners, losers), 1)
     net = wins - wins.T
 
-    for idx, p in enumerate(proposals):
-        if not p.is_dummy and n >= w and appearances[idx] != w:
-            raise CoverageViolation(
-                f"proposal {p.id} appeared in {appearances[idx]} windows, expected {w}"
-            )
+    ids = np.array([p.id for p in proposals])
+    real = ~np.array([p.is_dummy for p in proposals], dtype=bool)
+    short = np.flatnonzero(real & (appearances != w))
+    if short.size:
+        i = short[0]
+        raise CoverageViolation(f"proposal {ids[i]} appeared in {appearances[i]} windows, expected {w}")
 
-    alive = [
-        idx
-        for idx, p in enumerate(proposals)
-        if not p.is_dummy and zero_votes[idx] <= w / 2
-    ]
-    dom = _dominance_counts(net[np.ix_(alive, alive)]) if alive else np.zeros(0, int)
-    order_key = {
-        idx: (
-            int(dom[pos]),
-            rank_sum[idx] + zero_votes[idx] * (w + 1),
-            -salient_prob_sum[idx],
-            proposals[idx].id,
-        )
-        for pos, idx in enumerate(alive)
-    }
-    alive.sort(key=order_key.__getitem__)
-
-    ranks = {p.id: 0 for p in proposals if not p.is_dummy}
-    for order, idx in enumerate(alive, start=1):
-        ranks[proposals[idx].id] = order
-    return Ranking(ranks)
+    alive = np.flatnonzero(real & (zero_votes <= w / 2))
+    dom = _dominance_counts(net[np.ix_(alive, alive)])
+    rank_key = rank_sum + zero_votes * (w + 1)
+    alive = alive[np.lexsort((ids[alive], -salient_prob_sum[alive], rank_key[alive], dom))]
+    order = np.zeros(n, dtype=int)
+    order[alive] = np.arange(1, alive.size + 1)
+    return Ranking(dict(zip(ids[real].tolist(), order[real].tolist())))
 
 
 def window_inputs(features: np.ndarray, member_ids) -> np.ndarray:

@@ -328,7 +328,7 @@ def generate_dataset(cfg: SynthConfig, out_dir, jobs: int = 1) -> dict:
         if cfg.render_maps:
             (out_dir / "maps").mkdir(exist_ok=True)
     except OSError as e:
-        raise IoFailure(str(e)) from e
+        raise IoFailure(f"cannot create {out_dir}: {e.strerror or e}") from e
 
     rows = parallel_map(partial(_write_one, cfg=cfg, out_dir=out_dir), range(cfg.n_scenes), jobs)
     rankings = [ranking for ranking, _, _ in rows]

@@ -235,6 +235,12 @@ class TestUsageErrors:
         assert run("preprocess", "--in", str(dataset / "raw"), "--out", str(out)) == 2
         assert str(out) in capsys.readouterr().err
 
+    def test_synth_out_under_a_file(self, tmp_path, capsys):
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "x"
+        assert run("synth", "--scenes", "1", "--out", str(out)) == 2
+        assert f"cannot create {out}: Not a directory" in capsys.readouterr().err
+
     def test_model_with_trailing_bytes(self, dataset, tmp_path, capsys):
         model = tmp_path / "long.bin"
         save_model(init_model(), model)
@@ -768,8 +774,19 @@ def _raw_with_scene(dataset, tmp_path, **change):
 class TestBadSceneFiles:
     @pytest.mark.parametrize(
         "change",
-        [{"fixations": [{"u": 1}]}, {"proposals": [{"id": 1, "box": [1, 2]}]}, {"proposals": [5]}, {"width": "x"}],
-        ids=["missing-field", "short-box", "proposal-not-object", "bad-width"],
+        [
+            {"fixations": [{"u": 1}]},
+            {"proposals": [{"id": 1, "box": [1, 2]}]},
+            {"proposals": [5]},
+            {"width": "x"},
+            # Each value has the wrong JSON type; coerced, they read as a valid scene.
+            {
+                "width": "100", "height": 80.9,
+                "proposals": [{"id": "3", "box": ["1", 2, 30, 40.5], "confidence": "0.5"}, {"id": 4.7, "is_dummy": "no"}],
+                "fixations": [{"u": 12.9, "v": True, "observer_id": "2"}],
+            },
+        ],
+        ids=["missing-field", "short-box", "proposal-not-object", "bad-width", "coerced-values"],
     )
     def test_error_names_the_file(self, dataset, tmp_path, capsys, change):
         raw = _raw_with_scene(dataset, tmp_path, **change)

@@ -94,6 +94,21 @@ class TestParseScene:
             ({"fixations": [{"u": 1}]}, "v"),
             ({"proposals": [5]}, "proposals"),
             ({"scene_id": "../out"}, "scene_id"),
+            # Values of the wrong JSON type are rejected, not coerced.
+            ({"scene_id": 7}, "scene_id"),
+            ({"width": "100"}, "width"),
+            ({"height": 80.9}, "height"),
+            ({"width": True}, "width"),
+            ({"proposals": [{"id": "3", "box": [1, 2, 30, 40.5]}]}, "id"),
+            ({"proposals": [{"id": 4.7, "is_dummy": True}]}, "id"),
+            ({"proposals": [{"id": 3, "box": ["1", 2, 30, 40.5]}]}, "box"),
+            ({"proposals": [{"id": 3, "box": [0, 2, True, 40]}]}, "box"),
+            ({"proposals": [{"id": 3, "box": [1, 2, 30, 40.5], "confidence": "0.5"}]}, "confidence"),
+            ({"proposals": [{"id": 4, "is_dummy": "no"}]}, "is_dummy"),
+            ({"proposals": [{"id": 4, "is_dummy": 0, "box": [1, 2, 3, 4]}]}, "is_dummy"),
+            ({"fixations": [{"u": 12.9, "v": 1}]}, "u"),
+            ({"fixations": [{"u": 1, "v": 2}, {"u": 12, "v": True}]}, "v"),
+            ({"fixations": [{"u": 12, "v": 1, "observer_id": "2"}]}, "observer_id"),
         ],
     )
     def test_content_errors_name_the_file(self, tmp_path, change, field):
@@ -103,6 +118,16 @@ class TestParseScene:
         assert info.value.field == f"{path}: {field}"
         back = pickle.loads(pickle.dumps(info.value))
         assert (back.field, back.reason) == (info.value.field, info.value.reason)
+
+    def test_numbers_may_be_integers_or_floats(self, tmp_path):
+        doc = dict(MINIMAL, proposals=[
+            {"id": 1, "box": [10, 10.5, 30, 30], "confidence": 1, "is_dummy": False},
+            {"id": 2, "is_dummy": True},
+        ])
+        scene = parse_scene(write_json(tmp_path, doc))
+        assert scene.proposals[0] == Proposal(id=1, box=BBox(10.0, 10.5, 30.0, 30.0), detector_confidence=1.0)
+        assert [type(c) for c in vars(scene.proposals[0].box).values()] == [float] * 4
+        assert scene.proposals[1].is_dummy
 
     def test_observer_id_defaults_to_zero(self, tmp_path):
         doc = dict(MINIMAL, fixations=[{"u": 5, "v": 6}, {"u": 7, "v": 8, "observer_id": 3}])

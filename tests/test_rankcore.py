@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rankflow.domain import BBox, Proposal
-from rankflow.errors import InvalidWindow, ShapeMismatch
+from rankflow.domain import BBox, Proposal, Ranking
+from rankflow.errors import CoverageViolation, InvalidWindow, ShapeMismatch
 from rankflow.rankcore import (
+    _dominance_counts,
     acb_sequences,
     aggregate_votes,
     exclusive_classify,
@@ -249,6 +250,80 @@ def _proposals(n):
     )
 
 
+def reference_aggregate(members, labels, probs, proposals):
+    """aggregate_votes in its per-proposal loop form: vote counts and the
+    dominance matrix as in the array form, then a coverage loop, an ``alive``
+    list, an ``order_key`` dict sort and a loop that fills the ranks."""
+    n = len(proposals)
+    w = members.shape[-1]
+    flat, lab = members.ravel(), labels.ravel()
+    appearances = np.bincount(flat, minlength=n)
+    zero_votes = np.bincount(flat[lab == 0], minlength=n)
+    rank_sum = np.bincount(flat, weights=lab, minlength=n)
+    salient_prob_sum = np.bincount(flat, weights=1.0 - probs[..., 0].ravel(), minlength=n)
+    a, b = np.triu_indices(w, 1)
+    la, lb = labels[:, a], labels[:, b]
+    voted = (la > 0) & (lb > 0) & (la != lb)
+    winners = np.where(la < lb, members[:, a], members[:, b])[voted]
+    losers = np.where(la < lb, members[:, b], members[:, a])[voted]
+    wins = np.zeros((n, n), dtype=int)
+    np.add.at(wins, (winners, losers), 1)
+    net = wins - wins.T
+
+    for idx, p in enumerate(proposals):
+        if not p.is_dummy and n >= w and appearances[idx] != w:
+            raise CoverageViolation(
+                f"proposal {p.id} appeared in {appearances[idx]} windows, expected {w}"
+            )
+
+    alive = [
+        idx
+        for idx, p in enumerate(proposals)
+        if not p.is_dummy and zero_votes[idx] <= w / 2
+    ]
+    dom = _dominance_counts(net[np.ix_(alive, alive)]) if alive else np.zeros(0, int)
+    order_key = {
+        idx: (
+            int(dom[pos]),
+            rank_sum[idx] + zero_votes[idx] * (w + 1),
+            -salient_prob_sum[idx],
+            proposals[idx].id,
+        )
+        for pos, idx in enumerate(alive)
+    }
+    alive.sort(key=order_key.__getitem__)
+
+    ranks = {p.id: 0 for p in proposals if not p.is_dummy}
+    for order, idx in enumerate(alive, start=1):
+        ranks[proposals[idx].id] = order
+    return Ranking(ranks)
+
+
+@st.composite
+def vote_cases(draw):
+    """Circular windows over n = W..2W+5 positions, some of them dummies,
+    with free (non-exclusive) labels: equal labels, zero-vote majorities and
+    vote cycles all occur.  Probabilities take one, two or five levels, so
+    the probability-sum and id tie-breaks decide some orders."""
+    w = draw(st.integers(1, 7))
+    n = draw(st.integers(w, 2 * w + 5))
+    members = np.array([win.member_ids for win in acb_sequences(n, w)])
+    zero_weight = draw(st.integers(0, 3))
+    label = st.integers(-zero_weight, w).map(lambda x: max(x, 0))
+    labels = np.array(draw(st.lists(label, min_size=n * w, max_size=n * w))).reshape(n, w)
+    levels = draw(st.sampled_from([[0.5], [0.0, 1.0], [0.0, 0.25, 0.5, 0.75, 1.0]]))
+    p0 = draw(st.lists(st.sampled_from(levels), min_size=n * w, max_size=n * w))
+    probs = np.zeros((n, w, w + 1))
+    probs[..., 0] = np.reshape(p0, (n, w))
+    ids = draw(st.permutations(range(100, 100 + n)))
+    dummies = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    proposals = tuple(
+        Proposal(id=pid, box=None, is_dummy=True) if d else Proposal(id=pid, box=BBox(0, 0, 1, 1))
+        for pid, d in zip(ids, dummies)
+    )
+    return members, labels, probs, proposals
+
+
 class TestAggregateVotes:
     def _uniform_probs(self, n):
         return np.full((n, 5, 6), 1.0 / 6)
@@ -285,6 +360,27 @@ class TestAggregateVotes:
         ranking = aggregate_votes(np.array(members), np.array(all_labels), self._uniform_probs(n), proposals)
         assert ranking.labels[4] == 0
         assert ranking.labels[0] == 1
+
+
+    @given(vote_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_loop_reference(self, case):
+        assert aggregate_votes(*case).labels == reference_aggregate(*case).labels
+
+    def test_short_coverage_names_the_proposal(self):
+        # In window 0 the dummy at position 1 takes the place of proposal 13
+        # (position 3), so 13 appears W-1 = 4 times.  The dummy's sixth
+        # appearance is allowed, though its position comes first.
+        n = 6
+        proposals = tuple(
+            Proposal(id=10 + i, box=None, is_dummy=True) if i == 1 else Proposal(id=10 + i, box=BBox(0, 0, 1, 1))
+            for i in range(n)
+        )
+        members = np.array([win.member_ids for win in acb_sequences(n, 5)])
+        members[0, 3] = 1
+        labels = np.tile(np.arange(1, 6), (n, 1))
+        with pytest.raises(CoverageViolation, match=r"^proposal 13 appeared in 4 windows, expected 5$"):
+            aggregate_votes(members, labels, self._uniform_probs(n), proposals)
 
 
 class TestWindowInputs:
