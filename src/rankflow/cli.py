@@ -7,15 +7,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import sys
 from pathlib import Path
 
-from .errors import MalformedJson, RankflowError
-from .gtgen import GtConfig, GtMethod
-from .ingest import parse_ranking, read_text
+from .errors import RankflowError
+from .gtgen import METHODS, GtConfig
+from .ingest import parse_ranking, read_json
 from .pipeline import (
     build_training_set,
     evaluate_files,
@@ -44,10 +43,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def load_run_config(path) -> dict:
-    try:
-        doc = json.loads(read_text(path))
-    except json.JSONDecodeError as e:
-        raise MalformedJson(f"{path}: line {e.lineno}: {e.msg}") from e
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise RankflowError(f"{path}: a run config must be a JSON object, got {type(doc).__name__}")
     unknown = set(doc) - _SECTIONS.keys() - _CONFIG_SCALARS
@@ -144,7 +140,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gt-gen", help="generate GT rank orders from fixation data")
     _add_common(p)
-    p.add_argument("--method", choices=[m.value for m in GtMethod], default=None)
+    p.add_argument("--method", choices=METHODS, default=None)
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--binary-threshold", type=float, default=None)
@@ -216,7 +212,7 @@ def _cmd_gt_gen(args, run_cfg, jobs):
     gt_generate(args.in_dir, cfg, args.out, jobs)
     # raw_penalty: a removed option, recorded as off so the config hash still
     # matches records written while it existed.
-    config = {**dataclasses.asdict(cfg), "method": cfg.method.value, "raw_penalty": False}
+    config = {**dataclasses.asdict(cfg), "raw_penalty": False}
     write_provenance(args.out, config)
     print(f"wrote GT rankings to {args.out}", file=sys.stderr)
 

@@ -3,7 +3,9 @@
 Everything here is immutable after construction and all operations are pure,
 so values can be shared freely across threads and processes.  A scene holds
 its fixations as one read-only ``(n, 3)`` int64 array of ``(u, v,
-observer_id)`` rows, so fixation counts are single masked sums.
+observer_id)`` rows, so fixation counts are single masked sums, and its
+fixation map, if any, as one read-only ``(height, width)`` uint8 array, so a
+box's map pixels are a slice.
 """
 from __future__ import annotations
 
@@ -61,23 +63,6 @@ class BBox:
 
 
 @dataclass(frozen=True)
-class GrayMap:
-    """Row-major grayscale raster with values in [0, 255]."""
-
-    width: int
-    height: int
-    values: bytes
-
-    def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise InvariantViolation("graymap", "width and height must be positive")
-        if len(self.values) != self.width * self.height:
-            raise InvariantViolation(
-                "graymap", f"expected {self.width * self.height} values, got {len(self.values)}"
-            )
-
-
-@dataclass(frozen=True)
 class Proposal:
     id: int
     box: BBox | None
@@ -98,14 +83,15 @@ class Proposal:
 @dataclass(frozen=True, eq=False)
 class Scene:
     """One image's proposals and fixations; ``fixations`` takes ``(u, v,
-    observer_id)`` rows and is stored as a read-only ``(n, 3)`` int64 array."""
+    observer_id)`` rows and is stored as a read-only ``(n, 3)`` int64 array,
+    ``fixation_map`` as a read-only ``(height, width)`` uint8 array."""
 
     scene_id: str
     width: int
     height: int
     proposals: tuple[Proposal, ...]
     fixations: np.ndarray = ()
-    fixation_map: GrayMap | None = None
+    fixation_map: np.ndarray | None = None
 
     def __post_init__(self):
         # Stages name their output files after the id, so it must stay in its directory.
@@ -118,11 +104,13 @@ class Scene:
             raise InvariantViolation("observer_id", "must be non-negative")
         if self.width <= 0 or self.height <= 0:
             raise InvariantViolation("scene", "image dimensions must be positive")
-        m = self.fixation_map
-        if m is not None and (m.width, m.height) != (self.width, self.height):
-            raise InvariantViolation(
-                "fixation_map", f"{m.width}x{m.height} map for a {self.width}x{self.height} scene"
-            )
+        if self.fixation_map is not None:
+            m = np.array(self.fixation_map, dtype=np.uint8, order="C")
+            m.flags.writeable = False
+            object.__setattr__(self, "fixation_map", m)
+            if m.shape != (self.height, self.width):
+                size = "x".join(map(str, m.shape[::-1]))
+                raise InvariantViolation("fixation_map", f"{size} map for a {self.width}x{self.height} scene")
         ids = [p.id for p in self.proposals]
         if len(set(ids)) != len(ids):
             raise InvariantViolation("proposals", "proposal ids must be unique")
@@ -145,9 +133,10 @@ class Scene:
         if not isinstance(other, Scene):
             return NotImplemented
         return (
-            (self.scene_id, self.width, self.height, self.proposals, self.fixation_map)
-            == (other.scene_id, other.width, other.height, other.proposals, other.fixation_map)
+            (self.scene_id, self.width, self.height, self.proposals)
+            == (other.scene_id, other.width, other.height, other.proposals)
             and np.array_equal(self.fixations, other.fixations)
+            and np.array_equal(self.fixation_map, other.fixation_map)  # also None == None
         )
 
     @property
@@ -208,3 +197,8 @@ def count_fixations(b: BBox, pts) -> int:
     """
     u, v = pts[:, 0], pts[:, 1]
     return int(np.count_nonzero((b.x1 <= u) & (u < b.x2) & (b.y1 <= v) & (v < b.y2)))
+
+
+def map_region(gmap: np.ndarray, box: BBox) -> np.ndarray:
+    """Map pixels a box covers under the half-open rule (possibly empty)."""
+    return gmap[math.ceil(box.y1) : math.ceil(box.y2), math.ceil(box.x1) : math.ceil(box.x2)]

@@ -1,39 +1,31 @@
 """Ground-truth saliency rank-order generation.
 
-Four methods: raw fixation-point counting, fixation-map max/avg statistics,
-binarized-map white-pixel ratios, and the relationship-aware combined score
-(fixation share plus a size-dependent exponential bonus).  Also provides the
-threshold-discrepancy analysis between adjacent GT thresholds.
+Five methods, each a plain name in ``METHODS``: raw fixation-point counting
+(``fixpoints``), fixation-map max and mean statistics (``mapmax``,
+``mapavg``), binarized-map white-pixel ratios (``binmap``), and the
+relationship-aware combined score, fixation share plus a size-dependent
+exponential bonus (``rasrgt``).  Also provides the threshold-discrepancy
+analysis between adjacent GT thresholds.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 
-from .domain import GrayMap, Ranking, Scene, check_fields, count_fixations, sqrt_size
+from .domain import Ranking, Scene, check_fields, count_fixations, map_region, sqrt_size
 from .errors import MissingFixationMap
 
-
-class GtMethod(Enum):
-    FIX_POINTS = "fixpoints"
-    MAP_MAX = "mapmax"
-    MAP_AVG = "mapavg"
-    BINARIZED_MAP = "binmap"
-    RA_SRGT = "rasrgt"
-
-    @property
-    def reads_map(self) -> bool:
-        return self in (GtMethod.MAP_MAX, GtMethod.MAP_AVG, GtMethod.BINARIZED_MAP)
+METHODS = ("fixpoints", "mapmax", "mapavg", "binmap", "rasrgt")
+MAP_METHODS = ("mapmax", "mapavg", "binmap")  # the methods that read the fixation map
 
 
 @dataclass(frozen=True)
 class GtConfig:
     gamma: float = 0.2
     beta: float = 0.5
-    method: GtMethod = GtMethod.RA_SRGT
+    method: str = "rasrgt"
     binary_threshold: float = 128.0
 
     def __post_init__(self):
@@ -43,11 +35,8 @@ class GtConfig:
             ("binary_threshold", lambda x: 0 < x < 255, "in (0, 255)"),
         )
         check_fields(self, reals=reals)
-        try:  # a method name becomes its GtMethod
-            object.__setattr__(self, "method", GtMethod(self.method))
-        except (TypeError, ValueError):
-            names = [m.value for m in GtMethod]
-            raise ValueError(f"method must be one of {names}, got {self.method!r}") from None
+        if self.method not in METHODS:
+            raise ValueError(f"method must be one of {list(METHODS)}, got {self.method!r}")
 
 
 def ranking_from_scores(scores: dict[int, float]) -> Ranking:
@@ -61,24 +50,18 @@ def ranking_from_scores(scores: dict[int, float]) -> Ranking:
     return Ranking(labels)
 
 
-def map_region(gmap: GrayMap, box) -> np.ndarray:
-    """Map pixels a box covers under the half-open rule (possibly empty)."""
-    grid = np.frombuffer(gmap.values, dtype=np.uint8).reshape(gmap.height, gmap.width)
-    return grid[math.ceil(box.y1) : math.ceil(box.y2), math.ceil(box.x1) : math.ceil(box.x2)]
-
-
 def _box_score(scene: Scene, box, cfg: GtConfig) -> float:
     """A box's score under any method but rasrgt: fixations per sqrt-size,
     the max or mean of the map under it, or its share of map pixels above
     ``binary_threshold`` times its sqrt-size ratio to the image."""
-    if cfg.method is GtMethod.FIX_POINTS:
+    if cfg.method == "fixpoints":
         return count_fixations(box, scene.fixations) / sqrt_size(box)
     vals = map_region(scene.fixation_map, box)
     if vals.size == 0:
         return 0.0
-    if cfg.method is GtMethod.MAP_MAX:
+    if cfg.method == "mapmax":
         return float(vals.max())
-    if cfg.method is GtMethod.MAP_AVG:
+    if cfg.method == "mapavg":
         return float(vals.mean())
     white = int((vals > cfg.binary_threshold).sum())
     return (white / vals.size) * (sqrt_size(box) / math.sqrt(scene.width * scene.height))
@@ -114,7 +97,7 @@ def rasrgt_rank(scene: Scene, cfg: GtConfig | None = None) -> Ranking:
     return _rank_counts(*rasrgt_counts(scene), cfg or GtConfig())
 
 
-def require_map(scene: Scene) -> GrayMap:
+def require_map(scene: Scene) -> np.ndarray:
     """The scene's fixation map; MissingFixationMap if it has none."""
     if scene.fixation_map is None:
         raise MissingFixationMap("no fixation_map_path, so the scene has no fixation map")
@@ -124,9 +107,9 @@ def require_map(scene: Scene) -> GrayMap:
 def generate_ranking(scene: Scene, cfg: GtConfig) -> Ranking:
     """The scene's ranking under ``cfg.method``; a method that reads the
     fixation map raises MissingFixationMap on a scene without one."""
-    if cfg.method is GtMethod.RA_SRGT:
+    if cfg.method == "rasrgt":
         return rasrgt_rank(scene, cfg)
-    if cfg.method.reads_map:
+    if cfg.method in MAP_METHODS:
         require_map(scene)
     return ranking_from_scores({p.id: _box_score(scene, p.box, cfg) for p in scene.real_proposals})
 

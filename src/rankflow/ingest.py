@@ -14,7 +14,9 @@ import json
 import os
 from pathlib import Path
 
-from .domain import BBox, GrayMap, Proposal, Ranking, Scene
+import numpy as np
+
+from .domain import BBox, Proposal, Ranking, Scene
 from .errors import (
     InvariantViolation,
     IoFailure,
@@ -65,6 +67,18 @@ def read_text(path) -> str:
         raise UnsupportedFormat(f"{path}: not UTF-8 text (byte {e.start})") from e
 
 
+def read_json(path):
+    """A UTF-8 JSON file's value.  Text that is not JSON, or JSON nested too
+    deeply to parse, raises MalformedJson naming the file."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise MalformedJson(f"{path}: line {e.lineno}: {e.msg}") from e
+    except RecursionError as e:
+        raise MalformedJson(f"{path}: JSON nested too deeply to parse") from e
+
+
 _JSON_TYPES = {"integer": (int,), "number": (int, float), "bool": (bool,), "string": (str,)}
 
 
@@ -75,27 +89,42 @@ def _checked(value, field: str, kind: str):
     return value
 
 
+def _objects(entries, field: str) -> None:
+    """Raise InvariantViolation naming ``field`` unless ``entries`` is a JSON
+    array of JSON objects."""
+    if type(entries) is not list:
+        raise InvariantViolation(field, f"must be a JSON array, got a {type(entries).__name__}")
+    for i, entry in enumerate(entries):
+        if type(entry) is not dict:
+            raise InvariantViolation(field, f"entry {i} is a {type(entry).__name__}, not a JSON object")
+
+
 def parse_scene(path, load_map: bool = True) -> Scene:
     """Scene from a JSON file; ``load_map=False`` leaves its PGM map unread.
     Every error in the file's contents, or in the map it names, names the file.
     Each field must have its JSON type: nothing is coerced.
     A relative ``fixation_map_path`` is read beside the scene file."""
     path = Path(path)
-    text = read_text(path)
+    doc = read_json(path)
     try:
-        doc = json.loads(text)
+        _objects(doc["proposals"], "proposals")
         proposals = []
-        for i, p in enumerate(doc["proposals"]):
-            if not isinstance(p, dict):
-                raise InvariantViolation("proposals", f"entry {i} is a {type(p).__name__}, not a JSON object")
+        for p in doc["proposals"]:
             pid = _checked(p["id"], "id", "integer")
             if _checked(p.get("is_dummy", False), "is_dummy", "bool"):
                 proposals.append(Proposal(id=pid, box=None, is_dummy=True))
             else:
-                x1, y1, x2, y2 = (float(_checked(c, "box", "number")) for c in p["box"])
+                box = p["box"]
+                if type(box) is not list or len(box) != 4:
+                    raise InvariantViolation("box", f"must be a JSON array of 4 numbers, got {box!r}")
+                x1, y1, x2, y2 = (float(_checked(c, "box", "number")) for c in box)
                 conf = float(_checked(p.get("confidence", 1.0), "confidence", "number"))
                 proposals.append(Proposal(id=pid, box=BBox(x1, y1, x2, y2), detector_confidence=conf))
-        fixations = [(f["u"], f["v"], f.get("observer_id", 0)) for f in doc.get("fixations", [])]
+        try:
+            fixations = [(f["u"], f["v"], f.get("observer_id", 0)) for f in doc.get("fixations", [])]
+        except TypeError:  # entries are type-checked only on failure, to keep the bulk path one pass
+            _objects(doc["fixations"], "fixations")
+            raise
         if not set(map(type, itertools.chain.from_iterable(fixations))) <= {int}:
             for row in fixations:
                 for field, value in zip(("u", "v", "observer_id"), row):
@@ -110,8 +139,6 @@ def parse_scene(path, load_map: bool = True) -> Scene:
             fixations=fixations,
             fixation_map=fixation_map,
         )
-    except json.JSONDecodeError as e:
-        raise MalformedJson(f"{path}: line {e.lineno}: {e.msg}") from e
     except KeyError as e:
         raise InvariantViolation(f"{path}: {e.args[0]}", "required field missing") from e
     except (TypeError, ValueError, OverflowError) as e:
@@ -151,11 +178,12 @@ def write_scene(scene: Scene, path, fixation_map_path=None) -> None:
     write_atomic(path, text.replace('"fixations": []', f'"fixations": [{rows}]', 1) + "\n")
 
 
-def parse_pgm(path) -> GrayMap:
+def parse_pgm(path) -> np.ndarray:
     return pgm_from_bytes(read_bytes(path), name=str(path))
 
 
-def pgm_from_bytes(data: bytes, name="<pgm>") -> GrayMap:
+def pgm_from_bytes(data: bytes, name="<pgm>") -> np.ndarray:
+    """The raster of a binary PGM as a read-only ``(height, width)`` uint8 array."""
     if not data.startswith(b"P5"):
         raise UnsupportedFormat(f"{name}: not a binary PGM (P5)")
     pos = 2
@@ -183,17 +211,17 @@ def pgm_from_bytes(data: bytes, name="<pgm>") -> GrayMap:
     raster = data[pos : pos + width * height]
     if len(raster) < width * height:
         raise TruncatedData(f"{name}: expected {width * height} raster bytes, got {len(raster)}")
-    try:
-        return GrayMap(width=width, height=height, values=raster)
-    except InvariantViolation as e:
-        raise e.naming(name) from e
+    if width <= 0 or height <= 0:
+        raise InvariantViolation(f"{name}: graymap", "width and height must be positive")
+    return np.frombuffer(raster, np.uint8).reshape(height, width)
 
 
-def pgm_to_bytes(gmap: GrayMap) -> bytes:
-    return b"P5\n%d %d\n255\n" % (gmap.width, gmap.height) + gmap.values
+def pgm_to_bytes(gmap: np.ndarray) -> bytes:
+    height, width = gmap.shape
+    return b"P5\n%d %d\n255\n" % (width, height) + gmap.tobytes()
 
 
-def write_pgm(gmap: GrayMap, path) -> None:
+def write_pgm(gmap: np.ndarray, path) -> None:
     write_atomic(path, pgm_to_bytes(gmap))
 
 

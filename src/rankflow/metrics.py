@@ -9,9 +9,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import GrayMap, Ranking, Scene, sqrt_size
+from .domain import Ranking, Scene, map_region, sqrt_size
 from .errors import SceneMismatch, SrccUndefined
-from .gtgen import map_region, ranking_from_scores
+from .gtgen import ranking_from_scores
 
 
 def midranks(values) -> np.ndarray:
@@ -54,7 +54,7 @@ def f1_salient(pred: Ranking, gt: Ranking) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def map_threshold(scene: Scene, gmap: GrayMap, lam: float) -> float:
+def map_threshold(scene: Scene, gmap: np.ndarray, lam: float) -> float:
     """Per-object average-intensity binarization threshold.
 
     T = (1 / (n * lam)) * sum_i sum(values in box_i) / sqrt(area_i).
@@ -68,12 +68,11 @@ def map_threshold(scene: Scene, gmap: GrayMap, lam: float) -> float:
     return total / (len(proposals) * lam)
 
 
-def rank_from_saliency_map(scene: Scene, gmap: GrayMap, lam: float) -> Ranking:
+def rank_from_saliency_map(scene: Scene, gmap: np.ndarray, lam: float) -> Ranking:
     """Binarize at the per-object threshold, rank by white-pixel counts."""
-    if gmap.width != scene.width or gmap.height != scene.height:
-        raise SceneMismatch(
-            f"{scene.scene_id}: map {gmap.width}x{gmap.height} vs scene {scene.width}x{scene.height}"
-        )
+    height, width = gmap.shape
+    if (width, height) != (scene.width, scene.height):
+        raise SceneMismatch(f"{scene.scene_id}: map {width}x{height} vs scene {scene.width}x{scene.height}")
     threshold = map_threshold(scene, gmap, lam)
     return ranking_from_scores(
         {p.id: float((map_region(gmap, p.box) > threshold).sum()) for p in scene.real_proposals}

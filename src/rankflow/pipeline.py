@@ -28,7 +28,7 @@ from .errors import (
     SceneMismatch,
     UnsupportedFormat,
 )
-from .gtgen import GtConfig, discrepancy_offsets, generate_ranking, rasrgt_counts, require_map
+from .gtgen import MAP_METHODS, GtConfig, discrepancy_offsets, generate_ranking, rasrgt_counts, require_map
 from .ingest import (
     list_scene_files,
     parse_pgm,
@@ -130,7 +130,7 @@ def preprocess_dataset(in_dir, out_dir, cfg: FilterConfig | None = None, jobs: i
 
 
 def gt_generate(in_dir, cfg: GtConfig, out_file, jobs: int = 1) -> None:
-    rows = map_scenes(partial(generate_ranking, cfg=cfg), in_dir, jobs, load_map=cfg.method.reads_map)
+    rows = map_scenes(partial(generate_ranking, cfg=cfg), in_dir, jobs, load_map=cfg.method in MAP_METHODS)
     write_ranking(rows, out_file)
 
 

@@ -13,9 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .domain import BBox, Proposal, Scene, check_fields, count_fixations, iou, sqrt_size
+from .domain import BBox, Proposal, Scene, check_fields, count_fixations, iou, map_region, sqrt_size
 from .errors import TruncatedData, UnsupportedFormat
-from .gtgen import map_region
 from .ingest import read_bytes, write_atomic
 
 FEATURE_DIM = 14

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .domain import BBox, GrayMap, Proposal, Scene, check_fields, iou, sqrt_size
+from .domain import BBox, Proposal, Scene, check_fields, iou, sqrt_size
 from .errors import GenerationFailure, IoFailure
 from .gtgen import GtConfig, rasrgt_rank, ranking_from_scores
 from .ingest import read_text, write_atomic, write_pgm, write_ranking, write_scene
@@ -211,7 +211,7 @@ def _blur(cfg: SynthConfig, fixations: np.ndarray, weights: np.ndarray) -> np.nd
     return _correlate_rows(padded, weights, w, h)[:w, :h]
 
 
-def _render_map(cfg: SynthConfig, fixations: np.ndarray) -> bytes:
+def _render_map(cfg: SynthConfig, fixations: np.ndarray) -> np.ndarray:
     """Counts blurred as by scipy's ``gaussian_filter(counts, splat_sigma)``
     (the taps of ``_gaussian_weights``, one pass per axis, ``reflect``
     boundary), scaled so the peak is 255 and rounded.
@@ -225,7 +225,7 @@ def _render_map(cfg: SynthConfig, fixations: np.ndarray) -> bytes:
     if peak > 0:
         grid /= peak
         grid *= 255.0
-    return np.round(grid).astype(np.uint8).T.tobytes()
+    return np.round(grid).astype(np.uint8).T
 
 
 def generate_scene(cfg: SynthConfig, scene_index: int):
@@ -272,10 +272,6 @@ def _generate_once(cfg: SynthConfig, scene_index: int, rng):
     fixations.append(rng.integers((0, 0, 0), (cfg.width, cfg.height, 8), size=(n_noise, 3)))
     fixations = np.concatenate(fixations)
 
-    fixation_map = None
-    if cfg.render_maps:
-        fixation_map = GrayMap(cfg.width, cfg.height, _render_map(cfg, fixations))
-
     scene = Scene(
         scene_id=f"scene_{scene_index:05d}",
         width=cfg.width,
@@ -285,7 +281,7 @@ def _generate_once(cfg: SynthConfig, scene_index: int, rng):
             for i in range(n)
         ),
         fixations=fixations,
-        fixation_map=fixation_map,
+        fixation_map=_render_map(cfg, fixations) if cfg.render_maps else None,
     )
     return scene, weights.tolist()
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rankflow.domain import BBox, GrayMap, Proposal, Scene
+from rankflow.domain import BBox, Proposal, Scene
 
 
 def scene_to_dict(scene, fixation_map_path=None) -> dict:
@@ -41,17 +41,13 @@ def make_scene(
         )
         for i, b in enumerate(boxes)
     )
-    fixation_map = None
-    if map_values is not None:
-        arr = np.asarray(map_values, dtype=np.uint8)
-        fixation_map = GrayMap(arr.shape[1], arr.shape[0], arr.tobytes())
     return Scene(
         scene_id=scene_id,
         width=width,
         height=height,
         proposals=proposals,
         fixations=[(u, v, 0) for u, v in fixations],
-        fixation_map=fixation_map,
+        fixation_map=None if map_values is None else np.asarray(map_values, dtype=np.uint8),
     )
 
 

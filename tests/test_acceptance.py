@@ -15,7 +15,6 @@ from rankflow.cli import dispatch
 from rankflow.domain import Ranking
 from rankflow.gtgen import (
     GtConfig,
-    GtMethod,
     discrepancy_offsets,
     generate_ranking,
     rasrgt_counts,
@@ -239,7 +238,7 @@ def test_criterion_08_gt_method_divergence():
         seed=21, objects_min=5, objects_max=9, width=320, height=240,
         fixations_per_scene=2000, noise_fixation_fraction=0.0, render_maps=True,
     )
-    methods = [GtMethod.FIX_POINTS, GtMethod.MAP_MAX, GtMethod.MAP_AVG, GtMethod.RA_SRGT]
+    methods = ["fixpoints", "mapmax", "mapavg", "rasrgt"]
     n_scenes = 200
     disagree = {pair: 0 for pair in itertools.combinations(range(4), 2)}
     latent_match = 0

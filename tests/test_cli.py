@@ -15,7 +15,7 @@ from rankflow import cli, pipeline
 from rankflow.cli import _SECTIONS, _common, build_parser, dispatch, gamma_grid
 from rankflow.pipeline import config_hash
 from rankflow.errors import InvariantViolation, RankflowError, SceneMismatch
-from rankflow.gtgen import GtMethod
+from rankflow.gtgen import METHODS
 from rankflow.ingest import parse_ranking
 from rankflow.preprocess import FEATURE_DIM
 from rankflow.rankcore import acb_sequences, window_inputs
@@ -67,6 +67,20 @@ class TestUsageErrors:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
         assert run("synth", "--config", str(cfg), "--out", str(tmp_path / "d")) == 2
+
+    @pytest.mark.parametrize("where", ["scene", "config"])
+    def test_deeply_nested_json(self, dataset, tmp_path, capsys, where):
+        bad = tmp_path / "raw" / "deep.json"
+        bad.parent.mkdir()
+        bad.write_text("[" * 200000)
+        out = tmp_path / "gt.csv"
+        if where == "scene":
+            argv = ["gt-gen", "--in", str(bad.parent), "--out", str(out), "--jobs", "1"]
+        else:
+            argv = ["gt-gen", "--config", str(bad), "--in", str(dataset / "raw"), "--out", str(out), "--jobs", "1"]
+        assert run(*argv) == 2
+        assert f"{bad}: JSON nested too deeply to parse" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_objects_without_colon(self, tmp_path, capsys):
         assert run("synth", "--objects", "5", "--out", str(tmp_path / "d")) == 2
@@ -611,7 +625,7 @@ GT_DIGESTS = {
     "discrepancy": "cea764246b5a3c509207c8ffeee4a8f54d8d15459b0765a16d7f987e6ca8b2fb",
 }
 GT_RUNS = {
-    **{m.value: ["gt-gen", "--method", m.value] for m in GtMethod},
+    **{m: ["gt-gen", "--method", m] for m in METHODS},
     "binmap-40": ["gt-gen", "--method", "binmap", "--binary-threshold", "40"],
     "discrepancy": ["gt-discrepancy"],
 }
@@ -625,6 +639,29 @@ def maps_dataset(tmp_path_factory):
     return raw
 
 
+# SHA-256 of each output that reads a map box by box, on ``maps_dataset``:
+# map-rank's CSV from the scenes' own maps and from ``sparse_maps``, and
+# preprocess's .feat files, hashed in name order.
+MAP_READER_DIGESTS = {
+    "map-rank": "86bfc2f02a89f4682d7f13bf03a3308970174e6fe095d06d64adfb8ebbd4a806",
+    "map-rank-maps": "1adb91557ee073298975dbe4ed976a74380e273a9379dbf29da4143c46d2554b",
+    "preprocess": "4ef9052996baf3a6ce62846f1b788b4308a2f878c0e8c3cc97c1e3cfee8a3c3f",
+}
+
+
+@pytest.fixture(scope="module")
+def sparse_maps(maps_dataset, tmp_path_factory):
+    """A 640x480 map per ``maps_dataset`` scene, zero but for a lattice of
+    varied gray dots: sparse enough that map-rank's threshold keeps some of
+    them, so a change in how a box reads its map changes the ranking."""
+    maps = tmp_path_factory.mktemp("sparse")
+    y, x = np.mgrid[:480, :640]
+    values = np.where((7 * x + 13 * y) % 97 == 0, (31 * x + 17 * y) % 256, 0).astype(np.uint8)
+    for path in sorted((maps_dataset / "scenes").glob("*.json")):
+        (maps / f"{path.stem}.pgm").write_bytes(b"P5\n640 480\n255\n" + values.tobytes())
+    return maps
+
+
 class TestGtOutputsPinned:
     """Every GT method's output, byte for byte, on a seeded maps-on dataset."""
 
@@ -633,6 +670,20 @@ class TestGtOutputsPinned:
         out = tmp_path / "out.csv"
         assert run(*GT_RUNS[name], "--jobs", "1", "--in", str(maps_dataset), "--out", str(out)) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == GT_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", list(MAP_READER_DIGESTS))
+    def test_map_reader_digest(self, maps_dataset, sparse_maps, tmp_path, name):
+        out = tmp_path / "out"
+        argv = {
+            "map-rank": ["map-rank"],
+            "map-rank-maps": ["map-rank", "--maps", str(sparse_maps)],
+            "preprocess": ["preprocess"],
+        }[name]
+        assert run(*argv, "--jobs", "1", "--in", str(maps_dataset), "--out", str(out)) == 0
+        digest = hashlib.sha256()
+        for path in sorted(out.glob("features/*.feat")) if out.is_dir() else [out]:
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == MAP_READER_DIGESTS[name]
 
 
 class TestDeterminism:

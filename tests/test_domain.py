@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from rankflow.domain import BBox, GrayMap, Ranking, Scene, count_fixations, iou, sqrt_size
+from rankflow.domain import BBox, Ranking, Scene, count_fixations, iou, sqrt_size
 from rankflow.errors import InvariantViolation
 
 
@@ -120,7 +120,7 @@ class TestSceneFixations:
 
     def test_rejects_map_of_other_size(self):
         with pytest.raises(InvariantViolation, match="fixation_map: 10x8 map for a 10x10 scene"):
-            Scene("s", 10, 10, (), fixation_map=GrayMap(10, 8, bytes(80)))
+            Scene("s", 10, 10, (), fixation_map=np.zeros((8, 10), np.uint8))
 
     @pytest.mark.parametrize("scene_id", ["", ".", "..", "../x", "a/b", "a\\b", "a\0b"])
     def test_rejects_id_that_is_not_a_plain_file_name(self, scene_id):

@@ -2,11 +2,12 @@ import json
 import pickle
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import scene_to_dict
-from rankflow.domain import BBox, GrayMap, Proposal, Ranking, Scene
+from rankflow.domain import BBox, Proposal, Ranking, Scene
 from rankflow.errors import (
     InvariantViolation,
     IoFailure,
@@ -44,6 +45,27 @@ MINIMAL = {
     "fixations": [],
 }
 
+# A scene the mutation property starts from: every kind of proposal and fixation entry.
+VALID = {
+    **MINIMAL,
+    "proposals": [{"id": 1, "box": [10, 10, 30, 30], "confidence": 0.9}, {"id": 2, "is_dummy": True}],
+    "fixations": [{"u": 12, "v": 15, "observer_id": 1}, {"u": 50, "v": 60}, {"u": 0, "v": 79}],
+}
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 2**70), st.floats(), st.text(max_size=3),
+    st.lists(st.integers(-2, 120), max_size=5), st.just({}), st.just([{"u": 1, "v": 2}]),
+)
+
+
+def _places(node) -> list:
+    """(container, key) of every value below ``node``, depth first."""
+    out = []
+    for key, value in list(node.items() if isinstance(node, dict) else enumerate(node)):
+        out.append((node, key))
+        if isinstance(value, (dict, list)):
+            out.extend(_places(value))
+    return out
+
 
 class TestParseScene:
     def test_minimal(self, tmp_path):
@@ -67,17 +89,17 @@ class TestParseScene:
             parse_scene(tmp_path / "nope.json")
 
     def test_fixation_map_loaded(self, tmp_path):
-        gmap = GrayMap(2, 2, bytes([0, 255, 128, 64]))
+        gmap = np.array([[0, 255], [128, 64]], np.uint8)
         write_pgm(gmap, tmp_path / "m.pgm")
         doc = dict(MINIMAL, fixation_map_path="m.pgm", width=2, height=2, proposals=[
             {"id": 1, "box": [0, 0, 2, 2], "confidence": 1.0}
         ])
         scene = parse_scene(write_json(tmp_path, doc))
-        assert scene.fixation_map == gmap
+        assert np.array_equal(scene.fixation_map, gmap)
         # An absolute map path is read as it is, not beside the scene file.
         (tmp_path / "sub").mkdir()
         doc["fixation_map_path"] = str(tmp_path / "m.pgm")
-        assert parse_scene(write_json(tmp_path / "sub", doc)).fixation_map == gmap
+        assert np.array_equal(parse_scene(write_json(tmp_path / "sub", doc)).fixation_map, gmap)
 
     def test_map_skipped(self, tmp_path):
         doc = dict(MINIMAL, fixation_map_path="absent.pgm")
@@ -90,7 +112,7 @@ class TestParseScene:
     @pytest.mark.parametrize(
         "change, field",
         [
-            ({"proposals": [{"id": 1, "box": [10, 10, 30]}]}, "scene"),
+            ({"proposals": [{"id": 1, "box": [10, 10, 30]}]}, "box"),
             ({"fixations": [{"u": 1}]}, "v"),
             ({"proposals": [5]}, "proposals"),
             ({"scene_id": "../out"}, "scene_id"),
@@ -109,6 +131,7 @@ class TestParseScene:
             ({"fixations": [{"u": 12.9, "v": 1}]}, "u"),
             ({"fixations": [{"u": 1, "v": 2}, {"u": 12, "v": True}]}, "v"),
             ({"fixations": [{"u": 12, "v": 1, "observer_id": "2"}]}, "observer_id"),
+            ({"fixations": [[1, 2]]}, "fixations"),
         ],
     )
     def test_content_errors_name_the_file(self, tmp_path, change, field):
@@ -132,6 +155,33 @@ class TestParseScene:
     def test_observer_id_defaults_to_zero(self, tmp_path):
         doc = dict(MINIMAL, fixations=[{"u": 5, "v": 6}, {"u": 7, "v": 8, "observer_id": 3}])
         assert parse_scene(write_json(tmp_path, doc)).fixations.tolist() == [[5, 6, 0], [7, 8, 3]]
+
+    @settings(max_examples=100)
+    @given(st.lists(st.tuples(st.sampled_from(["drop", "retype", "resize", "swap"]), st.integers(0, 99), JSON_VALUES),
+                    min_size=1, max_size=3))
+    def test_mutated_scene_names_the_file(self, tmp_path_factory, mutations):
+        # A valid scene with keys dropped, values retyped, lists (boxes,
+        # proposals, fixations) resized and list entries swapped: either it
+        # parses or the error is led by the file's path.
+        doc = json.loads(json.dumps(VALID))
+        for op, at, value in mutations:
+            places = _places(doc)
+            parent, key = places[at % len(places)]
+            target = parent[key]
+            if op == "drop":
+                del parent[key]
+            elif op == "retype":
+                parent[key] = value
+            elif op == "resize" and isinstance(target, list):
+                parent[key] = (target * 6 + [5] * 6)[: at % 7]
+            elif op == "swap" and isinstance(target, list) and len(target) > 1:
+                target[0], target[-1] = target[-1], target[0]
+        path = tmp_path_factory.getbasetemp() / "mutated_scene.json"
+        path.write_text(json.dumps(doc))
+        try:
+            parse_scene(path)
+        except RankflowError as e:
+            assert str(e).startswith(f"{path}: ")
 
     @pytest.mark.parametrize("render_maps", [True, False])
     def test_synth_scene_round_trip_is_byte_identical(self, tmp_path, render_maps):
@@ -177,8 +227,8 @@ class TestPgm:
         path = tmp_path / "a.pgm"
         path.write_bytes(b"P5\n2 2\n255\n" + bytes([0, 255, 128, 64]))
         gmap = parse_pgm(path)
-        assert (gmap.width, gmap.height) == (2, 2)
-        assert gmap.values == bytes([0, 255, 128, 64])
+        assert gmap.shape == (2, 2)
+        assert gmap.tobytes() == bytes([0, 255, 128, 64])
 
     def test_rejects_ascii(self, tmp_path):
         path = tmp_path / "a.pgm"
@@ -196,7 +246,7 @@ class TestPgm:
 
     def test_header_comment(self):
         gmap = pgm_from_bytes(b"P5\n# made elsewhere\n1 2\n255\n\x05\x06")
-        assert gmap.values == bytes([5, 6])
+        assert gmap.tobytes() == bytes([5, 6])
 
     @given(
         st.integers(1, 8),
@@ -205,7 +255,7 @@ class TestPgm:
     )
     def test_round_trip(self, w, h, data):
         values = bytes(data.draw(st.lists(st.integers(0, 255), min_size=w * h, max_size=w * h)))
-        raw = pgm_to_bytes(GrayMap(w, h, values))
+        raw = pgm_to_bytes(np.frombuffer(values, np.uint8).reshape(h, w))
         assert pgm_to_bytes(pgm_from_bytes(raw)) == raw
 
 

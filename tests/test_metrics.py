@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from conftest import make_scene
-from rankflow.domain import GrayMap, Ranking
+from rankflow.domain import Ranking
 from rankflow.errors import SceneMismatch, SrccUndefined
 from rankflow.metrics import (
     evaluate_rankings,
@@ -127,7 +127,7 @@ class TestRankFromSaliencyMap:
 
     def test_size_mismatch(self):
         scene = make_scene([(0, 0, 10, 10)], map_values=np.zeros((100, 100)))
-        small = GrayMap(10, 10, bytes(100))
+        small = np.zeros((10, 10), np.uint8)
         with pytest.raises(SceneMismatch):
             rank_from_saliency_map(scene, small, 0.5)
 

@@ -81,7 +81,7 @@ class TestGenerateScene:
         cfg = replace(FAST, render_maps=True)
         scene, _ = generate_scene(cfg, 0)
         assert scene.fixation_map is not None
-        grid = np.frombuffer(scene.fixation_map.values, dtype=np.uint8)
+        grid = np.frombuffer(scene.fixation_map.tobytes(), dtype=np.uint8)
         assert grid.max() == 255
 
     def test_noise_free_fixations_inside_salient_boxes(self):
@@ -370,8 +370,7 @@ def _render_map_reference(cfg, fixations) -> np.ndarray:
 
 def _gray_levels_off(cfg, fixations) -> np.ndarray:
     """``_render_map``'s map minus ``gaussian_filter``'s, pixel by pixel."""
-    ours = np.frombuffer(_render_map(cfg, fixations), dtype=np.uint8).reshape(cfg.height, cfg.width)
-    return ours.astype(int) - _render_map_reference(cfg, fixations)
+    return _render_map(cfg, fixations).astype(int) - _render_map_reference(cfg, fixations)
 
 
 class TestRenderMap:
@@ -509,7 +508,7 @@ class TestPinnedOutput:
             h.update(json.dumps(scene_to_dict(scene), sort_keys=True).encode())
             h.update(repr(weights).encode())
             if scene.fixation_map is not None:
-                h.update(scene.fixation_map.values)
+                h.update(scene.fixation_map.tobytes())
         assert h.hexdigest() == expected
 
     def test_dataset_tree_digest(self, tmp_path):
