@@ -81,11 +81,17 @@ def _section_cfg(args, run_cfg: dict, section: str, **extra):
         raise RankflowError(str(e)) from e
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON run config; flags override its values")
-    sub.add_argument(
+def _add_command(sub, name: str, run, help: str, out_help: str | None = None):
+    """A subcommand's parser with the options every subcommand takes, bound
+    to its handler ``run(args, run_cfg, jobs)``."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(run=run)
+    p.add_argument("--config", help="JSON run config; flags override its values")
+    p.add_argument(
         "--jobs", type=int, default=None, help="parallel workers (default: env RANKFLOW_JOBS, else every usable CPU)"
     )
+    p.add_argument("--out", required=True, help=out_help)
+    return p
 
 
 def _usable_cpus() -> int:
@@ -118,71 +124,55 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="rankflow", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a seeded synthetic dataset")
-    _add_common(p)
+    p = _add_command(sub, "synth", _cmd_synth, "generate a seeded synthetic dataset")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--scenes", dest="n_scenes", type=int, default=None)
-    p.add_argument("--out", required=True)
     p.add_argument("--objects", default=None, help="min:max objects per scene")
     p.add_argument("--fixations", dest="fixations_per_scene", type=int, default=None)
     p.add_argument(
         "--no-maps", dest="render_maps", action="store_false", default=None, help="skip fixation map rendering"
     )
 
-    p = sub.add_parser("preprocess", help="filter proposals and cache features")
-    _add_common(p)
+    p = _add_command(sub, "preprocess", _cmd_preprocess, "filter proposals and cache features")
     p.add_argument("--in", dest="in_dir", required=True)
-    p.add_argument("--out", required=True)
     p.add_argument("--iou", dest="iou_discard", type=float, default=None)
     p.add_argument("--max-area", dest="max_area_frac", type=float, default=None)
     p.add_argument("--min-area", dest="min_area_px", type=float, default=None)
     p.add_argument("--min-count", type=int, default=None)
 
-    p = sub.add_parser("gt-gen", help="generate GT rank orders from fixation data")
-    _add_common(p)
+    p = _add_command(sub, "gt-gen", _cmd_gt_gen, "generate GT rank orders from fixation data")
     p.add_argument("--method", choices=METHODS, default=None)
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--binary-threshold", type=float, default=None)
     p.add_argument("--in", dest="in_dir", required=True)
-    p.add_argument("--out", required=True)
 
-    p = sub.add_parser("gt-discrepancy", help="rank-change totals between adjacent GT thresholds")
-    _add_common(p)
+    p = _add_command(sub, "gt-discrepancy", _cmd_gt_discrepancy, "rank-change totals between adjacent GT thresholds")
     p.add_argument("--gammas", default="0.1:1.0:0.1", help="start:stop:step grid")
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--in", dest="in_dir", required=True)
-    p.add_argument("--out", required=True)
 
-    p = sub.add_parser("train", help="train the window scorer")
-    _add_common(p)
+    p = _add_command(sub, "train", _cmd_train, "train the window scorer", "model file")
     p.add_argument("--in", dest="in_dir", required=True, help="preprocessed dataset dir")
     p.add_argument("--gt", required=True, help="GT ranking CSV")
-    p.add_argument("--out", required=True, help="model file")
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--window", type=int, default=None)
 
-    p = sub.add_parser("rank", help="rank scenes with a trained scorer")
-    _add_common(p)
+    p = _add_command(sub, "rank", _cmd_rank, "rank scenes with a trained scorer")
     p.add_argument("--in", dest="in_dir", required=True, help="preprocessed dataset dir")
     p.add_argument("--model", required=True)
-    p.add_argument("--out", required=True)
 
-    p = sub.add_parser("map-rank", help="rank scenes from plain saliency maps")
-    _add_common(p)
+    p = _add_command(sub, "map-rank", _cmd_map_rank, "rank scenes from plain saliency maps")
     p.add_argument("--in", dest="in_dir", required=True)
     p.add_argument("--maps", default=None, help="directory of <scene_id>.pgm maps")
     p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--out", required=True)
 
-    p = sub.add_parser("eval", help="compare predicted and GT rankings")
-    _add_common(p)
+    p = _add_command(sub, "eval", _cmd_eval, "compare predicted and GT rankings")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--out", required=True)
     return parser
 
 
@@ -283,18 +273,6 @@ def _cmd_eval(args, run_cfg, jobs):
     )
 
 
-_COMMANDS = {
-    "synth": _cmd_synth,
-    "preprocess": _cmd_preprocess,
-    "gt-gen": _cmd_gt_gen,
-    "gt-discrepancy": _cmd_gt_discrepancy,
-    "train": _cmd_train,
-    "rank": _cmd_rank,
-    "map-rank": _cmd_map_rank,
-    "eval": _cmd_eval,
-}
-
-
 def dispatch(argv) -> int:
     parser = build_parser()
     try:
@@ -303,7 +281,7 @@ def dispatch(argv) -> int:
         return int(e.code or 0)
     try:
         run_cfg, jobs = _common(args)
-        _COMMANDS[args.command](args, run_cfg, jobs)
+        args.run(args, run_cfg, jobs)
     except RankflowError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

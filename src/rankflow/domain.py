@@ -162,9 +162,6 @@ class Ranking:
                 "ranking", f"non-zero orders must be a permutation of 1..k, got {nonzero}"
             )
 
-    def order_of(self, proposal_id: int) -> int:
-        return self.labels[proposal_id]
-
 
 def iou(a: BBox, b: BBox) -> float:
     """Intersection-over-union of two boxes; symmetric, 0 when disjoint."""

@@ -89,12 +89,17 @@ def _checked(value, field: str, kind: str):
     return value
 
 
+def _array(value, field: str) -> list:
+    """``value`` if it is a JSON array; else InvariantViolation naming ``field``."""
+    if type(value) is not list:
+        raise InvariantViolation(field, f"must be a JSON array, got a {type(value).__name__}")
+    return value
+
+
 def _objects(entries, field: str) -> None:
     """Raise InvariantViolation naming ``field`` unless ``entries`` is a JSON
     array of JSON objects."""
-    if type(entries) is not list:
-        raise InvariantViolation(field, f"must be a JSON array, got a {type(entries).__name__}")
-    for i, entry in enumerate(entries):
+    for i, entry in enumerate(_array(entries, field)):
         if type(entry) is not dict:
             raise InvariantViolation(field, f"entry {i} is a {type(entry).__name__}, not a JSON object")
 
@@ -120,17 +125,20 @@ def parse_scene(path, load_map: bool = True) -> Scene:
                 x1, y1, x2, y2 = (float(_checked(c, "box", "number")) for c in box)
                 conf = float(_checked(p.get("confidence", 1.0), "confidence", "number"))
                 proposals.append(Proposal(id=pid, box=BBox(x1, y1, x2, y2), detector_confidence=conf))
+        entries = _array(doc.get("fixations", []), "fixations")
         try:
-            fixations = [(f["u"], f["v"], f.get("observer_id", 0)) for f in doc.get("fixations", [])]
+            fixations = [(f["u"], f["v"], f.get("observer_id", 0)) for f in entries]
         except TypeError:  # entries are type-checked only on failure, to keep the bulk path one pass
-            _objects(doc["fixations"], "fixations")
+            _objects(entries, "fixations")
             raise
         if not set(map(type, itertools.chain.from_iterable(fixations))) <= {int}:
             for row in fixations:
                 for field, value in zip(("u", "v", "observer_id"), row):
                     _checked(value, field, "integer")
         map_path = doc.get("fixation_map_path")
-        fixation_map = parse_pgm(path.parent.joinpath(map_path)) if load_map and map_path is not None else None
+        if map_path is not None:
+            map_path = path.parent.joinpath(_checked(map_path, "fixation_map_path", "string"))
+        fixation_map = parse_pgm(map_path) if load_map and map_path is not None else None
         return Scene(
             scene_id=_checked(doc["scene_id"], "scene_id", "string"),
             width=_checked(doc["width"], "width", "integer"),

@@ -107,7 +107,6 @@ def preprocess_dataset(in_dir, out_dir, cfg: FilterConfig | None = None, jobs: i
     ``features/``. Workers write into one staging directory under
     ``out_dir``, whose files move into place only once every scene is done;
     it is removed in any case, so a failed run adds no scene or feature file."""
-    cfg = cfg or FilterConfig()
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

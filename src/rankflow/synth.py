@@ -22,7 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .domain import BBox, Proposal, Scene, check_fields, iou, sqrt_size
 from .errors import GenerationFailure, IoFailure
 from .gtgen import GtConfig, rasrgt_rank, ranking_from_scores
-from .ingest import read_text, write_atomic, write_pgm, write_ranking, write_scene
+from .ingest import write_atomic, write_pgm, write_ranking, write_scene
 from .pipeline import parallel_map
 
 _MAX_BOX_ATTEMPTS = 400
@@ -341,12 +341,3 @@ def generate_dataset(cfg: SynthConfig, out_dir, jobs: int = 1) -> dict:
     manifest["latent_path"] = "latent.csv"
     write_atomic(out_dir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return manifest
-
-
-def read_latent(path) -> dict[str, dict[int, float]]:
-    out: dict[str, dict[int, float]] = {}
-    reader = csv.reader(io.StringIO(read_text(path), newline=""))
-    next(reader)
-    for scene_id, pid, w in reader:
-        out.setdefault(scene_id, {})[int(pid)] = float(w)
-    return out

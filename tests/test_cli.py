@@ -17,7 +17,7 @@ from rankflow.pipeline import config_hash
 from rankflow.errors import InvariantViolation, RankflowError, SceneMismatch
 from rankflow.gtgen import METHODS
 from rankflow.ingest import parse_ranking
-from rankflow.preprocess import FEATURE_DIM
+from rankflow.preprocess import FEATURE_DIM, FilterConfig
 from rankflow.rankcore import acb_sequences, window_inputs
 from rankflow.scorer import init_model, load_model, save_model, window_gt_labels
 
@@ -51,8 +51,23 @@ class TestUsageErrors:
     def test_unknown_command(self):
         assert run("frobnicate") == 1
 
-    def test_missing_required_flag(self):
-        assert run("synth") == 1
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth"],
+            ["preprocess", "--in", "raw"],
+            ["gt-gen", "--in", "raw"],
+            ["gt-discrepancy", "--in", "raw"],
+            ["train", "--in", "pre", "--gt", "gt.csv"],
+            ["rank", "--in", "pre", "--model", "m.bin"],
+            ["map-rank", "--in", "raw"],
+            ["eval", "--pred", "p.csv", "--gt", "gt.csv"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_missing_required_flag(self, capsys, argv):
+        assert run(*argv) == 1
+        assert "the following arguments are required: --out" in capsys.readouterr().err
 
     def test_missing_input_dir(self, tmp_path, capsys):
         assert run("preprocess", "--in", str(tmp_path / "nope"), "--out", str(tmp_path / "o")) == 2
@@ -454,6 +469,15 @@ class TestPipelineStages:
         feats = list((pre / "features").glob("*.feat"))
         assert len(scenes) == 4 and len(feats) == 4
 
+    def test_preprocess_default_filter(self, dataset, tmp_path):
+        """With no config, preprocess_dataset filters with FilterConfig()."""
+        trees = []
+        for out, cfg in ((tmp_path / "default", ()), (tmp_path / "explicit", (FilterConfig(),))):
+            assert pipeline.preprocess_dataset(dataset / "raw", out, *cfg) == [f"scene_{i:05d}" for i in range(4)]
+            trees.append({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
+        assert trees[0] == trees[1]
+        assert {p.parent.name for p in trees[0]} == {"scenes", "features"} and len(trees[0]) == 8
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_failed_preprocess_writes_no_scene(self, tmp_path, capsys, jobs):
         raw, pre = tmp_path / "raw", tmp_path / "pre"
@@ -843,6 +867,13 @@ class TestBadSceneFiles:
         raw = _raw_with_scene(dataset, tmp_path, **change)
         assert run("gt-gen", "--in", str(raw), "--out", str(tmp_path / "gt.csv"), "--jobs", "2") == 2
         assert "scene_00001.json: " in capsys.readouterr().err
+
+    def test_map_path_type_checked_without_loading_maps(self, dataset, tmp_path, capsys):
+        raw = _raw_with_scene(dataset, tmp_path, fixation_map_path=7)
+        argv = ["gt-gen", "--method", "rasrgt", "--in", str(raw), "--out", str(tmp_path / "gt.csv"), "--jobs", "1"]
+        assert run(*argv) == 2
+        assert "scene_00001.json: fixation_map_path: must be a JSON string, got 7" in capsys.readouterr().err
+        assert not (tmp_path / "gt.csv").exists()
 
     @pytest.mark.parametrize("scene_id", ["../../escaped", "..", "a\\b", "a\0b"])
     def test_scene_id_cannot_leave_the_output(self, dataset, tmp_path, capsys, scene_id):

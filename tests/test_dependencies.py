@@ -1,8 +1,9 @@
 """rankflow needs numpy and nothing else at run time: every module of
 ``src/rankflow`` imports only the standard library, numpy and its own
-modules (relative imports)."""
+modules (relative imports).  And it holds no dead public name."""
 import ast
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import rankflow
@@ -23,3 +24,44 @@ def test_runtime_imports_are_stdlib_or_numpy():
     assert ("pipeline.py", "concurrent") in imports and ("metrics.py", "numpy") in imports
     allowed = set(sys.stdlib_module_names) | {"numpy"}
     assert [(name, module) for name, module in imports if module not in allowed] == []
+
+
+# Public names that only tests use, each with the reason it stays.
+TEST_ONLY_NAMES = {
+    ("synth", "latent_ranking"): "the reference order acceptance criterion 8 checks recovery against",
+}
+
+
+def _names_in(node):
+    """Every name ``node`` mentions: identifiers, attributes, imported names,
+    and the dotted parts of string constants (benchmark trace targets)."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name.split(".")[-1]
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            yield from sub.value.split(".")
+
+
+def test_every_public_name_has_a_caller():
+    """Each public top-level function or class of rankflow is named in
+    ``src/`` outside its own definition, or in ``benchmarks/``."""
+    src = Path(rankflow.__file__).parent
+    benchmarks = Path(__file__).resolve().parent.parent / "benchmarks"
+    defined, named_in = [], defaultdict(set)  # name -> (module, top-level name) of each statement naming it
+    for path in sorted(src.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = getattr(stmt, "name", None)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not own.startswith("_"):
+                defined.append((path.stem, own))
+            for name in _names_in(stmt):
+                named_in[name].add((path.stem, own))
+    for path in sorted(benchmarks.glob("*.py")):
+        for name in _names_in(ast.parse(path.read_text(encoding="utf-8"))):
+            named_in[name].add(("benchmarks", path.stem))
+    uncalled = [(module, name) for module, name in defined if not named_in[name] - {(module, name)}]
+    assert ("cli", "main") in defined and ("scorer", "loss_and_grad") not in uncalled
+    assert uncalled == sorted(TEST_ONLY_NAMES)

@@ -136,7 +136,7 @@ class TestSceneFixations:
 class TestRanking:
     def test_valid(self):
         r = Ranking({3: 0, 7: 1, 9: 2})
-        assert r.order_of(7) == 1
+        assert r.labels[7] == 1
 
     def test_zero_may_repeat(self):
         Ranking({1: 0, 2: 0, 3: 1})

@@ -1,3 +1,4 @@
+import copy
 import json
 import pickle
 from pathlib import Path
@@ -132,10 +133,16 @@ class TestParseScene:
             ({"fixations": [{"u": 1, "v": 2}, {"u": 12, "v": True}]}, "v"),
             ({"fixations": [{"u": 12, "v": 1, "observer_id": "2"}]}, "observer_id"),
             ({"fixations": [[1, 2]]}, "fixations"),
+            ({"fixations": ""}, "fixations"),
+            ({"fixations": {}}, "fixations"),
+            ({"fixation_map_path": 7}, "fixation_map_path"),
         ],
     )
     def test_content_errors_name_the_file(self, tmp_path, change, field):
         path = write_json(tmp_path, {**MINIMAL, **change}, name="bad_scene.json")
+        with pytest.raises(InvariantViolation) as info:
+            parse_scene(path, load_map=False)  # a stage that skips the map rejects the same files
+        assert info.value.field == f"{path}: {field}"
         with pytest.raises(InvariantViolation) as info:
             parse_scene(path)
         assert info.value.field == f"{path}: {field}"
@@ -171,7 +178,9 @@ class TestParseScene:
             if op == "drop":
                 del parent[key]
             elif op == "retype":
-                parent[key] = value
+                # A copy: st.just hands every example the same list, which a
+                # later mutation could change, or nest inside itself.
+                parent[key] = copy.deepcopy(value)
             elif op == "resize" and isinstance(target, list):
                 parent[key] = (target * 6 + [5] * 6)[: at % 7]
             elif op == "swap" and isinstance(target, list) and len(target) > 1:

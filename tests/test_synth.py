@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -26,7 +27,6 @@ from rankflow.synth import (
     generate_dataset,
     generate_scene,
     latent_ranking,
-    read_latent,
 )
 
 FAST = SynthConfig(
@@ -124,9 +124,12 @@ class TestGenerateDataset:
             scene, GtConfig(gamma=cfg.gamma, beta=cfg.beta)
         ).labels
 
-        latent = read_latent(tmp_path / "latent.csv")
-        assert set(latent) == set(gt)
-        assert set(latent[scene.scene_id]) == {p.id for p in scene.proposals}
+        with open(tmp_path / "latent.csv", newline="") as f:
+            latent = list(csv.DictReader(f))
+        assert {row["scene_id"] for row in latent} == set(gt)
+        assert {int(row["proposal_id"]) for row in latent if row["scene_id"] == scene.scene_id} == {
+            p.id for p in scene.proposals
+        }
 
     def test_byte_identical_reruns(self, tmp_path):
         a = tmp_path / "a"
