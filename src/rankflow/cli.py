@@ -88,7 +88,11 @@ def _add_command(sub, name: str, run, help: str, out_help: str | None = None):
     p.set_defaults(run=run)
     p.add_argument("--config", help="JSON run config; flags override its values")
     p.add_argument(
-        "--jobs", type=int, default=None, help="parallel workers (default: env RANKFLOW_JOBS, else every usable CPU)"
+        "--jobs",
+        type=int,
+        default=None,
+        help="parallel workers for synth, preprocess, gt-gen, gt-discrepancy, rank and map-rank; "
+        "train and eval run in one process (default: env RANKFLOW_JOBS, else every usable CPU)",
     )
     p.add_argument("--out", required=True, help=out_help)
     return p

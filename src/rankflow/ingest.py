@@ -108,7 +108,10 @@ def parse_scene(path, load_map: bool = True) -> Scene:
     """Scene from a JSON file; ``load_map=False`` leaves its PGM map unread.
     Every error in the file's contents, or in the map it names, names the file.
     Each field must have its JSON type: nothing is coerced.
-    A relative ``fixation_map_path`` is read beside the scene file."""
+    A relative ``fixation_map_path`` is read beside the scene file.
+    The fixations become their ``(n, 3)`` int64 array in bulk: one flat list
+    of their values, one type check over it, one ``np.array``.  Each value is
+    checked on its own only when that check fails, to name its field."""
     path = Path(path)
     doc = read_json(path)
     try:
@@ -127,14 +130,16 @@ def parse_scene(path, load_map: bool = True) -> Scene:
                 proposals.append(Proposal(id=pid, box=BBox(x1, y1, x2, y2), detector_confidence=conf))
         entries = _array(doc.get("fixations", []), "fixations")
         try:
-            fixations = [(f["u"], f["v"], f.get("observer_id", 0)) for f in entries]
+            rows = [(f["u"], f["v"], f.get("observer_id", 0)) for f in entries]
         except TypeError:  # entries are type-checked only on failure, to keep the bulk path one pass
             _objects(entries, "fixations")
             raise
-        if not set(map(type, itertools.chain.from_iterable(fixations))) <= {int}:
-            for row in fixations:
+        flat = list(itertools.chain.from_iterable(rows))
+        if not set(map(type, flat)) <= {int}:
+            for row in rows:
                 for field, value in zip(("u", "v", "observer_id"), row):
                     _checked(value, field, "integer")
+        fixations = np.array(flat, dtype=np.int64).reshape(-1, 3)
         map_path = doc.get("fixation_map_path")
         if map_path is not None:
             map_path = path.parent.joinpath(_checked(map_path, "fixation_map_path", "string"))
@@ -160,9 +165,10 @@ _FIXATION_JSON = '{"observer_id": %d, "u": %d, "v": %d}'
 
 def write_scene(scene: Scene, path, fixation_map_path=None) -> None:
     """Write the scene as sorted-key JSON.  The fixation rows, most of the
-    file, are formatted straight into that layout instead of each becoming a
-    dict for json.dumps.  The replaced '"fixations": []' can only be the key:
-    inside a JSON string its middle quote would be escaped."""
+    file, are formatted straight into that layout by one ``%``: the row
+    template repeated once per row, filled from one flat tuple of
+    ``(observer_id, u, v)`` cells.  The replaced '"fixations": []' can only
+    be the key: inside a JSON string its middle quote would be escaped."""
     doc = {
         "scene_id": scene.scene_id,
         "width": scene.width,
@@ -181,7 +187,8 @@ def write_scene(scene: Scene, path, fixation_map_path=None) -> None:
     }
     if fixation_map_path is not None:
         doc["fixation_map_path"] = str(fixation_map_path)
-    rows = ", ".join([_FIXATION_JSON % (o, u, v) for u, v, o in scene.fixations.tolist()])
+    cells = tuple(scene.fixations[:, [2, 0, 1]].ravel().tolist())
+    rows = ", ".join([_FIXATION_JSON] * len(scene.fixations)) % cells
     text = json.dumps(doc, sort_keys=True)
     write_atomic(path, text.replace('"fixations": []', f'"fixations": [{rows}]', 1) + "\n")
 

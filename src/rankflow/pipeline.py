@@ -4,8 +4,9 @@ training-set assembly, ranking and map-based ranking.
 Every stage runs one per-scene function through one runner, ``map_scenes``,
 which parses each scene file, returns ``(scene_id, result)`` rows and puts
 the file's path in front of any data error.  Scene work is independent, so
-it runs on a process pool; rows keep file order, so output never depends on
-the job count.
+it runs on a process pool, ``parallel_map``, whose workers take the scenes
+in contiguous chunks; rows keep file order, so output never depends on the
+job count.
 """
 from __future__ import annotations
 
@@ -45,12 +46,16 @@ from .scorer import load_model, make_scorer, window_gt_labels
 
 
 def parallel_map(fn, items, jobs: int = 1):
+    """``[fn(x) for x in items]`` on ``jobs`` worker processes.  Workers take
+    contiguous chunks, about eight per worker, so a task costs one message
+    per chunk rather than per item; rows keep input order, and the first
+    failing item in input order raises."""
     items = list(items)
     jobs = min(jobs, len(items))  # never more workers than items
     if jobs <= 1:
         return [fn(x) for x in items]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(fn, items, chunksize=-(-len(items) // (8 * jobs))))
 
 
 def _run_scene(path, fn, load_map: bool):

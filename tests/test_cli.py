@@ -736,6 +736,29 @@ class TestDeterminism:
         assert run("rank", "--in", str(dataset / "pre"), "--model", str(model), "--out", str(b), "--jobs", "2") == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_pooled_stages_independent_of_jobs(self, tmp_path):
+        # 40 scenes go to 2 workers in chunks of 3, so a chunk holds several
+        # scenes and the last one is short.
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"synth": {"width": 160, "height": 120}}))
+        raw = tmp_path / "raw"
+        argv = ["--seed", "5", "--scenes", "40", "--objects", "3:5", "--fixations", "50", "--jobs", "2"]
+        assert run("synth", "--config", str(config), *argv, "--out", str(raw)) == 0
+        trees = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            stages = [
+                ["preprocess", "--out", str(out / "pre")],
+                ["gt-gen", "--method", "mapmax", "--out", str(out / "gt.csv")],
+                ["gt-discrepancy", "--out", str(out / "disc.csv")],
+                ["map-rank", "--out", str(out / "map.csv")],
+            ]
+            for stage in stages:
+                assert run(*stage, "--in", str(raw), "--jobs", jobs) == 0
+            trees.append({str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
+        assert len(trees[0]) == 40 + 40 + 1 + 3 * 2  # scenes, features, pre provenance, 3 CSVs and their provenance
+        assert trees[0] == trees[1]
+
     def test_train_independent_of_blas_threads(self, dataset, tmp_path):
         # Minibatch training runs batched matmuls; the model file must not
         # depend on how many threads BLAS uses for them.

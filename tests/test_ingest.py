@@ -267,6 +267,42 @@ class TestPgm:
         raw = pgm_to_bytes(np.frombuffer(values, np.uint8).reshape(h, w))
         assert pgm_to_bytes(pgm_from_bytes(raw)) == raw
 
+    @settings(max_examples=300)
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 4),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["cut", "put", "insert"]),
+                st.integers(0, 40),
+                st.binary(max_size=4) | st.sampled_from(
+                    [b" ", b"\n", b"#", b"# c\n", b"-1", b"0", b"+7", b"1_0", b"65535", b"9" * 30, b"P2", b"\xff"]
+                ),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_mutated_pgm_names_the_file(self, w, h, edits):
+        # A valid PGM cut short, overwritten or grown at any byte, header
+        # included: either it decodes or the error is a RankflowError led by
+        # the file's name.
+        data = bytearray(pgm_to_bytes(np.arange(w * h, dtype=np.uint8).reshape(h, w)))
+        for op, at, chunk in edits:
+            at %= len(data) + 1
+            if op == "cut":
+                del data[at:]
+            elif op == "put":
+                data[at : at + len(chunk)] = chunk
+            else:
+                data[at:at] = chunk
+        try:
+            gmap = pgm_from_bytes(bytes(data), name="maps/m.pgm")
+        except RankflowError as e:
+            assert str(e).startswith("maps/m.pgm: ")
+        else:
+            assert gmap.dtype == np.uint8 and gmap.ndim == 2 and gmap.size > 0
+
 
 class TestRankingCsv:
     def test_empty(self, tmp_path):
