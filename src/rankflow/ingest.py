@@ -4,14 +4,21 @@ Formats:
   * scenes   -- UTF-8 JSON, one file per scene
   * gray maps -- binary PGM ("P5"), maxval 255
   * rankings -- CSV with header ``scene_id,proposal_id,order``, LF endings
+
+This module is the only one that touches the file system: every file is
+written by ``write_atomic`` (every CSV through ``write_csv``), and every
+dataset subdirectory is published whole by ``publish_dirs``.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
 import json
 import os
+import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +51,41 @@ def write_atomic(path, data) -> None:
     except OSError as e:
         tmp.unlink(missing_ok=True)
         raise IoFailure(f"cannot write {path}: {e.strerror or e}") from e
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header row and then ``rows`` as CSV with LF line endings."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_atomic(path, buf.getvalue())
+
+
+@contextlib.contextmanager
+def publish_dirs(out_dir, *subs):
+    """Yield a staging directory under ``out_dir`` holding an empty directory
+    per name in ``subs``; on a clean exit each replaces ``out_dir/<sub>``
+    whole.  The staging directory, with every replaced directory in it, is
+    removed in any case, so a failed run leaves ``out_dir`` as it was.  Other
+    files in ``out_dir`` are kept; an OSError becomes IoFailure naming it."""
+    out_dir = Path(out_dir)
+    staging = None
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
+        for sub in subs:
+            (staging / sub).mkdir()
+        yield staging
+        for sub in subs:
+            if os.path.lexists(out_dir / sub):
+                os.replace(out_dir / sub, staging / f".old-{sub}")
+            os.replace(staging / sub, out_dir / sub)
+    except OSError as e:
+        raise IoFailure(f"cannot create {out_dir}: {e.strerror or e}") from e
+    finally:
+        if staging is not None:
+            shutil.rmtree(staging, ignore_errors=True)
 
 
 def read_bytes(path) -> bytes:
@@ -240,22 +282,10 @@ def write_pgm(gmap: np.ndarray, path) -> None:
     write_atomic(path, pgm_to_bytes(gmap))
 
 
-def ranking_rows(rankings) -> list[tuple[str, int, int]]:
-    rows = []
-    for scene_id, ranking in rankings:
-        for pid, order in ranking.labels.items():
-            rows.append((scene_id, pid, order))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    return rows
-
-
 def write_ranking(rankings, path) -> None:
     """Write (scene_id, Ranking) pairs as CSV sorted by (scene_id, proposal_id)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(RANKING_HEADER)
-    writer.writerows(ranking_rows(rankings))
-    write_atomic(path, buf.getvalue())
+    rows = [(sid, pid, order) for sid, ranking in rankings for pid, order in ranking.labels.items()]
+    write_csv(path, RANKING_HEADER, sorted(rows, key=lambda r: r[:2]))
 
 
 def parse_ranking(path) -> dict[str, Ranking]:

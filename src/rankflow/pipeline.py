@@ -6,15 +6,13 @@ which parses each scene file, returns ``(scene_id, result)`` rows and puts
 the file's path in front of any data error.  Scene work is independent, so
 it runs on a process pool, ``parallel_map``, whose workers take the scenes
 in contiguous chunks; rows keep file order, so output never depends on the
-job count.
+job count.  Every output is written by ``ingest``; ``preprocess_dataset``
+publishes its ``scenes/`` and ``features/`` whole.
 """
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import shutil
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
@@ -23,7 +21,6 @@ from . import __version__
 from .domain import Ranking, Scene
 from .errors import (
     InvariantViolation,
-    IoFailure,
     MissingFile,
     RankflowError,
     SceneMismatch,
@@ -35,7 +32,9 @@ from .ingest import (
     parse_pgm,
     parse_ranking,
     parse_scene,
+    publish_dirs,
     write_atomic,
+    write_csv,
     write_ranking,
     write_scene,
 )
@@ -103,34 +102,22 @@ def write_provenance(target, config: dict, seed=None) -> None:
 
 def _preprocess_one(scene: Scene, staging: Path, cfg: FilterConfig) -> None:
     filtered = filter_proposals(scene, cfg)
-    write_scene(filtered, staging / f"{filtered.scene_id}.json")
-    write_features(scene_features(filtered), staging / f"{filtered.scene_id}.feat")
+    write_scene(filtered, staging / "scenes" / f"{filtered.scene_id}.json")
+    write_features(scene_features(filtered), staging / "features" / f"{filtered.scene_id}.feat")
 
 
 def preprocess_dataset(in_dir, out_dir, cfg: FilterConfig | None = None, jobs: int = 1) -> list[str]:
     """Filter every scene and write it to ``scenes/``, its features to
-    ``features/``. Workers write into one staging directory under
-    ``out_dir``, whose files move into place only once every scene is done;
-    it is removed in any case, so a failed run adds no scene or feature file."""
-    out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
-    except OSError as e:
-        raise IoFailure(f"cannot create {out_dir}: {e.strerror or e}") from e
-    try:
+    ``features/``.  Workers write into a staging directory that
+    ``publish_dirs`` puts in place of both only once every scene is done, so
+    a failed run leaves ``out_dir`` as it was.  An ``out_dir`` that would
+    replace ``in_dir`` is refused before anything is written."""
+    out = Path(out_dir).resolve()
+    if Path(in_dir).resolve() in (out, out / "scenes", out / "features"):
+        raise RankflowError(f"cannot preprocess {in_dir} into {out_dir}: the output would replace the input")
+    with publish_dirs(out_dir, "scenes", "features") as staging:
         worker = partial(_preprocess_one, staging=staging, cfg=cfg)
-        ids = [scene_id for scene_id, _ in map_scenes(worker, in_dir, jobs, load_map=True)]
-        try:
-            for sub, suffix in (("scenes", ".json"), ("features", ".feat")):
-                (out_dir / sub).mkdir(exist_ok=True)
-                for scene_id in ids:
-                    os.replace(staging / f"{scene_id}{suffix}", out_dir / sub / f"{scene_id}{suffix}")
-        except OSError as e:
-            raise IoFailure(f"cannot move the preprocessed files into {out_dir}: {e.strerror or e}") from e
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
-    return ids
+        return [scene_id for scene_id, _ in map_scenes(worker, in_dir, jobs, load_map=True)]
 
 
 def gt_generate(in_dir, cfg: GtConfig, out_file, jobs: int = 1) -> None:
@@ -143,7 +130,7 @@ def gt_discrepancy(in_dir, cfg: GtConfig, thresholds, out_file, jobs: int = 1) -
     reach this process."""
     counts = [c for _, c in map_scenes(rasrgt_counts, in_dir, jobs)]
     rows = discrepancy_offsets(counts, cfg, thresholds)
-    write_atomic(out_file, "threshold,t_offset\n" + "".join(f"{t:g},{offset}\n" for t, offset in rows))
+    write_csv(out_file, ["threshold", "t_offset"], [(f"{t:g}", offset) for t, offset in rows])
 
 
 def _with_features(scene: Scene, feat_dir: Path, fn):

@@ -8,8 +8,6 @@ the shares, which gives every downstream stage an exact oracle.
 """
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -20,9 +18,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .domain import BBox, Proposal, Scene, check_fields, iou, sqrt_size
-from .errors import GenerationFailure, IoFailure
+from .errors import GenerationFailure
 from .gtgen import GtConfig, rasrgt_rank, ranking_from_scores
-from .ingest import write_atomic, write_pgm, write_ranking, write_scene
+from .ingest import publish_dirs, write_atomic, write_csv, write_pgm, write_ranking, write_scene
 from .pipeline import parallel_map
 
 _MAX_BOX_ATTEMPTS = 400
@@ -292,52 +290,37 @@ def latent_ranking(scene: Scene, weights) -> dict[int, int]:
 
 
 def _write_one(idx: int, cfg: SynthConfig, out_dir: Path):
-    """Generate and write one scene (and its map); returns its gt.csv,
-    latent.csv and manifest rows."""
+    """Generate and write one scene (and its map) under ``out_dir``; returns
+    its gt.csv, latent.csv and manifest rows."""
     scene, weights = generate_scene(cfg, idx)
-    scene_path = out_dir / "scenes" / f"{scene.scene_id}.json"
-    map_rel = None
+    scene_path, map_path = f"scenes/{scene.scene_id}.json", None
     if cfg.render_maps:
-        write_pgm(scene.fixation_map, out_dir / "maps" / f"{scene.scene_id}.pgm")
-        map_rel = f"../maps/{scene.scene_id}.pgm"
-    write_scene(scene, scene_path, fixation_map_path=map_rel)
+        map_path = f"maps/{scene.scene_id}.pgm"
+        write_pgm(scene.fixation_map, out_dir / map_path)
+    write_scene(scene, out_dir / scene_path, fixation_map_path=f"../{map_path}" if map_path else None)
     ranking = rasrgt_rank(scene, GtConfig(gamma=cfg.gamma, beta=cfg.beta))
-    latent = [(scene.scene_id, p.id, w) for p, w in zip(scene.proposals, weights)]
-    entry = {
-        "scene_id": scene.scene_id,
-        "scene_path": str(scene_path.relative_to(out_dir)),
-        "map_path": f"maps/{scene.scene_id}.pgm" if cfg.render_maps else None,
-    }
+    latent = [(scene.scene_id, p.id, repr(w)) for p, w in zip(scene.proposals, weights)]
+    entry = {"scene_id": scene.scene_id, "scene_path": scene_path, "map_path": map_path}
     return (scene.scene_id, ranking), latent, entry
 
 
 def generate_dataset(cfg: SynthConfig, out_dir, jobs: int = 1) -> dict:
     """Write scenes, maps, GT rankings, latent weights and a manifest.
 
-    Scenes are generated and written on ``jobs`` workers; the files that list
-    every scene are written here, in scene order, so the output does not
-    depend on ``jobs``.
+    Scenes are generated and written on ``jobs`` workers into a staging
+    directory that ``publish_dirs`` puts in place of ``scenes/`` (and
+    ``maps/``) only once every scene is done, so a failed run leaves
+    ``out_dir`` as it was.  The files that list every scene are written
+    here, in scene order, so the output does not depend on ``jobs``.
     """
     out_dir = Path(out_dir)
-    try:
-        (out_dir / "scenes").mkdir(parents=True, exist_ok=True)
-        if cfg.render_maps:
-            (out_dir / "maps").mkdir(exist_ok=True)
-    except OSError as e:
-        raise IoFailure(f"cannot create {out_dir}: {e.strerror or e}") from e
-
-    rows = parallel_map(partial(_write_one, cfg=cfg, out_dir=out_dir), range(cfg.n_scenes), jobs)
-    rankings = [ranking for ranking, _, _ in rows]
-    latent_rows = [row for _, latent, _ in rows for row in latent]
-    manifest = {"seed": cfg.seed, "config": asdict(cfg), "scenes": [entry for _, _, entry in rows]}
-
-    write_ranking(rankings, out_dir / "gt.csv")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["scene_id", "proposal_id", "weight"])
-    writer.writerows([sid, pid, repr(w)] for sid, pid, w in sorted(latent_rows))
-    write_atomic(out_dir / "latent.csv", buf.getvalue())
-    manifest["gt_path"] = "gt.csv"
-    manifest["latent_path"] = "latent.csv"
+    subs = ("scenes", "maps") if cfg.render_maps else ("scenes",)
+    with publish_dirs(out_dir, *subs) as staging:
+        rows = parallel_map(partial(_write_one, cfg=cfg, out_dir=staging), range(cfg.n_scenes), jobs)
+    write_ranking([ranking for ranking, _, _ in rows], out_dir / "gt.csv")
+    latent = sorted(row for _, scene_rows, _ in rows for row in scene_rows)
+    write_csv(out_dir / "latent.csv", ["scene_id", "proposal_id", "weight"], latent)
+    manifest = {"seed": cfg.seed, "config": asdict(cfg), "scenes": [entry for _, _, entry in rows],
+                "gt_path": "gt.csv", "latent_path": "latent.csv"}
     write_atomic(out_dir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return manifest

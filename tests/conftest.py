@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from rankflow.domain import BBox, Proposal, Scene
 
@@ -22,6 +23,39 @@ def scene_to_dict(scene, fixation_map_path=None) -> dict:
     if fixation_map_path is not None:
         doc["fixation_map_path"] = str(fixation_map_path)
     return doc
+
+
+def tree(root) -> dict:
+    """Every path under ``root``, relative: a file's bytes, or None for a directory."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None for p in sorted(root.rglob("*"))}
+
+
+# Up to three edits of a binary file: cut it short, overwrite bytes or insert
+# them, at an offset that is as often in a header as anywhere.
+BYTE_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["cut", "put", "insert"]),
+        st.integers(0, 24) | st.integers(0, 10_000),
+        st.binary(min_size=1, max_size=8) | st.sampled_from([b"\xff" * 4, b"\x00" * 4, b"\x7f\xf8" * 4]),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def edit_bytes(data: bytes, edits) -> bytes:
+    """``data`` with ``(op, offset, chunk)`` edits as ``BYTE_EDITS`` draws
+    them applied in turn, each offset folded into the file."""
+    data = bytearray(data)
+    for op, at, chunk in edits:
+        at %= len(data) + 1
+        if op == "cut":
+            del data[at:]
+        elif op == "put":
+            data[at : at + len(chunk)] = chunk
+        else:
+            data[at:at] = chunk
+    return bytes(data)
 
 
 def make_scene(

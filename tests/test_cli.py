@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import rankflow
+from conftest import tree
 from rankflow import cli, pipeline
 from rankflow.cli import _SECTIONS, _common, build_parser, dispatch, gamma_grid
 from rankflow.pipeline import config_hash
@@ -777,6 +778,67 @@ class TestDeterminism:
             models.append(model.read_bytes())
         assert models[0] == models[1]
         assert hashlib.sha256(models[0]).hexdigest() == CLI_MODEL_SHA256
+
+
+# A run config under which synth places scenes 0..13 and gives up on scene 14.
+FAILING_SYNTH = {"synth": {"iou_cap": 0.0, "box_frac_min": 0.2, "box_frac_max": 0.3}}
+
+
+class TestDatasetPublishing:
+    """synth and preprocess replace their output subdirectories whole, and
+    only once every scene is done."""
+
+    def _synth(self, out, seed, scenes):
+        argv = ["--seed", seed, "--scenes", scenes, "--no-maps", "--fixations", "50", "--out", str(out)]
+        assert run("synth", *argv) == 0
+
+    def test_rerun_keeps_no_old_scene(self, tmp_path):
+        raw, pre = tmp_path / "raw", tmp_path / "pre"
+        raw.mkdir()
+        (raw / "notes.txt").write_text("mine\n")
+        for seed, scenes in (("1", "3"), ("2", "2")):
+            self._synth(raw, seed, scenes)
+            assert run("preprocess", "--in", str(raw), "--out", str(pre)) == 0
+        fresh = tmp_path / "fresh"
+        self._synth(fresh / "raw", "2", "2")
+        assert run("preprocess", "--in", str(fresh / "raw"), "--out", str(fresh / "pre")) == 0
+        assert tree(pre) == tree(fresh / "pre")
+        assert {k: v for k, v in tree(raw).items() if k != "notes.txt"} == tree(fresh / "raw")
+        assert (raw / "notes.txt").read_text() == "mine\n"
+        assert sorted(p.stem for p in (pre / "features").iterdir()) == ["scene_00000", "scene_00001"]
+        assert run("gt-gen", "--in", str(raw), "--out", str(tmp_path / "gt.csv")) == 0
+        assert parse_ranking(tmp_path / "gt.csv").keys() == parse_ranking(raw / "gt.csv").keys()
+
+    def _failing_synth(self, tmp_path, out, jobs):
+        cfg = tmp_path / "failing.json"
+        cfg.write_text(json.dumps(FAILING_SYNTH))
+        argv = ["--seed", "1", "--scenes", "15", "--objects", "9:11", "--fixations", "20", "--no-maps"]
+        return run("synth", "--config", str(cfg), *argv, "--jobs", jobs, "--out", str(out))
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_synth_writes_no_scene(self, tmp_path, capsys, jobs):
+        out = tmp_path / "d"
+        assert self._failing_synth(tmp_path, out, jobs) == 2
+        assert "scene 14: placement kept failing" in capsys.readouterr().err
+        assert tree(out) == {}  # no scene file, no staging directory
+
+    def test_failed_synth_keeps_earlier_dataset(self, dataset, tmp_path):
+        out = tmp_path / "raw"
+        shutil.copytree(dataset / "raw", out)
+        before = tree(out)
+        assert self._failing_synth(tmp_path, out, "2") == 2
+        assert tree(out) == before
+
+    @pytest.mark.parametrize("in_sub, out", [("", "../raw"), ("scenes", "")])
+    def test_preprocess_into_its_input_is_refused(self, tmp_path, capsys, in_sub, out):
+        raw = tmp_path / "raw"
+        assert run("synth", "--seed", "5", "--scenes", "2", "--fixations", "50", "--out", str(raw)) == 0
+        before = tree(raw)
+        in_dir, out_dir = raw / in_sub, raw / out
+        assert run("preprocess", "--in", str(in_dir), "--out", str(out_dir)) == 2
+        err = capsys.readouterr().err
+        assert f"cannot preprocess {in_dir} into {out_dir}: the output would replace the input" in err
+        assert tree(raw) == before
 
 
 # SHA-256 of the model that `train --seed 1` writes for the shared dataset.

@@ -1,6 +1,7 @@
 """rankflow needs numpy and nothing else at run time: every module of
 ``src/rankflow`` imports only the standard library, numpy and its own
-modules (relative imports).  And it holds no dead public name."""
+modules (relative imports).  Only ``ingest`` touches the file system.  And
+rankflow holds no dead public name."""
 import ast
 import sys
 from collections import defaultdict
@@ -24,6 +25,34 @@ def test_runtime_imports_are_stdlib_or_numpy():
     assert ("pipeline.py", "concurrent") in imports and ("metrics.py", "numpy") in imports
     allowed = set(sys.stdlib_module_names) | {"numpy"}
     assert [(name, module) for name, module in imports if module not in allowed] == []
+
+
+# Standard-library modules, methods and os functions that open, write, move
+# or delete files.
+FILE_MODULES = {"csv", "io", "shutil", "tempfile"}
+FILE_METHODS = {"open", "write_bytes", "write_text", "mkdir", "unlink", "rename"}
+OS_FILE_CALLS = {"os.replace", "os.rename", "os.remove", "os.unlink", "os.mkdir", "os.makedirs", "os.rmdir"}
+
+
+def _file_system_uses(path):
+    """Each import of a module of FILE_MODULES and each file call in ``path``."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names if alias.name in FILE_MODULES)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module in FILE_MODULES:
+            yield node.module
+        elif isinstance(node, ast.Call):
+            name = ast.unparse(node.func)
+            if name in OS_FILE_CALLS or name.rpartition(".")[2] in FILE_METHODS:
+                yield name
+
+
+def test_only_ingest_touches_files():
+    """How a file or a dataset directory is written, moved or removed, and
+    how CSV is formatted, is decided in ``ingest`` alone."""
+    uses = {path.name: set(_file_system_uses(path)) for path in sorted(Path(rankflow.__file__).parent.glob("*.py"))}
+    assert {"csv", "shutil", "tempfile", "os.replace", "tmp.write_bytes"} <= uses.pop("ingest.py")
+    assert {name: found for name, found in uses.items() if found} == {}
 
 
 # Public names that only tests use, each with the reason it stays.

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import scene_to_dict
+from conftest import edit_bytes, scene_to_dict, tree
 from rankflow.domain import BBox, Proposal, Ranking, Scene
 from rankflow.errors import (
     InvariantViolation,
@@ -24,7 +24,9 @@ from rankflow.ingest import (
     pgm_from_bytes,
     read_bytes,
     pgm_to_bytes,
+    publish_dirs,
     write_atomic,
+    write_csv,
     write_pgm,
     write_ranking,
     write_scene,
@@ -287,17 +289,9 @@ class TestPgm:
         # A valid PGM cut short, overwritten or grown at any byte, header
         # included: either it decodes or the error is a RankflowError led by
         # the file's name.
-        data = bytearray(pgm_to_bytes(np.arange(w * h, dtype=np.uint8).reshape(h, w)))
-        for op, at, chunk in edits:
-            at %= len(data) + 1
-            if op == "cut":
-                del data[at:]
-            elif op == "put":
-                data[at : at + len(chunk)] = chunk
-            else:
-                data[at:at] = chunk
+        data = edit_bytes(pgm_to_bytes(np.arange(w * h, dtype=np.uint8).reshape(h, w)), edits)
         try:
-            gmap = pgm_from_bytes(bytes(data), name="maps/m.pgm")
+            gmap = pgm_from_bytes(data, name="maps/m.pgm")
         except RankflowError as e:
             assert str(e).startswith("maps/m.pgm: ")
         else:
@@ -434,3 +428,46 @@ class TestWriteAtomic:
     def test_missing_directory(self, tmp_path):
         with pytest.raises(IoFailure, match="nodir"):
             write_atomic(tmp_path / "nodir" / "x.csv", "x")
+
+
+class TestWriteCsv:
+    def test_header_then_rows_with_lf_endings(self, tmp_path):
+        write_csv(tmp_path / "t.csv", ["a", "b"], [("x,y", 1), ("0.1", -2)])
+        assert (tmp_path / "t.csv").read_bytes() == b'a,b\n"x,y",1\n0.1,-2\n'
+
+
+class TestPublishDirs:
+    def test_replaces_each_subdirectory_whole(self, tmp_path):
+        (tmp_path / "scenes").mkdir()
+        (tmp_path / "scenes" / "old.json").write_text("old")
+        (tmp_path / "keep.txt").write_text("mine")
+        with publish_dirs(tmp_path, "scenes", "maps") as staging:
+            assert staging.parent == tmp_path and staging.name.startswith(".staging-")
+            assert sorted(p.name for p in staging.iterdir()) == ["maps", "scenes"]
+            write_atomic(staging / "scenes" / "new.json", "new")
+        assert tree(tmp_path) == {"keep.txt": b"mine", "maps": None, "scenes": None, "scenes/new.json": b"new"}
+
+    def test_failed_body_publishes_nothing(self, tmp_path):
+        (tmp_path / "scenes").mkdir()
+        (tmp_path / "scenes" / "old.json").write_text("old")
+        before = tree(tmp_path)
+        with pytest.raises(RankflowError, match="boom"):
+            with publish_dirs(tmp_path, "scenes") as staging:
+                write_atomic(staging / "scenes" / "new.json", "new")
+                raise RankflowError("boom")
+        assert tree(tmp_path) == before
+
+    def test_creates_missing_output_directory(self, tmp_path):
+        with publish_dirs(tmp_path / "a" / "b", "scenes"):
+            pass
+        assert tree(tmp_path) == {"a": None, "a/b": None, "a/b/scenes": None}
+
+    def test_failed_swap_names_the_directory(self, tmp_path, monkeypatch):
+        def failing_replace(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("rankflow.ingest.os.replace", failing_replace)
+        with pytest.raises(IoFailure, match=f"{tmp_path / 'out'}: No space left on device"):
+            with publish_dirs(tmp_path / "out", "scenes"):
+                pass
+        assert tree(tmp_path) == {"out": None}

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from conftest import make_scene
-from rankflow.errors import MissingFile, TruncatedData, UnsupportedFormat
+from conftest import BYTE_EDITS, edit_bytes, make_scene
+from rankflow.errors import MissingFile, RankflowError, TruncatedData, UnsupportedFormat
 from rankflow.preprocess import (
     FEATURE_DIM,
     FilterConfig,
@@ -133,3 +133,18 @@ class TestFeatureFiles:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(TruncatedData):
             read_features(path)
+
+    @settings(max_examples=200)
+    @given(st.integers(0, 3), BYTE_EDITS)
+    def test_mutated_file_names_the_file(self, tmp_path_factory, rows, edits):
+        # A valid .feat file cut short, overwritten or grown at any byte:
+        # either it reads as finite rows or the error names the file.
+        path = tmp_path_factory.getbasetemp() / "mutated.feat"
+        write_features(np.arange(rows * FEATURE_DIM, dtype=float).reshape(rows, FEATURE_DIM), path)
+        path.write_bytes(edit_bytes(path.read_bytes(), edits))
+        try:
+            feats = read_features(path)
+        except RankflowError as e:
+            assert str(e).startswith(f"{path}: ")
+        else:
+            assert feats.shape[1] == FEATURE_DIM and np.isfinite(feats).all()

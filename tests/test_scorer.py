@@ -4,10 +4,12 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import BYTE_EDITS, edit_bytes
 from rankflow import scorer
 from rankflow.domain import Ranking
-from rankflow.errors import EmptyDataset, ShapeMismatch, TruncatedData, UnsupportedFormat
+from rankflow.errors import EmptyDataset, RankflowError, ShapeMismatch, TruncatedData, UnsupportedFormat
 from rankflow.gtgen import rasrgt_rank
 from rankflow.metrics import srcc
 from rankflow.preprocess import filter_proposals, scene_features
@@ -348,6 +350,25 @@ class TestModelIo:
         path.write_bytes(b"RFM1" + np.array([18, 0, 6], "<i4").tobytes() + bytes(48))
         with pytest.raises(UnsupportedFormat):
             load_model(path)
+
+    @settings(max_examples=200)
+    @given(st.sampled_from([(18, 32, 6), (1, 1, 1), (2, 3, 4)]), BYTE_EDITS)
+    def test_mutated_file_names_the_file(self, tmp_path_factory, dims, edits):
+        # A valid model file cut short, overwritten or grown at any byte,
+        # header included: either it loads as a finite model of the size its
+        # header gives, or the error names the file.
+        path = tmp_path_factory.getbasetemp() / "mutated.bin"
+        d_in, h, c = dims
+        save_model(ScorerModel(d_in, h, c, np.linspace(-1, 1, d_in * h + h + h * c + c)), path)
+        path.write_bytes(edit_bytes(path.read_bytes(), edits))
+        try:
+            model = load_model(path)
+        except RankflowError as e:
+            assert str(e).startswith(f"{path}: ")
+        else:
+            d_in, h, c = model.dims
+            assert min(model.dims) >= 1 and model.flat.size == d_in * h + h + h * c + c
+            assert np.isfinite(model.flat).all()
 
     def test_non_finite_parameter(self, tmp_path):
         model = init_model(seed=2)
