@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvariantViolation
+from .errors import RankflowError
 
 
 def check_fields(cfg, integers=(), reals=()) -> None:
@@ -45,9 +45,9 @@ class BBox:
 
     def __post_init__(self):
         if not (self.x1 < self.x2 and self.y1 < self.y2):
-            raise InvariantViolation("box", "x1<x2 and y1<y2 required")
+            raise RankflowError("box: x1<x2 and y1<y2 required")
         if min(self.x1, self.y1) < 0:
-            raise InvariantViolation("box", "coordinates must be >= 0")
+            raise RankflowError("box: coordinates must be >= 0")
 
     @property
     def width(self) -> float:
@@ -72,12 +72,12 @@ class Proposal:
     def __post_init__(self):
         if self.is_dummy:
             if self.box is not None:
-                raise InvariantViolation("proposal", "dummy proposals carry no box")
+                raise RankflowError("proposal: dummy proposals carry no box")
         else:
             if self.box is None:
-                raise InvariantViolation("proposal", "real proposals require a box")
+                raise RankflowError("proposal: real proposals require a box")
             if not 0.0 <= self.detector_confidence <= 1.0:
-                raise InvariantViolation("confidence", "must lie in [0,1]")
+                raise RankflowError("confidence: must lie in [0,1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,34 +96,34 @@ class Scene:
     def __post_init__(self):
         # Stages name their output files after the id, so it must stay in its directory.
         if self.scene_id in ("", ".", "..") or any(c in self.scene_id for c in "/\\\0"):
-            raise InvariantViolation("scene_id", f"must be a plain file name, got {self.scene_id!r}")
+            raise RankflowError(f"scene_id: must be a plain file name, got {self.scene_id!r}")
         fix = np.array(self.fixations, dtype=np.int64).reshape(-1, 3)
         fix.flags.writeable = False
         object.__setattr__(self, "fixations", fix)
         if (fix[:, 2] < 0).any():
-            raise InvariantViolation("observer_id", "must be non-negative")
+            raise RankflowError("observer_id: must be non-negative")
         if self.width <= 0 or self.height <= 0:
-            raise InvariantViolation("scene", "image dimensions must be positive")
+            raise RankflowError("scene: image dimensions must be positive")
         if self.fixation_map is not None:
             m = np.array(self.fixation_map, dtype=np.uint8, order="C")
             m.flags.writeable = False
             object.__setattr__(self, "fixation_map", m)
             if m.shape != (self.height, self.width):
                 size = "x".join(map(str, m.shape[::-1]))
-                raise InvariantViolation("fixation_map", f"{size} map for a {self.width}x{self.height} scene")
+                raise RankflowError(f"fixation_map: {size} map for a {self.width}x{self.height} scene")
         ids = [p.id for p in self.proposals]
         if len(set(ids)) != len(ids):
-            raise InvariantViolation("proposals", "proposal ids must be unique")
+            raise RankflowError("proposals: proposal ids must be unique")
         for p in self.proposals:
             if p.box is not None and not (
                 p.box.x2 <= self.width and p.box.y2 <= self.height
             ):
-                raise InvariantViolation("box", f"proposal {p.id} exceeds image bounds")
+                raise RankflowError(f"box: proposal {p.id} exceeds image bounds")
         u, v = fix[:, 0], fix[:, 1]
         outside = np.flatnonzero((u < 0) | (u >= self.width) | (v < 0) | (v >= self.height))
         if outside.size:
             bad_u, bad_v, _ = fix[outside[0]].tolist()
-            raise InvariantViolation("fixation", f"point ({bad_u},{bad_v}) outside image")
+            raise RankflowError(f"fixation: point ({bad_u},{bad_v}) outside image")
 
     def __reduce__(self):
         # Rebuilt through __init__, so an unpickled scene's array is read-only too.
@@ -156,11 +156,9 @@ class Ranking:
     def __post_init__(self):
         nonzero = sorted(o for o in self.labels.values() if o != 0)
         if any(o < 0 for o in self.labels.values()):
-            raise InvariantViolation("ranking", "orders must be non-negative")
+            raise RankflowError("ranking: orders must be non-negative")
         if nonzero != list(range(1, len(nonzero) + 1)):
-            raise InvariantViolation(
-                "ranking", f"non-zero orders must be a permutation of 1..k, got {nonzero}"
-            )
+            raise RankflowError(f"ranking: non-zero orders must be a permutation of 1..k, got {nonzero}")
 
 
 def iou(a: BBox, b: BBox) -> float:

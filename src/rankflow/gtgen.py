@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .domain import Ranking, Scene, check_fields, count_fixations, map_region, sqrt_size
-from .errors import MissingFixationMap
+from .errors import RankflowError
 
 METHODS = ("fixpoints", "mapmax", "mapavg", "binmap", "rasrgt")
 MAP_METHODS = ("mapmax", "mapavg", "binmap")  # the methods that read the fixation map
@@ -98,15 +98,15 @@ def rasrgt_rank(scene: Scene, cfg: GtConfig | None = None) -> Ranking:
 
 
 def require_map(scene: Scene) -> np.ndarray:
-    """The scene's fixation map; MissingFixationMap if it has none."""
+    """The scene's fixation map; a RankflowError if it has none."""
     if scene.fixation_map is None:
-        raise MissingFixationMap("no fixation_map_path, so the scene has no fixation map")
+        raise RankflowError("no fixation_map_path, so the scene has no fixation map")
     return scene.fixation_map
 
 
 def generate_ranking(scene: Scene, cfg: GtConfig) -> Ranking:
     """The scene's ranking under ``cfg.method``; a method that reads the
-    fixation map raises MissingFixationMap on a scene without one."""
+    fixation map raises a RankflowError on a scene without one."""
     if cfg.method == "rasrgt":
         return rasrgt_rank(scene, cfg)
     if cfg.method in MAP_METHODS:

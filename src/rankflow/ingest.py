@@ -24,15 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .domain import BBox, Proposal, Ranking, Scene
-from .errors import (
-    InvariantViolation,
-    IoFailure,
-    MalformedJson,
-    MissingFile,
-    RankflowError,
-    TruncatedData,
-    UnsupportedFormat,
-)
+from .errors import RankflowError
 
 RANKING_HEADER = ["scene_id", "proposal_id", "order"]
 
@@ -50,7 +42,7 @@ def write_atomic(path, data) -> None:
         os.replace(tmp, path)
     except OSError as e:
         tmp.unlink(missing_ok=True)
-        raise IoFailure(f"cannot write {path}: {e.strerror or e}") from e
+        raise RankflowError(f"cannot write {path}: {e.strerror or e}") from e
 
 
 def write_csv(path, header, rows) -> None:
@@ -68,7 +60,7 @@ def publish_dirs(out_dir, *subs):
     per name in ``subs``; on a clean exit each replaces ``out_dir/<sub>``
     whole.  The staging directory, with every replaced directory in it, is
     removed in any case, so a failed run leaves ``out_dir`` as it was.  Other
-    files in ``out_dir`` are kept; an OSError becomes IoFailure naming it."""
+    files in ``out_dir`` are kept; an OSError becomes a RankflowError naming it."""
     out_dir = Path(out_dir)
     staging = None
     try:
@@ -82,7 +74,7 @@ def publish_dirs(out_dir, *subs):
                 os.replace(out_dir / sub, staging / f".old-{sub}")
             os.replace(staging / sub, out_dir / sub)
     except OSError as e:
-        raise IoFailure(f"cannot create {out_dir}: {e.strerror or e}") from e
+        raise RankflowError(f"cannot create {out_dir}: {e.strerror or e}") from e
     finally:
         if staging is not None:
             shutil.rmtree(staging, ignore_errors=True)
@@ -90,35 +82,35 @@ def publish_dirs(out_dir, *subs):
 
 def read_bytes(path) -> bytes:
     """A file's bytes, the read-side twin of ``write_atomic``.  A path that is
-    not a regular file raises MissingFile, a failed read IoFailure, each naming it."""
+    not a regular file, or a failed read, raises a RankflowError naming it."""
     path = Path(path)
     try:
         if path.is_file():
             return path.read_bytes()
     except OSError as e:
-        raise IoFailure(f"cannot read {path}: {e.strerror or e}") from e
-    raise MissingFile(f"{path}: no such file")
+        raise RankflowError(f"cannot read {path}: {e.strerror or e}") from e
+    raise RankflowError(f"{path}: no such file")
 
 
 def read_text(path) -> str:
     """A file's UTF-8 text, line endings untouched.  Bytes that are not UTF-8
-    raise UnsupportedFormat naming the file."""
+    raise a RankflowError naming the file."""
     try:
         return read_bytes(path).decode("utf-8")
     except UnicodeDecodeError as e:
-        raise UnsupportedFormat(f"{path}: not UTF-8 text (byte {e.start})") from e
+        raise RankflowError(f"{path}: not UTF-8 text (byte {e.start})") from e
 
 
 def read_json(path):
     """A UTF-8 JSON file's value.  Text that is not JSON, or JSON nested too
-    deeply to parse, raises MalformedJson naming the file."""
+    deeply to parse, raises a RankflowError naming the file."""
     text = read_text(path)
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
-        raise MalformedJson(f"{path}: line {e.lineno}: {e.msg}") from e
+        raise RankflowError(f"{path}: line {e.lineno}: {e.msg}") from e
     except RecursionError as e:
-        raise MalformedJson(f"{path}: JSON nested too deeply to parse") from e
+        raise RankflowError(f"{path}: JSON nested too deeply to parse") from e
 
 
 _JSON_TYPES = {"integer": (int,), "number": (int, float), "bool": (bool,), "string": (str,)}
@@ -127,23 +119,23 @@ _JSON_TYPES = {"integer": (int,), "number": (int, float), "bool": (bool,), "stri
 def _checked(value, field: str, kind: str):
     """``value`` if JSON gave it the ``kind`` asked for (a bool is no integer)."""
     if type(value) not in _JSON_TYPES[kind]:
-        raise InvariantViolation(field, f"must be a JSON {kind}, got {value!r}")
+        raise RankflowError(f"{field}: must be a JSON {kind}, got {value!r}")
     return value
 
 
 def _array(value, field: str) -> list:
-    """``value`` if it is a JSON array; else InvariantViolation naming ``field``."""
+    """``value`` if it is a JSON array; else a RankflowError naming ``field``."""
     if type(value) is not list:
-        raise InvariantViolation(field, f"must be a JSON array, got a {type(value).__name__}")
+        raise RankflowError(f"{field}: must be a JSON array, got a {type(value).__name__}")
     return value
 
 
 def _objects(entries, field: str) -> None:
-    """Raise InvariantViolation naming ``field`` unless ``entries`` is a JSON
+    """Raise a RankflowError naming ``field`` unless ``entries`` is a JSON
     array of JSON objects."""
     for i, entry in enumerate(_array(entries, field)):
         if type(entry) is not dict:
-            raise InvariantViolation(field, f"entry {i} is a {type(entry).__name__}, not a JSON object")
+            raise RankflowError(f"{field}: entry {i} is a {type(entry).__name__}, not a JSON object")
 
 
 def parse_scene(path, load_map: bool = True) -> Scene:
@@ -166,7 +158,7 @@ def parse_scene(path, load_map: bool = True) -> Scene:
             else:
                 box = p["box"]
                 if type(box) is not list or len(box) != 4:
-                    raise InvariantViolation("box", f"must be a JSON array of 4 numbers, got {box!r}")
+                    raise RankflowError(f"box: must be a JSON array of 4 numbers, got {box!r}")
                 x1, y1, x2, y2 = (float(_checked(c, "box", "number")) for c in box)
                 conf = float(_checked(p.get("confidence", 1.0), "confidence", "number"))
                 proposals.append(Proposal(id=pid, box=BBox(x1, y1, x2, y2), detector_confidence=conf))
@@ -195,9 +187,9 @@ def parse_scene(path, load_map: bool = True) -> Scene:
             fixation_map=fixation_map,
         )
     except KeyError as e:
-        raise InvariantViolation(f"{path}: {e.args[0]}", "required field missing") from e
+        raise RankflowError(f"{path}: {e.args[0]}: required field missing") from e
     except (TypeError, ValueError, OverflowError) as e:
-        raise InvariantViolation(f"{path}: scene", str(e)) from e
+        raise RankflowError(f"{path}: scene: {e}") from e
     except RankflowError as e:
         raise e.naming(path) from e
 
@@ -242,7 +234,7 @@ def parse_pgm(path) -> np.ndarray:
 def pgm_from_bytes(data: bytes, name="<pgm>") -> np.ndarray:
     """The raster of a binary PGM as a read-only ``(height, width)`` uint8 array."""
     if not data.startswith(b"P5"):
-        raise UnsupportedFormat(f"{name}: not a binary PGM (P5)")
+        raise RankflowError(f"{name}: not a binary PGM (P5)")
     pos = 2
     fields = []
     while len(fields) < 3:
@@ -256,20 +248,20 @@ def pgm_from_bytes(data: bytes, name="<pgm>") -> np.ndarray:
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
         if start == pos:
-            raise TruncatedData(f"{name}: header ended early")
+            raise RankflowError(f"{name}: header ended early")
         fields.append(data[start:pos])
     pos += 1  # single whitespace after maxval
     try:
         width, height, maxval = (int(f) for f in fields)
     except ValueError as e:
-        raise UnsupportedFormat(f"{name}: non-numeric header") from e
+        raise RankflowError(f"{name}: non-numeric header") from e
     if maxval != 255:
-        raise UnsupportedFormat(f"{name}: maxval must be 255, got {maxval}")
+        raise RankflowError(f"{name}: maxval must be 255, got {maxval}")
     raster = data[pos : pos + width * height]
     if len(raster) < width * height:
-        raise TruncatedData(f"{name}: expected {width * height} raster bytes, got {len(raster)}")
+        raise RankflowError(f"{name}: expected {width * height} raster bytes, got {len(raster)}")
     if width <= 0 or height <= 0:
-        raise InvariantViolation(f"{name}: graymap", "width and height must be positive")
+        raise RankflowError(f"{name}: graymap: width and height must be positive")
     return np.frombuffer(raster, np.uint8).reshape(height, width)
 
 
@@ -293,22 +285,22 @@ def parse_ranking(path) -> dict[str, Ranking]:
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
     header = next(reader, None)
     if header != RANKING_HEADER:
-        raise UnsupportedFormat(f"{path}: bad header {header}")
+        raise RankflowError(f"{path}: bad header {header}")
     for row in reader:
         try:
             scene_id, pid, order = row
             pid, order = int(pid), int(order)
         except ValueError as e:
-            raise InvariantViolation(str(path), f"line {reader.line_num}: bad row {row}") from e
+            raise RankflowError(f"{path}: line {reader.line_num}: bad row {row}") from e
         labels = per_scene.setdefault(scene_id, {})
         if pid in labels:
-            raise InvariantViolation(str(path), f"line {reader.line_num}: proposal {pid} of {scene_id!r} ranked again")
+            raise RankflowError(f"{path}: line {reader.line_num}: proposal {pid} of {scene_id!r} ranked again")
         labels[pid] = order
     rankings = {}
     for sid, labels in per_scene.items():
         try:
             rankings[sid] = Ranking(labels)
-        except InvariantViolation as e:
+        except RankflowError as e:
             raise e.naming(f"{path}: scene {sid!r}") from e
     return rankings
 
@@ -319,7 +311,7 @@ def list_scene_files(directory) -> list[Path]:
     the dataset's own ``manifest.json`` and ``provenance.json``."""
     directory = Path(directory)
     if not directory.is_dir():
-        raise MissingFile(f"{directory}: no such directory")
+        raise RankflowError(f"{directory}: no such directory")
     if (directory / "scenes").is_dir():
         return sorted((directory / "scenes").glob("*.json"))
     return sorted(p for p in directory.glob("*.json") if p.name not in ("manifest.json", "provenance.json"))

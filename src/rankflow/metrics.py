@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import Ranking, Scene, map_region, sqrt_size
-from .errors import SceneMismatch, SrccUndefined
+from .errors import RankflowError, SrccUndefined
 from .gtgen import ranking_from_scores
 
 
@@ -24,7 +24,7 @@ def midranks(values) -> np.ndarray:
 def srcc(pred: Ranking, gt: Ranking) -> float:
     """Spearman correlation of the two order vectors with mid-rank ties."""
     if set(pred.labels) != set(gt.labels):
-        raise SceneMismatch("pred and gt cover different proposal ids")
+        raise RankflowError("pred and gt cover different proposal ids")
     ids = sorted(gt.labels)
     if len(ids) < 2:
         raise SrccUndefined("need at least 2 proposals")
@@ -41,7 +41,7 @@ def srcc(pred: Ranking, gt: Ranking) -> float:
 def f1_salient(pred: Ranking, gt: Ranking) -> float:
     """F1 on the binary salient (order > 0) vs non-salient split."""
     if set(pred.labels) != set(gt.labels):
-        raise SceneMismatch("pred and gt cover different proposal ids")
+        raise RankflowError("pred and gt cover different proposal ids")
     pred_pos = {i for i, o in pred.labels.items() if o > 0}
     gt_pos = {i for i, o in gt.labels.items() if o > 0}
     if not pred_pos and not gt_pos:
@@ -63,7 +63,7 @@ def map_threshold(scene: Scene, gmap: np.ndarray, lam: float) -> float:
         raise ValueError("lambda must lie in (0,1]")
     proposals = scene.real_proposals
     if not proposals:
-        raise SceneMismatch(f"{scene.scene_id}: no proposals")
+        raise RankflowError(f"{scene.scene_id}: no proposals")
     total = sum(float(map_region(gmap, p.box).sum()) / sqrt_size(p.box) for p in proposals)
     return total / (len(proposals) * lam)
 
@@ -72,7 +72,7 @@ def rank_from_saliency_map(scene: Scene, gmap: np.ndarray, lam: float) -> Rankin
     """Binarize at the per-object threshold, rank by white-pixel counts."""
     height, width = gmap.shape
     if (width, height) != (scene.width, scene.height):
-        raise SceneMismatch(f"{scene.scene_id}: map {width}x{height} vs scene {scene.width}x{scene.height}")
+        raise RankflowError(f"{scene.scene_id}: map {width}x{height} vs scene {scene.width}x{scene.height}")
     threshold = map_threshold(scene, gmap, lam)
     return ranking_from_scores(
         {p.id: float((map_region(gmap, p.box) > threshold).sum()) for p in scene.real_proposals}
@@ -107,14 +107,14 @@ class EvalReport:
 def evaluate_rankings(pred: dict[str, Ranking], gt: dict[str, Ranking]) -> EvalReport:
     if set(pred) != set(gt):
         missing = set(pred) ^ set(gt)
-        raise SceneMismatch(f"scene id sets differ: {sorted(missing)[:5]}")
+        raise RankflowError(f"scene id sets differ: {sorted(missing)[:5]}")
     report = EvalReport()
     srcc_values = []
     f1_values = []
     for sid in sorted(gt):
         try:
             f1 = f1_salient(pred[sid], gt[sid])
-        except SceneMismatch as e:
+        except RankflowError as e:
             raise e.naming(f"scene {sid!r}") from e
         try:
             rho = srcc(pred[sid], gt[sid])

@@ -19,13 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .domain import Ranking, Scene
-from .errors import (
-    InvariantViolation,
-    MissingFile,
-    RankflowError,
-    SceneMismatch,
-    UnsupportedFormat,
-)
+from .errors import RankflowError
 from .gtgen import MAP_METHODS, GtConfig, discrepancy_offsets, generate_ranking, rasrgt_counts, require_map
 from .ingest import (
     list_scene_files,
@@ -70,7 +64,7 @@ def _run_scene(path, fn, load_map: bool):
 def map_scenes(fn, in_dir, jobs: int = 1, load_map: bool = False) -> list:
     """``(scene_id, fn(scene))`` for every scene file of ``in_dir``, in file
     order, on ``jobs`` workers; ``load_map`` reads each scene's PGM map too.
-    A scene_id found in two files raises InvariantViolation naming both, so
+    A scene_id found in two files raises a RankflowError naming both, so
     no stage merges two scenes into one."""
     paths = list_scene_files(in_dir)
     rows = parallel_map(partial(_run_scene, fn=fn, load_map=load_map), paths, jobs)
@@ -78,7 +72,7 @@ def map_scenes(fn, in_dir, jobs: int = 1, load_map: bool = False) -> list:
     for path, (scene_id, _) in zip(paths, rows):
         other = first.setdefault(scene_id, path)
         if other != path:
-            raise InvariantViolation("scene_id", f"{scene_id!r} is in both {other} and {path}")
+            raise RankflowError(f"scene_id: {scene_id!r} is in both {other} and {path}")
     return rows
 
 
@@ -142,7 +136,7 @@ def load_preprocessed(pre_dir, fn, jobs: int = 1) -> list:
     preprocessed dataset directory."""
     feat_dir = Path(pre_dir) / "features"
     if not feat_dir.is_dir():
-        raise MissingFile(f"{feat_dir}: no such directory (run the preprocess stage first)")
+        raise RankflowError(f"{feat_dir}: no such directory (run the preprocess stage first)")
     return map_scenes(partial(_with_features, feat_dir=feat_dir, fn=fn), pre_dir, jobs)
 
 
@@ -181,7 +175,7 @@ def rank_dataset(pre_dir, model_path, out_file, jobs: int = 1) -> int:
     n_in = FEATURE_DIM + 4  # window_inputs adds 4 window-context columns
     if d_in != n_in or not 2 <= c <= MAX_WINDOW + 1:
         need = f"a model of {n_in} inputs and 2..{MAX_WINDOW + 1} classes"
-        raise UnsupportedFormat(f"{model_path}: {need} is needed, got dims {model.dims}")
+        raise RankflowError(f"{model_path}: {need} is needed, got dims {model.dims}")
     window_size = c - 1
     ranker = partial(_rank_one, model=model, window_size=window_size)
     write_ranking(load_preprocessed(pre_dir, ranker, jobs), out_file)
@@ -192,9 +186,10 @@ def _map_rank_one(scene: Scene, maps_dir: Path | None, lam: float) -> Ranking:
     if maps_dir is None:
         return rank_from_saliency_map(scene, require_map(scene), lam)
     map_path = maps_dir / f"{scene.scene_id}.pgm"
+    gmap = parse_pgm(map_path)
     try:
-        return rank_from_saliency_map(scene, parse_pgm(map_path), lam)
-    except SceneMismatch as e:
+        return rank_from_saliency_map(scene, gmap, lam)
+    except RankflowError as e:
         raise e.naming(map_path) from e
 
 
@@ -208,7 +203,7 @@ def evaluate_files(pred_file, gt_file, out_file=None) -> dict:
     pred, gt = parse_ranking(pred_file), parse_ranking(gt_file)
     try:
         report = evaluate_rankings(pred, gt)
-    except SceneMismatch as e:
+    except RankflowError as e:
         raise e.naming(f"{pred_file} and {gt_file}") from e
     doc = report.to_dict()
     if out_file is not None:

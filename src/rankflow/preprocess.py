@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .domain import BBox, Proposal, Scene, check_fields, count_fixations, iou, map_region, sqrt_size
-from .errors import TruncatedData, UnsupportedFormat
+from .errors import RankflowError
 from .ingest import read_bytes, write_atomic
 
 FEATURE_DIM = 14
@@ -143,14 +143,13 @@ def write_features(features: np.ndarray, path) -> None:
 def read_features(path) -> np.ndarray:
     data = read_bytes(path)
     if len(data) < 4:
-        raise TruncatedData(f"{path}: expected a 4-byte header, got {len(data)} bytes")
+        raise RankflowError(f"{path}: expected a 4-byte header, got {len(data)} bytes")
     (count,) = struct.unpack("<I", data[:4])
     expected = 4 + count * FEATURE_DIM * 8
     if len(data) != expected:
-        kind = TruncatedData if len(data) < expected else UnsupportedFormat
-        raise kind(f"{path}: expected {expected} bytes, got {len(data)}")
+        raise RankflowError(f"{path}: expected {expected} bytes, got {len(data)}")
     feats = np.frombuffer(data[4:expected], dtype="<f8").reshape(count, FEATURE_DIM).copy()
     bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
     if bad.size:
-        raise UnsupportedFormat(f"{path}: row {bad[0]}: features must be finite")
+        raise RankflowError(f"{path}: row {bad[0]}: features must be finite")
     return feats

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import Proposal, Ranking, Scene
-from .errors import CoverageViolation, InvalidWindow, ShapeMismatch
+from .errors import RankflowError
 
 DEFAULT_WINDOW = 5
 MAX_WINDOW = 7  # 5,040 permutations per assignment
@@ -32,14 +32,14 @@ class Window:
 
 def check_window_size(window_size: int) -> None:
     if not 1 <= window_size <= MAX_WINDOW:
-        raise InvalidWindow(f"window size must lie in 1..{MAX_WINDOW}, got {window_size}")
+        raise RankflowError(f"window size must lie in 1..{MAX_WINDOW}, got {window_size}")
 
 
 def acb_sequences(n: int, window_size: int = DEFAULT_WINDOW) -> list[Window]:
     """n circular windows; window i holds indices (i, i+1, ..., i+W-1) mod n."""
     check_window_size(window_size)
     if n < window_size:
-        raise InvalidWindow(f"need at least {window_size} proposals, got {n}")
+        raise RankflowError(f"need at least {window_size} proposals, got {n}")
     return [Window(tuple((i + k) % n for k in range(window_size))) for i in range(n)]
 
 
@@ -66,14 +66,14 @@ def hungarian(cost) -> list:
     try:
         cost = np.array(cost, dtype=float)
     except ValueError as e:
-        raise ShapeMismatch("cost matrix must be square") from e
+        raise RankflowError("cost matrix must be square") from e
     if cost.ndim < 2 or cost.shape[-1] != cost.shape[-2]:
-        raise ShapeMismatch("cost matrix must be square")
+        raise RankflowError("cost matrix must be square")
     if not np.isfinite(cost).all():
-        raise ShapeMismatch("cost matrix entries must be finite")
+        raise RankflowError("cost matrix entries must be finite")
     k = cost.shape[-1]
     if not 1 <= k <= MAX_WINDOW:
-        raise InvalidWindow(f"assignment size {k} outside 1..{MAX_WINDOW}")
+        raise RankflowError(f"assignment size {k} outside 1..{MAX_WINDOW}")
     perms = _permutations(k)
     totals = cost[..., np.arange(k), perms].sum(axis=-1)
     best = totals.min(axis=-1, keepdims=True)
@@ -106,10 +106,10 @@ def exclusive_classify(scores: np.ndarray, dummy_mask) -> np.ndarray:
     scores = np.asarray(scores, dtype=float)
     w, c = scores.shape[-2:]
     if c != w + 1:
-        raise ShapeMismatch(f"expected {w}x{w + 1} score matrix, got {w}x{c}")
+        raise RankflowError(f"expected {w}x{w + 1} score matrix, got {w}x{c}")
     dummy = np.asarray(dummy_mask, dtype=bool)
     if dummy.shape != scores.shape[:-1]:
-        raise ShapeMismatch(f"dummy mask shape {dummy.shape} != score rows {scores.shape[:-1]}")
+        raise RankflowError(f"dummy mask shape {dummy.shape} != score rows {scores.shape[:-1]}")
     p = softmax(scores)
     neglog = -np.log(np.maximum(p, 1e-300))
     cost = np.where(dummy[..., None], 0.0, neglog[..., 1:])
@@ -163,7 +163,7 @@ def aggregate_votes(members, labels, probs, proposals: tuple[Proposal, ...]) -> 
     short = np.flatnonzero(real & (appearances != w))
     if short.size:
         i = short[0]
-        raise CoverageViolation(f"proposal {ids[i]} appeared in {appearances[i]} windows, expected {w}")
+        raise RankflowError(f"proposal {ids[i]} appeared in {appearances[i]} windows, expected {w}")
 
     alive = np.flatnonzero(real & (zero_votes <= w / 2))
     dom = _dominance_counts(net[np.ix_(alive, alive)])
@@ -200,7 +200,7 @@ def window_batch(scene: Scene, features: np.ndarray, window_size: int = DEFAULT_
     scorer inputs, (n, W, 18)."""
     n = len(scene.proposals)
     if features.shape[0] != n:
-        raise ShapeMismatch(f"features rows {features.shape[0]} != proposals {n}")
+        raise RankflowError(f"features rows {features.shape[0]} != proposals {n}")
     members = np.array([w.member_ids for w in acb_sequences(n, window_size)], dtype=np.intp)
     ids = np.array([p.id for p in scene.proposals])[members]
     dummy = np.array([p.is_dummy for p in scene.proposals])[members]

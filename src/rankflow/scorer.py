@@ -11,7 +11,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .domain import Ranking, check_fields
-from .errors import EmptyDataset, ShapeMismatch, TruncatedData, UnsupportedFormat
+from .errors import RankflowError
 from .ingest import read_bytes, write_atomic
 from .rankcore import softmax
 
@@ -116,7 +116,7 @@ def mlp_forward(model: ScorerModel, inputs: np.ndarray) -> np.ndarray:
     """Logits (..., C) for inputs (..., d_in): one window or a stack of them."""
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim < 2 or inputs.shape[-1] != model.dims[0]:
-        raise ShapeMismatch(f"expected inputs with {model.dims[0]} columns, got {inputs.shape}")
+        raise RankflowError(f"expected inputs with {model.dims[0]} columns, got {inputs.shape}")
     return _forward(model, inputs)[1]
 
 
@@ -148,12 +148,12 @@ def prepare_targets(gt_labels, dummy_mask=None) -> Targets:
         labels = np.asarray(gt_labels, dtype=int)
         valid = np.ones(labels.shape, bool) if dummy_mask is None else ~np.asarray(dummy_mask, dtype=bool)
     except ValueError:  # ragged rows
-        raise ShapeMismatch("labels and dummy flags must each be one (..., W) array") from None
+        raise RankflowError("labels and dummy flags must each be one (..., W) array") from None
     if labels.ndim < 1 or labels.shape != valid.shape:
-        raise ShapeMismatch(f"{labels.shape} labels and {valid.shape} dummy flags")
+        raise RankflowError(f"{labels.shape} labels and {valid.shape} dummy flags")
     c = labels.shape[-1] + 1
     if np.any((labels < 0) | (labels >= c)):
-        raise ShapeMismatch(f"labels outside 0..{c - 1}")
+        raise RankflowError(f"labels outside 0..{c - 1}")
     hot = (labels[..., None] == np.arange(c)) & valid[..., None]
     nv = np.maximum(valid.sum(axis=-1), 1).astype(float)
     salient = np.where(valid, labels, 0)
@@ -188,7 +188,7 @@ def batch_grads(model: ScorerModel, inputs: np.ndarray, targets: Targets, cfg: T
     hot, keep, nv, pairs = targets
     rows = inputs.shape[:-1]
     if hot.shape != rows + (c,):
-        raise ShapeMismatch(f"targets of shape {hot.shape} for {rows} input rows and {c} classes")
+        raise RankflowError(f"targets of shape {hot.shape} for {rows} input rows and {c} classes")
     x = inputs.reshape(-1, d_in)
     hidden, logits = _forward(model, x)
     p2 = softmax(logits)
@@ -268,10 +268,10 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
     """
     dataset = list(dataset)
     if not dataset:
-        raise EmptyDataset("no training windows")
+        raise RankflowError("no training windows")
     w, d_in = shape = np.shape(dataset[0][0])
     if any(np.shape(x) != shape for x, _, _ in dataset):
-        raise ShapeMismatch(f"every window's inputs must have shape {shape}")
+        raise RankflowError(f"every window's inputs must have shape {shape}")
     model = init_model(d_in=d_in, n_classes=w + 1, seed=cfg.seed)
     masks = [[False] * w if mask is None else mask for _, _, mask in dataset]
     targets = prepare_targets([gt for _, gt, _ in dataset], masks)
@@ -319,17 +319,16 @@ def save_model(model: ScorerModel, path) -> None:
 def load_model(path) -> ScorerModel:
     data = read_bytes(path)
     if data[:4] != MODEL_MAGIC:
-        raise TruncatedData(f"{path}: bad magic")
+        raise RankflowError(f"{path}: bad magic")
     if len(data) < 16:
-        raise TruncatedData(f"{path}: expected a 16-byte header, got {len(data)} bytes")
+        raise RankflowError(f"{path}: expected a 16-byte header, got {len(data)} bytes")
     d_in, h, c = struct.unpack("<3i", data[4:16])
     if min(d_in, h, c) < 1:
-        raise UnsupportedFormat(f"{path}: model dimensions must be >= 1, got {(d_in, h, c)}")
+        raise RankflowError(f"{path}: model dimensions must be >= 1, got {(d_in, h, c)}")
     need = 16 + (d_in * h + h + h * c + c) * 8
     if len(data) != need:
-        kind = TruncatedData if len(data) < need else UnsupportedFormat
-        raise kind(f"{path}: expected {need} bytes, got {len(data)}")
+        raise RankflowError(f"{path}: expected {need} bytes, got {len(data)}")
     model = ScorerModel(d_in, h, c, np.frombuffer(data, dtype="<f8", offset=16).astype(float))
     if not np.isfinite(model.flat).all():
-        raise UnsupportedFormat(f"{path}: model parameters must be finite")
+        raise RankflowError(f"{path}: model parameters must be finite")
     return model

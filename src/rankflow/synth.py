@@ -308,14 +308,14 @@ def generate_dataset(cfg: SynthConfig, out_dir, jobs: int = 1) -> dict:
     """Write scenes, maps, GT rankings, latent weights and a manifest.
 
     Scenes are generated and written on ``jobs`` workers into a staging
-    directory that ``publish_dirs`` puts in place of ``scenes/`` (and
-    ``maps/``) only once every scene is done, so a failed run leaves
-    ``out_dir`` as it was.  The files that list every scene are written
-    here, in scene order, so the output does not depend on ``jobs``.
+    directory that ``publish_dirs`` puts in place of ``scenes/`` and
+    ``maps/`` (empty without ``render_maps``) only once every scene is done,
+    so a failed run leaves ``out_dir`` as it was.  The files that list every
+    scene are written here, in scene order, so the output does not depend
+    on ``jobs``.
     """
     out_dir = Path(out_dir)
-    subs = ("scenes", "maps") if cfg.render_maps else ("scenes",)
-    with publish_dirs(out_dir, *subs) as staging:
+    with publish_dirs(out_dir, "scenes", "maps") as staging:
         rows = parallel_map(partial(_write_one, cfg=cfg, out_dir=staging), range(cfg.n_scenes), jobs)
     write_ranking([ranking for ranking, _, _ in rows], out_dir / "gt.csv")
     latent = sorted(row for _, scene_rows, _ in rows for row in scene_rows)

@@ -15,7 +15,7 @@ from conftest import tree
 from rankflow import cli, pipeline
 from rankflow.cli import _SECTIONS, _common, build_parser, dispatch, gamma_grid
 from rankflow.pipeline import config_hash
-from rankflow.errors import InvariantViolation, RankflowError, SceneMismatch
+from rankflow.errors import RankflowError, SrccUndefined
 from rankflow.gtgen import METHODS
 from rankflow.ingest import parse_ranking
 from rankflow.preprocess import FEATURE_DIM, FilterConfig
@@ -809,6 +809,13 @@ class TestDatasetPublishing:
         assert run("gt-gen", "--in", str(raw), "--out", str(tmp_path / "gt.csv")) == 0
         assert parse_ranking(tmp_path / "gt.csv").keys() == parse_ranking(raw / "gt.csv").keys()
 
+    def test_no_maps_rerun_keeps_no_old_map(self, tmp_path):
+        raw = tmp_path / "raw"
+        assert run("synth", "--seed", "1", "--scenes", "2", "--fixations", "50", "--out", str(raw)) == 0
+        assert len(list((raw / "maps").iterdir())) == 2
+        self._synth(raw, "1", "2")
+        assert list((raw / "maps").iterdir()) == []
+
     def _failing_synth(self, tmp_path, out, jobs):
         cfg = tmp_path / "failing.json"
         cfg.write_text(json.dumps(FAILING_SYNTH))
@@ -973,7 +980,7 @@ class TestBadSceneFiles:
 
 
     @pytest.mark.parametrize(
-        "error", [InvariantViolation("box", "too small"), SceneMismatch("no such proposal")], ids=["field", "message"]
+        "error", [RankflowError("box: too small"), SrccUndefined("constant rank vector")], ids=["field", "message"]
     )
     def test_runner_puts_the_file_in_front(self, dataset, error):
         def fail(scene):
@@ -983,8 +990,6 @@ class TestBadSceneFiles:
         with pytest.raises(type(error)) as raised:
             pipeline.map_scenes(fail, dataset / "raw")
         assert str(raised.value) == f"{path}: {error}"
-        if isinstance(error, InvariantViolation):
-            assert (raised.value.field, raised.value.reason) == (f"{path}: box", "too small")
 
 
 class TestPreprocessedSceneErrors:

@@ -94,3 +94,21 @@ def test_every_public_name_has_a_caller():
     uncalled = [(module, name) for module, name in defined if not named_in[name] - {(module, name)}]
     assert ("cli", "main") in defined and ("scorer", "loss_and_grad") not in uncalled
     assert uncalled == sorted(TEST_ONLY_NAMES)
+
+
+def test_every_error_kind_is_caught():
+    """A subclass of RankflowError earns its place only where an ``except``
+    in rankflow catches it by kind; any other data error is a plain
+    RankflowError whose message names the file and the field."""
+    src = Path(rankflow.__file__).parent
+    kinds = [stmt.name for stmt in ast.parse((src / "errors.py").read_text(encoding="utf-8")).body
+             if isinstance(stmt, ast.ClassDef)]
+    caught = {
+        name
+        for path in src.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ExceptHandler) and node.type is not None
+        for name in _names_in(node.type)
+    }
+    assert "RankflowError" in kinds
+    assert [kind for kind in kinds if kind not in caught] == []

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from rankflow.domain import BBox, Ranking, Scene, count_fixations, iou, sqrt_size
-from rankflow.errors import InvariantViolation
+from rankflow.errors import RankflowError
 
 
 def box(x1, y1, x2, y2):
@@ -14,11 +14,11 @@ def box(x1, y1, x2, y2):
 
 class TestBBox:
     def test_rejects_inverted(self):
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(RankflowError, match="box: x1<x2 and y1<y2 required"):
             BBox(10, 10, 5, 5)
 
     def test_rejects_negative(self):
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(RankflowError, match="box: coordinates must be >= 0"):
             BBox(-1, 0, 5, 5)
 
 
@@ -42,7 +42,7 @@ class TestIou:
         try:
             ba = box(min(a[0], a[2]), min(a[1], a[3]), max(a[0], a[2]), max(a[1], a[3]))
             bb = box(min(b[0], b[2]), min(b[1], b[3]), max(b[0], b[2]), max(b[1], b[3]))
-        except InvariantViolation:
+        except RankflowError:
             return  # degenerate sample
         assert iou(ba, bb) == iou(bb, ba)
         assert 0.0 <= iou(ba, bb) <= 1.0
@@ -111,20 +111,20 @@ class TestSceneFixations:
         assert Scene("s", 10, 10, ()).fixations.shape == (0, 3)
 
     def test_rejects_negative_observer(self):
-        with pytest.raises(InvariantViolation, match="observer_id: must be non-negative"):
+        with pytest.raises(RankflowError, match="observer_id: must be non-negative"):
             Scene("s", 10, 10, (), [(1, 1, 0), (2, 2, -1)])
 
     def test_rejects_point_outside(self):
-        with pytest.raises(InvariantViolation, match=r"fixation: point \(10,3\) outside image"):
+        with pytest.raises(RankflowError, match=r"fixation: point \(10,3\) outside image"):
             Scene("s", 10, 10, (), [(1, 1, 0), (10, 3, 0), (-1, 0, 0)])
 
     def test_rejects_map_of_other_size(self):
-        with pytest.raises(InvariantViolation, match="fixation_map: 10x8 map for a 10x10 scene"):
+        with pytest.raises(RankflowError, match="fixation_map: 10x8 map for a 10x10 scene"):
             Scene("s", 10, 10, (), fixation_map=np.zeros((8, 10), np.uint8))
 
     @pytest.mark.parametrize("scene_id", ["", ".", "..", "../x", "a/b", "a\\b", "a\0b"])
     def test_rejects_id_that_is_not_a_plain_file_name(self, scene_id):
-        with pytest.raises(InvariantViolation, match="scene_id: must be a plain file name"):
+        with pytest.raises(RankflowError, match="scene_id: must be a plain file name"):
             Scene(scene_id, 10, 10, ())
 
     def test_equal_by_value(self):
@@ -142,9 +142,9 @@ class TestRanking:
         Ranking({1: 0, 2: 0, 3: 1})
 
     def test_rejects_gap(self):
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(RankflowError, match=r"ranking: non-zero orders .* got \[1, 3\]"):
             Ranking({1: 1, 2: 3})
 
     def test_rejects_duplicate_order(self):
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(RankflowError, match=r"ranking: non-zero orders .* got \[1, 1\]"):
             Ranking({1: 1, 2: 1})

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_scene
-from rankflow.errors import MissingFixationMap
+from rankflow.errors import RankflowError
 from rankflow.gtgen import (
     GtConfig,
     METHODS,
@@ -85,7 +85,7 @@ class TestFixationMap:
 
     def test_missing_map(self):
         scene = make_scene([(0, 0, 10, 10)])
-        with pytest.raises(MissingFixationMap):
+        with pytest.raises(RankflowError, match="no fixation_map_path, so the scene has no fixation map"):
             generate_ranking(scene, MAP_MAX)
 
 

@@ -1,6 +1,7 @@
 import copy
 import json
 import pickle
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,14 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import edit_bytes, scene_to_dict, tree
 from rankflow.domain import BBox, Proposal, Ranking, Scene
-from rankflow.errors import (
-    InvariantViolation,
-    IoFailure,
-    MissingFile,
-    RankflowError,
-    TruncatedData,
-    UnsupportedFormat,
-)
+from rankflow.errors import RankflowError
 from rankflow.ingest import (
     parse_pgm,
     parse_ranking,
@@ -79,16 +73,16 @@ class TestParseScene:
 
     def test_bad_box(self, tmp_path):
         doc = dict(MINIMAL, proposals=[{"id": 1, "box": [10, 10, 5, 5], "confidence": 0.9}])
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(RankflowError, match="scene.json: box: x1<x2 and y1<y2 required"):
             parse_scene(write_json(tmp_path, doc))
 
     def test_fixation_beyond_int64(self, tmp_path):
         doc = dict(MINIMAL, fixations=[{"u": 2**70, "v": 1}])
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(RankflowError, match="scene.json: scene: Python int too large"):
             parse_scene(write_json(tmp_path, doc))
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(MissingFile):
+        with pytest.raises(RankflowError, match="nope.json: no such file"):
             parse_scene(tmp_path / "nope.json")
 
     def test_fixation_map_loaded(self, tmp_path):
@@ -108,7 +102,7 @@ class TestParseScene:
         doc = dict(MINIMAL, fixation_map_path="absent.pgm")
         assert parse_scene(write_json(tmp_path, doc), load_map=False).fixation_map is None
         path = write_json(tmp_path, doc)
-        with pytest.raises(MissingFile) as raised:
+        with pytest.raises(RankflowError, match="absent.pgm: no such file") as raised:
             parse_scene(path)
         assert str(raised.value) == f"{path}: {tmp_path / 'absent.pgm'}: no such file"  # the scene file, then its map
 
@@ -142,14 +136,12 @@ class TestParseScene:
     )
     def test_content_errors_name_the_file(self, tmp_path, change, field):
         path = write_json(tmp_path, {**MINIMAL, **change}, name="bad_scene.json")
-        with pytest.raises(InvariantViolation) as info:
+        named = "^" + re.escape(f"{path}: {field}: ")
+        with pytest.raises(RankflowError, match=named):
             parse_scene(path, load_map=False)  # a stage that skips the map rejects the same files
-        assert info.value.field == f"{path}: {field}"
-        with pytest.raises(InvariantViolation) as info:
+        with pytest.raises(RankflowError, match=named) as info:
             parse_scene(path)
-        assert info.value.field == f"{path}: {field}"
-        back = pickle.loads(pickle.dumps(info.value))
-        assert (back.field, back.reason) == (info.value.field, info.value.reason)
+        assert str(pickle.loads(pickle.dumps(info.value))) == str(info.value)
 
     def test_numbers_may_be_integers_or_floats(self, tmp_path):
         doc = dict(MINIMAL, proposals=[
@@ -244,15 +236,15 @@ class TestPgm:
     def test_rejects_ascii(self, tmp_path):
         path = tmp_path / "a.pgm"
         path.write_bytes(b"P2\n2 2\n255\n0 1 2 3\n")
-        with pytest.raises(UnsupportedFormat):
+        with pytest.raises(RankflowError, match=r"a\.pgm: not a binary PGM \(P5\)"):
             parse_pgm(path)
 
     def test_rejects_other_maxval(self):
-        with pytest.raises(UnsupportedFormat):
+        with pytest.raises(RankflowError, match="maxval must be 255, got 65535"):
             pgm_from_bytes(b"P5\n1 1\n65535\n\x00\x00")
 
     def test_truncated(self):
-        with pytest.raises(TruncatedData):
+        with pytest.raises(RankflowError, match="expected 16 raster bytes, got 2"):
             pgm_from_bytes(b"P5\n4 4\n255\n\x00\x00")
 
     def test_header_comment(self):
@@ -309,13 +301,13 @@ class TestRankingCsv:
     def test_bad_row_names_file_and_line(self, tmp_path, row):
         path = tmp_path / "r.csv"
         path.write_text(f"scene_id,proposal_id,order\ns,0,0\n{row}\n")
-        with pytest.raises(InvariantViolation, match=r"r\.csv: line 3"):
+        with pytest.raises(RankflowError, match=r"r\.csv: line 3"):
             parse_ranking(path)
 
     def test_repeated_proposal_names_file_and_line(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("scene_id,proposal_id,order\ns,1,1\nt,1,0\ns,1,2\n")
-        with pytest.raises(InvariantViolation, match=r"r\.csv: line 4: proposal 1 of 's' ranked again"):
+        with pytest.raises(RankflowError, match=r"r\.csv: line 4: proposal 1 of 's' ranked again"):
             parse_ranking(path)
 
     @pytest.mark.parametrize(
@@ -326,7 +318,7 @@ class TestRankingCsv:
     def test_bad_orders_name_file_and_scene(self, tmp_path, rows, reason):
         path = tmp_path / "r.csv"
         path.write_text("scene_id,proposal_id,order\n" + rows)
-        with pytest.raises(InvariantViolation) as info:
+        with pytest.raises(RankflowError, match="scene 't': ranking: ") as info:
             parse_ranking(path)
         assert str(info.value) == f"{path}: scene 't': ranking: {reason}"
 
@@ -389,7 +381,7 @@ class TestReadBytes:
 
     @pytest.mark.parametrize("name", ["nope", "."])
     def test_missing_file_or_directory(self, tmp_path, name):
-        with pytest.raises(MissingFile) as raised:
+        with pytest.raises(RankflowError, match="no such file") as raised:
             read_bytes(tmp_path / name)
         assert str(raised.value) == f"{tmp_path / name}: no such file"
 
@@ -400,7 +392,7 @@ class TestReadBytes:
             raise PermissionError(13, "Permission denied")
 
         monkeypatch.setattr(Path, "read_bytes", failing_read)
-        with pytest.raises(IoFailure, match="a.bin: Permission denied"):
+        with pytest.raises(RankflowError, match="a.bin: Permission denied"):
             read_bytes(tmp_path / "a.bin")
 
 
@@ -420,13 +412,13 @@ class TestWriteAtomic:
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr("rankflow.ingest.os.replace", failing_replace)
-        with pytest.raises(IoFailure, match="r.csv"):
+        with pytest.raises(RankflowError, match="r.csv"):
             write_ranking([("s", Ranking({1: 1}))], target)
         assert target.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
 
     def test_missing_directory(self, tmp_path):
-        with pytest.raises(IoFailure, match="nodir"):
+        with pytest.raises(RankflowError, match="nodir"):
             write_atomic(tmp_path / "nodir" / "x.csv", "x")
 
 
@@ -467,7 +459,7 @@ class TestPublishDirs:
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr("rankflow.ingest.os.replace", failing_replace)
-        with pytest.raises(IoFailure, match=f"{tmp_path / 'out'}: No space left on device"):
+        with pytest.raises(RankflowError, match=f"{tmp_path / 'out'}: No space left on device"):
             with publish_dirs(tmp_path / "out", "scenes"):
                 pass
         assert tree(tmp_path) == {"out": None}

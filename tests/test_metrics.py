@@ -5,7 +5,7 @@ from scipy import stats
 
 from conftest import make_scene
 from rankflow.domain import Ranking
-from rankflow.errors import SceneMismatch, SrccUndefined
+from rankflow.errors import RankflowError, SrccUndefined
 from rankflow.metrics import (
     evaluate_rankings,
     f1_salient,
@@ -49,7 +49,7 @@ class TestSrcc:
         assert srcc(pred, gt) == pytest.approx(-1.0)
 
     def test_id_mismatch(self):
-        with pytest.raises(SceneMismatch):
+        with pytest.raises(RankflowError, match="pred and gt cover different proposal ids"):
             srcc(Ranking({0: 1}), Ranking({1: 1}))
 
     def test_constant_undefined(self):
@@ -128,7 +128,7 @@ class TestRankFromSaliencyMap:
     def test_size_mismatch(self):
         scene = make_scene([(0, 0, 10, 10)], map_values=np.zeros((100, 100)))
         small = np.zeros((10, 10), np.uint8)
-        with pytest.raises(SceneMismatch):
+        with pytest.raises(RankflowError, match="map 10x10 vs scene 100x100"):
             rank_from_saliency_map(scene, small, 0.5)
 
 
@@ -150,11 +150,11 @@ class TestEvaluateRankings:
         assert {s["id"] for s in doc["scenes"]} == {"a", "b"}
 
     def test_scene_set_mismatch(self):
-        with pytest.raises(SceneMismatch):
+        with pytest.raises(RankflowError, match=r"scene id sets differ: \['a', 'b'\]"):
             evaluate_rankings({"a": Ranking({0: 1})}, {"b": Ranking({0: 1})})
 
     def test_proposal_mismatch_names_the_scene(self):
         pred = {"a": Ranking({0: 1}), "b": Ranking({0: 1, 2: 0})}
         gt = {"a": Ranking({0: 1}), "b": Ranking({0: 1, 1: 0})}
-        with pytest.raises(SceneMismatch, match=r"^scene 'b': pred and gt cover different proposal ids$"):
+        with pytest.raises(RankflowError, match=r"^scene 'b': pred and gt cover different proposal ids$"):
             evaluate_rankings(pred, gt)

@@ -3,13 +3,13 @@ from functools import partial
 
 import pytest
 
-from rankflow.errors import InvariantViolation
+from rankflow.errors import RankflowError
 from rankflow.pipeline import parallel_map
 
 
 def _square_or_fail(x, failing=()):
     if x in failing:
-        raise InvariantViolation("item", f"{x} failed")
+        raise RankflowError(f"item: {x} failed")
     return x * x, os.getpid()
 
 
@@ -33,7 +33,7 @@ class TestParallelMap:
         fn = partial(_square_or_fail, failing={self.ITEMS[4], self.ITEMS[30]})
         errors = []
         for jobs in (1, 2):
-            with pytest.raises(InvariantViolation) as info:
+            with pytest.raises(RankflowError, match="item: .* failed") as info:
                 parallel_map(fn, self.ITEMS, jobs=jobs)
             errors.append((type(info.value), str(info.value)))
         assert errors[0] == errors[1]

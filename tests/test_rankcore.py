@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rankflow.domain import BBox, Proposal, Ranking
-from rankflow.errors import CoverageViolation, InvalidWindow, ShapeMismatch
+from rankflow.errors import RankflowError
 from rankflow.rankcore import (
     _dominance_counts,
     acb_sequences,
@@ -48,12 +48,12 @@ class TestAcbSequences:
         assert len(windows) == 6
 
     def test_too_few(self):
-        with pytest.raises(InvalidWindow):
+        with pytest.raises(RankflowError, match="need at least 5 proposals, got 4"):
             acb_sequences(4, 5)
 
     @pytest.mark.parametrize("w", [-1, 0, 8])
     def test_window_bounds(self, w):
-        with pytest.raises(InvalidWindow, match="window size"):
+        with pytest.raises(RankflowError, match="window size"):
             acb_sequences(10, w)
 
     @given(st.integers(5, 40))
@@ -81,19 +81,19 @@ class TestHungarian:
         assert hungarian(cost) == [0, 1, 2, 3, 4]
 
     def test_rejects_non_square(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(RankflowError, match="cost matrix must be square"):
             hungarian([[1, 2], [3, 4], [5, 6]])
 
     def test_rejects_nan(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(RankflowError, match="cost matrix entries must be finite"):
             hungarian([[float("nan"), 1], [1, 0]])
 
     def test_rejects_ragged(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(RankflowError, match="cost matrix must be square"):
             hungarian([[1, 2], [3]])
 
     def test_rejects_more_than_seven(self):
-        with pytest.raises(InvalidWindow):
+        with pytest.raises(RankflowError, match=r"assignment size 8 outside 1\.\.7"):
             hungarian(np.zeros((8, 8)))
 
     def test_dummy_row_tolerance(self):
@@ -147,11 +147,11 @@ class TestHungarian:
     def test_stack_checks_every_matrix(self):
         stack = np.zeros((3, 4, 4))
         stack[2, 1, 1] = np.inf
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(RankflowError, match="cost matrix entries must be finite"):
             hungarian(stack)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(RankflowError, match="cost matrix must be square"):
             hungarian(np.zeros((3, 4, 5)))
-        with pytest.raises(InvalidWindow):
+        with pytest.raises(RankflowError, match=r"assignment size 8 outside 1\.\.7"):
             hungarian(np.zeros((2, 8, 8)))
 
 
@@ -209,11 +209,11 @@ class TestExclusiveClassify:
         assert out.tolist() == [0, 1, 3, 4, 5]
 
     def test_shape_check(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(RankflowError, match="expected 5x6 score matrix, got 5x5"):
             exclusive_classify(np.zeros((5, 5)), [False] * 5)
 
     def test_mask_shape_check(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(RankflowError, match=r"dummy mask shape \(5,\) != score rows \(3, 5\)"):
             exclusive_classify(np.zeros((3, 5, 6)), [False] * 5)
 
     def test_stack_matches_per_window(self):
@@ -272,7 +272,7 @@ def reference_aggregate(members, labels, probs, proposals):
 
     for idx, p in enumerate(proposals):
         if not p.is_dummy and n >= w and appearances[idx] != w:
-            raise CoverageViolation(
+            raise RankflowError(
                 f"proposal {p.id} appeared in {appearances[idx]} windows, expected {w}"
             )
 
@@ -379,7 +379,7 @@ class TestAggregateVotes:
         members = np.array([win.member_ids for win in acb_sequences(n, 5)])
         members[0, 3] = 1
         labels = np.tile(np.arange(1, 6), (n, 1))
-        with pytest.raises(CoverageViolation, match=r"^proposal 13 appeared in 4 windows, expected 5$"):
+        with pytest.raises(RankflowError, match=r"^proposal 13 appeared in 4 windows, expected 5$"):
             aggregate_votes(members, labels, self._uniform_probs(n), proposals)
 
 
@@ -443,7 +443,7 @@ class TestRankSceneOracle:
         from rankflow.domain import Ranking
 
         scene = make_scene([(0, 0, 10, 10)] )
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(RankflowError, match="features rows 3 != proposals"):
             rank_scene(scene, np.zeros((3, 14)), oracle_scorer(Ranking({0: 1})), 5)
 
 
@@ -488,5 +488,5 @@ class TestRankSceneBatch:
         from conftest import make_scene
 
         scene = make_scene([(i * 12, 0, i * 12 + 10, 10) for i in range(6)], width=200, height=50)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(RankflowError, match=r"dummy mask shape \(6, 5\) != score rows \(5,\)"):
             rank_scene(scene, np.zeros((6, 14)), lambda ids, inputs: np.zeros((5, 6)), 5)

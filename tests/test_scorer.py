@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import BYTE_EDITS, edit_bytes
 from rankflow import scorer
 from rankflow.domain import Ranking
-from rankflow.errors import EmptyDataset, RankflowError, ShapeMismatch, TruncatedData, UnsupportedFormat
+from rankflow.errors import RankflowError
 from rankflow.gtgen import rasrgt_rank
 from rankflow.metrics import srcc
 from rankflow.preprocess import filter_proposals, scene_features
@@ -67,7 +67,7 @@ class TestInitAndForward:
 
     def test_rejects_wrong_width(self):
         model = init_model()
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(RankflowError, match=r"expected inputs with 18 columns, got \(5, 7\)"):
             mlp_forward(model, np.zeros((5, 7)))
 
     def test_make_scorer_matches_forward(self):
@@ -112,24 +112,24 @@ class TestLoss:
     def test_rejects_labels_that_do_not_fit(self):
         model = init_model()
         x = np.zeros((5, 18))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(RankflowError, match=r"targets of shape \(3, 4\)"):
             loss_and_grad(model, x, prepare_targets([1, 2, 0]), TrainConfig())
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(RankflowError, match=r"\(5,\) labels and \(4,\) dummy flags"):
             loss_and_grad(model, x, prepare_targets([1, 2, 0, 0, 0], dummy_mask=[False] * 4), TrainConfig())
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(RankflowError, match=r"labels outside 0\.\.5"):
             loss_and_grad(model, x, prepare_targets([6, 0, 0, 0, 0]), TrainConfig())
         batch = np.zeros((2, 5, 18))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(RankflowError, match=r"labels and dummy flags must each be one \(\.\.\., W\) array"):
             loss_and_grad(model, batch, prepare_targets([[1, 0, 0, 0, 0], [1, 0, 0]]), TrainConfig())
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(RankflowError, match=r"\(2, 5\) labels and \(5,\) dummy flags"):
             loss_and_grad(model, batch, prepare_targets([[0] * 5] * 2, dummy_mask=[False] * 5), TrainConfig())
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(RankflowError, match=r"labels outside 0\.\.5"):
             loss_and_grad(model, batch, prepare_targets([[0] * 5, [0, 0, -1, 0, 0]]), TrainConfig())
 
     def test_rejects_targets_of_other_windows(self):
         model = init_model()
         for targets in (prepare_targets([1, 2, 0, 0, 0]), prepare_targets([[1, 2, 0, 0, 0]] * 3)):
-            with pytest.raises(ShapeMismatch):
+            with pytest.raises(RankflowError, match=r"targets of shape .* for \(2, 5\) input rows"):
                 loss_and_grad(model, np.zeros((2, 5, 18)), targets, TrainConfig())
 
     def _numeric_grad(self, model, x, labels, cfg, dummy_mask, eps=1e-6):
@@ -212,7 +212,7 @@ class TestTrain:
         return data
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(RankflowError, match="no training windows"):
             train([], TrainConfig())
 
     def test_deterministic(self):
@@ -267,13 +267,13 @@ class TestTrain:
 
     def test_rejects_windows_that_do_not_fit(self):
         data = self._dataset()
-        for bad in (
-            (np.zeros((4, 18)), [1, 0, 0, 0], [False] * 4),  # another window size
-            (np.zeros((5, 18)), [1, 0, 0], [False] * 5),
-            (np.zeros((5, 18)), [1, 0, 0, 0, 0], [False] * 3),
-            (np.zeros((5, 18)), [6, 0, 0, 0, 0], [False] * 5),
+        for bad, message in (
+            ((np.zeros((4, 18)), [1, 0, 0, 0], [False] * 4), "inputs must have shape"),  # another window size
+            ((np.zeros((5, 18)), [1, 0, 0], [False] * 5), "labels and dummy flags must each be one"),
+            ((np.zeros((5, 18)), [1, 0, 0, 0, 0], [False] * 3), "labels and dummy flags must each be one"),
+            ((np.zeros((5, 18)), [6, 0, 0, 0, 0], [False] * 5), "labels outside"),
         ):
-            with pytest.raises(ShapeMismatch):
+            with pytest.raises(RankflowError, match=message):
                 train(data[:7] + [bad] + data[7:], TrainConfig(epochs=1))
 
     def test_accepts_missing_dummy_mask(self):
@@ -339,16 +339,16 @@ class TestModelIo:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.bin"
         path.write_bytes(b"XXXX" + bytes(100))
-        with pytest.raises(TruncatedData):
+        with pytest.raises(RankflowError, match="m.bin: bad magic"):
             load_model(path)
 
     def test_non_positive_dimension(self, tmp_path):
         path = tmp_path / "m.bin"
         path.write_bytes(b"RFM1" + np.array([-1, 32, 6], "<i4").tobytes() + bytes(1584))
-        with pytest.raises(UnsupportedFormat, match="m.bin: model dimensions must be >= 1"):
+        with pytest.raises(RankflowError, match="m.bin: model dimensions must be >= 1"):
             load_model(path)
         path.write_bytes(b"RFM1" + np.array([18, 0, 6], "<i4").tobytes() + bytes(48))
-        with pytest.raises(UnsupportedFormat):
+        with pytest.raises(RankflowError, match=r"m\.bin: model dimensions must be >= 1, got \(18, 0, 6\)"):
             load_model(path)
 
     @settings(max_examples=200)
@@ -375,15 +375,16 @@ class TestModelIo:
         model.b1[3] = np.nan
         path = tmp_path / "m.bin"
         save_model(model, path)
-        with pytest.raises(UnsupportedFormat, match="m.bin: model parameters must be finite"):
+        with pytest.raises(RankflowError, match="m.bin: model parameters must be finite"):
             load_model(path)
 
     def test_truncated(self, tmp_path):
         model = init_model(seed=2)
         path = tmp_path / "m.bin"
         save_model(model, path)
+        size = len(path.read_bytes())
         path.write_bytes(path.read_bytes()[:-16])
-        with pytest.raises(TruncatedData):
+        with pytest.raises(RankflowError, match=rf"m\.bin: expected {size} bytes, got {size - 16}$"):
             load_model(path)
 
 
