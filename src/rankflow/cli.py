@@ -2,37 +2,44 @@
 
 Data goes to files, logs go to stderr.  Exit codes: 0 success, 1 usage error,
 2 data error.  A JSON run config can seed any option; explicit flags win.
+
+Each ``_cmd_*`` handler runs one stage and returns its provenance config, seed
+and log line; only once it succeeds does ``dispatch`` record that provenance
+beside ``--out`` and print the line.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import math
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from .errors import RankflowError
-from .gtgen import METHODS, GtConfig
-from .ingest import parse_ranking, read_json
+from .gtgen import MAP_METHODS, METHODS, GtConfig, discrepancy_offsets, generate_ranking, rasrgt_counts
+from .ingest import parse_ranking, publish_dirs, read_json, write_atomic, write_csv, write_ranking
+from .metrics import evaluate_rankings
 from .pipeline import (
     build_training_set,
-    evaluate_files,
-    gt_discrepancy,
-    gt_generate,
-    map_rank_dataset,
-    preprocess_dataset,
-    rank_dataset,
+    load_preprocessed,
+    map_rank_one,
+    map_scenes,
+    preprocess_one,
+    rank_one,
     write_provenance,
 )
-from .preprocess import FilterConfig
-from .rankcore import DEFAULT_WINDOW
-from .scorer import TrainConfig, save_model, train
+from .preprocess import FEATURE_DIM, FilterConfig
+from .rankcore import DEFAULT_WINDOW, MAX_WINDOW
+from .scorer import TrainConfig, load_model, save_model, train
 from .synth import SynthConfig, generate_dataset
 
 _SECTIONS = {"synth": SynthConfig, "filter": FilterConfig, "gt": GtConfig, "train": TrainConfig}
 _CONFIG_SCALARS = {"window_size", "lam", "jobs"}
 _MAX_GAMMAS = 1000
+_MAX_JOBS = 256  # each job is one worker process
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,6 +59,8 @@ def load_run_config(path) -> dict:
     for key in ("jobs", "window_size"):
         if key in doc and (type(doc[key]) is not int or doc[key] < 1):
             raise RankflowError(f"{path}: {key} must be an integer >= 1, got {doc[key]!r}")
+    if doc.get("jobs", 0) > _MAX_JOBS:
+        raise RankflowError(f"{path}: jobs must be at most {_MAX_JOBS}, got {doc['jobs']}")
     if "lam" in doc:
         _check_lambda(doc["lam"], f"{path}: lam")
     for section, cls in _SECTIONS.items():
@@ -83,7 +92,7 @@ def _section_cfg(args, run_cfg: dict, section: str, **extra):
 
 def _add_command(sub, name: str, run, help: str, out_help: str | None = None):
     """A subcommand's parser with the options every subcommand takes, bound
-    to its handler ``run(args, run_cfg, jobs)``."""
+    to its handler ``run(args, run_cfg, jobs) -> (config, seed, log line)``."""
     p = sub.add_parser(name, help=help)
     p.set_defaults(run=run)
     p.add_argument("--config", help="JSON run config; flags override its values")
@@ -107,7 +116,7 @@ def _usable_cpus() -> int:
 
 def _common(args):
     """The run config and the worker count: ``--jobs``, else the config's
-    ``jobs``, else ``RANKFLOW_JOBS``, else every usable CPU."""
+    ``jobs``, else ``RANKFLOW_JOBS``, else every usable CPU up to ``_MAX_JOBS``."""
     run_cfg = load_run_config(args.config) if args.config else {}
     jobs = args.jobs if args.jobs is not None else run_cfg.get("jobs")
     name = "--jobs"
@@ -118,9 +127,11 @@ def _common(args):
         except ValueError as e:
             raise RankflowError(f"RANKFLOW_JOBS must be an integer, got {env!r}") from e
     if jobs is None:
-        jobs = _usable_cpus()
+        jobs = min(_usable_cpus(), _MAX_JOBS)
     if jobs < 1:
         raise RankflowError(f"{name} must be an integer >= 1, got {jobs}")
+    if jobs > _MAX_JOBS:
+        raise RankflowError(f"{name} must be at most {_MAX_JOBS}, got {jobs}")
     return run_cfg, jobs
 
 
@@ -190,25 +201,31 @@ def _cmd_synth(args, run_cfg, jobs):
         objects = {"objects_min": lo, "objects_max": hi}
     cfg = _section_cfg(args, run_cfg, "synth", **objects)
     generate_dataset(cfg, args.out, jobs)
-    write_provenance(args.out, dataclasses.asdict(cfg), seed=cfg.seed)
-    print(f"wrote {cfg.n_scenes} scenes to {args.out}", file=sys.stderr)
+    return dataclasses.asdict(cfg), cfg.seed, f"wrote {cfg.n_scenes} scenes to {args.out}"
 
 
 def _cmd_preprocess(args, run_cfg, jobs):
+    """Filter every scene into ``scenes/`` and its features into ``features/``
+    of a staging directory that ``publish_dirs`` puts in place of both only
+    once every scene is done, so a failed run leaves ``--out`` as it was.  An
+    ``--out`` that would replace ``--in`` is refused before anything is written."""
     cfg = _section_cfg(args, run_cfg, "filter")
-    ids = preprocess_dataset(args.in_dir, args.out, cfg, jobs)
-    write_provenance(args.out, dataclasses.asdict(cfg))
-    print(f"preprocessed {len(ids)} scenes into {args.out}", file=sys.stderr)
+    out = Path(args.out).resolve()
+    if Path(args.in_dir).resolve() in (out, out / "scenes", out / "features"):
+        raise RankflowError(f"cannot preprocess {args.in_dir} into {args.out}: the output would replace the input")
+    with publish_dirs(args.out, "scenes", "features") as staging:
+        worker = partial(preprocess_one, staging=staging, cfg=cfg)
+        rows = map_scenes(worker, args.in_dir, jobs, load_map=True)
+    return dataclasses.asdict(cfg), None, f"preprocessed {len(rows)} scenes into {args.out}"
 
 
 def _cmd_gt_gen(args, run_cfg, jobs):
     cfg = _section_cfg(args, run_cfg, "gt")
-    gt_generate(args.in_dir, cfg, args.out, jobs)
+    worker = partial(generate_ranking, cfg=cfg)
+    write_ranking(map_scenes(worker, args.in_dir, jobs, load_map=cfg.method in MAP_METHODS), args.out)
     # raw_penalty: a removed option, recorded as off so the config hash still
     # matches records written while it existed.
-    config = {**dataclasses.asdict(cfg), "raw_penalty": False}
-    write_provenance(args.out, config)
-    print(f"wrote GT rankings to {args.out}", file=sys.stderr)
+    return {**dataclasses.asdict(cfg), "raw_penalty": False}, None, f"wrote GT rankings to {args.out}"
 
 
 def gamma_grid(spec: str) -> list[float]:
@@ -235,11 +252,14 @@ def gamma_grid(spec: str) -> list[float]:
 
 
 def _cmd_gt_discrepancy(args, run_cfg, jobs):
+    """Workers parse the scenes and count their boxes, so only the counts
+    reach this process."""
     cfg = _section_cfg(args, run_cfg, "gt")
     thresholds = gamma_grid(args.gammas)
-    gt_discrepancy(args.in_dir, cfg, thresholds, args.out, jobs)
-    write_provenance(args.out, {"gammas": thresholds, "beta": cfg.beta})
-    print(f"wrote discrepancy offsets to {args.out}", file=sys.stderr)
+    counts = [c for _, c in map_scenes(rasrgt_counts, args.in_dir, jobs)]
+    rows = discrepancy_offsets(counts, cfg, thresholds)
+    write_csv(args.out, ["threshold", "t_offset"], [(f"{t:g}", offset) for t, offset in rows])
+    return {"gammas": thresholds, "beta": cfg.beta}, None, f"wrote discrepancy offsets to {args.out}"
 
 
 def _cmd_train(args, run_cfg, jobs):
@@ -248,33 +268,45 @@ def _cmd_train(args, run_cfg, jobs):
     dataset = build_training_set(args.in_dir, parse_ranking(args.gt), window)
     result = train(dataset, cfg)
     save_model(result.model, args.out)
-    write_provenance(args.out, dataclasses.asdict(cfg), seed=cfg.seed)
     losses = ", ".join(f"{x:.4f}" for x in result.epoch_losses[-3:])
-    print(f"trained on {len(dataset)} windows; last losses: {losses}", file=sys.stderr)
+    return dataclasses.asdict(cfg), cfg.seed, f"trained on {len(dataset)} windows; last losses: {losses}"
 
 
 def _cmd_rank(args, run_cfg, jobs):
-    window = rank_dataset(args.in_dir, args.model, args.out, jobs)
-    write_provenance(args.out, {"model": Path(args.model).name, "window_size": window})
-    print(f"wrote rankings to {args.out}", file=sys.stderr)
+    """Rank every preprocessed scene.  The model fixes the window size: one
+    class per within-window rank plus non-salient.  Workers read their own
+    scene and features, so only paths and the model are sent to them."""
+    model = load_model(args.model)
+    d_in, _, c = model.dims
+    n_in = FEATURE_DIM + 4  # window_inputs adds 4 window-context columns
+    if d_in != n_in or not 2 <= c <= MAX_WINDOW + 1:
+        need = f"a model of {n_in} inputs and 2..{MAX_WINDOW + 1} classes"
+        raise RankflowError(f"{args.model}: {need} is needed, got dims {model.dims}")
+    ranker = partial(rank_one, model=model, window_size=c - 1)
+    write_ranking(load_preprocessed(args.in_dir, ranker, jobs), args.out)
+    return {"model": Path(args.model).name, "window_size": c - 1}, None, f"wrote rankings to {args.out}"
 
 
 def _cmd_map_rank(args, run_cfg, jobs):
     if args.lam is not None:
         _check_lambda(args.lam, "--lambda")
     lam = args.lam if args.lam is not None else run_cfg.get("lam", 0.5)
-    map_rank_dataset(args.in_dir, args.maps, lam, args.out, jobs)
-    write_provenance(args.out, {"lambda": lam})
-    print(f"wrote map-based rankings to {args.out}", file=sys.stderr)
+    maps_dir = Path(args.maps) if args.maps else None
+    worker = partial(map_rank_one, maps_dir=maps_dir, lam=lam)
+    write_ranking(map_scenes(worker, args.in_dir, jobs, load_map=maps_dir is None), args.out)
+    return {"lambda": lam}, None, f"wrote map-based rankings to {args.out}"
 
 
 def _cmd_eval(args, run_cfg, jobs):
-    doc = evaluate_files(args.pred, args.gt, args.out)
-    write_provenance(args.out, {"pred": Path(args.pred).name, "gt": Path(args.gt).name})
-    print(
-        f"mean SRCC {doc['mean_srcc']}, mean F1 {doc['mean_f1']}, skipped {doc['skipped']}",
-        file=sys.stderr,
-    )
+    pred, gt = parse_ranking(args.pred), parse_ranking(args.gt)
+    try:
+        report = evaluate_rankings(pred, gt)
+    except RankflowError as e:
+        raise e.naming(f"{args.pred} and {args.gt}") from e
+    doc = report.to_dict()
+    write_atomic(args.out, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    config = {"pred": Path(args.pred).name, "gt": Path(args.gt).name}
+    return config, None, f"mean SRCC {doc['mean_srcc']}, mean F1 {doc['mean_f1']}, skipped {doc['skipped']}"
 
 
 def dispatch(argv) -> int:
@@ -285,7 +317,9 @@ def dispatch(argv) -> int:
         return int(e.code or 0)
     try:
         run_cfg, jobs = _common(args)
-        args.run(args, run_cfg, jobs)
+        config, seed, line = args.run(args, run_cfg, jobs)
+        write_provenance(args.out, config, seed=seed)
+        print(line, file=sys.stderr)
     except RankflowError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -1,13 +1,13 @@
-"""Dataset-level stages shared by the CLI: preprocessing, GT generation,
-training-set assembly, ranking and map-based ranking.
+"""The scene runner, its process pool, the per-scene workers of the CLI
+stages, training-set assembly and the provenance record.
 
-Every stage runs one per-scene function through one runner, ``map_scenes``,
-which parses each scene file, returns ``(scene_id, result)`` rows and puts
-the file's path in front of any data error.  Scene work is independent, so
-it runs on a process pool, ``parallel_map``, whose workers take the scenes
-in contiguous chunks; rows keep file order, so output never depends on the
-job count.  Every output is written by ``ingest``; ``preprocess_dataset``
-publishes its ``scenes/`` and ``features/`` whole.
+``map_scenes`` runs one per-scene function over a dataset directory: it
+parses each scene file, returns ``(scene_id, result)`` rows and puts the
+file's path in front of any data error.  Scene work is independent, so it
+runs on a process pool, ``parallel_map``, whose workers take the scenes in
+contiguous chunks; rows keep file order, so output never depends on the job
+count.  The workers are module-level functions so that they pickle; the CLI
+handlers bind their settings with ``functools.partial``.
 """
 from __future__ import annotations
 
@@ -20,22 +20,12 @@ from pathlib import Path
 from . import __version__
 from .domain import Ranking, Scene
 from .errors import RankflowError
-from .gtgen import MAP_METHODS, GtConfig, discrepancy_offsets, generate_ranking, rasrgt_counts, require_map
-from .ingest import (
-    list_scene_files,
-    parse_pgm,
-    parse_ranking,
-    parse_scene,
-    publish_dirs,
-    write_atomic,
-    write_csv,
-    write_ranking,
-    write_scene,
-)
-from .metrics import evaluate_rankings, rank_from_saliency_map
-from .preprocess import FEATURE_DIM, FilterConfig, filter_proposals, read_features, scene_features, write_features
-from .rankcore import DEFAULT_WINDOW, MAX_WINDOW, check_window_size, rank_scene, window_batch
-from .scorer import load_model, make_scorer, window_gt_labels
+from .gtgen import require_map
+from .ingest import list_scene_files, parse_pgm, parse_scene, write_atomic, write_scene
+from .metrics import rank_from_saliency_map
+from .preprocess import FilterConfig, filter_proposals, read_features, scene_features, write_features
+from .rankcore import DEFAULT_WINDOW, check_window_size, rank_scene, window_batch
+from .scorer import make_scorer, window_gt_labels
 
 
 def parallel_map(fn, items, jobs: int = 1):
@@ -94,37 +84,10 @@ def write_provenance(target, config: dict, seed=None) -> None:
     write_atomic(path, json.dumps(record, sort_keys=True) + "\n")
 
 
-def _preprocess_one(scene: Scene, staging: Path, cfg: FilterConfig) -> None:
+def preprocess_one(scene: Scene, staging: Path, cfg: FilterConfig) -> None:
     filtered = filter_proposals(scene, cfg)
     write_scene(filtered, staging / "scenes" / f"{filtered.scene_id}.json")
     write_features(scene_features(filtered), staging / "features" / f"{filtered.scene_id}.feat")
-
-
-def preprocess_dataset(in_dir, out_dir, cfg: FilterConfig | None = None, jobs: int = 1) -> list[str]:
-    """Filter every scene and write it to ``scenes/``, its features to
-    ``features/``.  Workers write into a staging directory that
-    ``publish_dirs`` puts in place of both only once every scene is done, so
-    a failed run leaves ``out_dir`` as it was.  An ``out_dir`` that would
-    replace ``in_dir`` is refused before anything is written."""
-    out = Path(out_dir).resolve()
-    if Path(in_dir).resolve() in (out, out / "scenes", out / "features"):
-        raise RankflowError(f"cannot preprocess {in_dir} into {out_dir}: the output would replace the input")
-    with publish_dirs(out_dir, "scenes", "features") as staging:
-        worker = partial(_preprocess_one, staging=staging, cfg=cfg)
-        return [scene_id for scene_id, _ in map_scenes(worker, in_dir, jobs, load_map=True)]
-
-
-def gt_generate(in_dir, cfg: GtConfig, out_file, jobs: int = 1) -> None:
-    rows = map_scenes(partial(generate_ranking, cfg=cfg), in_dir, jobs, load_map=cfg.method in MAP_METHODS)
-    write_ranking(rows, out_file)
-
-
-def gt_discrepancy(in_dir, cfg: GtConfig, thresholds, out_file, jobs: int = 1) -> None:
-    """Workers parse the scenes and count their boxes, so only the counts
-    reach this process."""
-    counts = [c for _, c in map_scenes(rasrgt_counts, in_dir, jobs)]
-    rows = discrepancy_offsets(counts, cfg, thresholds)
-    write_csv(out_file, ["threshold", "t_offset"], [(f"{t:g}", offset) for t, offset in rows])
 
 
 def _with_features(scene: Scene, feat_dir: Path, fn):
@@ -159,30 +122,11 @@ def build_training_set(pre_dir, gt: dict[str, Ranking], window_size: int = DEFAU
     return [sample for _, samples in rows for sample in samples]
 
 
-def _rank_one(scene: Scene, features, model, window_size: int) -> Ranking:
+def rank_one(scene: Scene, features, model, window_size: int) -> Ranking:
     return rank_scene(scene, features, make_scorer(model), window_size)
 
 
-def rank_dataset(pre_dir, model_path, out_file, jobs: int = 1) -> int:
-    """Rank every preprocessed scene; returns the window size, which the
-    model fixes: one class per within-window rank plus non-salient.
-
-    Workers read their own scene and features, so only paths and the model
-    are sent to them.
-    """
-    model = load_model(model_path)
-    d_in, _, c = model.dims
-    n_in = FEATURE_DIM + 4  # window_inputs adds 4 window-context columns
-    if d_in != n_in or not 2 <= c <= MAX_WINDOW + 1:
-        need = f"a model of {n_in} inputs and 2..{MAX_WINDOW + 1} classes"
-        raise RankflowError(f"{model_path}: {need} is needed, got dims {model.dims}")
-    window_size = c - 1
-    ranker = partial(_rank_one, model=model, window_size=window_size)
-    write_ranking(load_preprocessed(pre_dir, ranker, jobs), out_file)
-    return window_size
-
-
-def _map_rank_one(scene: Scene, maps_dir: Path | None, lam: float) -> Ranking:
+def map_rank_one(scene: Scene, maps_dir: Path | None, lam: float) -> Ranking:
     if maps_dir is None:
         return rank_from_saliency_map(scene, require_map(scene), lam)
     map_path = maps_dir / f"{scene.scene_id}.pgm"
@@ -191,21 +135,3 @@ def _map_rank_one(scene: Scene, maps_dir: Path | None, lam: float) -> Ranking:
         return rank_from_saliency_map(scene, gmap, lam)
     except RankflowError as e:
         raise e.naming(map_path) from e
-
-
-def map_rank_dataset(in_dir, maps_dir, lam, out_file, jobs: int = 1) -> None:
-    maps_dir = Path(maps_dir) if maps_dir else None
-    rows = map_scenes(partial(_map_rank_one, maps_dir=maps_dir, lam=lam), in_dir, jobs, load_map=maps_dir is None)
-    write_ranking(rows, out_file)
-
-
-def evaluate_files(pred_file, gt_file, out_file=None) -> dict:
-    pred, gt = parse_ranking(pred_file), parse_ranking(gt_file)
-    try:
-        report = evaluate_rankings(pred, gt)
-    except RankflowError as e:
-        raise e.naming(f"{pred_file} and {gt_file}") from e
-    doc = report.to_dict()
-    if out_file is not None:
-        write_atomic(out_file, json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    return doc

@@ -26,6 +26,11 @@ from .pipeline import parallel_map
 _MAX_BOX_ATTEMPTS = 400
 _MAX_SCENE_ATTEMPTS = 30
 _MIN_SHARE = 0.01
+# The kernel has about 8 sigma taps, so sigma bounds the filter's cost.  A map
+# is flat (every pixel 255) once sigma is 1.3 times the image's longer side
+# (measured; one fixation in a corner is the worst case), so this admits every
+# sigma that changes a map of up to 760 px a side, the default 640 x 480 too.
+_MAX_SPLAT_SIGMA = 1000
 
 
 @dataclass(frozen=True)
@@ -56,7 +61,7 @@ class SynthConfig:
         reals = (
             ("salient_fraction", lambda x: 0 <= x <= 1, "in [0, 1]"),
             ("noise_fixation_fraction", lambda x: 0 <= x <= 1, "in [0, 1]"),
-            ("splat_sigma", lambda x: x > 0, "> 0"),
+            ("splat_sigma", lambda x: 0 < x <= _MAX_SPLAT_SIGMA, f"in (0, {_MAX_SPLAT_SIGMA}]"),
             ("box_frac_min", lambda x: 0 < x <= 1, "in (0, 1]"),
             ("box_frac_max", lambda x: self.box_frac_min <= x <= 1, "in [box_frac_min, 1]"),
             ("iou_cap", lambda x: 0 <= x <= 1, "in [0, 1]"),

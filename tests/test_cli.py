@@ -13,7 +13,7 @@ import pytest
 import rankflow
 from conftest import tree
 from rankflow import cli, pipeline
-from rankflow.cli import _SECTIONS, _common, build_parser, dispatch, gamma_grid
+from rankflow.cli import _SECTIONS, _common, _section_cfg, build_parser, dispatch, gamma_grid
 from rankflow.pipeline import config_hash
 from rankflow.errors import RankflowError, SrccUndefined
 from rankflow.gtgen import METHODS
@@ -115,6 +115,34 @@ class TestUsageErrors:
         assert run("synth", "--scenes", "1", "--out", str(tmp_path / "d")) == 2
         assert f"RANKFLOW_JOBS must be an integer >= 1, got {jobs}" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("sigma", [1e9, 1e308])
+    def test_splat_sigma_above_bound(self, tmp_path, capsys, sigma):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synth": {"splat_sigma": sigma, "width": 16, "height": 16}}))
+        assert run("synth", "--config", str(cfg), "--scenes", "1", "--jobs", "1", "--out", str(tmp_path / "d")) == 2
+        assert f"splat_sigma must be a finite number in (0, 1000], got {sigma!r}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_jobs_above_bound(self, tmp_path, monkeypatch, capsys):
+        """Rejected before any worker starts, whichever source gives the count."""
+        out = tmp_path / "d"
+        assert run("synth", "--scenes", "1", "--jobs", "257", "--out", str(out)) == 2
+        assert "--jobs must be at most 256, got 257" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"jobs": 5000}))
+        assert run("synth", "--scenes", "1", "--config", str(cfg), "--out", str(out)) == 2
+        assert f"{cfg}: jobs must be at most 256, got 5000" in capsys.readouterr().err
+        monkeypatch.setenv("RANKFLOW_JOBS", "257")
+        assert run("synth", "--scenes", "1", "--out", str(out)) == 2
+        assert "RANKFLOW_JOBS must be at most 256, got 257" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_default_jobs_stop_at_the_bound(self, monkeypatch):
+        args = build_parser().parse_args(["eval", "--pred", "p", "--gt", "g", "--out", "o"])
+        monkeypatch.delenv("RANKFLOW_JOBS", raising=False)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1000)
+        assert _common(args) == ({}, 256)
 
     def test_jobs_default_to_usable_cpus(self, monkeypatch):
         args = build_parser().parse_args(["eval", "--pred", "p", "--gt", "g", "--out", "o"])
@@ -471,13 +499,17 @@ class TestPipelineStages:
         assert len(scenes) == 4 and len(feats) == 4
 
     def test_preprocess_default_filter(self, dataset, tmp_path):
-        """With no config, preprocess_dataset filters with FilterConfig()."""
+        """With no config, preprocess filters with FilterConfig()."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"filter": dataclasses.asdict(FilterConfig())}))
         trees = []
-        for out, cfg in ((tmp_path / "default", ()), (tmp_path / "explicit", (FilterConfig(),))):
-            assert pipeline.preprocess_dataset(dataset / "raw", out, *cfg) == [f"scene_{i:05d}" for i in range(4)]
-            trees.append({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
+        for out, extra in ((tmp_path / "default", ()), (tmp_path / "explicit", ("--config", str(cfg)))):
+            assert run("preprocess", "--in", str(dataset / "raw"), "--out", str(out), *extra) == 0
+            trees.append(tree(out))
         assert trees[0] == trees[1]
-        assert {p.parent.name for p in trees[0]} == {"scenes", "features"} and len(trees[0]) == 8
+        ids = [f"scene_{i:05d}" for i in range(4)]
+        feats, scenes = [f"features/{i}.feat" for i in ids], [f"scenes/{i}.json" for i in ids]
+        assert list(trees[0]) == ["features", *feats, "provenance.json", "scenes", *scenes]
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_failed_preprocess_writes_no_scene(self, tmp_path, capsys, jobs):
@@ -515,7 +547,7 @@ class TestPipelineStages:
         pooled = pipeline.parallel_map
         monkeypatch.setattr(pipeline, "parallel_map", lambda fn, items, jobs: seen.append(jobs) or pooled(fn, items, jobs))
         # the name the benchmark tracer wraps, so its span times the ranking
-        monkeypatch.setattr(pipeline, "discrepancy_offsets", lambda *a: ranked.append(a) or discrepancy_offsets(*a))
+        monkeypatch.setattr(cli, "discrepancy_offsets", lambda *a: ranked.append(a) or discrepancy_offsets(*a))
         outs = []
         for jobs in ("1", "2"):
             out = tmp_path / f"disc{jobs}.csv"
@@ -596,8 +628,8 @@ class TestPipelineStages:
             calls.append(path)
             return load_model(path)
 
-        monkeypatch.setattr(pipeline, "load_model", counting_load)
-        pipeline.rank_dataset(pre, model, tmp_path / "pred.csv")
+        monkeypatch.setattr(cli, "load_model", counting_load)
+        assert run("rank", "--in", str(pre), "--model", str(model), "--out", str(tmp_path / "pred.csv")) == 0
         assert len(calls) == 1
         assert len(parse_ranking(tmp_path / "pred.csv")) == 3
 
@@ -848,22 +880,69 @@ class TestDatasetPublishing:
         assert tree(raw) == before
 
 
+# (config_hash, seed) of the provenance record each command writes for
+# _stage_argv, pinned from the layout in which every stage wrote its own.
+PROVENANCE = {
+    "synth": ("fbd7458d3583ce0f", 2),
+    "preprocess": ("8092d4255a8f4718", None),
+    "gt-gen": ("4c949bac6cffc618", None),
+    "gt-discrepancy": ("ef2605b818d1c6ef", None),
+    "train": ("a36adbbec937a731", 0),
+    "rank": ("41536f41dd6fe16e", None),
+    "map-rank": ("16f42f2b3d1d0b99", None),
+    "eval": ("dc6eea721187dd8b", None),
+}
+
+
+def _stage_argv(command, dataset, tmp_path, fail: bool) -> list[str]:
+    """``command`` on the shared dataset into ``tmp_path / "out"``; with
+    ``fail``, its first input is missing (synth: its ``--objects`` is bad)."""
+    gt = dataset / "raw" / "gt.csv"
+    save_model(init_model(), tmp_path / "m.bin")
+    args = {
+        "synth": ["--objects", "2:3", "--seed", "2", "--scenes", "2", "--fixations", "50"],
+        "preprocess": ["--in", dataset / "raw"],
+        "gt-gen": ["--in", dataset / "raw"],
+        "gt-discrepancy": ["--in", dataset / "raw"],
+        "train": ["--in", dataset / "pre", "--gt", gt, "--epochs", "1"],
+        "rank": ["--in", dataset / "pre", "--model", tmp_path / "m.bin"],
+        "map-rank": ["--in", dataset / "raw"],
+        "eval": ["--pred", gt, "--gt", gt],
+    }[command]
+    if fail:
+        args[1] = "2" if command == "synth" else tmp_path / "missing"
+    return [command, *map(str, args), "--jobs", "1", "--out", str(tmp_path / "out")]
+
+
+class TestProvenance:
+    @pytest.mark.parametrize("command", list(PROVENANCE))
+    def test_one_record_per_success_and_none_on_failure(self, dataset, tmp_path, command):
+        assert run(*_stage_argv(command, dataset, tmp_path, fail=True)) == 2
+        assert list(tmp_path.rglob("*provenance.json")) == []
+        assert run(*_stage_argv(command, dataset, tmp_path, fail=False)) == 0
+        out = tmp_path / "out"
+        record = out / "provenance.json" if out.is_dir() else tmp_path / "out.provenance.json"
+        assert list(tmp_path.rglob("*provenance.json")) == [record]
+        config_hash, seed = PROVENANCE[command]
+        doc = {"config_hash": config_hash, "seed": seed, "tool": "rankflow", "version": rankflow.__version__}
+        assert record.read_text() == json.dumps(doc, sort_keys=True) + "\n"
+
+
 # SHA-256 of the model that `train --seed 1` writes for the shared dataset.
 CLI_MODEL_SHA256 = "12043c11bd68df4faf9df0f6908db04758810efd2d48c8c2cb7ec09f450732ab"
 
 
 class _Captured(Exception):
-    """Raised in place of a stage; its one argument is the config the stage was given."""
+    """Raised in place of running a stage; its one argument is the config the stage was given."""
 
 
-def _capture(*args):
-    raise _Captured(next(a for a in args if dataclasses.is_dataclass(a)))
+def _capture(*args, **extra):
+    raise _Captured(_section_cfg(*args, **extra))
 
 
 def _stage_cfg(monkeypatch, argv):
     """The config object ``argv``'s command hands to its stage."""
-    for name in ("generate_dataset", "preprocess_dataset", "gt_generate", "gt_discrepancy", "train"):
-        monkeypatch.setattr(cli, name, _capture)
+    monkeypatch.setattr(cli, "_section_cfg", _capture)
     with pytest.raises(_Captured) as info:
         dispatch(argv)
     return info.value.args[0]

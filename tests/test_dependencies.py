@@ -1,6 +1,7 @@
 """rankflow needs numpy and nothing else at run time: every module of
 ``src/rankflow`` imports only the standard library, numpy and its own
-modules (relative imports).  Only ``ingest`` touches the file system.  And
+modules (relative imports).  Only ``ingest`` touches the file system, and
+only ``cli.dispatch`` records provenance and prints a stage's log line.  And
 rankflow holds no dead public name."""
 import ast
 import sys
@@ -112,3 +113,18 @@ def test_every_error_kind_is_caught():
     }
     assert "RankflowError" in kinds
     assert [kind for kind in kinds if kind not in caught] == []
+
+
+def test_dispatch_alone_records_and_logs():
+    """Provenance is written in one place, ``cli.dispatch``, and no ``_cmd_*``
+    handler prints: each returns its config, seed and log line instead."""
+    users = defaultdict(set)  # name -> (module, top-level name) of each statement using it
+    for path in sorted(Path(rankflow.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(stmt):
+                if isinstance(node, (ast.Name, ast.Attribute)):
+                    name = node.id if isinstance(node, ast.Name) else node.attr
+                    users[name].add((path.stem, getattr(stmt, "name", None)))
+    assert users["write_provenance"] == {("cli", "dispatch")}
+    assert ("cli", "dispatch") in users["print"]
+    assert [(module, name) for module, name in users["print"] if str(name).startswith("_cmd_")] == []

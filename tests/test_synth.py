@@ -149,6 +149,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SynthConfig(salient_fraction=1.5)
 
+    @pytest.mark.parametrize("sigma", [1000.5, 1e9, 1e308])
+    def test_splat_sigma_is_bounded(self, sigma):
+        # Checked by value only: a kernel for 1e9 would have 8e9 taps.
+        with pytest.raises(ValueError, match=r"splat_sigma must be a finite number in \(0, 1000\]"):
+            SynthConfig(splat_sigma=sigma)
+        assert SynthConfig(splat_sigma=1000, width=1, height=1).splat_sigma == 1000
+
 
 # --- fixation placement and map rendering -------------------------------------
 
