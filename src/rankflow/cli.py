@@ -32,7 +32,7 @@ from .pipeline import (
     write_provenance,
 )
 from .preprocess import FEATURE_DIM, FilterConfig
-from .rankcore import DEFAULT_WINDOW, MAX_WINDOW
+from .rankcore import DEFAULT_WINDOW, MAX_WINDOW, check_window_size
 from .scorer import TrainConfig, load_model, save_model, train
 from .synth import SynthConfig, generate_dataset
 
@@ -56,11 +56,12 @@ def load_run_config(path) -> dict:
     unknown = set(doc) - _SECTIONS.keys() - _CONFIG_SCALARS
     if unknown:
         raise RankflowError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("jobs", "window_size"):
-        if key in doc and (type(doc[key]) is not int or doc[key] < 1):
-            raise RankflowError(f"{path}: {key} must be an integer >= 1, got {doc[key]!r}")
-    if doc.get("jobs", 0) > _MAX_JOBS:
-        raise RankflowError(f"{path}: jobs must be at most {_MAX_JOBS}, got {doc['jobs']}")
+    if "jobs" in doc:
+        _check_jobs(doc["jobs"], f"{path}: jobs")
+    if "window_size" in doc:
+        if type(doc["window_size"]) is not int:
+            raise RankflowError(f"{path}: window_size must be an integer, got {doc['window_size']!r}")
+        check_window_size(doc["window_size"], f"{path}: window_size")
     if "lam" in doc:
         _check_lambda(doc["lam"], f"{path}: lam")
     for section, cls in _SECTIONS.items():
@@ -71,6 +72,15 @@ def load_run_config(path) -> dict:
         if extra:
             raise RankflowError(f"unknown keys in config section {section!r}: {sorted(extra)}")
     return doc
+
+
+def _check_jobs(jobs, name: str) -> int:
+    """``jobs`` if it is an integer in 1.._MAX_JOBS, else an error naming its source."""
+    if type(jobs) is not int or jobs < 1:
+        raise RankflowError(f"{name} must be an integer >= 1, got {jobs!r}")
+    if jobs > _MAX_JOBS:
+        raise RankflowError(f"{name} must be at most {_MAX_JOBS}, got {jobs}")
+    return jobs
 
 
 def _check_lambda(lam, name: str) -> None:
@@ -118,21 +128,17 @@ def _common(args):
     """The run config and the worker count: ``--jobs``, else the config's
     ``jobs``, else ``RANKFLOW_JOBS``, else every usable CPU up to ``_MAX_JOBS``."""
     run_cfg = load_run_config(args.config) if args.config else {}
-    jobs = args.jobs if args.jobs is not None else run_cfg.get("jobs")
-    name = "--jobs"
-    if jobs is None and "RANKFLOW_JOBS" in os.environ:
-        env, name = os.environ["RANKFLOW_JOBS"], "RANKFLOW_JOBS"
-        try:
-            jobs = int(env)
-        except ValueError as e:
-            raise RankflowError(f"RANKFLOW_JOBS must be an integer, got {env!r}") from e
-    if jobs is None:
-        jobs = min(_usable_cpus(), _MAX_JOBS)
-    if jobs < 1:
-        raise RankflowError(f"{name} must be an integer >= 1, got {jobs}")
-    if jobs > _MAX_JOBS:
-        raise RankflowError(f"{name} must be at most {_MAX_JOBS}, got {jobs}")
-    return run_cfg, jobs
+    if args.jobs is not None:
+        return run_cfg, _check_jobs(args.jobs, "--jobs")
+    if "jobs" in run_cfg:  # checked by load_run_config
+        return run_cfg, run_cfg["jobs"]
+    env = os.environ.get("RANKFLOW_JOBS")
+    if env is None:
+        return run_cfg, min(_usable_cpus(), _MAX_JOBS)
+    try:
+        return run_cfg, _check_jobs(int(env), "RANKFLOW_JOBS")
+    except ValueError as e:
+        raise RankflowError(f"RANKFLOW_JOBS must be an integer, got {env!r}") from e
 
 
 def build_parser() -> _Parser:
@@ -264,6 +270,8 @@ def _cmd_gt_discrepancy(args, run_cfg, jobs):
 
 def _cmd_train(args, run_cfg, jobs):
     cfg = _section_cfg(args, run_cfg, "train")
+    if args.window is not None:  # a config's window_size is checked by load_run_config
+        check_window_size(args.window, "--window")
     window = args.window if args.window is not None else run_cfg.get("window_size", DEFAULT_WINDOW)
     dataset = build_training_set(args.in_dir, parse_ranking(args.gt), window)
     result = train(dataset, cfg)

@@ -21,12 +21,15 @@ from .errors import RankflowError
 
 def check_fields(cfg, integers=(), reals=()) -> None:
     """Raise ``ValueError`` naming the first bad field of a config:
-    ``integers`` are ``(name, low)`` pairs of integers >= low, ``reals``
-    ``(name, ok, span)`` triples of finite numbers for which ``ok`` holds."""
-    for name, low in integers:
+    ``integers`` are ``(name, low)`` pairs of integers >= low, or ``(name,
+    low, high)`` triples also <= high; ``reals`` are ``(name, ok, span)``
+    triples of finite numbers for which ``ok`` holds."""
+    for name, low, *high in integers:
         value = getattr(cfg, name)
         if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
             raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if high and value > high[0]:
+            raise ValueError(f"{name} must be at most {high[0]}, got {value!r}")
     for name, ok, span in reals:
         value = getattr(cfg, name)
         real = isinstance(value, numbers.Real) and not isinstance(value, bool)

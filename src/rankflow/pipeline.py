@@ -24,7 +24,7 @@ from .gtgen import require_map
 from .ingest import list_scene_files, parse_pgm, parse_scene, write_atomic, write_scene
 from .metrics import rank_from_saliency_map
 from .preprocess import FilterConfig, filter_proposals, read_features, scene_features, write_features
-from .rankcore import DEFAULT_WINDOW, check_window_size, rank_scene, window_batch
+from .rankcore import DEFAULT_WINDOW, rank_scene, window_batch
 from .scorer import make_scorer, window_gt_labels
 
 
@@ -115,9 +115,7 @@ def _scene_samples(scene: Scene, features, gt: dict[str, Ranking], window_size: 
 
 
 def build_training_set(pre_dir, gt: dict[str, Ranking], window_size: int = DEFAULT_WINDOW):
-    """One training sample per circular window of every preprocessed scene.
-    The window size is checked first, so an error about it names no scene."""
-    check_window_size(window_size)
+    """One training sample per circular window of every preprocessed scene."""
     rows = load_preprocessed(pre_dir, partial(_scene_samples, gt=gt, window_size=window_size))
     return [sample for _, samples in rows for sample in samples]
 

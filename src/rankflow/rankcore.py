@@ -30,9 +30,9 @@ class Window:
     member_ids: tuple[int, ...]  # proposal positions in the scene's order
 
 
-def check_window_size(window_size: int) -> None:
+def check_window_size(window_size: int, name: str = "window size") -> None:
     if not 1 <= window_size <= MAX_WINDOW:
-        raise RankflowError(f"window size must lie in 1..{MAX_WINDOW}, got {window_size}")
+        raise RankflowError(f"{name} must lie in 1..{MAX_WINDOW}, got {window_size}")
 
 
 def acb_sequences(n: int, window_size: int = DEFAULT_WINDOW) -> list[Window]:

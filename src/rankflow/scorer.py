@@ -161,15 +161,6 @@ def prepare_targets(gt_labels, dummy_mask=None) -> Targets:
     return Targets(hot, valid[..., None].astype(float), nv, pairs)
 
 
-def _window_sums(terms: np.ndarray) -> np.ndarray:
-    """Per-window sums of (..., W, K) terms, added one at a time in row-major
-    order as the per-row, per-pair loop form adds them (np.sum adds 8 or more
-    terms pairwise), so one window's loss matches that form bit for bit.
-    Sums in place: terms is overwritten."""
-    flat = terms.reshape(terms.shape[:-2] + (-1,))
-    return np.add.accumulate(flat, axis=-1, out=flat)[..., -1].copy()
-
-
 def batch_grads(model: ScorerModel, inputs: np.ndarray, targets: Targets, cfg: TrainConfig, grad: ScorerModel):
     """Analytic parameter grads of the loss (CE + alpha * margin ranking) of
     one window (W x d_in inputs) or of the mean over a batch of them ((B, W,
@@ -224,12 +215,13 @@ def batch_grads(model: ScorerModel, inputs: np.ndarray, targets: Targets, cfg: T
 
 def window_losses(p: np.ndarray, hinge: np.ndarray, hit: np.ndarray, targets: Targets, cfg: TrainConfig) -> np.ndarray:
     """Each window's loss, CE / (real rows) + alpha * margin ranking, from
-    batch_grads' p, hinge and hit for the windows of targets."""
-    ranking = _window_sums(np.where(hit, hinge, 0.0))
+    batch_grads' p, hinge and hit for the windows of targets, each window's
+    terms added by np.sum."""
+    ranking = np.where(hit, hinge, 0.0).sum(axis=(-2, -1))
     log_p = np.maximum(p, 1e-300)
     np.log(log_p, out=log_p)
     np.copyto(log_p, 0.0, where=~targets.hot)
-    loss = -_window_sums(log_p)
+    loss = -log_p.sum(axis=(-2, -1))
     loss /= targets.nv
     loss += cfg.alpha * ranking
     return loss
@@ -238,11 +230,11 @@ def window_losses(p: np.ndarray, hinge: np.ndarray, hit: np.ndarray, targets: Ta
 def loss_and_grad(model: ScorerModel, inputs: np.ndarray, targets: Targets, cfg: TrainConfig):
     """Loss (CE + alpha * margin ranking) and analytic parameter grads of one
     window (W x d_in inputs) or the mean over a batch of them ((B, W, d_in)
-    inputs), against the windows' prepare_targets: batch_grads, then
-    window_losses of its outputs."""
+    inputs), against the windows' prepare_targets: batch_grads, then the
+    mean of window_losses of its outputs."""
     grads = ScorerModel(*model.dims)
     loss = window_losses(*batch_grads(model, inputs, targets, cfg, grads), targets, cfg)
-    return float(loss.sum()) / loss.size, grads
+    return float(loss.mean()), grads
 
 
 @dataclass
@@ -254,17 +246,16 @@ class TrainResult:
 def train(dataset, cfg: TrainConfig) -> TrainResult:
     """Minibatch SGD with momentum and weight decay over shuffled windows.
 
-    dataset: sequence of (inputs W x d_in, gt_labels, dummy_mask) samples.
+    dataset: sequence of (inputs W x d_in, gt_labels, W dummy flags) samples.
     Each epoch steps once per BATCH windows of a fresh permutation (the last
     batch may be smaller) on the batch's mean grads. The windows' inputs are
     stacked and their Targets prepared once, as (N, W) stacks; each batch
     takes its inputs' rows by index, and the Targets are permuted once per
-    epoch and sliced per batch. A step computes only grads; each epoch's
-    losses are scored once, in one window_losses call over the p, hinge and
-    hit its steps kept, and summed per batch in batch order. The step
-    updates the model's one flat buffer in place; the grads are a second
-    ScorerModel and the velocity a buffer of the same layout. Deterministic:
-    same seed, same data -> identical model.
+    epoch and sliced per batch. A step computes only grads; an epoch's loss
+    is the mean of one window_losses call over the p, hinge and hit its
+    steps kept. The step updates the model's one flat buffer in place; the
+    grads are a second ScorerModel and the velocity a buffer of the same
+    layout. Deterministic: same seed, same data -> identical model.
     """
     dataset = list(dataset)
     if not dataset:
@@ -273,8 +264,7 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
     if any(np.shape(x) != shape for x, _, _ in dataset):
         raise RankflowError(f"every window's inputs must have shape {shape}")
     model = init_model(d_in=d_in, n_classes=w + 1, seed=cfg.seed)
-    masks = [[False] * w if mask is None else mask for _, _, mask in dataset]
-    targets = prepare_targets([gt for _, gt, _ in dataset], masks)
+    targets = prepare_targets([gt for _, gt, _ in dataset], [mask for _, _, mask in dataset])
     inputs = np.array([x for x, _, _ in dataset], dtype=float)
     theta = model.flat
     grad = ScorerModel(*model.dims)
@@ -300,14 +290,7 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
             velocity *= cfg.momentum
             velocity += grad.flat
             theta -= np.multiply(velocity, lr, out=scratch)
-        loss = window_losses(p, hinge, hit, shuffled, cfg)
-        total = 0.0
-        for batch in batches:
-            # The batch's mean loss times its size, as a loop of one
-            # loss_and_grad call per batch adds it: same epoch loss bits.
-            part = loss[batch]
-            total += float(part.sum()) / part.size * part.size
-        losses.append(total / n)
+        losses.append(float(window_losses(p, hinge, hit, shuffled, cfg).mean()))
     return TrainResult(model=model, epoch_losses=losses)
 
 

@@ -31,6 +31,12 @@ _MIN_SHARE = 0.01
 # (measured; one fixation in a corner is the worst case), so this admits every
 # sigma that changes a map of up to 760 px a side, the default 640 x 480 too.
 _MAX_SPLAT_SIGMA = 1000
+# A float64 blur buffer holds side^2 x 8 B, 128 MiB at 4096 px a side; a map's
+# two passes peak near 2.1 such buffers (measured), plus 2 x 4000 pad rows of
+# side x 8 B (250 MiB) at the sigma bound: about 520 MiB per worker.
+_MAX_SIDE = 4096
+# Parsing a scene holds about 350 B per fixation (measured): 350 MB at the bound.
+_MAX_FIXATIONS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -56,7 +62,7 @@ class SynthConfig:
     def __post_init__(self):
         integers = (
             ("seed", 0), ("n_scenes", 1), ("objects_min", 1), ("objects_max", self.objects_min),
-            ("width", 1), ("height", 1), ("fixations_per_scene", 0),
+            ("width", 1, _MAX_SIDE), ("height", 1, _MAX_SIDE), ("fixations_per_scene", 0, _MAX_FIXATIONS),
         )
         reals = (
             ("salient_fraction", lambda x: 0 <= x <= 1, "in [0, 1]"),

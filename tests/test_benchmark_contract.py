@@ -1,12 +1,16 @@
-"""The names the benchmark harness reaches into ``rankflow`` for.
+"""The names the benchmark harness reaches into ``rankflow`` for, and its
+in-process workloads run once.
 
 ``benchmarks/`` is run against each commit as it stands, so a function it
 traces or calls that is renamed or deleted in ``src/`` breaks its runs with
-an ``AttributeError``; these tests catch that here.
+an ``AttributeError``, and one whose signature or results change breaks its
+checks; these tests catch both here.
 """
 import ast
 import importlib
 from pathlib import Path
+
+import pytest
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -65,3 +69,13 @@ def test_workload_names_exist():
         assert expected in names
     assert sorted(n for n in names if not _resolves(*n)) == []
 
+
+@pytest.mark.parametrize("name", ["train-heldout", "oracle-rank"])
+def test_in_process_workload_runs_clean(monkeypatch, tmp_path, name):
+    """One round at seed 1 as the harness runs it: setup, run, then check."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    workload = importlib.import_module("workloads").WORKLOADS[name]
+    state = workload.setup(1, tmp_path)
+    output, _, failed = workload.run(state)
+    problems, _ = workload.check(state, output)
+    assert (problems, failed) == ([], 0)

@@ -124,6 +124,17 @@ class TestUsageErrors:
         assert f"splat_sigma must be a finite number in (0, 1000], got {sigma!r}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg]
 
+    @pytest.mark.parametrize(
+        "field, value, bound",
+        [("width", 4097, 4096), ("height", 10**9, 4096), ("fixations_per_scene", 1_000_001, 10**6)],
+    )
+    def test_synth_size_above_bound(self, tmp_path, capsys, field, value, bound):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synth": {field: value}}))
+        assert run("synth", "--config", str(cfg), "--scenes", "1", "--jobs", "1", "--out", str(tmp_path / "d")) == 2
+        assert f"error: {field} must be at most {bound}, got {value}\n" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_jobs_above_bound(self, tmp_path, monkeypatch, capsys):
         """Rejected before any worker starts, whichever source gives the count."""
         out = tmp_path / "d"
@@ -205,7 +216,19 @@ class TestUsageErrors:
         argv = ["train", "--in", str(dataset / "pre"), "--gt", str(dataset / "raw" / "gt.csv"),
                 "--out", str(tmp_path / "m.bin"), "--window", "-1"]
         assert run(*argv) == 2
-        assert "error: window size must lie in 1..7, got -1\n" in capsys.readouterr().err  # names no scene
+        assert "error: --window must lie in 1..7, got -1\n" in capsys.readouterr().err  # names no scene
+
+    def test_train_window_above_bound(self, dataset, tmp_path, capsys):
+        """Rejected naming its source, the flag or the config path and key."""
+        argv = ["train", "--in", str(dataset / "pre"), "--gt", str(dataset / "raw" / "gt.csv"),
+                "--out", str(tmp_path / "m.bin")]
+        assert run(*argv, "--window", "9") == 2
+        assert "error: --window must lie in 1..7, got 9\n" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"window_size": 9}))
+        assert run(*argv, "--config", str(cfg)) == 2
+        assert f"error: {cfg}: window_size must lie in 1..7, got 9\n" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_rank_takes_no_window_flag(self, dataset, tmp_path):
         argv = ["rank", "--in", str(dataset / "pre"), "--model", str(tmp_path / "m.bin"),
@@ -807,6 +830,7 @@ class TestDeterminism:
                 env=env, capture_output=True, text=True, timeout=120,
             )
             assert done.returncode == 0, done.stderr
+            assert done.stderr == CLI_TRAIN_LINE
             models.append(model.read_bytes())
         assert models[0] == models[1]
         assert hashlib.sha256(models[0]).hexdigest() == CLI_MODEL_SHA256
@@ -930,6 +954,8 @@ class TestProvenance:
 
 # SHA-256 of the model that `train --seed 1` writes for the shared dataset.
 CLI_MODEL_SHA256 = "12043c11bd68df4faf9df0f6908db04758810efd2d48c8c2cb7ec09f450732ab"
+# The stderr line of that run: its last three epoch losses to 4 decimals.
+CLI_TRAIN_LINE = "trained on 26 windows; last losses: 1.2866, 1.2841, 1.2814\n"
 
 
 class _Captured(Exception):

@@ -156,6 +156,16 @@ class TestConfigValidation:
             SynthConfig(splat_sigma=sigma)
         assert SynthConfig(splat_sigma=1000, width=1, height=1).splat_sigma == 1000
 
+    @pytest.mark.parametrize(
+        "field, bound", [("width", 4096), ("height", 4096), ("fixations_per_scene", 1_000_000)]
+    )
+    def test_sizes_are_bounded(self, field, bound):
+        # Checked by value only: no scene of these sizes is generated.
+        assert getattr(SynthConfig(**{field: bound}), field) == bound
+        for value in (bound + 1, 10**12):
+            with pytest.raises(ValueError, match=rf"^{field} must be at most {bound}, got {value}$"):
+                SynthConfig(**{field: value})
+
 
 # --- fixation placement and map rendering -------------------------------------
 
