@@ -205,7 +205,12 @@ def _cmd_synth(args, run_cfg, jobs):
         except ValueError as e:
             raise RankflowError(f"--objects expects min:max integers, got {args.objects!r}") from e
         objects = {"objects_min": lo, "objects_max": hi}
-    cfg = _section_cfg(args, run_cfg, "synth", **objects)
+    try:
+        cfg = _section_cfg(args, run_cfg, "synth", **objects)
+    except RankflowError as e:
+        if objects and str(e).startswith("objects_max must be at most"):
+            raise e.naming(f"--objects {args.objects}") from e
+        raise
     generate_dataset(cfg, args.out, jobs)
     return dataclasses.asdict(cfg), cfg.seed, f"wrote {cfg.n_scenes} scenes to {args.out}"
 

@@ -8,6 +8,18 @@ Formats:
 This module is the only one that touches the file system: every file is
 written by ``write_atomic`` (every CSV through ``write_csv``), and every
 dataset subdirectory is published whole by ``publish_dirs``.
+
+Reading pays once for a file's bytes.  A PGM raster is a read-only view of
+the file's bytes, which a ``Scene`` keeps without a copy.  A scene file
+whose ``fixations`` array is laid out exactly as ``write_scene`` writes it
+has its rows decoded by one numpy call, and ``json.loads`` decodes only the
+rest of the file.  Exactly means: the rows follow ``_FIXATION_JSON``, the
+writer's own template, with its spacing and key order; each value is an
+integer with no sign and no leading zero, of at most 9 digits;
+``"fixations"`` occurs once in the text, and no ``\\u`` escape could spell
+it again; and the rest decodes to an object whose ``fixations`` is ``[]``.
+Every other file is decoded whole by ``json.loads``, as before, so both
+paths give the same scene and a malformed file fails with the same message.
 """
 from __future__ import annotations
 
@@ -17,6 +29,7 @@ import io
 import itertools
 import json
 import os
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -104,7 +117,11 @@ def read_text(path) -> str:
 def read_json(path):
     """A UTF-8 JSON file's value.  Text that is not JSON, or JSON nested too
     deeply to parse, raises a RankflowError naming the file."""
-    text = read_text(path)
+    return _json_value(read_text(path), path)
+
+
+def _json_value(text: str, path):
+    """``read_json`` on a file's text."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
@@ -138,16 +155,52 @@ def _objects(entries, field: str) -> None:
             raise RankflowError(f"{field}: entry {i} is a {type(entry).__name__}, not a JSON object")
 
 
+_FIXATION_JSON = '{"observer_id": %d, "u": %d, "v": %d}'
+# ``write_scene``'s fixation array, each value an integer with no sign, no
+# leading zero and at most 9 digits; built from the writer's own row template.
+_ROW = re.escape(_FIXATION_JSON).replace("%d", "(?:0|[1-9][0-9]{0,8})")
+_WRITTEN_FIXATIONS = re.compile(rf'"fixations": \[((?:{_ROW}(?:, {_ROW})*)?)\]')
+_ROW_TEXT_TO_SPACES = str.maketrans(dict.fromkeys(_FIXATION_JSON.replace("%d", "") + ", ", " "))
+
+
+def _bulk_fixations(text: str):
+    """``(fixations, document)`` if ``text`` lays its fixations out exactly
+    as ``write_scene`` writes them (the module docstring gives the terms),
+    else None, and the caller decodes the whole text.  ``document`` is the
+    rest of the file, decoded with its ``fixations`` array emptied.  The
+    terms make the rows decoded here the value of the document's one
+    ``fixations`` key, each a valid fixation integer."""
+    if text.count('"fixations"') != 1 or "\\u" in text:
+        return None
+    found = _WRITTEN_FIXATIONS.search(text)
+    if found is None:
+        return None
+    try:
+        doc = json.loads(f'{text[: found.start()]}"fixations": []{text[found.end() :]}')
+    except (ValueError, RecursionError):
+        return None
+    if type(doc) is not dict or doc.get("fixations") != []:
+        return None
+    values = np.fromstring(found[1].translate(_ROW_TEXT_TO_SPACES), dtype=np.int64, sep=" ")
+    return values.reshape(-1, 3)[:, [1, 2, 0]], doc
+
+
 def parse_scene(path, load_map: bool = True) -> Scene:
     """Scene from a JSON file; ``load_map=False`` leaves its PGM map unread.
     Every error in the file's contents, or in the map it names, names the file.
     Each field must have its JSON type: nothing is coerced.
     A relative ``fixation_map_path`` is read beside the scene file.
-    The fixations become their ``(n, 3)`` int64 array in bulk: one flat list
-    of their values, one type check over it, one ``np.array``.  Each value is
-    checked on its own only when that check fails, to name its field."""
+
+    A file whose fixations are laid out exactly as ``write_scene`` writes
+    them has its rows decoded by one numpy call (``_bulk_fixations``).  Any
+    other file is decoded whole by ``json.loads``, and its fixations become
+    their ``(n, 3)`` int64 array in bulk: one flat list of their values, one
+    type check over it, one ``np.array``.  Each value is checked on its own
+    only when that check fails, to name its field.  Both give the same
+    scene, and a file the first declines fails as it always did."""
     path = Path(path)
-    doc = read_json(path)
+    text = read_text(path)
+    fixations, doc = _bulk_fixations(text) or (None, _json_value(text, path))
     try:
         _objects(doc["proposals"], "proposals")
         proposals = []
@@ -162,18 +215,19 @@ def parse_scene(path, load_map: bool = True) -> Scene:
                 x1, y1, x2, y2 = (float(_checked(c, "box", "number")) for c in box)
                 conf = float(_checked(p.get("confidence", 1.0), "confidence", "number"))
                 proposals.append(Proposal(id=pid, box=BBox(x1, y1, x2, y2), detector_confidence=conf))
-        entries = _array(doc.get("fixations", []), "fixations")
-        try:
-            rows = [(f["u"], f["v"], f.get("observer_id", 0)) for f in entries]
-        except TypeError:  # entries are type-checked only on failure, to keep the bulk path one pass
-            _objects(entries, "fixations")
-            raise
-        flat = list(itertools.chain.from_iterable(rows))
-        if not set(map(type, flat)) <= {int}:
-            for row in rows:
-                for field, value in zip(("u", "v", "observer_id"), row):
-                    _checked(value, field, "integer")
-        fixations = np.array(flat, dtype=np.int64).reshape(-1, 3)
+        if fixations is None:
+            entries = _array(doc.get("fixations", []), "fixations")
+            try:
+                rows = [(f["u"], f["v"], f.get("observer_id", 0)) for f in entries]
+            except TypeError:  # entries are type-checked only on failure, to keep the bulk path one pass
+                _objects(entries, "fixations")
+                raise
+            flat = list(itertools.chain.from_iterable(rows))
+            if not set(map(type, flat)) <= {int}:
+                for row in rows:
+                    for field, value in zip(("u", "v", "observer_id"), row):
+                        _checked(value, field, "integer")
+            fixations = np.array(flat, dtype=np.int64).reshape(-1, 3)
         map_path = doc.get("fixation_map_path")
         if map_path is not None:
             map_path = path.parent.joinpath(_checked(map_path, "fixation_map_path", "string"))
@@ -192,9 +246,6 @@ def parse_scene(path, load_map: bool = True) -> Scene:
         raise RankflowError(f"{path}: scene: {e}") from e
     except RankflowError as e:
         raise e.naming(path) from e
-
-
-_FIXATION_JSON = '{"observer_id": %d, "u": %d, "v": %d}'
 
 
 def write_scene(scene: Scene, path, fixation_map_path=None) -> None:
@@ -232,7 +283,8 @@ def parse_pgm(path) -> np.ndarray:
 
 
 def pgm_from_bytes(data: bytes, name="<pgm>") -> np.ndarray:
-    """The raster of a binary PGM as a read-only ``(height, width)`` uint8 array."""
+    """The raster of a binary PGM as a read-only ``(height, width)`` uint8
+    array: a view of ``data``, with no copy, whatever follows the raster."""
     if not data.startswith(b"P5"):
         raise RankflowError(f"{name}: not a binary PGM (P5)")
     pos = 2
@@ -257,12 +309,12 @@ def pgm_from_bytes(data: bytes, name="<pgm>") -> np.ndarray:
         raise RankflowError(f"{name}: non-numeric header") from e
     if maxval != 255:
         raise RankflowError(f"{name}: maxval must be 255, got {maxval}")
-    raster = data[pos : pos + width * height]
-    if len(raster) < width * height:
-        raise RankflowError(f"{name}: expected {width * height} raster bytes, got {len(raster)}")
+    got = max(len(data) - pos, 0)
+    if got < width * height:
+        raise RankflowError(f"{name}: expected {width * height} raster bytes, got {got}")
     if width <= 0 or height <= 0:
         raise RankflowError(f"{name}: graymap: width and height must be positive")
-    return np.frombuffer(raster, np.uint8).reshape(height, width)
+    return np.frombuffer(data, np.uint8, width * height, pos).reshape(height, width)
 
 
 def pgm_to_bytes(gmap: np.ndarray) -> bytes:

@@ -79,3 +79,15 @@ def test_in_process_workload_runs_clean(monkeypatch, tmp_path, name):
     output, _, failed = workload.run(state)
     problems, _ = workload.check(state, output)
     assert (problems, failed) == ([], 0)
+
+
+def test_cli_flow_outputs_pass_the_benchmark_checks(monkeypatch, tmp_path):
+    """The 12-scene flow of ``benchmarks/selftest.py``: every CLI stage in
+    this process, and the benchmark's own checks on what they wrote, which
+    read the scene, PGM and ``.feat`` files directly."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    flow = importlib.import_module("workloads").CliFlow()
+    flow.scenes = 12
+    output, _, failed = flow.run({"seed": 11, "work": tmp_path})
+    problems, _ = importlib.import_module("checks").check_cli_flow(output.directory)
+    assert (problems, failed) == ([], 0)

@@ -102,6 +102,17 @@ class TestUsageErrors:
         assert run("synth", "--objects", "5", "--out", str(tmp_path / "d")) == 2
         assert "--objects" in capsys.readouterr().err
 
+    def test_object_count_is_bounded(self, tmp_path, capsys):
+        # Checked by value only: no scene is generated.
+        out = tmp_path / "d"
+        assert run("synth", "--objects", "5:33", "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: --objects 5:33: objects_max must be at most 32, got 33\n"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"synth": {"objects_min": 40, "objects_max": 40}}))
+        assert run("synth", "--config", str(cfg), "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: objects_max must be at most 32, got 40\n"
+        assert not out.exists()
+
     def test_non_integer_jobs_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("RANKFLOW_JOBS", "abc")
         assert run("synth", "--scenes", "1", "--out", str(tmp_path / "d")) == 2
@@ -882,7 +893,7 @@ class TestDatasetPublishing:
     def test_failed_synth_writes_no_scene(self, tmp_path, capsys, jobs):
         out = tmp_path / "d"
         assert self._failing_synth(tmp_path, out, jobs) == 2
-        assert "scene 14: placement kept failing" in capsys.readouterr().err
+        assert "scene 14: placement kept failing for 9..11 objects" in capsys.readouterr().err
         assert tree(out) == {}  # no scene file, no staging directory
 
     def test_failed_synth_keeps_earlier_dataset(self, dataset, tmp_path):

@@ -122,6 +122,23 @@ class TestSceneFixations:
         with pytest.raises(RankflowError, match="fixation_map: 10x8 map for a 10x10 scene"):
             Scene("s", 10, 10, (), fixation_map=np.zeros((8, 10), np.uint8))
 
+    def test_map_whose_memory_can_change_is_copied(self):
+        base = np.zeros((10, 10), np.uint8)
+        view = base.view()
+        view.flags.writeable = False
+        scene = Scene("s", 10, 10, (), fixation_map=view)
+        base[3, 4] = 7
+        assert scene.fixation_map[3, 4] == 0 and not scene.fixation_map.flags.writeable
+        for given in (base, np.frombuffer(bytearray(100), np.uint8).reshape(10, 10)):
+            assert not np.shares_memory(Scene("s", 10, 10, (), fixation_map=given).fixation_map, given)
+
+    def test_map_over_immutable_bytes_is_kept(self):
+        raster = np.frombuffer(bytes(range(100)), np.uint8).reshape(10, 10)
+        assert Scene("s", 10, 10, (), fixation_map=raster).fixation_map is raster
+        # Over bytes, but not C-order: copied into C order.
+        scene = Scene("s", 10, 10, (), fixation_map=raster.T)
+        assert scene.fixation_map.flags.c_contiguous and np.array_equal(scene.fixation_map, raster.T)
+
     @pytest.mark.parametrize("scene_id", ["", ".", "..", "../x", "a/b", "a\\b", "a\0b"])
     def test_rejects_id_that_is_not_a_plain_file_name(self, scene_id):
         with pytest.raises(RankflowError, match="scene_id: must be a plain file name"):

@@ -1,14 +1,17 @@
+import contextlib
 import copy
 import json
 import pickle
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import edit_bytes, scene_to_dict, tree
+from conftest import BYTE_EDITS, edit_bytes, scene_to_dict, tree
+from rankflow import ingest
 from rankflow.domain import BBox, Proposal, Ranking, Scene
 from rankflow.errors import RankflowError
 from rankflow.ingest import (
@@ -225,6 +228,142 @@ class TestWriteScene:
         assert parse_scene(out, load_map=False) == scene
 
 
+def _reference_parse(path) -> Scene:
+    """``parse_scene`` with its bulk row decoder switched off, so the whole
+    file is decoded by ``json.loads`` alone."""
+    with mock.patch.object(ingest, "_bulk_fixations", lambda text: None):
+        return parse_scene(path, load_map=False)
+
+
+def _outcome(parse, path):
+    """The scene ``parse`` returns for ``path``, or its error message."""
+    try:
+        return parse(path)
+    except RankflowError as e:
+        return str(e)
+
+
+@contextlib.contextmanager
+def _bulk_spy():
+    """A list that receives what each ``_bulk_fixations`` call returns."""
+    results, real = [], ingest._bulk_fixations
+
+    def spy(text):
+        results.append(real(text))
+        return results[-1]
+
+    with mock.patch.object(ingest, "_bulk_fixations", spy):
+        yield results
+
+
+@st.composite
+def written_scenes(draw):
+    """A scene as ``write_scene`` takes it, and a map path to write with it.
+    Observer ids run up to 13 digits; ids and paths are sometimes non-ASCII,
+    which ``json.dumps`` writes as ``\\u`` escapes."""
+    width, height = draw(st.integers(1, 60)), draw(st.integers(1, 60))
+    observers = st.integers(0, 99) | st.integers(10**8, 10**12)
+    rows = draw(st.lists(st.tuples(st.integers(0, width - 1), st.integers(0, height - 1), observers), max_size=12))
+    proposals = draw(st.sampled_from([
+        (),
+        (Proposal(id=3, box=BBox(0.0, 0.5, width, height), detector_confidence=0.25),),
+        (Proposal(id=0, box=BBox(0.0, 0.0, 1.0, 1.0)), Proposal(id=1, box=None, is_dummy=True)),
+    ]))
+    scene_id = draw(st.sampled_from(["s", "scene_00007", 'q"t', "é"]))
+    map_path = draw(st.sampled_from([None, "../maps/s.pgm", "é.pgm"]))
+    return Scene(scene_id, width, height, proposals, rows), map_path
+
+
+# Edits of JSON text: digits, signs, spacing, literals and keys.
+JSON_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["cut", "put", "insert"]),
+        st.integers(0, 600),
+        st.sampled_from([b"0", b"7", b"-", b" ", b",", b".5", b"e3", b"true", b"1234567890", b'"fixations": []',
+                         b'"u": 1, ', b"\\u0066", b"{", b"]"]),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+class TestBulkFixations:
+    """parse_scene decodes write_scene's own fixation rows in bulk; every
+    file must give the same scene, or fail with the same message, as when
+    json.loads decodes it whole."""
+
+    @settings(max_examples=200)
+    @given(written_scenes())
+    def test_written_scene_parses_as_the_reference(self, tmp_path_factory, drawn):
+        scene, map_path = drawn
+        path = tmp_path_factory.getbasetemp() / "written_scene.json"
+        write_scene(scene, path, fixation_map_path=map_path)
+        with _bulk_spy() as spied:
+            parsed = parse_scene(path, load_map=False)
+        assert parsed == _reference_parse(path) == scene
+        # Only ids of 10 or more digits, or a \u escape, take the full decode.
+        canonical = scene.fixations.max(initial=0) < 10**9 and "\\u" not in path.read_text()
+        assert (spied[0] is not None) == canonical
+
+    @settings(max_examples=300)
+    @given(written_scenes(), BYTE_EDITS | JSON_EDITS)
+    def test_edited_scene_fails_as_the_reference(self, tmp_path_factory, drawn, edits):
+        scene, map_path = drawn
+        path = tmp_path_factory.getbasetemp() / "edited_scene.json"
+        write_scene(scene, path, fixation_map_path=map_path)
+        path.write_bytes(edit_bytes(path.read_bytes(), edits))
+        assert _outcome(lambda p: parse_scene(p, load_map=False), path) == _outcome(_reference_parse, path)
+
+    ROW = '{"observer_id": 0, "u": 3, "v": 4}'
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            (ROW, '{"observer_id":0, "u": 3, "v": 4}'),
+            ("}, {", "},{"),
+            ('"fixations": [', '"fixations" : ['),
+            (ROW, '{"u": 3, "observer_id": 0, "v": 4}'),
+            ('"width": 64}', '"width": 64, "fixations": []}'),
+            ('"width": 64}', '"width": 64, "fi\\u0078ations": []}'),
+            ('"fixations": [', '"proposals": [], "fixations": [{"fixations": []}, '),
+            ('"u": 3', '"u": -3'),
+            ('"u": 3', '"u": 3.0'),
+            ('"u": 3', '"u": 1e3'),
+            ('"u": 3', '"u": 03'),
+            ('"observer_id": 0', '"observer_id": false'),
+            ('"observer_id": 0', '"observer_id": 1234567890'),
+            ('"observer_id": 0', '"observer_id": -0'),
+        ],
+        ids=["row-spacing", "list-spacing", "key-spacing", "key-order", "second-key", "escaped-second-key",
+             "nested-key", "negative", "float", "exponent", "leading-zero", "bool", "ten-digits", "minus-zero"],
+    )
+    def test_other_layouts_take_the_full_decode(self, tmp_path, old, new):
+        scene = Scene("s", 64, 48, (Proposal(id=0, box=BBox(1.0, 2.0, 30.0, 40.0), detector_confidence=0.75),),
+                      [(3, 4, 0), (10, 2, 7)])
+        path = tmp_path / "scene.json"
+        write_scene(scene, path, fixation_map_path="m.pgm")
+        with _bulk_spy() as spied:
+            assert parse_scene(path, load_map=False) == scene
+        assert spied[0] is not None
+        text = path.read_text()
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
+        with _bulk_spy() as spied:
+            outcome = _outcome(lambda p: parse_scene(p, load_map=False), path)
+        assert spied == [None]
+        assert outcome == _outcome(_reference_parse, path)
+
+    def test_nested_key_alone_is_declined(self, tmp_path):
+        # The document's only "fixations" is a proposal's: the scene has none.
+        row = '{"observer_id": 0, "u": 3, "v": 4}'
+        path = tmp_path / "scene.json"
+        path.write_text('{"height": 48, "proposals": [{"box": [1, 2, 30, 40], "fixations": [%s], "id": 0}], '
+                        '"scene_id": "s", "width": 64}\n' % row)
+        with _bulk_spy() as spied:
+            assert parse_scene(path).fixations.shape == (0, 3)
+        assert spied == [None]
+
+
 class TestPgm:
     def test_decode(self, tmp_path):
         path = tmp_path / "a.pgm"
@@ -246,6 +385,20 @@ class TestPgm:
     def test_truncated(self):
         with pytest.raises(RankflowError, match="expected 16 raster bytes, got 2"):
             pgm_from_bytes(b"P5\n4 4\n255\n\x00\x00")
+
+    def test_short_raster_counts_the_bytes_after_the_header(self):
+        with pytest.raises(RankflowError, match=r"^m: expected 4 raster bytes, got 0$"):
+            pgm_from_bytes(b"P5\n2 2\n255", name="m")  # no byte after maxval
+        with pytest.raises(RankflowError, match=r"^m: graymap: width and height must be positive$"):
+            pgm_from_bytes(b"P5\n0 2\n255", name="m")
+
+    def test_map_is_read_without_a_copy(self, tmp_path):
+        gmap = np.arange(12, dtype=np.uint8).reshape(3, 4)
+        write_pgm(gmap, tmp_path / "m.pgm")
+        raster = parse_pgm(tmp_path / "m.pgm")
+        assert np.array_equal(raster, gmap) and not raster.flags.writeable
+        scene = Scene("s", 4, 3, (), fixation_map=raster)
+        assert np.shares_memory(scene.fixation_map, raster)
 
     def test_header_comment(self):
         gmap = pgm_from_bytes(b"P5\n# made elsewhere\n1 2\n255\n\x05\x06")

@@ -157,7 +157,8 @@ class TestConfigValidation:
         assert SynthConfig(splat_sigma=1000, width=1, height=1).splat_sigma == 1000
 
     @pytest.mark.parametrize(
-        "field, bound", [("width", 4096), ("height", 4096), ("fixations_per_scene", 1_000_000)]
+        "field, bound",
+        [("width", 4096), ("height", 4096), ("fixations_per_scene", 1_000_000), ("objects_max", 32)],
     )
     def test_sizes_are_bounded(self, field, bound):
         # Checked by value only: no scene of these sizes is generated.
@@ -165,6 +166,16 @@ class TestConfigValidation:
         for value in (bound + 1, 10**12):
             with pytest.raises(ValueError, match=rf"^{field} must be at most {bound}, got {value}$"):
                 SynthConfig(**{field: value})
+
+    def test_object_count_bound_admits_oracle_rank(self):
+        # The benchmark's oracle-rank workload places up to 20 objects a scene.
+        assert SynthConfig(objects_min=20, objects_max=20).objects_max == 20
+
+    def test_failed_placement_names_the_object_count(self):
+        # Two boxes that each fill the image can never both be placed.
+        cfg = replace(FAST, objects_min=2, objects_max=2, box_frac_min=1.0, box_frac_max=1.0, iou_cap=0.0)
+        with pytest.raises(GenerationFailure, match=r"^scene 3: placement kept failing for 2\.\.2 objects$"):
+            generate_scene(cfg, 3)
 
 
 # --- fixation placement and map rendering -------------------------------------
@@ -427,6 +438,23 @@ class TestRenderMap:
         off = _gray_levels_off(cfg, fixations)
         assert np.argwhere(off).tolist() == [[1, 2]]
         assert off[1, 2] == -1
+
+    def test_work_buffers_are_reused_across_sizes(self):
+        # One process renders maps of two sizes and two sigmas in turn, so
+        # the work buffers are resized and reused between renders; each map
+        # stays byte for byte what it was the first time.
+        rng = np.random.default_rng(5)
+        cases = []
+        for width, height in ((200, 160), (53, 97)):
+            for sigma in (2.5, 8.0):
+                cfg = replace(FAST, width=width, height=height, splat_sigma=sigma)
+                u, v = rng.integers(0, width, 400), rng.integers(0, height, 400)
+                cases.append((cfg, np.column_stack([u, v, np.zeros(400, int)])))
+        first = [_render_map(cfg, fixations).tobytes() for cfg, fixations in cases]
+        for _ in range(2):
+            for (cfg, fixations), want in zip(cases + cases[::-1], first + first[::-1]):
+                assert _render_map(cfg, fixations).tobytes() == want
+                assert np.abs(_gray_levels_off(cfg, fixations)).max() <= 1
 
     @pytest.mark.parametrize("width, height", [(4000, 3), (3, 4000)])
     def test_memory_grows_with_the_radius_not_the_side(self, width, height):
