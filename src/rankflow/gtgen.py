@@ -122,16 +122,11 @@ def discrepancy_offsets(counted, cfg_base: GtConfig, thresholds) -> list[tuple[f
     For each consecutive threshold pair (t_prev, t) sums |order_t - order_t_prev|
     over every proposal of every scene.
     """
-    thresholds = list(thresholds)
-    rank_cache = []
+    out, prev = [], None
     for t in thresholds:
         cfg = replace(cfg_base, gamma=t)
-        rank_cache.append([_rank_counts(total, boxes, cfg) for total, boxes in counted])
-    out = []
-    for idx in range(1, len(thresholds)):
-        total = 0
-        for prev, cur in zip(rank_cache[idx - 1], rank_cache[idx]):
-            for pid in cur.labels:
-                total += abs(cur.labels[pid] - prev.labels[pid])
-        out.append((thresholds[idx], total))
+        cur = [_rank_counts(total, boxes, cfg).labels for total, boxes in counted]
+        if prev is not None:
+            out.append((t, sum(abs(now[pid] - was[pid]) for now, was in zip(cur, prev) for pid in now)))
+        prev = cur
     return out

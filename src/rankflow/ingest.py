@@ -319,7 +319,7 @@ def pgm_from_bytes(data: bytes, name="<pgm>") -> np.ndarray:
 
 def pgm_to_bytes(gmap: np.ndarray) -> bytes:
     height, width = gmap.shape
-    return b"P5\n%d %d\n255\n" % (width, height) + gmap.tobytes()
+    return b"".join((b"P5\n%d %d\n255\n" % (width, height), np.ascontiguousarray(gmap)))
 
 
 def write_pgm(gmap: np.ndarray, path) -> None:

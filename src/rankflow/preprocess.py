@@ -3,7 +3,11 @@
 Filtering removes duplicate and degenerate proposals (greedy confidence-ordered
 NMS plus area bounds) and pads with dummy proposals up to the minimum window
 size.  Features summarize local and enlarged-context fixation/map statistics
-plus normalized geometry; they are cached as binary sidecar files.
+plus normalized geometry; they are cached as binary sidecar files.  The 14
+columns, in order: the box's fixation share, relative fixation density, map
+mean and max; the same share, mean and max over the box enlarged 1.5x about
+its center and clipped to the image; sqrt-size ratio; center x, y; x1, y1,
+x2, y2, each over the image's width or height.
 """
 from __future__ import annotations
 
@@ -65,74 +69,34 @@ def filter_proposals(scene: Scene, cfg: FilterConfig | None = None) -> Scene:
     return replace(scene, proposals=tuple(out))
 
 
-def _global_box(scene: Scene, box: BBox) -> BBox:
-    """Box enlarged 1.5x about its center, clipped to the image."""
-    cx = (box.x1 + box.x2) / 2
-    cy = (box.y1 + box.y2) / 2
-    hw = box.width * 1.5 / 2
-    hh = box.height * 1.5 / 2
-    return BBox(
-        max(0.0, cx - hw),
-        max(0.0, cy - hh),
-        min(float(scene.width), cx + hw),
-        min(float(scene.height), cy + hh),
-    )
-
-
 def _region_stats(scene: Scene, box: BBox, total_fix: int):
     share = count_fixations(box, scene.fixations) / total_fix if total_fix else 0.0
-    if scene.fixation_map is not None:
-        vals = map_region(scene.fixation_map, box)
-        map_mean = float(vals.mean()) / 255.0 if vals.size else 0.0
-        map_max = float(vals.max()) / 255.0 if vals.size else 0.0
-    else:
-        map_mean = map_max = 0.0
-    return share, map_mean, map_max
-
-
-def extract_features(scene: Scene, proposal: Proposal) -> np.ndarray:
-    """14-entry descriptor; all zeros for dummy proposals."""
-    if proposal.is_dummy:
-        return np.zeros(FEATURE_DIM)
-    box = proposal.box
-    total_fix = len(scene.fixations)
-    image_area = scene.width * scene.height
-
-    fix_share_local, map_mean_local, map_max_local = _region_stats(scene, box, total_fix)
-    gbox = _global_box(scene, box)
-    fix_share_global, map_mean_global, map_max_global = _region_stats(scene, gbox, total_fix)
-
-    # Fixation concentration relative to the scene-wide density, squashed to [0,1).
-    scene_density = total_fix / image_area
-    if scene_density > 0:
-        rel = (fix_share_local * total_fix / box.area) / scene_density
-        fix_density_local = rel / (1.0 + rel)
-    else:
-        fix_density_local = 0.0
-
-    return np.array(
-        [
-            fix_share_local,
-            fix_density_local,
-            map_mean_local,
-            map_max_local,
-            fix_share_global,
-            map_mean_global,
-            map_max_global,
-            sqrt_size(box) / math.sqrt(image_area),
-            (box.x1 + box.x2) / 2 / scene.width,
-            (box.y1 + box.y2) / 2 / scene.height,
-            box.x1 / scene.width,
-            box.y1 / scene.height,
-            box.x2 / scene.width,
-            box.y2 / scene.height,
-        ]
-    )
+    vals = None if scene.fixation_map is None else map_region(scene.fixation_map, box)
+    if vals is None or not vals.size:
+        return share, 0.0, 0.0
+    return share, float(vals.mean()) / 255.0, float(vals.max()) / 255.0
 
 
 def scene_features(scene: Scene) -> np.ndarray:
-    """Feature matrix aligned with scene.proposals (n x 14)."""
-    return np.stack([extract_features(scene, p) for p in scene.proposals])
+    """Feature matrix aligned with scene.proposals (n x 14): the columns the
+    module docstring lists for each real proposal, zeros for each dummy."""
+    w, h = scene.width, scene.height
+    total_fix = len(scene.fixations)
+    density = total_fix / (w * h)
+    out = np.zeros((len(scene.proposals), FEATURE_DIM))
+    for row, p in zip(out, scene.proposals):
+        if p.is_dummy:
+            continue
+        b = p.box
+        cx, cy = (b.x1 + b.x2) / 2, (b.y1 + b.y2) / 2
+        hw, hh = b.width * 1.5 / 2, b.height * 1.5 / 2
+        gbox = BBox(max(0.0, cx - hw), max(0.0, cy - hh), min(float(w), cx + hw), min(float(h), cy + hh))
+        share, map_mean, map_max = _region_stats(scene, b, total_fix)
+        # Fixation concentration relative to the scene-wide density, squashed to [0,1).
+        rel = (share * total_fix / b.area) / density if density > 0 else 0.0
+        row[:] = (share, rel / (1.0 + rel), map_mean, map_max, *_region_stats(scene, gbox, total_fix),
+                  sqrt_size(b) / math.sqrt(w * h), cx / w, cy / h, b.x1 / w, b.y1 / h, b.x2 / w, b.y2 / h)
+    return out
 
 
 def write_features(features: np.ndarray, path) -> None:

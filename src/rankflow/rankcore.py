@@ -92,25 +92,25 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e
 
 
-def exclusive_classify(scores: np.ndarray, dummy_mask) -> np.ndarray:
+def exclusive_classify(p: np.ndarray, dummy_mask) -> np.ndarray:
     """Assign distinct within-window ranks via Hungarian matching on -log p.
 
-    scores: one W x (W+1) matrix or a (..., W, W+1) stack of them, with a
-    dummy mask of the same leading shape; returns int labels of that shape.
+    p: the class probabilities (the softmax of the scorer's logits) of one
+    window, W x (W+1), or of a (..., W, W+1) stack of windows, with a dummy
+    mask of the same leading shape; returns int labels of that shape.
     Rank columns are classes 1..W; class 0 overrides a row's assigned rank
     when the row prefers non-salient.  Dummy rows cost 0 in every column:
     a flat row adds the same to every permutation, so it never displaces
     real rows nor widens the assignment's tie tolerance.  Dummy rows are
     forced to label 0.
     """
-    scores = np.asarray(scores, dtype=float)
-    w, c = scores.shape[-2:]
+    p = np.asarray(p, dtype=float)
+    w, c = p.shape[-2:]
     if c != w + 1:
         raise RankflowError(f"expected {w}x{w + 1} score matrix, got {w}x{c}")
     dummy = np.asarray(dummy_mask, dtype=bool)
-    if dummy.shape != scores.shape[:-1]:
-        raise RankflowError(f"dummy mask shape {dummy.shape} != score rows {scores.shape[:-1]}")
-    p = softmax(scores)
+    if dummy.shape != p.shape[:-1]:
+        raise RankflowError(f"dummy mask shape {dummy.shape} != score rows {p.shape[:-1]}")
     neglog = -np.log(np.maximum(p, 1e-300))
     cost = np.where(dummy[..., None], 0.0, neglog[..., 1:])
     rank = np.asarray(hungarian(cost), dtype=np.intp) + 1
@@ -176,7 +176,7 @@ def aggregate_votes(members, labels, probs, proposals: tuple[Proposal, ...]) -> 
 
 def window_inputs(features: np.ndarray, member_ids) -> np.ndarray:
     """Per-row scorer input: own 14 features plus 4 window-context entries
-    (mean and max of the members' fixation share and map max).
+    (mean and max of the members' fixation share and map max, columns 0 and 3).
 
     member_ids: one window's W positions (W x 18 result) or an (n, W) array
     of windows (n x W x 18 result).
@@ -221,6 +221,5 @@ def rank_scene(
     Deterministic given scene, features and scorer parameters.
     """
     members, ids, dummy, inputs = window_batch(scene, features, window_size)
-    logits = np.asarray(scorer(ids, inputs), dtype=float)
-    labels = exclusive_classify(logits, dummy)
-    return aggregate_votes(members, labels, softmax(logits), scene.proposals)
+    p = softmax(scorer(ids, inputs))
+    return aggregate_votes(members, exclusive_classify(p, dummy), p, scene.proposals)

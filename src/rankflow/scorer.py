@@ -36,7 +36,8 @@ class ScorerModel:
         self.b2 = self.flat[e:]
 
     def __reduce__(self):
-        # Rebuilt around one buffer; a default pickle would give four detached copies.
+        """A pickled model (as sent to rank's workers) is rebuilt around one
+        buffer; a default pickle would give four detached copies."""
         return ScorerModel, (*self.dims, self.flat)
 
     def params(self):
@@ -103,7 +104,8 @@ def oracle_scorer(gt: Ranking):
 
 
 def _forward(model: ScorerModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ReLU hidden layer (..., h) and the logits (..., C) of x (..., d_in)."""
+    """The ReLU hidden layer (..., h) and the logits (..., C) of x (..., d_in):
+    the one forward pass of mlp_forward (ranking) and batch_grads (training)."""
     hidden = x @ model.w1
     hidden += model.b1
     np.maximum(0.0, hidden, out=hidden)
@@ -172,7 +174,9 @@ def batch_grads(model: ScorerModel, inputs: np.ndarray, targets: Targets, cfg: T
     them.  Dummy rows are masked out of both terms.  The ranking term
     compares expected class indices of salient pairs: the lower-ranked (less
     salient) member's expectation should exceed the higher-ranked one's by
-    the margin.
+    the margin.  Batched matmuls add in another order than a per-window loop,
+    so a batch's grads match that loop's to a relative 1e-12, one window's
+    bit for bit.
     """
     inputs = np.asarray(inputs, dtype=float)
     d_in, _, c = model.dims
@@ -295,7 +299,8 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
 
 
 def save_model(model: ScorerModel, path) -> None:
-    """Flat little-endian file: magic, int32 dims (d_in, h, C), float64 params."""
+    """Flat little-endian file: magic, int32 dims (d_in, h, C), float64
+    params, the one flat buffer written in one piece."""
     write_atomic(path, MODEL_MAGIC + struct.pack("<3i", *model.dims) + model.flat.astype("<f8").tobytes())
 
 

@@ -27,6 +27,7 @@ from rankflow.rankcore import (
     exclusive_classify,
     hungarian,
     rank_scene,
+    softmax,
     window_inputs,
 )
 from rankflow.scorer import (
@@ -86,7 +87,7 @@ def test_criterion_03_ecs_exclusivity():
     for _ in range(10_000):
         logits = rng.normal(scale=2.0, size=(5, 6))
         dummy = (rng.random(5) < 0.15).tolist()
-        labels = exclusive_classify(logits, dummy)
+        labels = exclusive_classify(softmax(logits), dummy)
         nonzero = [l for l in labels if l > 0]
         assert len(set(nonzero)) == len(nonzero)
         assert all(1 <= l <= 5 for l in nonzero)

@@ -1,18 +1,23 @@
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import BYTE_EDITS, edit_bytes, make_scene
+from rankflow.domain import BBox, Proposal, Scene
 from rankflow.errors import RankflowError
 from rankflow.preprocess import (
     FEATURE_DIM,
     FilterConfig,
-    extract_features,
     filter_proposals,
     read_features,
     scene_features,
     write_features,
 )
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
 class TestFilterProposals:
@@ -64,20 +69,41 @@ class TestFilterProposals:
         assert [p.id for p in once.proposals] == [p.id for p in twice.proposals]
 
 
+def _span(limit):
+    """Two distinct coordinates in [0, limit], each an image edge half the
+    time, so the 1.5x box clips at every edge."""
+    c = st.sampled_from([0, limit]) | st.floats(0, limit)
+    return st.tuples(c, c).filter(lambda t: t[0] != t[1]).map(sorted)
+
+
+@st.composite
+def feature_scenes(draw):
+    """A scene of real boxes (at least a pixel in area) and dummies in any
+    order, with or without fixations and a map."""
+    w, h = draw(st.integers(2, 40)), draw(st.integers(2, 40))
+    spans = st.tuples(_span(w), _span(h)).filter(lambda s: (s[0][1] - s[0][0]) * (s[1][1] - s[1][0]) >= 1)
+    boxes = [BBox(x1, y1, x2, y2) for (x1, x2), (y1, y2) in draw(st.lists(spans, min_size=1, max_size=6))]
+    proposals = [Proposal(i, b) for i, b in enumerate(boxes)]
+    proposals += [Proposal(-1 - i, None, is_dummy=True) for i in range(draw(st.integers(0, 3)))]
+    fix = draw(st.lists(st.tuples(st.integers(0, w - 1), st.integers(0, h - 1), st.integers(0, 2)), max_size=40))
+    raster = st.binary(min_size=w * h, max_size=w * h).map(lambda b: np.frombuffer(b, np.uint8).reshape(h, w))
+    return Scene("s", w, h, tuple(draw(st.permutations(proposals))), fix, draw(st.none() | raster))
+
+
 class TestExtractFeatures:
     def test_dummy_is_zero(self):
         scene = filter_proposals(make_scene([(0, 0, 30, 30)]), FilterConfig(min_count=2))
-        dummy = next(p for p in scene.proposals if p.is_dummy)
-        assert np.array_equal(extract_features(scene, dummy), np.zeros(FEATURE_DIM))
+        assert scene.proposals[1].is_dummy
+        assert np.array_equal(scene_features(scene)[1], np.zeros(FEATURE_DIM))
 
     def test_fixation_share(self):
         scene = make_scene([(0, 0, 50, 50)], [(10, 10), (20, 20), (80, 80), (90, 90)])
-        feats = extract_features(scene, scene.proposals[0])
+        feats = scene_features(scene)[0]
         assert feats[0] == pytest.approx(0.5)
 
     def test_geometry_entries(self):
         scene = make_scene([(20, 10, 60, 50)])
-        feats = extract_features(scene, scene.proposals[0])
+        feats = scene_features(scene)[0]
         assert feats[7] == pytest.approx(40 / 100)  # sqrt-size ratio
         assert feats[8] == pytest.approx(0.4)  # center x
         assert feats[9] == pytest.approx(0.3)  # center y
@@ -87,7 +113,7 @@ class TestExtractFeatures:
         grid = np.zeros((100, 100), dtype=np.uint8)
         grid[0:10, 0:10] = 255
         scene = make_scene([(0, 0, 10, 10)], map_values=grid)
-        feats = extract_features(scene, scene.proposals[0])
+        feats = scene_features(scene)[0]
         assert feats[2] == pytest.approx(1.0)  # local mean
         assert feats[3] == pytest.approx(1.0)  # local max
 
@@ -97,13 +123,42 @@ class TestExtractFeatures:
             [(50, 50)] * 10,
             map_values=np.full((100, 100), 255),
         )
-        feats = extract_features(scene, scene.proposals[0])
+        feats = scene_features(scene)[0]
         assert feats.shape == (FEATURE_DIM,)
         assert np.all(feats >= 0) and np.all(feats <= 1)
 
     def test_scene_features_shape(self):
         scene = filter_proposals(make_scene([(0, 0, 30, 30)]), FilterConfig(min_count=5))
         assert scene_features(scene).shape == (5, FEATURE_DIM)
+
+    def test_equal_to_the_benchmark_recomputation(self, monkeypatch):
+        # The benchmark's checker computes the real proposals' features from
+        # the raw boxes and fixations on its own; every value must match bit
+        # for bit, and every dummy row must be zero.
+        monkeypatch.syspath_prepend(str(BENCHMARKS))
+        checks = importlib.import_module("checks")
+        frame = make_scene([(0, 0, 3, 3), (5, 0, 8, 3), (0, 5, 3, 8), (5, 5, 8, 8), (0, 0, 8, 8)], width=8, height=8)
+
+        @given(feature_scenes())
+        @example(frame)  # a box on each edge, no fixations, no map
+        @example(Scene("s", 8, 8, frame.proposals, [(0, 0, 1), (7, 7, 0)], np.arange(64, dtype=np.uint8).reshape(8, 8)))
+        def check(scene):
+            feats = scene_features(scene)
+            real = [i for i, p in enumerate(scene.proposals) if not p.is_dummy]
+            doc = checks.SceneDoc(
+                scene_id=scene.scene_id,
+                width=scene.width,
+                height=scene.height,
+                ids=[scene.proposals[i].id for i in real],
+                boxes=[(b.x1, b.y1, b.x2, b.y2) for b in (scene.proposals[i].box for i in real)],
+                n_proposals=len(scene.proposals),
+                fix=scene.fixations[:, :2],
+                map_path=None,
+            )
+            assert np.array_equal(feats[real], checks.features(doc, scene.fixation_map))
+            assert not np.delete(feats, real, axis=0).any()
+
+        check()
 
 
 class TestFeatureFiles:

@@ -172,7 +172,7 @@ class TestExclusiveClassify:
         logits = np.full((5, 6), -5.0)
         for r in range(5):
             logits[r, r + 1] = 5.0
-        out = exclusive_classify(logits, [False] * 5)
+        out = exclusive_classify(softmax(logits), [False] * 5)
         assert out.tolist() == [1, 2, 3, 4, 5]
 
     def test_conflicting_rows_stay_exclusive(self):
@@ -180,7 +180,7 @@ class TestExclusiveClassify:
         logits = np.full((5, 6), 0.0)
         logits[0, 1] = 4.0
         logits[1, 1] = 3.0
-        out = exclusive_classify(logits, [False] * 5)
+        out = exclusive_classify(softmax(logits), [False] * 5)
         nonzero = [l for l in out if l > 0]
         assert len(set(nonzero)) == len(nonzero)
         assert out[0] == 1
@@ -188,13 +188,13 @@ class TestExclusiveClassify:
     def test_class_zero_override(self):
         logits = np.full((5, 6), 0.0)
         logits[2, 0] = 6.0  # row 2 is confident non-salient
-        out = exclusive_classify(logits, [False] * 5)
+        out = exclusive_classify(softmax(logits), [False] * 5)
         assert out[2] == 0
 
     def test_dummy_rows_forced_zero(self):
         logits = np.zeros((5, 6))
         logits[3, 1] = 9.0
-        out = exclusive_classify(logits, [False, False, False, True, True])
+        out = exclusive_classify(softmax(logits), [False, False, False, True, True])
         assert out[3] == 0 and out[4] == 0
 
     def test_dummy_row_leaves_the_real_rows_optimal(self):
@@ -205,7 +205,7 @@ class TestExclusiveClassify:
         cost[1, :2] = [0.0, 0.0005]
         cost[2, 2] = cost[3, 3] = cost[4, 4] = 0.0
         logits = np.column_stack([np.full(5, -20.0), -cost])
-        out = exclusive_classify(logits, [True, False, False, False, False])
+        out = exclusive_classify(softmax(logits), [True, False, False, False, False])
         assert out.tolist() == [0, 1, 3, 4, 5]
 
     def test_shape_check(self):
@@ -221,11 +221,11 @@ class TestExclusiveClassify:
         logits = rng.normal(scale=3.0, size=(300, 5, 6))
         logits[::3] = np.round(logits[::3])  # exact ties
         dummy = rng.random((300, 5)) < 0.2
-        labels = exclusive_classify(logits, dummy)
+        labels = exclusive_classify(softmax(logits), dummy)
         assert labels.shape == (300, 5)
         assert labels.dtype.kind == "i"
         for x, mask, row in zip(logits, dummy, labels):
-            assert np.array_equal(exclusive_classify(x, mask), row)
+            assert np.array_equal(exclusive_classify(softmax(x), mask), row)
 
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=150)
@@ -234,7 +234,7 @@ class TestExclusiveClassify:
             [[rnd.uniform(-4, 4) for _ in range(6)] for _ in range(5)]
         )
         dummy = [rnd.random() < 0.2 for _ in range(5)]
-        out = exclusive_classify(logits, dummy)
+        out = exclusive_classify(softmax(logits), dummy)
         nonzero = [l for l in out if l > 0]
         assert len(set(nonzero)) == len(nonzero)
         assert all(1 <= l <= 5 for l in nonzero)
