@@ -12,21 +12,15 @@ dataset subdirectory is published whole by ``publish_dirs``.
 Reading pays once for a file's bytes.  A PGM raster is a read-only view of
 the file's bytes, which a ``Scene`` keeps without a copy.  A scene file
 whose ``fixations`` array is laid out exactly as ``write_scene`` writes it
-has its rows decoded by one numpy call, and ``json.loads`` decodes only the
-rest of the file.  Exactly means: the rows follow ``_FIXATION_JSON``, the
-writer's own template, with its spacing and key order; each value is an
-integer with no sign and no leading zero, of at most 9 digits;
-``"fixations"`` occurs once in the text, and no ``\\u`` escape could spell
-it again; and the rest decodes to an object whose ``fixations`` is ``[]``.
-Every other file is decoded whole by ``json.loads``, as before, so both
-paths give the same scene and a malformed file fails with the same message.
+(``_bulk_fixations`` states the terms) has its rows decoded by one numpy
+call; every other scene file is decoded whole by ``json.loads``.  Both give
+the same scene, and a malformed file fails with the same message.
 """
 from __future__ import annotations
 
 import contextlib
 import csv
 import io
-import itertools
 import json
 import os
 import re
@@ -140,19 +134,15 @@ def _checked(value, field: str, kind: str):
     return value
 
 
-def _array(value, field: str) -> list:
-    """``value`` if it is a JSON array; else a RankflowError naming ``field``."""
-    if type(value) is not list:
-        raise RankflowError(f"{field}: must be a JSON array, got a {type(value).__name__}")
-    return value
-
-
-def _objects(entries, field: str) -> None:
-    """Raise a RankflowError naming ``field`` unless ``entries`` is a JSON
-    array of JSON objects."""
-    for i, entry in enumerate(_array(entries, field)):
+def _objects(entries, field: str) -> list:
+    """``entries`` if it is a JSON array of JSON objects; else a
+    RankflowError naming ``field``."""
+    if type(entries) is not list:
+        raise RankflowError(f"{field}: must be a JSON array, got a {type(entries).__name__}")
+    for i, entry in enumerate(entries):
         if type(entry) is not dict:
             raise RankflowError(f"{field}: entry {i} is a {type(entry).__name__}, not a JSON object")
+    return entries
 
 
 _FIXATION_JSON = '{"observer_id": %d, "u": %d, "v": %d}'
@@ -165,11 +155,15 @@ _ROW_TEXT_TO_SPACES = str.maketrans(dict.fromkeys(_FIXATION_JSON.replace("%d", "
 
 def _bulk_fixations(text: str):
     """``(fixations, document)`` if ``text`` lays its fixations out exactly
-    as ``write_scene`` writes them (the module docstring gives the terms),
-    else None, and the caller decodes the whole text.  ``document`` is the
-    rest of the file, decoded with its ``fixations`` array emptied.  The
-    terms make the rows decoded here the value of the document's one
-    ``fixations`` key, each a valid fixation integer."""
+    as ``write_scene`` writes them, else None, and the caller decodes the
+    whole text.  Exactly means: the rows follow ``_FIXATION_JSON``, the
+    writer's own template, with its spacing and key order; each value is an
+    integer with no sign and no leading zero, of at most 9 digits;
+    ``"fixations"`` occurs once in the text, and no ``\\u`` escape could
+    spell it again; and the rest decodes to an object whose ``fixations`` is
+    ``[]``.  ``document`` is that rest.  The terms make the rows decoded here
+    the value of the document's one ``fixations`` key, each a valid
+    fixation integer."""
     if text.count('"fixations"') != 1 or "\\u" in text:
         return None
     found = _WRITTEN_FIXATIONS.search(text)
@@ -192,19 +186,16 @@ def parse_scene(path, load_map: bool = True) -> Scene:
     A relative ``fixation_map_path`` is read beside the scene file.
 
     A file whose fixations are laid out exactly as ``write_scene`` writes
-    them has its rows decoded by one numpy call (``_bulk_fixations``).  Any
-    other file is decoded whole by ``json.loads``, and its fixations become
-    their ``(n, 3)`` int64 array in bulk: one flat list of their values, one
-    type check over it, one ``np.array``.  Each value is checked on its own
-    only when that check fails, to name its field.  Both give the same
-    scene, and a file the first declines fails as it always did."""
+    them has its rows decoded in bulk (``_bulk_fixations`` gives the terms).
+    Any other file is decoded whole by ``json.loads`` and checked in one
+    pass: the ``fixations`` array, then that each entry is an object, then
+    each entry's fields.  Both give the same scene."""
     path = Path(path)
     text = read_text(path)
     fixations, doc = _bulk_fixations(text) or (None, _json_value(text, path))
     try:
-        _objects(doc["proposals"], "proposals")
         proposals = []
-        for p in doc["proposals"]:
+        for p in _objects(doc["proposals"], "proposals"):
             pid = _checked(p["id"], "id", "integer")
             if _checked(p.get("is_dummy", False), "is_dummy", "bool"):
                 proposals.append(Proposal(id=pid, box=None, is_dummy=True))
@@ -216,18 +207,11 @@ def parse_scene(path, load_map: bool = True) -> Scene:
                 conf = float(_checked(p.get("confidence", 1.0), "confidence", "number"))
                 proposals.append(Proposal(id=pid, box=BBox(x1, y1, x2, y2), detector_confidence=conf))
         if fixations is None:
-            entries = _array(doc.get("fixations", []), "fixations")
-            try:
-                rows = [(f["u"], f["v"], f.get("observer_id", 0)) for f in entries]
-            except TypeError:  # entries are type-checked only on failure, to keep the bulk path one pass
-                _objects(entries, "fixations")
-                raise
-            flat = list(itertools.chain.from_iterable(rows))
-            if not set(map(type, flat)) <= {int}:
-                for row in rows:
-                    for field, value in zip(("u", "v", "observer_id"), row):
-                        _checked(value, field, "integer")
-            fixations = np.array(flat, dtype=np.int64).reshape(-1, 3)
+            fixations = [
+                (_checked(f["u"], "u", "integer"), _checked(f["v"], "v", "integer"),
+                 _checked(f.get("observer_id", 0), "observer_id", "integer"))
+                for f in _objects(doc.get("fixations", []), "fixations")
+            ]
         map_path = doc.get("fixation_map_path")
         if map_path is not None:
             map_path = path.parent.joinpath(_checked(map_path, "fixation_map_path", "string"))

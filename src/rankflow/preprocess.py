@@ -20,8 +20,14 @@ import numpy as np
 from .domain import BBox, Proposal, Scene, check_fields, count_fixations, iou, map_region, sqrt_size
 from .errors import RankflowError
 from .ingest import read_bytes, write_atomic
+from .rankcore import DEFAULT_WINDOW
 
 FEATURE_DIM = 14
+# rank's vote aggregation holds two n x n int64 matrices over every proposal,
+# dummies included: 16 MB at 1,000 (160 GB at 100,000).  Measured on one
+# scene: rank peaks at 47 MiB of RSS at 1,000 proposals (37 MiB at 5), and
+# each dummy adds about 144 B of scene and .feat file.
+_MAX_MIN_COUNT = 1000
 
 
 @dataclass(frozen=True)
@@ -29,7 +35,7 @@ class FilterConfig:
     iou_discard: float = 0.7
     max_area_frac: float = 0.6
     min_area_px: float = 20.0
-    min_count: int = 5
+    min_count: int = DEFAULT_WINDOW
 
     def __post_init__(self):
         reals = (
@@ -37,7 +43,7 @@ class FilterConfig:
             ("max_area_frac", lambda x: x > 0, "> 0"),
             ("min_area_px", lambda x: x > 0, "> 0"),
         )
-        check_fields(self, (("min_count", 1),), reals)
+        check_fields(self, (("min_count", 1, _MAX_MIN_COUNT),), reals)
 
 
 def filter_proposals(scene: Scene, cfg: FilterConfig | None = None) -> Scene:
@@ -77,9 +83,20 @@ def _region_stats(scene: Scene, box: BBox, total_fix: int):
     return share, float(vals.mean()) / 255.0, float(vals.max()) / 255.0
 
 
+def _check_finite(features: np.ndarray, where: str = "") -> np.ndarray:
+    """``features`` if every value is finite, else a RankflowError naming
+    the first bad row after ``where``."""
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        raise RankflowError(f"{where}row {bad[0]}: features must be finite")
+    return features
+
+
 def scene_features(scene: Scene) -> np.ndarray:
     """Feature matrix aligned with scene.proposals (n x 14): the columns the
-    module docstring lists for each real proposal, zeros for each dummy."""
+    module docstring lists for each real proposal, zeros for each dummy.  A
+    row that is not finite (a box of subnormal area holding a fixation has
+    an infinite density) raises a RankflowError naming the row."""
     w, h = scene.width, scene.height
     total_fix = len(scene.fixations)
     density = total_fix / (w * h)
@@ -96,11 +113,14 @@ def scene_features(scene: Scene) -> np.ndarray:
         rel = (share * total_fix / b.area) / density if density > 0 else 0.0
         row[:] = (share, rel / (1.0 + rel), map_mean, map_max, *_region_stats(scene, gbox, total_fix),
                   sqrt_size(b) / math.sqrt(w * h), cx / w, cy / h, b.x1 / w, b.y1 / h, b.x2 / w, b.y2 / h)
-    return out
+    return _check_finite(out)
 
 
 def write_features(features: np.ndarray, path) -> None:
-    """Binary sidecar: uint32 proposal count, then little-endian float64 rows."""
+    """Binary sidecar: uint32 proposal count, then little-endian float64 rows.
+    A row that is not finite, which ``read_features`` would refuse, raises a
+    RankflowError naming ``path`` and the row, and nothing is written."""
+    _check_finite(features, f"{path}: ")
     write_atomic(path, struct.pack("<I", features.shape[0]) + features.astype("<f8").tobytes())
 
 
@@ -113,7 +133,4 @@ def read_features(path) -> np.ndarray:
     if len(data) != expected:
         raise RankflowError(f"{path}: expected {expected} bytes, got {len(data)}")
     feats = np.frombuffer(data[4:expected], dtype="<f8").reshape(count, FEATURE_DIM).copy()
-    bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
-    if bad.size:
-        raise RankflowError(f"{path}: row {bad[0]}: features must be finite")
-    return feats
+    return _check_finite(feats, f"{path}: ")

@@ -259,7 +259,9 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
     is the mean of one window_losses call over the p, hinge and hit its
     steps kept. The step updates the model's one flat buffer in place; the
     grads are a second ScorerModel and the velocity a buffer of the same
-    layout. Deterministic: same seed, same data -> identical model.
+    layout. Deterministic: same seed, same data -> identical model.  An
+    epoch that ends with a loss or parameter that is not finite raises a
+    RankflowError naming ``lr``.
     """
     dataset = list(dataset)
     if not dataset:
@@ -281,26 +283,36 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
     batches = [slice(start, start + BATCH) for start in range(0, n, BATCH)]
     rng = np.random.default_rng(cfg.seed + 1)
     losses = []
-    for epoch in range(cfg.epochs):
-        lr = cfg.lr * cfg.lr_decay_factor ** (epoch // cfg.lr_decay_every)
-        order = rng.permutation(n)
-        shuffled = targets.take(order)
-        for batch in batches:
-            p[batch], hinge[batch], hit[batch] = batch_grads(
-                model, inputs[order[batch]], shuffled.take(batch), cfg, grad
-            )
-            # g = grad + decay * theta; v = momentum * v + g; theta -= lr * v
-            grad.flat += np.multiply(theta, cfg.weight_decay, out=scratch)
-            velocity *= cfg.momentum
-            velocity += grad.flat
-            theta -= np.multiply(velocity, lr, out=scratch)
-        losses.append(float(window_losses(p, hinge, hit, shuffled, cfg).mean()))
+    # A diverging run overflows: numpy stays quiet and the epoch's check refuses it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            lr = cfg.lr * cfg.lr_decay_factor ** (epoch // cfg.lr_decay_every)
+            order = rng.permutation(n)
+            shuffled = targets.take(order)
+            for batch in batches:
+                p[batch], hinge[batch], hit[batch] = batch_grads(
+                    model, inputs[order[batch]], shuffled.take(batch), cfg, grad
+                )
+                # g = grad + decay * theta; v = momentum * v + g; theta -= lr * v
+                grad.flat += np.multiply(theta, cfg.weight_decay, out=scratch)
+                velocity *= cfg.momentum
+                velocity += grad.flat
+                theta -= np.multiply(velocity, lr, out=scratch)
+            losses.append(float(window_losses(p, hinge, hit, shuffled, cfg).mean()))
+            if not (np.isfinite(losses[-1]) and np.isfinite(theta).all()):
+                raise RankflowError(
+                    f"lr: training at lr {cfg.lr!r} diverged in epoch {epoch + 1}: a loss or parameter is not finite"
+                )
     return TrainResult(model=model, epoch_losses=losses)
 
 
 def save_model(model: ScorerModel, path) -> None:
     """Flat little-endian file: magic, int32 dims (d_in, h, C), float64
-    params, the one flat buffer written in one piece."""
+    params, the one flat buffer written in one piece.  A parameter that is
+    not finite, which ``load_model`` would refuse, raises a RankflowError
+    naming ``path``, and nothing is written."""
+    if not np.isfinite(model.flat).all():
+        raise RankflowError(f"{path}: model parameters must be finite")
     write_atomic(path, MODEL_MAGIC + struct.pack("<3i", *model.dims) + model.flat.astype("<f8").tobytes())
 
 

@@ -1,8 +1,9 @@
 """Seeded synthetic scene generator with known latent saliency.
 
 Each scene gets non-overlapping boxes, a subset of salient objects with
-well-separated fixation shares, multinomially distributed fixation points and
-an optional Gaussian-splatted fixation map.  Latent shares are constructed so
+well-separated fixation shares, multinomially distributed fixation points
+(noise fixations are uniform over the image) and an optional
+Gaussian-splatted fixation map.  Latent shares are constructed so
 the expected combined GT score (share + size bonus) is ordered the same way as
 the shares, which gives every downstream stage an exact oracle.
 """
@@ -46,6 +47,9 @@ _MAX_OBJECTS = 32
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """Generator settings; every field is checked on construction, and a bad
+    one raises ValueError naming it."""
+
     seed: int = 0
     n_scenes: int = 10
     objects_min: int = 5
@@ -123,7 +127,8 @@ def _salient_shares(cfg: SynthConfig, penalties: np.ndarray, rng) -> np.ndarray:
 def _place_fixations(rng, box: BBox, others, cnt: int) -> np.ndarray:
     """``cnt`` (u, v, observer) rows: each pixel drawn uniformly from the
     whole pixels of ``box`` that no box in ``others`` covers, each observer
-    uniformly from 0..7. ``cnt == 0`` gives no rows and draws nothing.
+    uniformly from 0..7. ``cnt == 0`` gives no rows and draws nothing.  A
+    box with no such pixel fails placement, and the scene is drawn again.
 
     An integer u lies in [b.x1, b.x2) exactly when it lies in
     [ceil b.x1, ceil b.x2), so one table of the box's free pixels replaces
@@ -145,7 +150,7 @@ def _place_fixations(rng, box: BBox, others, cnt: int) -> np.ndarray:
 
 
 # numpy's bundled OpenBLAS runs a matrix product on one thread when m * n * k
-# is at most this (other BLAS builds have other rules).
+# is at most this (other BLAS builds have other rules; only OpenBLAS was measured).
 _ONE_THREAD_GEMM = 65536 * 4
 
 
@@ -256,11 +261,13 @@ def _render_map(cfg: SynthConfig, fixations: np.ndarray) -> np.ndarray:
     """Counts blurred as by scipy's ``gaussian_filter(counts, splat_sigma)``
     (the taps of ``_gaussian_weights``, one pass per axis, ``reflect``
     boundary), scaled so the peak is 255 and rounded half to even in place
-    (``np.rint``, what ``np.round`` does at 0 decimals).
+    (``np.rint``, what ``np.round`` does at 0 decimals), in numpy alone.
 
     The block products sum in another order than scipy, so a value within a
     few ulps of a rounding tie (``k + 0.5``) may round the other way: a map
     is within one gray level of scipy's, and equal to it elsewhere.
+    ``tests/test_synth.py`` checks the bound on images from 1x1 to 640x480
+    and sigma 0.7 to 20, and pins one such tie.
     """
     grid = _blur(cfg, fixations, _gaussian_weights(cfg.splat_sigma))
     peak = grid.max()
@@ -353,7 +360,8 @@ def _write_one(idx: int, cfg: SynthConfig, out_dir: Path):
 def generate_dataset(cfg: SynthConfig, out_dir, jobs: int = 1) -> dict:
     """Write scenes, maps, GT rankings, latent weights and a manifest.
 
-    Scenes are generated and written on ``jobs`` workers into a staging
+    Each scene is seeded on its own (``generate_scene``), so scenes are
+    generated and written on ``jobs`` workers into a staging
     directory that ``publish_dirs`` puts in place of ``scenes/`` and
     ``maps/`` (empty without ``render_maps``) only once every scene is done,
     so a failed run leaves ``out_dir`` as it was.  The files that list every

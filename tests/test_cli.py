@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -194,7 +195,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "fields",
         [{"iou_discard": "x"}, {"iou_discard": 0}, {"min_count": 2.5}, {"min_count": True},
-         {"min_area_px": float("nan")}, {"max_area_frac": -1}],
+         {"min_area_px": float("nan")}, {"max_area_frac": -1}, {"min_count": 100000}],
     )
     def test_bad_filter_config(self, dataset, tmp_path, capsys, fields):
         cfg = tmp_path / "cfg.json"
@@ -1196,3 +1197,57 @@ class TestSceneIds:
         (flat / "provenance.json").write_text("{}")
         assert run("gt-gen", "--in", str(flat), "--out", str(tmp_path / "gt.csv")) == 0
         assert sorted(parse_ranking(tmp_path / "gt.csv")) == ["scene_00000", "scene_00002"]
+
+
+class TestNoFileItsReaderRefuses:
+    """A stage whose output its own reader would refuse exits 2 and writes
+    nothing; a size-like flag past its bound is refused before any work."""
+
+    def test_preprocess_refuses_a_non_finite_feature_row(self, tmp_path, capsys):
+        raw, pre = tmp_path / "raw", tmp_path / "pre"
+        raw.mkdir()
+        scene = raw / "s.json"
+        scene.write_text(json.dumps({
+            "scene_id": "s", "width": 10, "height": 10,
+            "proposals": [{"id": 0, "box": [0, 0, 1e-160, 1e-160]}, {"id": 1, "box": [2, 2, 8, 8]}],
+            "fixations": [{"u": 0, "v": 0}, {"u": 5, "v": 5}],
+        }))
+        assert run("preprocess", "--in", str(raw), "--out", str(pre), "--min-count", "1", "--jobs", "1") == 0
+        before = tree(pre)  # the default min_area_px drops the subnormal box
+        capsys.readouterr()
+        argv = ["preprocess", "--in", str(raw), "--out", str(pre), "--min-area", "1e-320", "--min-count", "1"]
+        assert run(*argv, "--jobs", "1") == 2
+        # The scene file and the row; no staging or .feat path that is never published.
+        assert capsys.readouterr().err == f"error: {scene}: row 0: features must be finite\n"
+        assert tree(pre) == before
+
+    def test_train_refuses_a_diverging_run(self, tmp_path, capsys):
+        raw, pre, gt = tmp_path / "raw", tmp_path / "pre", tmp_path / "gt.csv"
+        argv = ["--seed", "3", "--scenes", "6", "--objects", "5:7", "--fixations", "100", "--no-maps"]
+        assert run("synth", *argv, "--out", str(raw)) == 0
+        assert run("preprocess", "--in", str(raw), "--out", str(pre)) == 0
+        assert run("gt-gen", "--in", str(raw), "--out", str(gt)) == 0
+        capsys.readouterr()
+        train = ["train", "--in", str(pre), "--gt", str(gt), "--jobs", "1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy stays quiet on the way
+            assert run(*train, "--lr", "1e6", "--out", str(tmp_path / "nan.bin")) == 2
+        assert capsys.readouterr().err == (
+            "error: lr: training at lr 1000000.0 diverged in epoch 13: a loss or parameter is not finite\n"
+        )
+        assert not list(tmp_path.glob("nan.bin*"))  # no model and no provenance
+        # A large but finite run still writes the model it always did.
+        assert run(*train, "--lr", "1000", "--out", str(tmp_path / "m.bin")) == 0
+        assert capsys.readouterr().err == "trained on 36 windows; last losses: 526.4757, 538.1626, 440.8821\n"
+        assert hashlib.sha256((tmp_path / "m.bin").read_bytes()).hexdigest() == LR_1000_MODEL_SHA256
+
+    def test_min_count_is_bounded(self, dataset, tmp_path, capsys):
+        pre = tmp_path / "pre"
+        assert run("preprocess", "--in", str(dataset / "raw"), "--out", str(pre), "--min-count", "100000") == 2
+        assert capsys.readouterr().err == "error: min_count must be at most 1000, got 100000\n"
+        assert not pre.exists()
+        assert FilterConfig(min_count=1000).min_count == 1000
+
+
+# The model of that finite lr 1000 run.
+LR_1000_MODEL_SHA256 = "e1110802714f6b5efc92c90999a8edd26b8b09cadd77c5b1ac4f01120c8a4df8"

@@ -146,6 +146,31 @@ class TestParseScene:
             parse_scene(path)
         assert str(pickle.loads(pickle.dumps(info.value))) == str(info.value)
 
+    @pytest.mark.parametrize(
+        "fixations, message",
+        [
+            ({"u": 1}, "fixations: must be a JSON array, got a dict"),
+            ([{"u": 1, "v": 2}, 7], "fixations: entry 1 is a int, not a JSON object"),
+            ([{"v": 2}], "u: required field missing"),
+            ([{"u": 1, "v": 2}, {"u": 3}], "v: required field missing"),
+            ([{"u": 1.5, "v": 2}], "u: must be a JSON integer, got 1.5"),
+            ([{"u": 1, "v": True}], "v: must be a JSON integer, got True"),
+            ([{"u": 1, "v": 2, "observer_id": "3"}], "observer_id: must be a JSON integer, got '3'"),
+            ([{"u": 1, "v": 2**63}], "scene: Python int too large to convert to C long"),
+            # Several faults: the array, then any entry that is not an object,
+            # then each entry's fields, in file order, report the first.
+            ([{"v": 2}, {"u": 1.5, "v": 2}, 7], "fixations: entry 2 is a int, not a JSON object"),
+            ([{"u": 1.5, "v": 2}, {"u": 1}], "u: must be a JSON integer, got 1.5"),
+        ],
+        ids=["not-array", "not-object", "missing-u", "missing-v", "float", "bool", "string-observer",
+             "beyond-int64", "object-before-fields", "fields-in-file-order"],
+    )
+    def test_fixation_fault_message(self, tmp_path, fixations, message):
+        path = write_json(tmp_path, dict(MINIMAL, fixations=fixations))
+        with pytest.raises(RankflowError) as raised:
+            parse_scene(path)
+        assert str(raised.value) == f"{path}: {message}"
+
     def test_numbers_may_be_integers_or_floats(self, tmp_path):
         doc = dict(MINIMAL, proposals=[
             {"id": 1, "box": [10, 10.5, 30, 30], "confidence": 1, "is_dummy": False},

@@ -1,4 +1,5 @@
 import importlib
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -177,9 +178,30 @@ class TestFeatureFiles:
         feats = np.ones((3, FEATURE_DIM))
         feats[1, 4] = value
         path = tmp_path / "a.feat"
-        write_features(feats, path)
+        with pytest.raises(RankflowError, match=r"a\.feat: row 1: features must be finite"):
+            write_features(feats, path)
+        assert list(tmp_path.iterdir()) == []
+        # Such a file, made byte by byte, is refused by the reader too.
+        path.write_bytes(struct.pack("<I", 3) + feats.astype("<f8").tobytes())
         with pytest.raises(RankflowError, match=r"a\.feat: row 1: features must be finite"):
             read_features(path)
+
+    @settings(max_examples=200)
+    @given(st.lists(st.lists(st.floats(width=64), min_size=FEATURE_DIM, max_size=FEATURE_DIM), max_size=4))
+    def test_written_file_reads_back_or_is_refused(self, tmp_path_factory, rows):
+        # Any float rows, non-finite included: the reader gives back the
+        # writer's bits, or the writer refuses them and writes nothing.
+        root = tmp_path_factory.mktemp("feat")
+        path = root / "drawn.feat"
+        feats = np.array(rows, dtype=float).reshape(-1, FEATURE_DIM)
+        try:
+            write_features(feats, path)
+        except RankflowError as e:
+            assert not np.isfinite(feats).all()
+            assert str(e).startswith(f"{path}: row ")
+            assert list(root.iterdir()) == []
+        else:
+            assert read_features(path).tobytes() == feats.tobytes()
 
     def test_truncated(self, tmp_path):
         feats = np.ones((2, FEATURE_DIM))

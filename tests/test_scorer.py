@@ -368,9 +368,33 @@ class TestModelIo:
         model = init_model(seed=2)
         model.b1[3] = np.nan
         path = tmp_path / "m.bin"
-        save_model(model, path)
+        with pytest.raises(RankflowError, match="m.bin: model parameters must be finite"):
+            save_model(model, path)
+        assert list(tmp_path.iterdir()) == []
+        # Such a file, made byte by byte, is refused by the reader too.
+        path.write_bytes(b"RFM1" + np.array(model.dims, "<i4").tobytes() + model.flat.astype("<f8").tobytes())
         with pytest.raises(RankflowError, match="m.bin: model parameters must be finite"):
             load_model(path)
+
+    @settings(max_examples=200)
+    @given(st.sampled_from([(1, 1, 1), (2, 3, 4)]), st.data())
+    def test_saved_model_loads_back_or_is_refused(self, tmp_path_factory, dims, data):
+        # Any float parameters, non-finite included: the loaded model has the
+        # saved bits, or save_model refuses them and writes nothing.
+        d_in, h, c = dims
+        size = d_in * h + h + h * c + c
+        flat = np.array(data.draw(st.lists(st.floats(width=64), min_size=size, max_size=size)), dtype=float)
+        root = tmp_path_factory.mktemp("model")
+        path = root / "drawn.bin"
+        try:
+            save_model(ScorerModel(d_in, h, c, flat), path)
+        except RankflowError as e:
+            assert not np.isfinite(flat).all()
+            assert str(e) == f"{path}: model parameters must be finite"
+            assert list(root.iterdir()) == []
+        else:
+            loaded = load_model(path)
+            assert loaded.dims == dims and loaded.flat.tobytes() == flat.tobytes()
 
     def test_truncated(self, tmp_path):
         model = init_model(seed=2)
