@@ -4,8 +4,9 @@ Everything here is immutable after construction and all operations are pure,
 so values can be shared freely across threads and processes.  A scene holds
 its fixations as one read-only ``(n, 3)`` int64 array of ``(u, v,
 observer_id)`` rows, so fixation counts are single masked sums, and its
-fixation map, if any, as one read-only ``(height, width)`` uint8 array, so a
-box's map pixels are a slice.
+fixation map, if any, as one read-only C-order ``(height, width)`` uint8
+array, so a box's map pixels are a slice.  Both arrays are copies the scene
+owns, whatever it was given.
 """
 from __future__ import annotations
 
@@ -83,23 +84,12 @@ class Proposal:
                 raise RankflowError("confidence: must lie in [0,1]")
 
 
-def _immutable_map(m) -> bool:
-    """Whether ``m`` is a read-only C-order uint8 array whose memory belongs
-    to a ``bytes`` object, as ``ingest.parse_pgm`` returns it: its pixels can
-    never change, so a scene may keep it without a copy."""
-    if type(m) is not np.ndarray or m.dtype != np.uint8 or m.flags.writeable or not m.flags.c_contiguous:
-        return False
-    while isinstance(m, np.ndarray):
-        m = m.base
-    return type(m) is bytes
-
-
 @dataclass(frozen=True, eq=False)
 class Scene:
     """One image's proposals and fixations; ``fixations`` takes ``(u, v,
     observer_id)`` rows and is stored as a read-only ``(n, 3)`` int64 array,
-    ``fixation_map`` as a read-only ``(height, width)`` uint8 array: a copy,
-    unless the map given is one whose pixels cannot change."""
+    ``fixation_map`` as a read-only C-order ``(height, width)`` uint8 array;
+    each is the scene's own copy, so nothing outside can change it."""
 
     scene_id: str
     width: int
@@ -120,11 +110,9 @@ class Scene:
         if self.width <= 0 or self.height <= 0:
             raise RankflowError("scene: image dimensions must be positive")
         if self.fixation_map is not None:
-            m = self.fixation_map
-            if not _immutable_map(m):
-                m = np.array(m, dtype=np.uint8, order="C")
-                m.flags.writeable = False
-                object.__setattr__(self, "fixation_map", m)
+            m = np.array(self.fixation_map, dtype=np.uint8, order="C")
+            m.flags.writeable = False
+            object.__setattr__(self, "fixation_map", m)
             if m.shape != (self.height, self.width):
                 size = "x".join(map(str, m.shape[::-1]))
                 raise RankflowError(f"fixation_map: {size} map for a {self.width}x{self.height} scene")

@@ -2,7 +2,7 @@
 
 Every data error -- a bad file, field, flag, env var or config value -- is a
 ``RankflowError`` whose message names the file and the field; the CLI exits
-2 on it.  The two subclasses are the kinds some caller catches by kind.
+2 on it.  The one subclass is the kind a caller catches by kind.
 """
 
 
@@ -16,7 +16,3 @@ class RankflowError(Exception):
 
 class GenerationFailure(RankflowError):
     """A synthetic scene could not be placed; synth retries it."""
-
-
-class SrccUndefined(RankflowError):
-    """Raised when a rank vector is constant and SRCC has no value."""

@@ -4,8 +4,11 @@ Five methods, each a plain name in ``METHODS``: raw fixation-point counting
 (``fixpoints``), fixation-map max and mean statistics (``mapmax``,
 ``mapavg``), binarized-map white-pixel ratios (``binmap``), and the
 relationship-aware combined score, fixation share plus a size-dependent
-exponential bonus (``rasrgt``).  Also provides the threshold-discrepancy
-analysis between adjacent GT thresholds.
+exponential bonus (``rasrgt``).  Each method gives one score per box, and
+``ranking_from_scores`` is the one rule that turns scores into a ranking.
+Also provides the threshold-discrepancy analysis between adjacent GT
+thresholds, which counts each box's fixations once and re-scores the counts
+at every gamma.
 """
 from __future__ import annotations
 

@@ -10,7 +10,7 @@ written by ``write_atomic`` (every CSV through ``write_csv``), and every
 dataset subdirectory is published whole by ``publish_dirs``.
 
 Reading pays once for a file's bytes.  A PGM raster is a read-only view of
-the file's bytes, which a ``Scene`` keeps without a copy.  A scene file
+the file's bytes, which a ``Scene`` copies once into its own map.  A scene file
 whose ``fixations`` array is laid out exactly as ``write_scene`` writes it
 (``_bulk_fixations`` states the terms) has its rows decoded by one numpy
 call; every other scene file is decoded whole by ``json.loads``.  Both give
@@ -66,11 +66,15 @@ def publish_dirs(out_dir, *subs):
     """Yield a staging directory under ``out_dir`` holding an empty directory
     per name in ``subs``; on a clean exit each replaces ``out_dir/<sub>``
     whole.  The staging directory, with every replaced directory in it, is
-    removed in any case, so a failed run leaves ``out_dir`` as it was.  Other
-    files in ``out_dir`` are kept; an OSError becomes a RankflowError naming it."""
+    removed in any case, and so, after a failure, is each directory this call
+    made on the way to ``out_dir``, so a failed run leaves the file system as
+    it was.  Other files in ``out_dir`` are kept; an OSError becomes a
+    RankflowError naming it."""
     out_dir = Path(out_dir)
     staging = None
+    new_dirs = []  # the directories this call makes, deepest first
     try:
+        new_dirs = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
         out_dir.mkdir(parents=True, exist_ok=True)
         staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
         for sub in subs:
@@ -80,11 +84,15 @@ def publish_dirs(out_dir, *subs):
             if os.path.lexists(out_dir / sub):
                 os.replace(out_dir / sub, staging / f".old-{sub}")
             os.replace(staging / sub, out_dir / sub)
+        new_dirs = []  # published, so they stay
     except OSError as e:
         raise RankflowError(f"cannot create {out_dir}: {e.strerror or e}") from e
     finally:
         if staging is not None:
             shutil.rmtree(staging, ignore_errors=True)
+        for d in new_dirs:
+            with contextlib.suppress(OSError):
+                d.rmdir()  # only ever an empty directory
 
 
 def read_bytes(path) -> bytes:

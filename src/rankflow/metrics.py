@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import Ranking, Scene, map_region, sqrt_size
-from .errors import RankflowError, SrccUndefined
+from .errors import RankflowError
 from .gtgen import ranking_from_scores
 
 
@@ -21,20 +21,22 @@ def midranks(values) -> np.ndarray:
     return (ends - (counts - 1) / 2)[inverse]
 
 
-def srcc(pred: Ranking, gt: Ranking) -> float:
-    """Spearman correlation of the two order vectors with mid-rank ties."""
+def srcc(pred: Ranking, gt: Ranking) -> float | None:
+    """Tie-corrected Spearman correlation of the two order vectors: Pearson's
+    r of their mid-ranks.  None where it is undefined: fewer than 2
+    proposals, or a constant vector."""
     if set(pred.labels) != set(gt.labels):
         raise RankflowError("pred and gt cover different proposal ids")
     ids = sorted(gt.labels)
     if len(ids) < 2:
-        raise SrccUndefined("need at least 2 proposals")
+        return None
     a = midranks([pred.labels[i] for i in ids])
     b = midranks([gt.labels[i] for i in ids])
     da = a - a.mean()
     db = b - b.mean()
     denom = math.sqrt((da @ da) * (db @ db))
     if denom == 0:
-        raise SrccUndefined("constant rank vector")
+        return None
     return float((da @ db) / denom)
 
 
@@ -55,12 +57,14 @@ def f1_salient(pred: Ranking, gt: Ranking) -> float:
 
 
 def map_threshold(scene: Scene, gmap: np.ndarray, lam: float) -> float:
-    """Per-object average-intensity binarization threshold.
+    """Per-object average-intensity binarization threshold, with which
+    ``rank_from_saliency_map`` turns a plain saliency map into a ranker.
 
-    T = (1 / (n * lam)) * sum_i sum(values in box_i) / sqrt(area_i).
+    T = (1 / (n * lam)) * sum_i sum(values in box_i) / sqrt(area_i), over the
+    scene's n real proposals; ``lam`` in (0, 1].
     """
     if not 0 < lam <= 1:
-        raise ValueError("lambda must lie in (0,1]")
+        raise RankflowError(f"lambda must be a number in (0, 1], got {lam!r}")
     proposals = scene.real_proposals
     if not proposals:
         raise RankflowError(f"{scene.scene_id}: no proposals")
@@ -116,12 +120,11 @@ def evaluate_rankings(pred: dict[str, Ranking], gt: dict[str, Ranking]) -> EvalR
             f1 = f1_salient(pred[sid], gt[sid])
         except RankflowError as e:
             raise e.naming(f"scene {sid!r}") from e
-        try:
-            rho = srcc(pred[sid], gt[sid])
-            srcc_values.append(rho)
-        except SrccUndefined:
-            rho = None
+        rho = srcc(pred[sid], gt[sid])
+        if rho is None:
             report.skipped += 1
+        else:
+            srcc_values.append(rho)
         f1_values.append(f1)
         report.scenes.append(SceneEval(sid, rho, f1))
     report.mean_srcc = float(np.mean(srcc_values)) if srcc_values else None

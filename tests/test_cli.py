@@ -16,7 +16,7 @@ from conftest import tree
 from rankflow import cli, pipeline
 from rankflow.cli import _SECTIONS, _common, _section_cfg, build_parser, dispatch, gamma_grid
 from rankflow.pipeline import config_hash
-from rankflow.errors import RankflowError, SrccUndefined
+from rankflow.errors import GenerationFailure, RankflowError
 from rankflow.gtgen import METHODS
 from rankflow.ingest import parse_ranking
 from rankflow.preprocess import FEATURE_DIM, FilterConfig
@@ -554,10 +554,19 @@ class TestPipelineStages:
         path.write_text(json.dumps({**json.loads(path.read_text()), "width": "x"}))
         assert run("preprocess", "--in", str(raw), "--out", str(pre), "--jobs", jobs) == 2
         assert "scene_00003.json" in capsys.readouterr().err
-        assert list(pre.iterdir()) == []  # no scene, .feat or staging file
+        assert not pre.exists()  # no scene, .feat or staging file, nor the directory it made
         path.write_text(json.dumps({**json.loads(path.read_text()), "width": 640}))
         assert run("preprocess", "--in", str(raw), "--out", str(pre), "--jobs", jobs) == 0
         assert sorted(p.name for p in pre.iterdir()) == ["features", "provenance.json", "scenes"]
+
+    def test_failed_preprocess_removes_the_directories_it_made(self, tmp_path, capsys):
+        raw = tmp_path / "raw"
+        assert run("synth", "--seed", "5", "--scenes", "3", "--fixations", "50", "--no-maps", "--out", str(raw)) == 0
+        path = raw / "scenes" / "scene_00001.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "width": "x"}))
+        assert run("preprocess", "--in", str(raw), "--out", str(tmp_path / "a" / "b" / "pre"), "--jobs", "1") == 2
+        assert "scene_00001.json" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["raw"]
 
     def test_gt_gen_methods_agree_with_synth_gt(self, dataset):
         out = dataset / "gt_rasrgt.csv"
@@ -1091,13 +1100,13 @@ class TestBadSceneFiles:
         work.mkdir()
         assert run("preprocess", "--in", str(raw), "--out", str(work / "pre"), "--jobs", "1") == 2
         assert "scene_id: must be a plain file name" in capsys.readouterr().err
-        assert [p.name for p in work.iterdir()] == ["pre"]
+        assert list(work.iterdir()) == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["raw", "work"]
         assert not list(tmp_path.rglob("escaped*"))
 
 
     @pytest.mark.parametrize(
-        "error", [RankflowError("box: too small"), SrccUndefined("constant rank vector")], ids=["field", "message"]
+        "error", [RankflowError("box: too small"), GenerationFailure("scene 3: placement kept failing")], ids=["field", "message"]
     )
     def test_runner_puts_the_file_in_front(self, dataset, error):
         def fail(scene):

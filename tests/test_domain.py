@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, strategies as st
 
 from rankflow.domain import BBox, Ranking, Scene, count_fixations, iou, sqrt_size
 from rankflow.errors import RankflowError
+from rankflow.ingest import pgm_from_bytes, pgm_to_bytes
 
 
 def box(x1, y1, x2, y2):
@@ -132,12 +133,30 @@ class TestSceneFixations:
         for given in (base, np.frombuffer(bytearray(100), np.uint8).reshape(10, 10)):
             assert not np.shares_memory(Scene("s", 10, 10, (), fixation_map=given).fixation_map, given)
 
-    def test_map_over_immutable_bytes_is_kept(self):
-        raster = np.frombuffer(bytes(range(100)), np.uint8).reshape(10, 10)
-        assert Scene("s", 10, 10, (), fixation_map=raster).fixation_map is raster
-        # Over bytes, but not C-order: copied into C order.
-        scene = Scene("s", 10, 10, (), fixation_map=raster.T)
-        assert scene.fixation_map.flags.c_contiguous and np.array_equal(scene.fixation_map, raster.T)
+    @given(st.integers(1, 6), st.integers(1, 6), st.sampled_from(["pgm", "c", "read-only view", "f-order"]), st.data())
+    def test_scene_owns_its_map(self, w, h, kind, data):
+        """Whatever array a map comes as, the scene keeps its own read-only
+        C-order copy, which later writes to the given array cannot reach."""
+        values = np.array(data.draw(st.lists(st.integers(0, 255), min_size=w * h, max_size=w * h)), np.uint8)
+        values = values.reshape(h, w)
+        writable = None
+        if kind == "pgm":  # ingest.parse_pgm: a read-only view of the file's bytes
+            given = pgm_from_bytes(pgm_to_bytes(values))
+        elif kind == "c":
+            given = writable = values.copy()
+        elif kind == "read-only view":
+            writable = values.copy()
+            given = writable.view()
+            given.flags.writeable = False
+        else:  # synth._render_map: astype(np.uint8).T of a (width, height) array
+            given = writable = values.T.astype(np.uint8).T
+        m = Scene("s", w, h, (), fixation_map=given).fixation_map
+        assert np.array_equal(m, values) and np.array_equal(m, given)
+        assert m.dtype == np.uint8 and not m.flags.writeable and m.flags.c_contiguous
+        assert not np.shares_memory(m, given)
+        if writable is not None:
+            writable[...] = 255 - writable
+            assert np.array_equal(m, values)
 
     @pytest.mark.parametrize("scene_id", ["", ".", "..", "../x", "a/b", "a\\b", "a\0b"])
     def test_rejects_id_that_is_not_a_plain_file_name(self, scene_id):

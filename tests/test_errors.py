@@ -4,7 +4,7 @@ import pytest
 
 from rankflow import errors
 
-ERRORS = [errors.RankflowError, errors.GenerationFailure, errors.SrccUndefined]
+ERRORS = [errors.RankflowError, errors.GenerationFailure]
 
 
 def test_errors_are_the_base_and_the_two_caught_kinds():

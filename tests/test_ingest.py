@@ -417,14 +417,6 @@ class TestPgm:
         with pytest.raises(RankflowError, match=r"^m: graymap: width and height must be positive$"):
             pgm_from_bytes(b"P5\n0 2\n255", name="m")
 
-    def test_map_is_read_without_a_copy(self, tmp_path):
-        gmap = np.arange(12, dtype=np.uint8).reshape(3, 4)
-        write_pgm(gmap, tmp_path / "m.pgm")
-        raster = parse_pgm(tmp_path / "m.pgm")
-        assert np.array_equal(raster, gmap) and not raster.flags.writeable
-        scene = Scene("s", 4, 3, (), fixation_map=raster)
-        assert np.shares_memory(scene.fixation_map, raster)
-
     def test_header_comment(self):
         gmap = pgm_from_bytes(b"P5\n# made elsewhere\n1 2\n255\n\x05\x06")
         assert gmap.tobytes() == bytes([5, 6])
@@ -627,6 +619,14 @@ class TestPublishDirs:
                 raise RankflowError("boom")
         assert tree(tmp_path) == before
 
+    def test_failed_body_removes_the_directories_it_made(self, tmp_path):
+        (tmp_path / "a").mkdir()
+        with pytest.raises(RankflowError, match="boom"):
+            with publish_dirs(tmp_path / "a" / "b" / "c", "scenes") as staging:
+                write_atomic(staging / "scenes" / "new.json", "new")
+                raise RankflowError("boom")
+        assert tree(tmp_path) == {"a": None}  # a was there before
+
     def test_creates_missing_output_directory(self, tmp_path):
         with publish_dirs(tmp_path / "a" / "b", "scenes"):
             pass
@@ -640,4 +640,4 @@ class TestPublishDirs:
         with pytest.raises(RankflowError, match=f"{tmp_path / 'out'}: No space left on device"):
             with publish_dirs(tmp_path / "out", "scenes"):
                 pass
-        assert tree(tmp_path) == {"out": None}
+        assert tree(tmp_path) == {}

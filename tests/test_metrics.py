@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +7,7 @@ from scipy import stats
 
 from conftest import make_scene
 from rankflow.domain import Ranking
-from rankflow.errors import RankflowError, SrccUndefined
+from rankflow.errors import RankflowError
 from rankflow.metrics import (
     evaluate_rankings,
     f1_salient,
@@ -54,8 +56,8 @@ class TestSrcc:
 
     def test_constant_undefined(self):
         gt = Ranking({0: 0, 1: 0})
-        with pytest.raises(SrccUndefined):
-            srcc(Ranking({0: 1, 1: 2}), gt)
+        assert srcc(Ranking({0: 1, 1: 2}), gt) is None
+        assert srcc(Ranking({0: 1}), Ranking({0: 1})) is None  # fewer than 2 proposals
 
     @given(
         st.integers(3, 10),
@@ -73,6 +75,7 @@ class TestSrcc:
         a = [pred.labels[i] for i in ids]
         b = [gt.labels[i] for i in ids]
         if len(set(a)) < 2 or len(set(b)) < 2:
+            assert srcc(pred, gt) is None
             return
         expected = stats.spearmanr(a, b).statistic
         assert srcc(pred, gt) == pytest.approx(expected, abs=1e-12)
@@ -110,7 +113,7 @@ class TestMapThreshold:
 
     def test_rejects_bad_lambda(self):
         scene = make_scene([(0, 0, 10, 10)], map_values=np.zeros((100, 100)))
-        with pytest.raises(ValueError):
+        with pytest.raises(RankflowError, match=re.escape("lambda must be a number in (0, 1], got 0.0")):
             map_threshold(scene, scene.fixation_map, 0.0)
 
 
