@@ -42,6 +42,9 @@ class GtConfig:
             raise ValueError(f"method must be one of {list(METHODS)}, got {self.method!r}")
 
 
+_DEFAULT_GT = GtConfig()
+
+
 def ranking_from_scores(scores: dict[int, float]) -> Ranking:
     """Descending score -> orders 1..k; zero score -> order 0; ties by ascending id."""
     salient = sorted(
@@ -53,12 +56,10 @@ def ranking_from_scores(scores: dict[int, float]) -> Ranking:
     return Ranking(labels)
 
 
-def _box_score(scene: Scene, box, cfg: GtConfig) -> float:
-    """A box's score under any method but rasrgt: fixations per sqrt-size,
-    the max or mean of the map under it, or its share of map pixels above
-    ``binary_threshold`` times its sqrt-size ratio to the image."""
-    if cfg.method == "fixpoints":
-        return count_fixations(box, scene.fixations) / sqrt_size(box)
+def _map_score(scene: Scene, box, cfg: GtConfig) -> float:
+    """A box's score under a map method: the max or mean of the map under
+    it, or its share of map pixels above ``binary_threshold`` times its
+    sqrt-size ratio to the image."""
     vals = map_region(scene.fixation_map, box)
     if vals.size == 0:
         return 0.0
@@ -83,13 +84,12 @@ def rasrgt_score(n_i: int, total: int, size_ratio: float, cfg: GtConfig) -> floa
 
 def rasrgt_counts(scene: Scene) -> tuple[int, list[tuple[int, int, float]]]:
     """What the combined score reads of a scene, whatever its gamma: the
-    fixation total and, per real box, ``(id, fixation count, size ratio)``."""
+    fixation total and, per real box, ``(id, fixation count, size ratio)``.
+    Every box is counted in one ``count_fixations`` call."""
     image_sqrt = math.sqrt(scene.width * scene.height)
-    boxes = [
-        (p.id, count_fixations(p.box, scene.fixations), sqrt_size(p.box) / image_sqrt)
-        for p in scene.real_proposals
-    ]
-    return len(scene.fixations), boxes
+    real = scene.real_proposals
+    counts = count_fixations([p.box for p in real], scene.fixations).tolist()
+    return len(scene.fixations), [(p.id, n, sqrt_size(p.box) / image_sqrt) for p, n in zip(real, counts)]
 
 
 def _rank_counts(total: int, boxes, cfg: GtConfig) -> Ranking:
@@ -97,7 +97,7 @@ def _rank_counts(total: int, boxes, cfg: GtConfig) -> Ranking:
 
 
 def rasrgt_rank(scene: Scene, cfg: GtConfig | None = None) -> Ranking:
-    return _rank_counts(*rasrgt_counts(scene), cfg or GtConfig())
+    return _rank_counts(*rasrgt_counts(scene), cfg or _DEFAULT_GT)
 
 
 def require_map(scene: Scene) -> np.ndarray:
@@ -112,9 +112,12 @@ def generate_ranking(scene: Scene, cfg: GtConfig) -> Ranking:
     fixation map raises a RankflowError on a scene without one."""
     if cfg.method == "rasrgt":
         return rasrgt_rank(scene, cfg)
-    if cfg.method in MAP_METHODS:
-        require_map(scene)
-    return ranking_from_scores({p.id: _box_score(scene, p.box, cfg) for p in scene.real_proposals})
+    real = scene.real_proposals
+    if cfg.method == "fixpoints":
+        counts = count_fixations([p.box for p in real], scene.fixations).tolist()
+        return ranking_from_scores({p.id: n / sqrt_size(p.box) for p, n in zip(real, counts)})
+    require_map(scene)
+    return ranking_from_scores({p.id: _map_score(scene, p.box, cfg) for p in real})
 
 
 def discrepancy_offsets(counted, cfg_base: GtConfig, thresholds) -> list[tuple[float, int]]:

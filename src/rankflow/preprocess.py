@@ -46,9 +46,15 @@ class FilterConfig:
         check_fields(self, (("min_count", 1, _MAX_MIN_COUNT),), reals)
 
 
+_DEFAULT_FILTER = FilterConfig()
+
+
 def filter_proposals(scene: Scene, cfg: FilterConfig | None = None) -> Scene:
-    """NMS + area filtering + dummy padding; survivor order follows the input."""
-    cfg = cfg or FilterConfig()
+    """NMS + area filtering + dummy padding; survivor order follows the
+    input, and dummies follow the survivors.  A scene that keeps every
+    proposal in its order and needs no padding is returned itself; any
+    other gets a new ``Scene`` with only its proposals replaced."""
+    cfg = cfg or _DEFAULT_FILTER
     real = [p for p in scene.proposals if not p.is_dummy]
     dummies = [p for p in scene.proposals if p.is_dummy]
 
@@ -72,15 +78,24 @@ def filter_proposals(scene: Scene, cfg: FilterConfig | None = None) -> Scene:
     while len(out) < cfg.min_count:
         next_dummy_id -= 1
         out.append(Proposal(id=next_dummy_id, box=None, is_dummy=True))
-    return replace(scene, proposals=tuple(out))
+    out = tuple(out)
+    return scene if out == scene.proposals else replace(scene, proposals=out)
 
 
-def _region_stats(scene: Scene, box: BBox, total_fix: int):
-    share = count_fixations(box, scene.fixations) / total_fix if total_fix else 0.0
+def _map_stats(scene: Scene, box: BBox) -> tuple[float, float]:
+    """Mean and max of the map under ``box``, over 255; zeros when the
+    scene has no map or the box covers no whole pixel."""
     vals = None if scene.fixation_map is None else map_region(scene.fixation_map, box)
     if vals is None or not vals.size:
-        return share, 0.0, 0.0
-    return share, float(vals.mean()) / 255.0, float(vals.max()) / 255.0
+        return 0.0, 0.0
+    return float(vals.mean()) / 255.0, float(vals.max()) / 255.0
+
+
+def _context_box(b: BBox, w: int, h: int) -> BBox:
+    """``b`` enlarged 1.5x about its center and clipped to the ``w`` x ``h`` image."""
+    cx, cy = (b.x1 + b.x2) / 2, (b.y1 + b.y2) / 2
+    hw, hh = b.width * 1.5 / 2, b.height * 1.5 / 2
+    return BBox(max(0.0, cx - hw), max(0.0, cy - hh), min(float(w), cx + hw), min(float(h), cy + hh))
 
 
 def _check_finite(features: np.ndarray, where: str = "") -> np.ndarray:
@@ -101,18 +116,16 @@ def scene_features(scene: Scene) -> np.ndarray:
     total_fix = len(scene.fixations)
     density = total_fix / (w * h)
     out = np.zeros((len(scene.proposals), FEATURE_DIM))
-    for row, p in zip(out, scene.proposals):
-        if p.is_dummy:
-            continue
-        b = p.box
-        cx, cy = (b.x1 + b.x2) / 2, (b.y1 + b.y2) / 2
-        hw, hh = b.width * 1.5 / 2, b.height * 1.5 / 2
-        gbox = BBox(max(0.0, cx - hw), max(0.0, cy - hh), min(float(w), cx + hw), min(float(h), cy + hh))
-        share, map_mean, map_max = _region_stats(scene, b, total_fix)
+    real = [(row, p.box) for row, p in zip(out, scene.proposals) if not p.is_dummy]
+    grown = [_context_box(b, w, h) for _, b in real]
+    counts = count_fixations([b for _, b in real] + grown, scene.fixations).tolist()
+    shares = [c / total_fix for c in counts] if total_fix else [0.0] * len(counts)
+    for (row, b), g, share, g_share in zip(real, grown, shares, shares[len(real) :]):
         # Fixation concentration relative to the scene-wide density, squashed to [0,1).
         rel = (share * total_fix / b.area) / density if density > 0 else 0.0
-        row[:] = (share, rel / (1.0 + rel), map_mean, map_max, *_region_stats(scene, gbox, total_fix),
-                  sqrt_size(b) / math.sqrt(w * h), cx / w, cy / h, b.x1 / w, b.y1 / h, b.x2 / w, b.y2 / h)
+        row[:] = (share, rel / (1.0 + rel), *_map_stats(scene, b), g_share, *_map_stats(scene, g),
+                  sqrt_size(b) / math.sqrt(w * h), (b.x1 + b.x2) / 2 / w, (b.y1 + b.y2) / 2 / h,
+                  b.x1 / w, b.y1 / h, b.x2 / w, b.y2 / h)
     return _check_finite(out)
 
 

@@ -90,13 +90,19 @@ class SynthConfig:
 
 
 def _sample_boxes(cfg: SynthConfig, n: int, rng) -> list[BBox]:
+    """``n`` boxes, each drawn until its IoU with every box before it is
+    at most ``iou_cap``.  An attempt takes its four doubles from one
+    ``rng.random(4)`` call and scales each as ``Generator.uniform`` does,
+    ``low + (high - low) * u``: width and height fractions, then x1, y1."""
+    lo, hi = cfg.box_frac_min, cfg.box_frac_max
     boxes: list[BBox] = []
     for _ in range(n):
         for _attempt in range(_MAX_BOX_ATTEMPTS):
-            bw = rng.uniform(cfg.box_frac_min, cfg.box_frac_max) * cfg.width
-            bh = rng.uniform(cfg.box_frac_min, cfg.box_frac_max) * cfg.height
-            x1 = rng.uniform(0, cfg.width - bw)
-            y1 = rng.uniform(0, cfg.height - bh)
+            fw, fh, fx, fy = rng.random(4).tolist()
+            bw = (lo + (hi - lo) * fw) * cfg.width
+            bh = (lo + (hi - lo) * fh) * cfg.height
+            x1 = (cfg.width - bw) * fx  # low is 0
+            y1 = (cfg.height - bh) * fy
             cand = BBox(x1, y1, x1 + bw, y1 + bh)
             if all(iou(cand, b) <= cfg.iou_cap for b in boxes):
                 boxes.append(cand)
@@ -124,29 +130,43 @@ def _salient_shares(cfg: SynthConfig, penalties: np.ndarray, rng) -> np.ndarray:
     return base + extra  # still descending with adjacent gaps >= gap
 
 
-def _place_fixations(rng, box: BBox, others, cnt: int) -> np.ndarray:
-    """``cnt`` (u, v, observer) rows: each pixel drawn uniformly from the
-    whole pixels of ``box`` that no box in ``others`` covers, each observer
-    uniformly from 0..7. ``cnt == 0`` gives no rows and draws nothing.  A
-    box with no such pixel fails placement, and the scene is drawn again.
+def _coverage(boxes, height: int, width: int) -> tuple[list[tuple[int, int, int, int]], np.ndarray]:
+    """Each box's whole pixels as ``(x1, y1, x2, y2)`` slice bounds (an
+    integer u lies in [b.x1, b.x2) exactly when it lies in [ceil b.x1,
+    ceil b.x2)), and the ``(height, width)`` int8 table of how many boxes
+    cover each pixel (``_MAX_OBJECTS`` fits in int8)."""
+    extents = [(math.ceil(b.x1), math.ceil(b.y1), math.ceil(b.x2), math.ceil(b.y2)) for b in boxes]
+    cover = np.zeros((height, width), dtype=np.int8)
+    for x1, y1, x2, y2 in extents:
+        cover[y1:y2, x1:x2] += 1
+    return extents, cover
 
-    An integer u lies in [b.x1, b.x2) exactly when it lies in
-    [ceil b.x1, ceil b.x2), so one table of the box's free pixels replaces
-    the test against every other box.
-    """
-    if not cnt:
-        return np.zeros((0, 3), dtype=np.int64)
-    x1, x2, y1, y2 = (math.ceil(c) for c in (box.x1, box.x2, box.y1, box.y2))
-    w = x2 - x1
-    table = np.ones((y2 - y1, w), dtype=bool)
-    for b in others:
-        cols = slice(max(math.ceil(b.x1) - x1, 0), max(math.ceil(b.x2) - x1, 0))
-        table[max(math.ceil(b.y1) - y1, 0) : max(math.ceil(b.y2) - y1, 0), cols] = False
-    free = np.flatnonzero(table)
-    if not free.size:
+
+def _place_fixations(rng, cover: np.ndarray, extents, counts) -> np.ndarray:
+    """``(sum(counts), 3)`` rows (u, v, observer), box by box: ``counts[i]``
+    pixels drawn uniformly from the free pixels of the box of pixel
+    ``extents[i]`` (those no other box covers, coverage 1 in the scene's
+    ``_coverage`` table) in row-major order, then as many observers drawn
+    uniformly from 0..7.  Every draw comes from one ``rng.integers`` call
+    with a bound per draw, which takes the same generator words as a pixel
+    call and an observer call per box.  A box with count 0 draws nothing;
+    a box with a count and no free pixel fails placement before anything
+    is drawn, and the scene is drawn again."""
+    placed = [(extent, cnt) for extent, cnt in zip(extents, counts) if cnt]
+    free = [np.flatnonzero(cover[y1:y2, x1:x2] == 1) for (x1, y1, x2, y2), _ in placed]
+    if not all(f.size for f in free):
         raise GenerationFailure("a box holds no whole pixel outside the other boxes")
-    pick = free[rng.integers(0, free.size, cnt)]
-    return np.column_stack([x1 + pick % w, y1 + pick // w, rng.integers(0, 8, cnt)])
+    # Per box: cnt draws bounded by its free pixels, then cnt bounded by 8.
+    draws = rng.integers(0, np.repeat([(f.size, 8) for f in free], [n for _, c in placed for n in (c, c)]))
+    out = np.empty((len(draws) // 2, 3), dtype=np.int64)
+    at = 0
+    for ((x1, y1, x2, _), cnt), f in zip(placed, free):
+        rows, drawn = out[at : at + cnt], draws[2 * at : 2 * (at + cnt)]
+        np.divmod(f[drawn[:cnt]], x2 - x1, out=(rows[:, 1], rows[:, 0]))
+        rows[:, :2] += (x1, y1)
+        rows[:, 2] = drawn[cnt:]
+        at += cnt
+    return out
 
 
 # numpy's bundled OpenBLAS runs a matrix product on one thread when m * n * k
@@ -317,9 +337,8 @@ def _generate_once(cfg: SynthConfig, scene_index: int, rng):
     fixations = []
     if k and n_target:
         counts = rng.multinomial(n_target, weights[salient_idx] / weights[salient_idx].sum())
-        for i, cnt in zip(salient_idx, counts):
-            others = [boxes[j] for j in range(n) if j != i]
-            fixations.append(_place_fixations(rng, boxes[i], others, cnt))
+        extents, cover = _coverage(boxes, cfg.height, cfg.width)
+        fixations.append(_place_fixations(rng, cover, [extents[i] for i in salient_idx], counts))
     fixations.append(rng.integers((0, 0, 0), (cfg.width, cfg.height, 8), size=(n_noise, 3)))
     fixations = np.concatenate(fixations)
 
@@ -328,8 +347,8 @@ def _generate_once(cfg: SynthConfig, scene_index: int, rng):
         width=cfg.width,
         height=cfg.height,
         proposals=tuple(
-            Proposal(id=i, box=boxes[i], detector_confidence=round(float(rng.uniform(0.5, 1.0)), 6))
-            for i in range(n)
+            Proposal(id=i, box=b, detector_confidence=round(c, 6))
+            for i, (b, c) in enumerate(zip(boxes, rng.uniform(0.5, 1.0, n).tolist()))
         ),
         fixations=fixations,
         fixation_map=_render_map(cfg, fixations) if cfg.render_maps else None,

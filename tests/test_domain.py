@@ -1,9 +1,11 @@
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
+from rankflow import domain
 from rankflow.domain import BBox, Ranking, Scene, count_fixations, iou, sqrt_size
 from rankflow.errors import RankflowError
 from rankflow.ingest import pgm_from_bytes, pgm_to_bytes
@@ -21,6 +23,42 @@ class TestBBox:
     def test_rejects_negative(self):
         with pytest.raises(RankflowError, match="box: coordinates must be >= 0"):
             BBox(-1, 0, 5, 5)
+
+
+# Box edges on a 13 x 13 image: integers (edges of whole pixels, 0 and 13
+# the image's edges) and fractions.
+_EDGE = st.one_of(st.integers(0, 13), st.floats(0, 13))
+
+
+@st.composite
+def _boxes(draw, edge=_EDGE, min_size=0, max_size=8):
+    """Up to ``max_size`` valid boxes from ``edge`` values; a list of fewer
+    than ``min_size`` is not drawn."""
+    out = []
+    for x1, x2, y1, y2 in draw(st.lists(st.tuples(edge, edge, edge, edge), min_size=min_size, max_size=max_size)):
+        (x1, x2), (y1, y2) = sorted((x1, x2)), sorted((y1, y2))
+        if x1 < x2 and y1 < y2:
+            out.append(box(x1, y1, x2, y2))
+    assume(len(out) >= min_size)
+    return out
+
+
+def iou_reference(a, b) -> float:
+    """The IoU with the overlap's edges taken by min and max, and the areas
+    by ``BBox.area``."""
+    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
+    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
+    if ix <= 0 or iy <= 0:
+        return 0.0
+    inter = ix * iy
+    union = a.area + b.area - inter
+    if 0.0 < inter <= union:
+        return inter / union
+    f = Fraction
+    inter = (f(min(a.x2, b.x2)) - f(max(a.x1, b.x1))) * (f(min(a.y2, b.y2)) - f(max(a.y1, b.y1)))
+    area_a = (f(a.x2) - f(a.x1)) * (f(a.y2) - f(a.y1))
+    area_b = (f(b.x2) - f(b.x1)) * (f(b.y2) - f(b.y1))
+    return float(inter / (area_a + area_b - inter))
 
 
 class TestIou:
@@ -48,6 +86,18 @@ class TestIou:
         assert iou(ba, bb) == iou(bb, ba)
         assert 0.0 <= iou(ba, bb) <= 1.0
 
+    # Integer, fractional and subnormal coordinates, so edges coincide and
+    # the exact fallback runs.
+    _COORD = st.one_of(st.integers(0, 8), st.floats(0, 8), st.floats(0, 1e-300))
+
+    @given(_boxes(edge=_COORD, min_size=2, max_size=2))
+    @example([box(0, 0, 2, 2), box(0.0, 0.0, 2.0, 2.0)])
+    @example([box(0, 0, 5e-324, 5e-324), box(0, 0, 1e-323, 5e-324)])
+    def test_matches_min_max_reference(self, boxes):
+        a, b = boxes
+        assert iou(a, b) == iou_reference(a, b)
+        assert iou(b, a) == iou_reference(b, a)
+
 
 class TestSqrtSize:
     def test_square(self):
@@ -60,24 +110,33 @@ class TestSqrtSize:
         assert sqrt_size(box(0, 0, 20, 5)) == 10.0
 
 
+def count_reference(boxes, pts) -> list[int]:
+    """Each box's fixation count under the half-open rule, one point and
+    one box at a time."""
+    return [sum(1 for u, v, *_ in pts if b.x1 <= u < b.x2 and b.y1 <= v < b.y2) for b in boxes]
+
+
 class TestCountFixations:
     def test_empty(self):
-        assert count_fixations(box(0, 0, 10, 10), np.empty((0, 3), dtype=np.int64)) == 0
+        assert count_fixations([box(0, 0, 10, 10)], np.empty((0, 3), dtype=np.int64)).tolist() == [0]
+
+    def test_no_boxes(self):
+        counts = count_fixations([], np.array([(1, 1, 0)]))
+        assert counts.shape == (0,) and counts.dtype.kind == "i"
 
     def test_all_inside(self):
         pts = np.array([(1, 1, 0), (2, 3, 0), (9, 9, 0)])
-        assert count_fixations(box(0, 0, 10, 10), pts) == 3
+        assert count_fixations([box(0, 0, 10, 10)], pts).tolist() == [3]
 
     def test_half_open_boundary(self):
         pts = np.array([(5, 5, 0), (10, 10, 0)])
-        assert count_fixations(box(0, 0, 10, 10), pts) == 1
+        assert count_fixations([box(0, 0, 10, 10)], pts).tolist() == [1]
 
     @given(st.lists(st.tuples(st.integers(0, 19), st.integers(0, 9))))
     def test_additive_over_tiling(self, coords):
         # two boxes tiling [0,20)x[0,10): no double counting, no loss
         pts = np.array([(u, v, 0) for u, v in coords], dtype=np.int64).reshape(-1, 3)
-        left = count_fixations(box(0, 0, 10, 10), pts)
-        right = count_fixations(box(10, 0, 20, 10), pts)
+        left, right = count_fixations([box(0, 0, 10, 10), box(10, 0, 20, 10)], pts).tolist()
         assert left + right == len(pts)
 
     @given(
@@ -95,8 +154,23 @@ class TestCountFixations:
         b = box(x1, y1, x2, y2)
         expected = sum(1 for u, v in coords if x1 <= u < x2 and y1 <= v < y2)
         pts = np.array([(u, v, 0) for u, v in coords], dtype=np.int64).reshape(-1, 3)
-        assert count_fixations(b, pts) == expected
-        assert count_fixations(b, np.array(coords, dtype=np.int64).reshape(-1, 2)) == expected
+        assert count_fixations([b], pts).tolist() == [expected]
+        assert count_fixations([b], np.array(coords, dtype=np.int64).reshape(-1, 2)).tolist() == [expected]
+
+    @given(_boxes(), st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12), st.integers(0, 7)), max_size=60))
+    @example(boxes=[], coords=[(0, 0, 0)])
+    @example(boxes=[box(0, 0, 13, 13), box(12, 12, 13, 13)], coords=[])
+    @example(boxes=[box(0, 0, 13, 13), box(0.5, 0, 12, 12.5), box(12, 12, 13, 13)], coords=[(0, 0, 1), (12, 12, 0)])
+    def test_every_box_matches_scalar_reference(self, boxes, coords):
+        pts = np.array(coords, dtype=np.int64).reshape(-1, 3)
+        assert count_fixations(boxes, pts).tolist() == count_reference(boxes, coords)
+
+    def test_boxes_counted_in_blocks(self, monkeypatch):
+        # Blocks of 3 box-point pairs hold one box each at 3 points.
+        monkeypatch.setattr(domain, "_COUNT_BLOCK", 3)
+        boxes = [box(0, 0, 2, 2), box(1, 1, 3, 3), box(0.5, 0.5, 1.5, 1.5)]
+        coords = [(0, 0, 0), (1, 1, 0), (2, 2, 0)]
+        assert count_fixations(boxes, np.array(coords)).tolist() == count_reference(boxes, coords) == [2, 2, 1]
 
 
 class TestSceneFixations:

@@ -22,8 +22,10 @@ from rankflow.gtgen import GtConfig, rasrgt_rank
 from rankflow.ingest import parse_ranking, parse_scene
 from rankflow.synth import (
     SynthConfig,
+    _coverage,
     _place_fixations,
     _render_map,
+    _sample_boxes,
     generate_dataset,
     generate_scene,
     latent_ranking,
@@ -218,6 +220,17 @@ def _place_fixations_reference(rng, box, others, cnt):
     return [[u, v, int(rng.integers(0, 8))] for u, v in picks]
 
 
+def _cover(boxes):
+    """``_coverage`` of ``boxes`` on an image just large enough to hold them."""
+    return _coverage(boxes, math.ceil(max(b.y2 for b in boxes)), math.ceil(max(b.x2 for b in boxes)))
+
+
+def _place(rng, box, others, cnt):
+    """``_place_fixations`` for ``box`` alone among ``others``."""
+    extents, cover = _cover([box, *others])
+    return _place_fixations(rng, cover, extents[:1], [cnt])
+
+
 def _untemper(y: int) -> int:
     """The MT19937 key word that its output tempering turns into ``y``."""
     y ^= y >> 18
@@ -261,10 +274,10 @@ class TestPlaceFixations:
             b = np.random.default_rng([7, case])
             if not free:
                 with pytest.raises(GenerationFailure):
-                    _place_fixations(b, box, others, cnt)
+                    _place(b, box, others, cnt)
                 failures += 1
             else:
-                rows = _place_fixations(b, box, others, cnt)
+                rows = _place(b, box, others, cnt)
                 _check_rows(rows, cnt, free)
                 assert rows.tolist() == _place_fixations_reference(a, box, others, cnt)
                 assert a.bit_generator.state == b.bit_generator.state
@@ -295,7 +308,7 @@ class TestPlaceFixations:
             picks = [int(a.integers(0, length)) for _ in range(1500)]
             observers = [int(a.integers(0, 8)) for _ in range(1500)]
             expected = [[k, 2, o] if wide else [2, k, o] for k, o in zip(picks, observers)]
-            assert _place_fixations(b, box, others, 1500).tolist() == expected
+            assert _place(b, box, others, 1500).tolist() == expected
             assert a.bit_generator.state == b.bit_generator.state
         words = np.random.default_rng([13, 0]).integers(0, 2**32, 4000, dtype=np.uint32).astype(np.uint64)
         assert ((words * length) % 2**32 < length - 1).sum() > 2  # words numpy rejects
@@ -316,7 +329,7 @@ class TestPlaceFixations:
         cnt = int(meta.integers(1, 120))
         a, b = _word_stream(words), _word_stream(words)
         expected = _place_fixations_reference(a, box, others, cnt)
-        assert _place_fixations(b, box, others, cnt).tolist() == expected
+        assert _place(b, box, others, cnt).tolist() == expected
         assert a.bit_generator.state["state"]["pos"] == b.bit_generator.state["state"]["pos"]
         assert b.bit_generator.state["state"]["pos"] > 2 * cnt  # rejected words were skipped
 
@@ -327,7 +340,7 @@ class TestPlaceFixations:
         free = sorted(_free_pixels(box, others))
         assert len(free) == 12
         n = 120_000
-        rows = _place_fixations(np.random.default_rng(41), box, others, n)
+        rows = _place(np.random.default_rng(41), box, others, n)
         _check_rows(rows, n, set(free))
         pixels = np.unique(rows[:, 0] * 100 + rows[:, 1], return_counts=True)[1]
         observers = np.bincount(rows[:, 2], minlength=8)
@@ -349,7 +362,7 @@ class TestPlaceFixations:
         rng = np.random.default_rng(5)
         rng.integers(0, 5)  # leave half of a 64-bit draw buffered
         state = rng.bit_generator.state
-        rows = _place_fixations(rng, box, others, 0)
+        rows = _place(rng, box, others, 0)
         assert rows.shape == (0, 3) and rows.dtype == np.int64
         assert rng.bit_generator.state == state
 
@@ -361,7 +374,7 @@ class TestPlaceFixations:
             (BBox(3.0, 3.0, 9.0, 9.0), [BBox(0.0, 0.0, 9.0, 6.0), BBox(0.0, 5.5, 9.0, 9.5)]),
         ):
             with pytest.raises(GenerationFailure):
-                _place_fixations(np.random.default_rng(5), box, others, 4)
+                _place(np.random.default_rng(5), box, others, 4)
 
     @pytest.mark.parametrize(
         "box",
@@ -381,12 +394,99 @@ class TestPlaceFixations:
             if not free:
                 assert forbid and box.x2 - box.x1 == 1.0 == box.y2 - box.y1
                 with pytest.raises(GenerationFailure):
-                    _place_fixations(rng, box, others, cnt)
+                    _place(rng, box, others, cnt)
                 continue
-            rows = _place_fixations(rng, box, others, cnt)
+            rows = _place(rng, box, others, cnt)
             _check_rows(rows, cnt, free)
             if cnt == 2000:  # at most 48 free pixels, so every one is hit
                 assert {(u, v) for u, v, _ in rows.tolist()} == free
+
+
+    def test_scene_of_boxes_matches_scalar_loop_per_box(self):
+        # Boxes take their draws in turn, pixels then observers, from one
+        # call; a box with count 0 takes none.
+        meta = np.random.default_rng(2025)
+        failures = 0
+        for case in range(200):
+            boxes = [_random_box(meta) for _ in range(int(meta.integers(1, 7)))]
+            counts = [int(c) for c in meta.integers(0, 4, len(boxes)) * meta.integers(0, 20, len(boxes))]
+            frees = [_free_pixels(b, boxes[:i] + boxes[i + 1 :]) for i, b in enumerate(boxes)]
+            extents, cover = _cover(boxes)
+            a = np.random.default_rng([19, case])
+            b = np.random.default_rng([19, case])
+            if any(c and not f for c, f in zip(counts, frees)):
+                state = b.bit_generator.state
+                with pytest.raises(GenerationFailure):
+                    _place_fixations(b, cover, extents, counts)
+                assert b.bit_generator.state == state  # failed before drawing
+                failures += 1
+                continue
+            expected = [
+                row for i, c in enumerate(counts)
+                for row in _place_fixations_reference(a, boxes[i], boxes[:i] + boxes[i + 1 :], c)
+            ]
+            rows = _place_fixations(b, cover, extents, counts)
+            assert rows.dtype == np.int64 and rows.tolist() == expected
+            assert a.bit_generator.state == b.bit_generator.state
+        assert 10 <= failures < 100, failures
+
+
+def _sample_boxes_reference(cfg, n, rng):
+    """The box law with one ``rng.uniform`` call per double; None where
+    ``_sample_boxes`` gives up."""
+    boxes = []
+    for _ in range(n):
+        for _attempt in range(400):
+            bw = rng.uniform(cfg.box_frac_min, cfg.box_frac_max) * cfg.width
+            bh = rng.uniform(cfg.box_frac_min, cfg.box_frac_max) * cfg.height
+            x1 = rng.uniform(0, cfg.width - bw)
+            y1 = rng.uniform(0, cfg.height - bh)
+            cand = BBox(x1, y1, x1 + bw, y1 + bh)
+            if all(iou(cand, b) <= cfg.iou_cap for b in boxes):
+                boxes.append(cand)
+                break
+        else:
+            return None
+    return boxes
+
+
+class TestUniformDraws:
+    """The generator scales ``rng.random`` doubles and takes sized
+    ``uniform`` draws where scalar ``uniform`` calls would give the same
+    numbers; a numpy whose ``uniform`` computes otherwise fails here."""
+
+    def test_box_draws_match_scalar_uniform(self):
+        meta = np.random.default_rng(2026)
+        failed = 0
+        for seed in range(200):
+            lo = float(meta.uniform(0.01, 0.6))
+            cfg = replace(
+                FAST, width=int(meta.integers(1, 700)), height=int(meta.integers(1, 700)), box_frac_min=lo,
+                box_frac_max=float(meta.uniform(lo, 1.0)), iou_cap=float(meta.uniform(0.0, 0.4)),
+            )
+            n = int(meta.integers(1, 12))
+            a = np.random.default_rng([17, seed])
+            b = np.random.default_rng([17, seed])
+            expected = _sample_boxes_reference(cfg, n, a)
+            if expected is None:
+                with pytest.raises(GenerationFailure):
+                    _sample_boxes(cfg, n, b)
+                failed += 1
+            else:
+                boxes = _sample_boxes(cfg, n, b)
+                assert boxes == expected
+                assert all(type(c) is float for box in boxes for c in (box.x1, box.y1, box.x2, box.y2))
+            assert a.bit_generator.state == b.bit_generator.state
+        assert 0 < failed < 100
+
+    @pytest.mark.parametrize("low, high", [(0.5, 1.0), (0.0, 1.0), (0.1, 0.30000000000000004), (3.0, 640.0)])
+    def test_sized_uniform_matches_scalar_calls(self, low, high):
+        for seed in range(200):
+            a = np.random.default_rng([23, seed])
+            b = np.random.default_rng([23, seed])
+            n = seed % 40
+            assert b.uniform(low, high, n).tolist() == [a.uniform(low, high) for _ in range(n)]
+            assert a.bit_generator.state == b.bit_generator.state
 
 
 def _render_map_reference(cfg, fixations) -> np.ndarray:
@@ -558,6 +658,20 @@ class TestPinnedOutput:
             if scene.fixation_map is not None:
                 h.update(scene.fixation_map.tobytes())
         assert h.hexdigest() == expected
+
+    def test_train_heldout_recipe_digest(self):
+        # The benchmark's train-heldout scenes at seed 1 (320x240, 300
+        # fixations, no maps), 40 of them, so box redraws, a scene retry and
+        # placement across up to nine boxes are all pinned.
+        cfg = SynthConfig(
+            seed=1, objects_min=5, objects_max=9, width=320, height=240, fixations_per_scene=300, render_maps=False
+        )
+        h = hashlib.sha256()
+        for idx in range(40):
+            scene, weights = generate_scene(cfg, idx)
+            h.update(json.dumps(scene_to_dict(scene), sort_keys=True).encode())
+            h.update(repr(weights).encode())
+        assert h.hexdigest() == "24331213a31c1289bcec594f324395f0bde2c3719a44c5204771f5c24ef03c34"
 
     def test_dataset_tree_digest(self, tmp_path):
         generate_dataset(replace(_SMALL, seed=61), tmp_path)
