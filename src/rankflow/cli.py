@@ -18,10 +18,11 @@ import sys
 from functools import partial
 from pathlib import Path
 
+from .domain import check_integer, check_real
 from .errors import RankflowError
 from .gtgen import MAP_METHODS, METHODS, GtConfig, discrepancy_offsets, generate_ranking, rasrgt_counts
 from .ingest import parse_ranking, publish_dirs, read_json, write_atomic, write_csv, write_ranking
-from .metrics import evaluate_rankings
+from .metrics import LAMBDA_RANGE, evaluate_rankings
 from .pipeline import (
     build_training_set,
     load_preprocessed,
@@ -32,7 +33,7 @@ from .pipeline import (
     write_provenance,
 )
 from .preprocess import FEATURE_DIM, FilterConfig
-from .rankcore import DEFAULT_WINDOW, MAX_WINDOW, check_window_size
+from .rankcore import DEFAULT_WINDOW, MAX_WINDOW
 from .scorer import TrainConfig, load_model, save_model, train
 from .synth import SynthConfig, generate_dataset
 
@@ -57,13 +58,11 @@ def load_run_config(path) -> dict:
     if unknown:
         raise RankflowError(f"unknown config keys: {sorted(unknown)}")
     if "jobs" in doc:
-        _check_jobs(doc["jobs"], f"{path}: jobs")
+        check_integer(doc["jobs"], f"{path}: jobs", 1, _MAX_JOBS)
     if "window_size" in doc:
-        if type(doc["window_size"]) is not int:
-            raise RankflowError(f"{path}: window_size must be an integer, got {doc['window_size']!r}")
-        check_window_size(doc["window_size"], f"{path}: window_size")
+        check_integer(doc["window_size"], f"{path}: window_size", 1, MAX_WINDOW)
     if "lam" in doc:
-        _check_lambda(doc["lam"], f"{path}: lam")
+        check_real(doc["lam"], f"{path}: lam", *LAMBDA_RANGE)
     for section, cls in _SECTIONS.items():
         fields = doc.get(section, {})
         if not isinstance(fields, dict):
@@ -74,30 +73,25 @@ def load_run_config(path) -> dict:
     return doc
 
 
-def _check_jobs(jobs, name: str) -> int:
-    """``jobs`` if it is an integer in 1.._MAX_JOBS, else an error naming its source."""
-    if type(jobs) is not int or jobs < 1:
-        raise RankflowError(f"{name} must be an integer >= 1, got {jobs!r}")
-    if jobs > _MAX_JOBS:
-        raise RankflowError(f"{name} must be at most {_MAX_JOBS}, got {jobs}")
-    return jobs
-
-
-def _check_lambda(lam, name: str) -> None:
-    if type(lam) not in (int, float) or not 0 < lam <= 1:
-        raise RankflowError(f"{name} must be a number in (0, 1], got {lam!r}")
-
-
 def _section_cfg(args, run_cfg: dict, section: str, **extra):
     """The config object of a run-config ``section``: its values, overridden by
-    every flag whose dest is a field of the section's class, then by ``extra``."""
+    every flag whose dest is a field of the section's class, then by ``extra``,
+    the fields that ``--objects`` sets.  A rejected field's message is led by
+    the source that gave it, ``--objects <spec>`` or ``<config>: <section>``;
+    a flag's field is named alone, as the flag's dest."""
     cls = _SECTIONS[section]
     names = {f.name for f in dataclasses.fields(cls)}
     flags = {k: v for k, v in vars(args).items() if k in names and v is not None}
+    given = run_cfg.get(section, {})
     try:
-        return cls(**{**run_cfg.get(section, {}), **flags, **extra})
-    except (TypeError, ValueError) as e:
-        raise RankflowError(str(e)) from e
+        return cls(**{**given, **flags, **extra})
+    except RankflowError as e:
+        field = str(e).split(" ", 1)[0]  # every config check names its field first
+        if field in extra:
+            raise e.naming(f"--objects {args.objects}") from e
+        if field in given and field not in flags:
+            raise e.naming(f"{args.config}: {section}") from e
+        raise
 
 
 def _add_command(sub, name: str, run, help: str, out_help: str | None = None):
@@ -129,14 +123,14 @@ def _common(args):
     ``jobs``, else ``RANKFLOW_JOBS``, else every usable CPU up to ``_MAX_JOBS``."""
     run_cfg = load_run_config(args.config) if args.config else {}
     if args.jobs is not None:
-        return run_cfg, _check_jobs(args.jobs, "--jobs")
+        return run_cfg, check_integer(args.jobs, "--jobs", 1, _MAX_JOBS)
     if "jobs" in run_cfg:  # checked by load_run_config
         return run_cfg, run_cfg["jobs"]
     env = os.environ.get("RANKFLOW_JOBS")
     if env is None:
         return run_cfg, min(_usable_cpus(), _MAX_JOBS)
     try:
-        return run_cfg, _check_jobs(int(env), "RANKFLOW_JOBS")
+        return run_cfg, check_integer(int(env), "RANKFLOW_JOBS", 1, _MAX_JOBS)
     except ValueError as e:
         raise RankflowError(f"RANKFLOW_JOBS must be an integer, got {env!r}") from e
 
@@ -205,12 +199,7 @@ def _cmd_synth(args, run_cfg, jobs):
         except ValueError as e:
             raise RankflowError(f"--objects expects min:max integers, got {args.objects!r}") from e
         objects = {"objects_min": lo, "objects_max": hi}
-    try:
-        cfg = _section_cfg(args, run_cfg, "synth", **objects)
-    except RankflowError as e:
-        if objects and str(e).startswith("objects_max must be at most"):
-            raise e.naming(f"--objects {args.objects}") from e
-        raise
+    cfg = _section_cfg(args, run_cfg, "synth", **objects)
     generate_dataset(cfg, args.out, jobs)
     return dataclasses.asdict(cfg), cfg.seed, f"wrote {cfg.n_scenes} scenes to {args.out}"
 
@@ -276,7 +265,7 @@ def _cmd_gt_discrepancy(args, run_cfg, jobs):
 def _cmd_train(args, run_cfg, jobs):
     cfg = _section_cfg(args, run_cfg, "train")
     if args.window is not None:  # a config's window_size is checked by load_run_config
-        check_window_size(args.window, "--window")
+        check_integer(args.window, "--window", 1, MAX_WINDOW)
     window = args.window if args.window is not None else run_cfg.get("window_size", DEFAULT_WINDOW)
     dataset = build_training_set(args.in_dir, parse_ranking(args.gt), window)
     result = train(dataset, cfg)
@@ -302,7 +291,7 @@ def _cmd_rank(args, run_cfg, jobs):
 
 def _cmd_map_rank(args, run_cfg, jobs):
     if args.lam is not None:
-        _check_lambda(args.lam, "--lambda")
+        check_real(args.lam, "--lambda", *LAMBDA_RANGE)
     lam = args.lam if args.lam is not None else run_cfg.get("lam", 0.5)
     maps_dir = Path(args.maps) if args.maps else None
     worker = partial(map_rank_one, maps_dir=maps_dir, lam=lam)

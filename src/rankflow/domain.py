@@ -1,4 +1,6 @@
-"""Core value types (boxes, fixations, scenes, rankings) and elementary geometry.
+"""Core value types (boxes, fixations, scenes, rankings), elementary geometry,
+and the two rules that every setting is checked by: ``check_integer`` and
+``check_real``, each raising a RankflowError that names the setting.
 
 Everything here is immutable after construction and all operations are pure,
 so values can be shared freely across threads and processes.  A scene holds
@@ -24,22 +26,36 @@ from .errors import RankflowError
 _COUNT_BLOCK = 1 << 20
 
 
+def check_integer(value, name: str, low: int, high: int | None = None):
+    """``value`` if it is an integer (not a bool) in ``low..high``, with no
+    upper bound when ``high`` is None; else a RankflowError naming ``name``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
+        raise RankflowError(f"{name} must be an integer >= {low}, got {value!r}")
+    if high is not None and value > high:
+        raise RankflowError(f"{name} must be at most {high}, got {value!r}")
+    return value
+
+
+def check_real(value, name: str, ok, span: str):
+    """``value`` if it is a finite number (not a bool) for which ``ok``
+    holds; else a RankflowError naming ``name`` and ``span``, the range in words."""
+    try:
+        finite = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int past the largest double
+        finite = False
+    if not (finite and ok(value)):
+        raise RankflowError(f"{name} must be a finite number {span}, got {value!r}")
+    return value
+
+
 def check_fields(cfg, integers=(), reals=()) -> None:
-    """Raise ``ValueError`` naming the first bad field of a config:
-    ``integers`` are ``(name, low)`` pairs of integers >= low, or ``(name,
-    low, high)`` triples also <= high; ``reals`` are ``(name, ok, span)``
-    triples of finite numbers for which ``ok`` holds."""
-    for name, low, *high in integers:
-        value = getattr(cfg, name)
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
-            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        if high and value > high[0]:
-            raise ValueError(f"{name} must be at most {high[0]}, got {value!r}")
+    """Check a config's fields in order, so the first bad one raises:
+    ``integers`` are ``(name, low)`` or ``(name, low, high)`` for
+    ``check_integer``, ``reals`` are ``(name, ok, span)`` for ``check_real``."""
+    for name, *bounds in integers:
+        check_integer(getattr(cfg, name), name, *bounds)
     for name, ok, span in reals:
-        value = getattr(cfg, name)
-        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-        if not (real and math.isfinite(value) and ok(value)):
-            raise ValueError(f"{name} must be a finite number {span}, got {value!r}")
+        check_real(getattr(cfg, name), name, ok, span)
 
 
 @dataclass(frozen=True)

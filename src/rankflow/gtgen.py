@@ -22,6 +22,9 @@ from .errors import RankflowError
 
 METHODS = ("fixpoints", "mapmax", "mapavg", "binmap", "rasrgt")
 MAP_METHODS = ("mapmax", "mapavg", "binmap")  # the methods that read the fixation map
+# e^(beta * size ratio) must stay finite: a box lies inside its image, so its
+# size ratio is at most 1, and e^700 is below the largest double (about e^709.8).
+MAX_BETA = 700
 
 
 @dataclass(frozen=True)
@@ -34,12 +37,12 @@ class GtConfig:
     def __post_init__(self):
         reals = (
             ("gamma", lambda x: x > 0, "> 0"),
-            ("beta", lambda x: x > 0, "> 0"),
+            ("beta", lambda x: 0 < x <= MAX_BETA, f"in (0, {MAX_BETA}]"),
             ("binary_threshold", lambda x: 0 < x < 255, "in (0, 255)"),
         )
         check_fields(self, reals=reals)
         if self.method not in METHODS:
-            raise ValueError(f"method must be one of {list(METHODS)}, got {self.method!r}")
+            raise RankflowError(f"method must be one of {list(METHODS)}, got {self.method!r}")
 
 
 _DEFAULT_GT = GtConfig()

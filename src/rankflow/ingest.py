@@ -270,6 +270,13 @@ def write_scene(scene: Scene, path, fixation_map_path=None) -> None:
     write_atomic(path, text.replace('"fixations": []', f'"fixations": [{rows}]', 1) + "\n")
 
 
+# A binary PGM header: "P5", then width, height and maxval, each led by gaps
+# (whitespace, or a "#" comment to the end of its line), the second and third
+# after one whitespace byte too, then one optional whitespace byte.
+_GAPS = rb"(?:\s|#[^\n]*(?![^\n]))*"
+_PGM_HEADER = re.compile(rb"P5%s([^\s#]\S*)\s%s([^\s#]\S*)\s%s([^\s#]\S*)\s?" % (_GAPS, _GAPS, _GAPS))
+
+
 def parse_pgm(path) -> np.ndarray:
     return pgm_from_bytes(read_bytes(path), name=str(path))
 
@@ -279,34 +286,21 @@ def pgm_from_bytes(data: bytes, name="<pgm>") -> np.ndarray:
     array: a view of ``data``, with no copy, whatever follows the raster."""
     if not data.startswith(b"P5"):
         raise RankflowError(f"{name}: not a binary PGM (P5)")
-    pos = 2
-    fields = []
-    while len(fields) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise RankflowError(f"{name}: header ended early")
-        fields.append(data[start:pos])
-    pos += 1  # single whitespace after maxval
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise RankflowError(f"{name}: header ended early")
     try:
-        width, height, maxval = (int(f) for f in fields)
+        width, height, maxval = (int(f) for f in header.groups())
     except ValueError as e:
         raise RankflowError(f"{name}: non-numeric header") from e
     if maxval != 255:
         raise RankflowError(f"{name}: maxval must be 255, got {maxval}")
-    got = max(len(data) - pos, 0)
+    got = len(data) - header.end()
     if got < width * height:
         raise RankflowError(f"{name}: expected {width * height} raster bytes, got {got}")
     if width <= 0 or height <= 0:
         raise RankflowError(f"{name}: graymap: width and height must be positive")
-    return np.frombuffer(data, np.uint8, width * height, pos).reshape(height, width)
+    return np.frombuffer(data, np.uint8, width * height, header.end()).reshape(height, width)
 
 
 def pgm_to_bytes(gmap: np.ndarray) -> bytes:

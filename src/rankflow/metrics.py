@@ -9,9 +9,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import Ranking, Scene, map_region, sqrt_size
+from .domain import Ranking, Scene, check_real, map_region, sqrt_size
 from .errors import RankflowError
 from .gtgen import ranking_from_scores
+
+# lambda's range, as ``check_real``'s ``(ok, span)``: map_threshold and the CLI check it.
+LAMBDA_RANGE = (lambda x: 0 < x <= 1, "in (0, 1]")
 
 
 def midranks(values) -> np.ndarray:
@@ -63,8 +66,7 @@ def map_threshold(scene: Scene, gmap: np.ndarray, lam: float) -> float:
     T = (1 / (n * lam)) * sum_i sum(values in box_i) / sqrt(area_i), over the
     scene's n real proposals; ``lam`` in (0, 1].
     """
-    if not 0 < lam <= 1:
-        raise RankflowError(f"lambda must be a number in (0, 1], got {lam!r}")
+    check_real(lam, "lambda", *LAMBDA_RANGE)
     proposals = scene.real_proposals
     if not proposals:
         raise RankflowError(f"{scene.scene_id}: no proposals")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Proposal, Ranking, Scene
+from .domain import Proposal, Ranking, Scene, check_integer
 from .errors import RankflowError
 
 DEFAULT_WINDOW = 5
@@ -30,14 +30,9 @@ class Window:
     member_ids: tuple[int, ...]  # proposal positions in the scene's order
 
 
-def check_window_size(window_size: int, name: str = "window size") -> None:
-    if not 1 <= window_size <= MAX_WINDOW:
-        raise RankflowError(f"{name} must lie in 1..{MAX_WINDOW}, got {window_size}")
-
-
 def acb_sequences(n: int, window_size: int = DEFAULT_WINDOW) -> list[Window]:
     """n circular windows; window i holds indices (i, i+1, ..., i+W-1) mod n."""
-    check_window_size(window_size)
+    check_integer(window_size, "window size", 1, MAX_WINDOW)
     if n < window_size:
         raise RankflowError(f"need at least {window_size} proposals, got {n}")
     return [Window(tuple((i + k) % n for k in range(window_size))) for i in range(n)]

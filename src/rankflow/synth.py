@@ -19,8 +19,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .domain import BBox, Proposal, Scene, check_fields, iou, sqrt_size
-from .errors import GenerationFailure
-from .gtgen import GtConfig, rasrgt_rank, ranking_from_scores
+from .errors import GenerationFailure, RankflowError
+from .gtgen import MAX_BETA, GtConfig, rasrgt_rank, ranking_from_scores
 from .ingest import publish_dirs, write_atomic, write_csv, write_pgm, write_ranking, write_scene
 from .pipeline import parallel_map
 
@@ -48,7 +48,7 @@ _MAX_OBJECTS = 32
 @dataclass(frozen=True)
 class SynthConfig:
     """Generator settings; every field is checked on construction, and a bad
-    one raises ValueError naming it."""
+    one raises a RankflowError naming it."""
 
     seed: int = 0
     n_scenes: int = 10
@@ -82,11 +82,11 @@ class SynthConfig:
             ("iou_cap", lambda x: 0 <= x <= 1, "in [0, 1]"),
             ("min_weight_gap", lambda x: x >= 0, ">= 0"),
             ("gamma", lambda x: x > 0, "> 0"),
-            ("beta", lambda x: x > 0, "> 0"),
+            ("beta", lambda x: 0 < x <= MAX_BETA, f"in (0, {MAX_BETA}]"),
         )
         check_fields(self, integers, reals)
         if not isinstance(self.render_maps, bool):
-            raise ValueError(f"render_maps must be true or false, got {self.render_maps!r}")
+            raise RankflowError(f"render_maps must be true or false, got {self.render_maps!r}")
 
 
 def _sample_boxes(cfg: SynthConfig, n: int, rng) -> list[BBox]:
@@ -212,7 +212,12 @@ def _work_buffers(h: int, w: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     """The flat padded-input and product buffers of ``_blur`` on an ``h`` x
     ``w`` image at radius ``r``, each as large as the larger pass needs: the
     first pass at any count of columns up to ``w`` (its size is not monotone
-    in that count), or the second.  One pair is held; a new size frees it."""
+    in that count), or the second.  One pair is held; a new size frees it.
+
+    The buffers are load-bearing.  Measured on 2 vCPUs, with fresh arrays per
+    map instead, ``synth --scenes 200 --objects 5:9 --fixations 1000 --jobs 2``
+    made 409k minor page faults, not 63k, and its median CPU time over 8
+    alternating runs rose from 1.42 to 1.68 s, the maps byte-identical."""
     shapes = [_padded_shape(h, m, r) for m in range(1, w + 1)] + [_padded_shape(w, h, r)]
     return np.empty(max(a * b for a, b in shapes)), np.empty(max((a - 2 * r) * b for a, b in shapes))
 

@@ -111,7 +111,7 @@ class TestUsageErrors:
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"synth": {"objects_min": 40, "objects_max": 40}}))
         assert run("synth", "--config", str(cfg), "--out", str(out)) == 2
-        assert capsys.readouterr().err == "error: objects_max must be at most 32, got 40\n"
+        assert capsys.readouterr().err == f"error: {cfg}: synth: objects_max must be at most 32, got 40\n"
         assert not out.exists()
 
     def test_non_integer_jobs_env(self, tmp_path, monkeypatch, capsys):
@@ -144,7 +144,7 @@ class TestUsageErrors:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"synth": {field: value}}))
         assert run("synth", "--config", str(cfg), "--scenes", "1", "--jobs", "1", "--out", str(tmp_path / "d")) == 2
-        assert f"error: {field} must be at most {bound}, got {value}\n" in capsys.readouterr().err
+        assert f"error: {cfg}: synth: {field} must be at most {bound}, got {value}\n" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg]
 
     def test_jobs_above_bound(self, tmp_path, monkeypatch, capsys):
@@ -202,7 +202,7 @@ class TestUsageErrors:
         cfg.write_text(json.dumps({"filter": fields}))
         argv = ["preprocess", "--config", str(cfg), "--in", str(dataset / "raw"), "--out", str(tmp_path / "p")]
         assert run(*argv) == 2
-        assert f"error: {next(iter(fields))} must be" in capsys.readouterr().err
+        assert f"error: {cfg}: filter: {next(iter(fields))} must be" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg]
 
     def test_model_shorter_than_header(self, dataset, tmp_path, capsys):
@@ -228,18 +228,18 @@ class TestUsageErrors:
         argv = ["train", "--in", str(dataset / "pre"), "--gt", str(dataset / "raw" / "gt.csv"),
                 "--out", str(tmp_path / "m.bin"), "--window", "-1"]
         assert run(*argv) == 2
-        assert "error: --window must lie in 1..7, got -1\n" in capsys.readouterr().err  # names no scene
+        assert "error: --window must be an integer >= 1, got -1\n" in capsys.readouterr().err  # names no scene
 
     def test_train_window_above_bound(self, dataset, tmp_path, capsys):
         """Rejected naming its source, the flag or the config path and key."""
         argv = ["train", "--in", str(dataset / "pre"), "--gt", str(dataset / "raw" / "gt.csv"),
                 "--out", str(tmp_path / "m.bin")]
         assert run(*argv, "--window", "9") == 2
-        assert "error: --window must lie in 1..7, got 9\n" in capsys.readouterr().err
+        assert "error: --window must be at most 7, got 9\n" in capsys.readouterr().err
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"window_size": 9}))
         assert run(*argv, "--config", str(cfg)) == 2
-        assert f"error: {cfg}: window_size must lie in 1..7, got 9\n" in capsys.readouterr().err
+        assert f"error: {cfg}: window_size must be at most 7, got 9\n" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg]
 
     def test_rank_takes_no_window_flag(self, dataset, tmp_path):
@@ -463,14 +463,97 @@ class TestUsageErrors:
     def test_bad_lambda_flag(self, tmp_path, capsys, flag):
         argv = ["map-rank", "--in", str(tmp_path), f"--lambda={flag}", "--out", str(tmp_path / "p.csv")]
         assert run(*argv) == 2
-        assert "--lambda must be a number in (0, 1]" in capsys.readouterr().err
+        assert "--lambda must be a finite number in (0, 1]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("lam", ["x", 2, True, None])
     def test_bad_lambda_config(self, tmp_path, capsys, lam):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"lam": lam}))
         assert run("map-rank", "--config", str(cfg), "--in", str(tmp_path), "--out", str(tmp_path / "p.csv")) == 2
-        assert "cfg.json: lam must be a number in (0, 1]" in capsys.readouterr().err
+        assert "cfg.json: lam must be a finite number in (0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "stage, flags, doc, env, message",
+        [
+            # a flag
+            ("train", ["--window", "9"], None, None, "--window must be at most 7, got 9"),
+            ("map-rank", ["--lambda", "2"], None, None, "--lambda must be a finite number in (0, 1], got 2.0"),
+            ("synth", ["--jobs", "0"], None, None, "--jobs must be an integer >= 1, got 0"),
+            # a config top-level key
+            ("train", [], {"window_size": 0}, None, "{cfg}: window_size must be an integer >= 1, got 0"),
+            ("map-rank", [], {"lam": 0}, None, "{cfg}: lam must be a finite number in (0, 1], got 0"),
+            ("synth", [], {"jobs": 257}, None, "{cfg}: jobs must be at most 256, got 257"),
+            # a config section field
+            ("train", [], {"train": {"lr": -1}}, None, "{cfg}: train: lr must be a finite number >= 0, got -1"),
+            # an int past every double (an OverflowError traceback before)
+            ("train", [], {"train": {"lr": 10**400}}, None,
+             f"{{cfg}}: train: lr must be a finite number >= 0, got {10**400}"),
+            ("gt-gen", [], {"gt": {"beta": 701}}, None, "{cfg}: gt: beta must be a finite number in (0, 700], got 701"),
+            ("preprocess", [], {"filter": {"min_count": 0}}, None,
+             "{cfg}: filter: min_count must be an integer >= 1, got 0"),
+            ("synth", [], {"synth": {"render_maps": 1}}, None, "{cfg}: synth: render_maps must be true or false, got 1"),
+            # --objects
+            ("synth", ["--objects", "9:3"], None, None, "--objects 9:3: objects_max must be an integer >= 9, got 3"),
+            ("synth", ["--objects", "0:3"], {"synth": {"objects_min": 2}}, None,
+             "--objects 0:3: objects_min must be an integer >= 1, got 0"),
+            # RANKFLOW_JOBS
+            ("synth", [], None, "0", "RANKFLOW_JOBS must be an integer >= 1, got 0"),
+            ("synth", [], None, "x", "RANKFLOW_JOBS must be an integer, got 'x'"),
+        ],
+        ids=["--window", "--lambda", "--jobs", "window_size", "lam", "jobs", "train.lr", "train.lr-past-double",
+             "gt.beta", "filter.min_count", "synth.render_maps", "--objects-max", "--objects-min", "env-0", "env-x"],
+    )
+    def test_bad_setting_names_its_source(self, tmp_path, monkeypatch, capsys, stage, flags, doc, env, message):
+        """Every setting is checked by one rule, and its message is led by
+        the flag, the config path (and section), --objects or the env var."""
+        raw, pre, gt = (str(tmp_path / name) for name in ("raw", "pre", "gt.csv"))  # never read
+        inputs = {"synth": [], "preprocess": ["--in", raw], "gt-gen": ["--in", raw],
+                  "train": ["--in", pre, "--gt", gt], "map-rank": ["--in", raw]}[stage]
+        argv = [stage, *inputs, *flags]
+        cfg = tmp_path / "cfg.json"
+        if doc is not None:
+            cfg.write_text(json.dumps(doc))
+            argv += ["--config", str(cfg)]
+        if env is None:
+            monkeypatch.delenv("RANKFLOW_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("RANKFLOW_JOBS", env)
+        assert run(*argv, "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
+        assert list(tmp_path.iterdir()) == ([cfg] if doc is not None else [])
+
+    @pytest.mark.parametrize("stage", ["gt-gen", "gt-discrepancy", "synth"])
+    def test_beta_is_bounded(self, dataset, tmp_path, capsys, stage):
+        """e^(beta * size ratio) overflowed past beta ~709 (OverflowError,
+        exit 1); beta is now checked against 700 before anything runs."""
+        cfg = tmp_path / "cfg.json"
+        if stage == "synth":
+            cfg.write_text(json.dumps({"synth": {"beta": 1e300}}))
+            argv = ["synth", "--config", str(cfg), "--scenes", "2", "--jobs", "1", "--out", str(tmp_path / "d")]
+            expected = f"error: {cfg}: synth: beta must be a finite number in (0, 700], got 1e+300\n"
+        else:
+            cfg.write_text("{}")
+            argv = [stage, "--config", str(cfg), "--beta", "1e308", "--in", str(dataset / "raw"), "--jobs", "1",
+                    "--out", str(tmp_path / "out.csv")]
+            expected = "error: beta must be a finite number in (0, 700], got 1e+308\n"
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == expected
+        assert list(tmp_path.iterdir()) == [cfg]  # no output, no provenance
+
+    def test_beta_at_its_bound_on_full_image_boxes(self, tmp_path):
+        """At beta 700 a box that fills its image (size ratio 1) scores
+        gamma * e^700, which is finite, in synth, gt-gen and gt-discrepancy."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synth": {"beta": 700, "box_frac_min": 1.0, "box_frac_max": 1.0,
+                                             "width": 32, "height": 24}}))
+        raw = tmp_path / "raw"
+        synth = ["synth", "--config", str(cfg), "--scenes", "2", "--objects", "1:1", "--fixations", "40", "--no-maps"]
+        assert run(*synth, "--jobs", "1", "--out", str(raw)) == 0
+        scene = json.loads((raw / "scenes" / "scene_00000.json").read_text())
+        assert scene["proposals"][0]["box"] == [0, 0, 32, 24]
+        assert run("gt-gen", "--beta", "700", "--in", str(raw), "--jobs", "1", "--out", str(tmp_path / "gt.csv")) == 0
+        assert parse_ranking(tmp_path / "gt.csv") == parse_ranking(raw / "gt.csv")
+        assert run("gt-discrepancy", "--beta", "700", "--in", str(raw), "--jobs", "1", "--out", str(tmp_path / "d.csv")) == 0
 
     def test_top_level_seed_is_unknown(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

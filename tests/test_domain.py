@@ -1,4 +1,6 @@
+import math
 import pickle
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -6,13 +8,90 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from rankflow import domain
-from rankflow.domain import BBox, Ranking, Scene, count_fixations, iou, sqrt_size
+from rankflow.domain import BBox, Ranking, Scene, check_integer, check_real, count_fixations, iou, sqrt_size
 from rankflow.errors import RankflowError
 from rankflow.ingest import pgm_from_bytes, pgm_to_bytes
 
 
 def box(x1, y1, x2, y2):
     return BBox(x1, y1, x2, y2)
+
+
+def _integer_reference(value, low, high) -> bool:
+    """The integer rule on plain scalars: a Python or numpy integer, not a
+    bool, in low..high (no upper bound when high is None)."""
+    integer = type(value) is int or isinstance(value, np.integer)
+    return integer and low <= value and (high is None or value <= high)
+
+
+def _real_reference(value, low, high) -> bool:
+    """The real rule with the range [low, high] (no upper bound when high is
+    None): a Python or numpy int or float, not a bool, that is no NaN, no
+    infinity and no int past the largest double."""
+    if type(value) is int or isinstance(value, np.integer):
+        finite = abs(int(value)) <= sys.float_info.max
+    elif type(value) is float or isinstance(value, np.floating):
+        finite = math.isfinite(value)
+    else:
+        return False
+    return finite and low <= value and (high is None or value <= high)
+
+
+def _accepts(rule, value, name, *args) -> bool:
+    try:
+        assert rule(value, name, *args) is value
+    except RankflowError as e:
+        assert str(e).startswith(f"{name} must be ") and str(e).endswith(f", got {value!r}")
+        return False
+    return True
+
+
+# Scalars no plain comparison settles: bools, non-numbers, ints past int64 or
+# past every double, NaN and the infinities.
+_ODD_SCALARS = [True, False, np.True_, None, "1", [1], 10**400, -(10**400), 2**63, np.uint64(2**64 - 1),
+                float("nan"), float("inf"), -float("inf"), np.float32("inf")]
+# Every kind of scalar a setting may arrive as: JSON's, argparse's, numpy's.
+_SCALARS = st.one_of(
+    st.sampled_from(_ODD_SCALARS),
+    st.integers(-12, 12),
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    st.floats(-12, 12),
+    st.floats(),
+    st.floats(width=32).map(np.float32),
+)
+
+
+class TestSettingRules:
+    """``check_integer`` and ``check_real`` accept exactly what a plain
+    scalar reference accepts, and each refusal names the setting."""
+
+    @given(st.data(), st.integers(-5, 5), st.none() | st.integers(-5, 5))
+    def test_integer_rule(self, data, low, high):
+        edges = [low, low - 1] + ([] if high is None else [high, high + 1])
+        value = data.draw(_SCALARS | st.sampled_from(edges) | st.sampled_from(edges).map(np.int16))
+        assert _accepts(check_integer, value, "--n", low, high) == _integer_reference(value, low, high)
+
+    @given(st.data(), st.integers(-5, 5), st.none() | st.integers(0, 5))
+    def test_real_rule(self, data, low, width):
+        high = None if width is None else low + width
+        edges = [low, float(low), math.nextafter(low, -math.inf)]
+        if high is not None:
+            edges += [high, float(high), math.nextafter(high, math.inf)]
+        value = data.draw(_SCALARS | st.sampled_from(edges) | st.sampled_from(edges).map(np.float64))
+        assert self._real_accepts(value, low, high) == _real_reference(value, low, high)
+
+    @pytest.mark.parametrize("value", _ODD_SCALARS, ids=lambda v: repr(v)[:16])
+    @pytest.mark.parametrize("low, high", [(0, None), (-1, 1)])
+    def test_odd_scalars(self, value, low, high):
+        assert _accepts(check_integer, value, "n", low, high) == _integer_reference(value, low, high)
+        assert self._real_accepts(value, low, high) == _real_reference(value, low, high)
+
+    @staticmethod
+    def _real_accepts(value, low, high) -> bool:
+        ok = lambda x: low <= x and (high is None or x <= high)  # noqa: E731
+        return _accepts(check_real, value, "cfg.json: x", ok, f"in [{low}, {high}]")
 
 
 class TestBBox:

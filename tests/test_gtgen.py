@@ -37,7 +37,7 @@ class TestGtConfig:
 
     @pytest.mark.parametrize("method", ["zzz", ["x"], {}, None, 3])
     def test_other_methods_rejected(self, method):
-        with pytest.raises(ValueError, match="method must be one of"):
+        with pytest.raises(RankflowError, match="method must be one of"):
             GtConfig(method=method)
 
 

@@ -389,7 +389,68 @@ class TestBulkFixations:
         assert spied == [None]
 
 
+def _reference_pgm_from_bytes(data: bytes, name="<pgm>") -> np.ndarray:
+    """``pgm_from_bytes`` as a byte loop, the reference for its header pattern."""
+    if not data.startswith(b"P5"):
+        raise RankflowError(f"{name}: not a binary PGM (P5)")
+    pos = 2
+    fields = []
+    while len(fields) < 3:
+        while pos < len(data) and data[pos : pos + 1].isspace():
+            pos += 1
+        if pos < len(data) and data[pos : pos + 1] == b"#":
+            while pos < len(data) and data[pos] != 0x0A:
+                pos += 1
+            continue
+        start = pos
+        while pos < len(data) and not data[pos : pos + 1].isspace():
+            pos += 1
+        if start == pos:
+            raise RankflowError(f"{name}: header ended early")
+        fields.append(data[start:pos])
+    pos += 1  # single whitespace after maxval
+    try:
+        width, height, maxval = (int(f) for f in fields)
+    except ValueError as e:
+        raise RankflowError(f"{name}: non-numeric header") from e
+    if maxval != 255:
+        raise RankflowError(f"{name}: maxval must be 255, got {maxval}")
+    got = max(len(data) - pos, 0)
+    if got < width * height:
+        raise RankflowError(f"{name}: expected {width * height} raster bytes, got {got}")
+    if width <= 0 or height <= 0:
+        raise RankflowError(f"{name}: graymap: width and height must be positive")
+    return np.frombuffer(data, np.uint8, width * height, pos).reshape(height, width)
+
+
+def _pgm_outcome(read, data: bytes):
+    try:
+        gmap = read(data, name="m.pgm")
+    except RankflowError as e:
+        return str(e)
+    return gmap.shape, gmap.tobytes()
+
+
+# Header pieces: every whitespace byte, comments (to a line end or to EOF),
+# numbers int() reads in odd forms, and bytes that are not numbers.
+_PGM_PIECES = st.sampled_from(
+    [b" ", b"\n", b"\r", b"\t", b"\x0b", b"\x0c", b"\r\n", b"#", b"# c", b"#x\n", b"1", b"2", b"255", b"0",
+     b"-1", b"+7", b"1_0", b"P5", b"x", b"\xff", b"\x00"]
+)
+_PGM_HEADERS = st.one_of(
+    st.tuples(st.lists(_PGM_PIECES, max_size=12), st.binary(max_size=6)).map(lambda t: b"P5" + b"".join(t[0]) + t[1]),
+    st.tuples(st.integers(1, 3), st.integers(1, 3), st.lists(st.tuples(
+        st.sampled_from(["cut", "put", "insert"]), st.integers(0, 16), _PGM_PIECES), min_size=1, max_size=3)).map(
+        lambda t: edit_bytes(pgm_to_bytes(np.arange(t[0] * t[1], dtype=np.uint8).reshape(t[1], t[0])), t[2])),
+)
+
+
 class TestPgm:
+    @settings(max_examples=1000)
+    @given(_PGM_HEADERS)
+    def test_header_reads_as_the_byte_loop(self, data):
+        assert _pgm_outcome(pgm_from_bytes, data) == _pgm_outcome(_reference_pgm_from_bytes, data)
+
     def test_decode(self, tmp_path):
         path = tmp_path / "a.pgm"
         path.write_bytes(b"P5\n2 2\n255\n" + bytes([0, 255, 128, 64]))

@@ -113,7 +113,7 @@ class TestMapThreshold:
 
     def test_rejects_bad_lambda(self):
         scene = make_scene([(0, 0, 10, 10)], map_values=np.zeros((100, 100)))
-        with pytest.raises(RankflowError, match=re.escape("lambda must be a number in (0, 1], got 0.0")):
+        with pytest.raises(RankflowError, match=re.escape("lambda must be a finite number in (0, 1], got 0.0")):
             map_threshold(scene, scene.fixation_map, 0.0)
 
 

@@ -57,7 +57,7 @@ class TestFilterProposals:
         assert len({p.id for p in out.proposals}) == 5
 
     def test_rejects_bad_config(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(RankflowError):
             FilterConfig(iou_discard=0.0)
 
     @given(st.lists(st.tuples(st.integers(0, 80), st.integers(0, 80)), max_size=6))

@@ -194,7 +194,7 @@ class TestTrainConfig:
          ("alpha", -1.0), ("margin", "x"), ("margin", None)],
     )
     def test_rejects_bad_field(self, field, value):
-        with pytest.raises(ValueError, match=f"^{field} must be"):
+        with pytest.raises(RankflowError, match=f"^{field} must be"):
             TrainConfig(**{field: value})
 
     def test_accepts_ints_for_reals(self):

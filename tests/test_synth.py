@@ -17,7 +17,7 @@ from scipy.ndimage import gaussian_filter
 import rankflow
 from conftest import scene_to_dict
 from rankflow.domain import BBox, iou
-from rankflow.errors import GenerationFailure
+from rankflow.errors import GenerationFailure, RankflowError
 from rankflow.gtgen import GtConfig, rasrgt_rank
 from rankflow.ingest import parse_ranking, parse_scene
 from rankflow.synth import (
@@ -144,17 +144,17 @@ class TestGenerateDataset:
 
 class TestConfigValidation:
     def test_bad_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(RankflowError):
             SynthConfig(objects_min=5, objects_max=3)
 
     def test_bad_fraction(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(RankflowError):
             SynthConfig(salient_fraction=1.5)
 
     @pytest.mark.parametrize("sigma", [1000.5, 1e9, 1e308])
     def test_splat_sigma_is_bounded(self, sigma):
         # Checked by value only: a kernel for 1e9 would have 8e9 taps.
-        with pytest.raises(ValueError, match=r"splat_sigma must be a finite number in \(0, 1000\]"):
+        with pytest.raises(RankflowError, match=r"splat_sigma must be a finite number in \(0, 1000\]"):
             SynthConfig(splat_sigma=sigma)
         assert SynthConfig(splat_sigma=1000, width=1, height=1).splat_sigma == 1000
 
@@ -166,7 +166,7 @@ class TestConfigValidation:
         # Checked by value only: no scene of these sizes is generated.
         assert getattr(SynthConfig(**{field: bound}), field) == bound
         for value in (bound + 1, 10**12):
-            with pytest.raises(ValueError, match=rf"^{field} must be at most {bound}, got {value}$"):
+            with pytest.raises(RankflowError, match=rf"^{field} must be at most {bound}, got {value}$"):
                 SynthConfig(**{field: value})
 
     def test_object_count_bound_admits_oracle_rank(self):
