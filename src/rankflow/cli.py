@@ -6,41 +6,44 @@ Data goes to files, logs go to stderr.  Exit codes: 0 success, 1 usage error,
 Each ``_cmd_*`` handler runs one stage and returns its provenance config, seed
 and log line; only once it succeeds does ``dispatch`` record that provenance
 beside ``--out`` and print the line.
+
+Start-up pays only for what a stage runs: at module level this file imports
+the standard library and ``errors`` alone, each handler imports the stage
+modules it calls, and a config section's class is imported only when a stage
+or a ``--config`` file reads that section.  So ``--help`` and a usage error
+load no numpy, and only a pooled run loads the process pool.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import json
 import math
 import os
+import re
 import sys
 from functools import partial
 from pathlib import Path
 
-from .domain import check_integer, check_real
 from .errors import RankflowError
-from .gtgen import MAP_METHODS, METHODS, GtConfig, discrepancy_offsets, generate_ranking, rasrgt_counts
-from .ingest import parse_ranking, publish_dirs, read_json, write_atomic, write_csv, write_ranking
-from .metrics import LAMBDA_RANGE, evaluate_rankings
-from .pipeline import (
-    build_training_set,
-    load_preprocessed,
-    map_rank_one,
-    map_scenes,
-    preprocess_one,
-    rank_one,
-    write_provenance,
-)
-from .preprocess import FEATURE_DIM, FilterConfig
-from .rankcore import DEFAULT_WINDOW, MAX_WINDOW
-from .scorer import TrainConfig, load_model, save_model, train
-from .synth import SynthConfig, generate_dataset
 
-_SECTIONS = {"synth": SynthConfig, "filter": FilterConfig, "gt": GtConfig, "train": TrainConfig}
+# config section -> (module, class) of the settings it holds
+_SECTIONS = {
+    "synth": ("synth", "SynthConfig"),
+    "filter": ("preprocess", "FilterConfig"),
+    "gt": ("gtgen", "GtConfig"),
+    "train": ("scorer", "TrainConfig"),
+}
 _CONFIG_SCALARS = {"window_size", "lam", "jobs"}
 _MAX_GAMMAS = 1000
 _MAX_JOBS = 256  # each job is one worker process
+
+
+def _section_class(section: str):
+    """The config class of a run-config ``section``, imported on first use."""
+    module, name = _SECTIONS[section]
+    return getattr(importlib.import_module(f".{module}", __package__), name)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,6 +54,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def load_run_config(path) -> dict:
+    from .domain import check_integer, check_real
+    from .ingest import read_json
+    from .metrics import LAMBDA_RANGE
+    from .rankcore import MAX_WINDOW
+
     doc = read_json(path)
     if not isinstance(doc, dict):
         raise RankflowError(f"{path}: a run config must be a JSON object, got {type(doc).__name__}")
@@ -63,11 +71,11 @@ def load_run_config(path) -> dict:
         check_integer(doc["window_size"], f"{path}: window_size", 1, MAX_WINDOW)
     if "lam" in doc:
         check_real(doc["lam"], f"{path}: lam", *LAMBDA_RANGE)
-    for section, cls in _SECTIONS.items():
-        fields = doc.get(section, {})
+    for section in (s for s in _SECTIONS if s in doc):
+        fields = doc[section]
         if not isinstance(fields, dict):
             raise RankflowError(f"{path}: config section {section!r} must be a JSON object")
-        extra = set(fields) - {f.name for f in dataclasses.fields(cls)}
+        extra = set(fields) - {f.name for f in dataclasses.fields(_section_class(section))}
         if extra:
             raise RankflowError(f"unknown keys in config section {section!r}: {sorted(extra)}")
     return doc
@@ -77,19 +85,21 @@ def _section_cfg(args, run_cfg: dict, section: str, **extra):
     """The config object of a run-config ``section``: its values, overridden by
     every flag whose dest is a field of the section's class, then by ``extra``,
     the fields that ``--objects`` sets.  A rejected field's message is led by
-    the source that gave it, ``--objects <spec>`` or ``<config>: <section>``;
-    a flag's field is named alone, as the flag's dest."""
-    cls = _SECTIONS[section]
+    the source that gave it or a field its rule depends on, ``--objects
+    <spec>`` or ``<config>: <section>``; a flag's field is named alone, as the
+    flag's dest.  Every config check names its field first and the fields its
+    rule depends on before ``, got``."""
+    cls = _section_class(section)
     names = {f.name for f in dataclasses.fields(cls)}
     flags = {k: v for k, v in vars(args).items() if k in names and v is not None}
     given = run_cfg.get(section, {})
     try:
         return cls(**{**given, **flags, **extra})
     except RankflowError as e:
-        field = str(e).split(" ", 1)[0]  # every config check names its field first
-        if field in extra:
+        named = names.intersection(re.findall(r"\w+", str(e).partition(", got")[0]))
+        if named & extra.keys():
             raise e.naming(f"--objects {args.objects}") from e
-        if field in given and field not in flags:
+        if any(field in given and field not in flags for field in named):
             raise e.naming(f"{args.config}: {section}") from e
         raise
 
@@ -121,6 +131,8 @@ def _usable_cpus() -> int:
 def _common(args):
     """The run config and the worker count: ``--jobs``, else the config's
     ``jobs``, else ``RANKFLOW_JOBS``, else every usable CPU up to ``_MAX_JOBS``."""
+    from .domain import check_integer
+
     run_cfg = load_run_config(args.config) if args.config else {}
     if args.jobs is not None:
         return run_cfg, check_integer(args.jobs, "--jobs", 1, _MAX_JOBS)
@@ -156,7 +168,7 @@ def build_parser() -> _Parser:
     p.add_argument("--min-count", type=int, default=None)
 
     p = _add_command(sub, "gt-gen", _cmd_gt_gen, "generate GT rank orders from fixation data")
-    p.add_argument("--method", choices=METHODS, default=None)
+    p.add_argument("--method", default=None, help="GT method; an unknown name is rejected with the list")
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--binary-threshold", type=float, default=None)
@@ -192,6 +204,8 @@ def build_parser() -> _Parser:
 
 
 def _cmd_synth(args, run_cfg, jobs):
+    from .synth import generate_dataset
+
     objects = {}
     if args.objects:
         try:
@@ -209,6 +223,9 @@ def _cmd_preprocess(args, run_cfg, jobs):
     of a staging directory that ``publish_dirs`` puts in place of both only
     once every scene is done, so a failed run leaves ``--out`` as it was.  An
     ``--out`` that would replace ``--in`` is refused before anything is written."""
+    from .ingest import publish_dirs
+    from .pipeline import map_scenes, preprocess_one
+
     cfg = _section_cfg(args, run_cfg, "filter")
     out = Path(args.out).resolve()
     if Path(args.in_dir).resolve() in (out, out / "scenes", out / "features"):
@@ -220,6 +237,10 @@ def _cmd_preprocess(args, run_cfg, jobs):
 
 
 def _cmd_gt_gen(args, run_cfg, jobs):
+    from .gtgen import MAP_METHODS, generate_ranking
+    from .ingest import write_ranking
+    from .pipeline import map_scenes
+
     cfg = _section_cfg(args, run_cfg, "gt")
     worker = partial(generate_ranking, cfg=cfg)
     write_ranking(map_scenes(worker, args.in_dir, jobs, load_map=cfg.method in MAP_METHODS), args.out)
@@ -254,8 +275,16 @@ def gamma_grid(spec: str) -> list[float]:
 def _cmd_gt_discrepancy(args, run_cfg, jobs):
     """Workers parse the scenes and count their boxes, so only the counts
     reach this process."""
+    from .gtgen import check_bonus, discrepancy_offsets, rasrgt_counts
+    from .ingest import write_csv
+    from .pipeline import map_scenes
+
     cfg = _section_cfg(args, run_cfg, "gt")
     thresholds = gamma_grid(args.gammas)
+    try:
+        check_bonus(thresholds[-1], cfg.beta)  # the largest threshold gives the largest bonus
+    except RankflowError as e:
+        raise e.naming(f"--gammas {args.gammas}") from e
     counts = [c for _, c in map_scenes(rasrgt_counts, args.in_dir, jobs)]
     rows = discrepancy_offsets(counts, cfg, thresholds)
     write_csv(args.out, ["threshold", "t_offset"], [(f"{t:g}", offset) for t, offset in rows])
@@ -263,6 +292,12 @@ def _cmd_gt_discrepancy(args, run_cfg, jobs):
 
 
 def _cmd_train(args, run_cfg, jobs):
+    from .domain import check_integer
+    from .ingest import parse_ranking
+    from .pipeline import build_training_set
+    from .rankcore import DEFAULT_WINDOW, MAX_WINDOW
+    from .scorer import save_model, train
+
     cfg = _section_cfg(args, run_cfg, "train")
     if args.window is not None:  # a config's window_size is checked by load_run_config
         check_integer(args.window, "--window", 1, MAX_WINDOW)
@@ -278,6 +313,12 @@ def _cmd_rank(args, run_cfg, jobs):
     """Rank every preprocessed scene.  The model fixes the window size: one
     class per within-window rank plus non-salient.  Workers read their own
     scene and features, so only paths and the model are sent to them."""
+    from .ingest import write_ranking
+    from .pipeline import load_preprocessed, rank_one
+    from .preprocess import FEATURE_DIM
+    from .rankcore import MAX_WINDOW
+    from .scorer import load_model
+
     model = load_model(args.model)
     d_in, _, c = model.dims
     n_in = FEATURE_DIM + 4  # window_inputs adds 4 window-context columns
@@ -290,6 +331,11 @@ def _cmd_rank(args, run_cfg, jobs):
 
 
 def _cmd_map_rank(args, run_cfg, jobs):
+    from .domain import check_real
+    from .ingest import write_ranking
+    from .metrics import LAMBDA_RANGE
+    from .pipeline import map_rank_one, map_scenes
+
     if args.lam is not None:
         check_real(args.lam, "--lambda", *LAMBDA_RANGE)
     lam = args.lam if args.lam is not None else run_cfg.get("lam", 0.5)
@@ -300,6 +346,9 @@ def _cmd_map_rank(args, run_cfg, jobs):
 
 
 def _cmd_eval(args, run_cfg, jobs):
+    from .ingest import parse_ranking, write_atomic
+    from .metrics import evaluate_rankings
+
     pred, gt = parse_ranking(args.pred), parse_ranking(args.gt)
     try:
         report = evaluate_rankings(pred, gt)
@@ -317,6 +366,8 @@ def dispatch(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
+    from .ingest import write_provenance
+
     try:
         run_cfg, jobs = _common(args)
         config, seed, line = args.run(args, run_cfg, jobs)

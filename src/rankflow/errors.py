@@ -4,8 +4,9 @@ Every data error -- a bad file, field, flag, env var or config value -- is a
 ``RankflowError``, raised where it is found, whose message names the file and
 the field; the CLI exits 2 on it.  Every setting is checked by one of the two
 rules in ``domain``, ``check_integer`` and ``check_real``, so a bad setting
-reads the same from whichever source it came.  The one subclass is the kind
-a caller catches by kind.
+reads the same from whichever source it came; a rule between two settings
+names both before ``, got``, so the CLI can lead it with the source of
+either.  The one subclass is the kind a caller catches by kind.
 """
 
 

@@ -41,8 +41,17 @@ class GtConfig:
             ("binary_threshold", lambda x: 0 < x < 255, "in (0, 255)"),
         )
         check_fields(self, reals=reals)
+        check_bonus(self.gamma, self.beta)
         if self.method not in METHODS:
             raise RankflowError(f"method must be one of {list(METHODS)}, got {self.method!r}")
+
+
+def check_bonus(gamma, beta) -> None:
+    """A RankflowError naming both settings unless gamma * e^beta, the
+    largest size bonus (a size ratio is at most 1), is finite: past it every
+    fixated box would score inf and rank by id alone."""
+    if not math.isfinite(float(gamma) * math.exp(beta)):
+        raise RankflowError(f"gamma * e^beta must be finite, got gamma {gamma!r} and beta {beta!r}")
 
 
 _DEFAULT_GT = GtConfig()

@@ -6,8 +6,9 @@ Formats:
   * rankings -- CSV with header ``scene_id,proposal_id,order``, LF endings
 
 This module is the only one that touches the file system: every file is
-written by ``write_atomic`` (every CSV through ``write_csv``), and every
-dataset subdirectory is published whole by ``publish_dirs``.
+written by ``write_atomic`` (every CSV through ``write_csv``, every provenance
+record through ``write_provenance``), and every dataset subdirectory is
+published whole by ``publish_dirs``.
 
 Reading pays once for a file's bytes.  A PGM raster is a read-only view of
 the file's bytes, which a ``Scene`` copies once into its own map.  A scene file
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -30,6 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .domain import BBox, Proposal, Ranking, Scene
 from .errors import RankflowError
 
@@ -59,6 +62,24 @@ def write_csv(path, header, rows) -> None:
     writer.writerow(header)
     writer.writerows(rows)
     write_atomic(path, buf.getvalue())
+
+
+def config_hash(config: dict) -> str:
+    blob = json.dumps(config, sort_keys=True, default=str).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def write_provenance(target, config: dict, seed=None) -> None:
+    """Sidecar provenance record for an output file or directory."""
+    target = Path(target)
+    record = {
+        "tool": "rankflow",
+        "version": __version__,
+        "config_hash": config_hash(config),
+        "seed": seed,
+    }
+    path = target / "provenance.json" if target.is_dir() else Path(str(target) + ".provenance.json")
+    write_atomic(path, json.dumps(record, sort_keys=True) + "\n")
 
 
 @contextlib.contextmanager

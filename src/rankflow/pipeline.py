@@ -1,5 +1,5 @@
 """The scene runner, its process pool, the per-scene workers of the CLI
-stages, training-set assembly and the provenance record.
+stages and training-set assembly.
 
 ``map_scenes`` runs one per-scene function over a dataset directory: it
 parses each scene file, returns ``(scene_id, result)`` rows and puts the
@@ -11,17 +11,13 @@ handlers bind their settings with ``functools.partial``.
 """
 from __future__ import annotations
 
-import hashlib
-import json
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 
-from . import __version__
 from .domain import Ranking, Scene
 from .errors import RankflowError
 from .gtgen import require_map
-from .ingest import list_scene_files, parse_pgm, parse_scene, write_atomic, write_scene
+from .ingest import list_scene_files, parse_pgm, parse_scene, write_scene
 from .metrics import rank_from_saliency_map
 from .preprocess import FilterConfig, filter_proposals, read_features, scene_features, write_features
 from .rankcore import DEFAULT_WINDOW, rank_scene, window_batch
@@ -37,6 +33,8 @@ def parallel_map(fn, items, jobs: int = 1):
     jobs = min(jobs, len(items))  # never more workers than items
     if jobs <= 1:
         return [fn(x) for x in items]
+    from concurrent.futures import ProcessPoolExecutor  # only a pooled run pays for its import
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items, chunksize=-(-len(items) // (8 * jobs))))
 
@@ -64,24 +62,6 @@ def map_scenes(fn, in_dir, jobs: int = 1, load_map: bool = False) -> list:
         if other != path:
             raise RankflowError(f"scene_id: {scene_id!r} is in both {other} and {path}")
     return rows
-
-
-def config_hash(config: dict) -> str:
-    blob = json.dumps(config, sort_keys=True, default=str).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def write_provenance(target, config: dict, seed=None) -> None:
-    """Sidecar provenance record for an output file or directory."""
-    target = Path(target)
-    record = {
-        "tool": "rankflow",
-        "version": __version__,
-        "config_hash": config_hash(config),
-        "seed": seed,
-    }
-    path = target / "provenance.json" if target.is_dir() else Path(str(target) + ".provenance.json")
-    write_atomic(path, json.dumps(record, sort_keys=True) + "\n")
 
 
 def preprocess_one(scene: Scene, staging: Path, cfg: FilterConfig) -> None:

@@ -20,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .domain import BBox, Proposal, Scene, check_fields, iou, sqrt_size
 from .errors import GenerationFailure, RankflowError
-from .gtgen import MAX_BETA, GtConfig, rasrgt_rank, ranking_from_scores
+from .gtgen import MAX_BETA, GtConfig, check_bonus, rasrgt_rank, ranking_from_scores
 from .ingest import publish_dirs, write_atomic, write_csv, write_pgm, write_ranking, write_scene
 from .pipeline import parallel_map
 
@@ -70,7 +70,7 @@ class SynthConfig:
 
     def __post_init__(self):
         integers = (
-            ("seed", 0), ("n_scenes", 1), ("objects_min", 1), ("objects_max", self.objects_min, _MAX_OBJECTS),
+            ("seed", 0), ("n_scenes", 1), ("objects_min", 1), ("objects_max", 1, _MAX_OBJECTS),
             ("width", 1, _MAX_SIDE), ("height", 1, _MAX_SIDE), ("fixations_per_scene", 0, _MAX_FIXATIONS),
         )
         reals = (
@@ -78,13 +78,17 @@ class SynthConfig:
             ("noise_fixation_fraction", lambda x: 0 <= x <= 1, "in [0, 1]"),
             ("splat_sigma", lambda x: 0 < x <= _MAX_SPLAT_SIGMA, f"in (0, {_MAX_SPLAT_SIGMA}]"),
             ("box_frac_min", lambda x: 0 < x <= 1, "in (0, 1]"),
-            ("box_frac_max", lambda x: self.box_frac_min <= x <= 1, "in [box_frac_min, 1]"),
+            ("box_frac_max", lambda x: 0 < x <= 1, "in (0, 1]"),
             ("iou_cap", lambda x: 0 <= x <= 1, "in [0, 1]"),
             ("min_weight_gap", lambda x: x >= 0, ">= 0"),
             ("gamma", lambda x: x > 0, "> 0"),
             ("beta", lambda x: 0 < x <= MAX_BETA, f"in (0, {MAX_BETA}]"),
         )
         check_fields(self, integers, reals)
+        for low, high in (("objects_min", "objects_max"), ("box_frac_min", "box_frac_max")):
+            if getattr(self, high) < getattr(self, low):
+                raise RankflowError(f"{high} must be >= {low} ({getattr(self, low)!r}), got {getattr(self, high)!r}")
+        check_bonus(self.gamma, self.beta)  # the weight draw scores boxes as rasrgt does
         if not isinstance(self.render_maps, bool):
             raise RankflowError(f"render_maps must be true or false, got {self.render_maps!r}")
 

@@ -13,12 +13,11 @@ import pytest
 
 import rankflow
 from conftest import tree
-from rankflow import cli, pipeline
-from rankflow.cli import _SECTIONS, _common, _section_cfg, build_parser, dispatch, gamma_grid
-from rankflow.pipeline import config_hash
+from rankflow import cli, gtgen, pipeline, scorer
+from rankflow.cli import _SECTIONS, _common, _section_cfg, _section_class, build_parser, dispatch, gamma_grid
 from rankflow.errors import GenerationFailure, RankflowError
 from rankflow.gtgen import METHODS
-from rankflow.ingest import parse_ranking
+from rankflow.ingest import config_hash, parse_ranking
 from rankflow.preprocess import FEATURE_DIM, FilterConfig
 from rankflow.rankcore import acb_sequences, window_inputs
 from rankflow.scorer import init_model, load_model, save_model, window_gt_labels
@@ -493,15 +492,25 @@ class TestUsageErrors:
              "{cfg}: filter: min_count must be an integer >= 1, got 0"),
             ("synth", [], {"synth": {"render_maps": 1}}, None, "{cfg}: synth: render_maps must be true or false, got 1"),
             # --objects
-            ("synth", ["--objects", "9:3"], None, None, "--objects 9:3: objects_max must be an integer >= 9, got 3"),
+            ("synth", ["--objects", "9:3"], None, None, "--objects 9:3: objects_max must be >= objects_min (9), got 3"),
             ("synth", ["--objects", "0:3"], {"synth": {"objects_min": 2}}, None,
              "--objects 0:3: objects_min must be an integer >= 1, got 0"),
+            # a field rejected for another field's value: led by the source of either
+            ("synth", [], {"synth": {"objects_min": 20}}, None,
+             "{cfg}: synth: objects_max must be >= objects_min (20), got 10"),
+            ("synth", [], {"synth": {"box_frac_min": 0.5}}, None,
+             "{cfg}: synth: box_frac_max must be >= box_frac_min (0.5), got 0.3"),
+            ("gt-gen", ["--gamma", "1e300"], {"gt": {"beta": 700}}, None,
+             "{cfg}: gt: gamma * e^beta must be finite, got gamma 1e+300 and beta 700"),
+            ("gt-gen", ["--gamma", "1e300", "--beta", "700"], None, None,
+             "gamma * e^beta must be finite, got gamma 1e+300 and beta 700.0"),
             # RANKFLOW_JOBS
             ("synth", [], None, "0", "RANKFLOW_JOBS must be an integer >= 1, got 0"),
             ("synth", [], None, "x", "RANKFLOW_JOBS must be an integer, got 'x'"),
         ],
         ids=["--window", "--lambda", "--jobs", "window_size", "lam", "jobs", "train.lr", "train.lr-past-double",
-             "gt.beta", "filter.min_count", "synth.render_maps", "--objects-max", "--objects-min", "env-0", "env-x"],
+             "gt.beta", "filter.min_count", "synth.render_maps", "--objects-max", "--objects-min",
+             "synth.objects_min", "synth.box_frac_min", "gt.beta-bonus", "--gamma-bonus", "env-0", "env-x"],
     )
     def test_bad_setting_names_its_source(self, tmp_path, monkeypatch, capsys, stage, flags, doc, env, message):
         """Every setting is checked by one rule, and its message is led by
@@ -539,6 +548,27 @@ class TestUsageErrors:
         assert run(*argv) == 2
         assert capsys.readouterr().err == expected
         assert list(tmp_path.iterdir()) == [cfg]  # no output, no provenance
+
+    def test_largest_gamma_threshold_is_bounded(self, dataset, tmp_path, capsys):
+        """gt-discrepancy's largest threshold with its beta obeys GtConfig's
+        bonus rule, checked before any scene is read."""
+        out = tmp_path / "d.csv"
+        argv = ["gt-discrepancy", "--gammas", "1e300:1e300:1e300", "--beta", "700", "--in", str(tmp_path / "none")]
+        assert run(*argv, "--jobs", "1", "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "error: --gammas 1e300:1e300:1e300: gamma * e^beta must be finite, got gamma 1e+300 and beta 700.0\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+        argv = ["gt-discrepancy", "--gammas", "1:10000:9999", "--beta", "700", "--in", str(dataset / "raw")]
+        assert run(*argv, "--jobs", "1", "--out", str(out)) == 0
+
+    def test_unknown_method_is_a_data_error(self, tmp_path, capsys):
+        """GtConfig alone checks a method name, so a bad one exits 2 with the list."""
+        assert run("gt-gen", "--method", "zzz", "--in", str(tmp_path), "--out", str(tmp_path / "gt.csv")) == 2
+        assert capsys.readouterr().err == (
+            "error: method must be one of ['fixpoints', 'mapmax', 'mapavg', 'binmap', 'rasrgt'], got 'zzz'\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_beta_at_its_bound_on_full_image_boxes(self, tmp_path):
         """At beta 700 a box that fills its image (size ratio 1) scores
@@ -674,7 +704,7 @@ class TestPipelineStages:
         pooled = pipeline.parallel_map
         monkeypatch.setattr(pipeline, "parallel_map", lambda fn, items, jobs: seen.append(jobs) or pooled(fn, items, jobs))
         # the name the benchmark tracer wraps, so its span times the ranking
-        monkeypatch.setattr(cli, "discrepancy_offsets", lambda *a: ranked.append(a) or discrepancy_offsets(*a))
+        monkeypatch.setattr(gtgen, "discrepancy_offsets", lambda *a: ranked.append(a) or discrepancy_offsets(*a))
         outs = []
         for jobs in ("1", "2"):
             out = tmp_path / f"disc{jobs}.csv"
@@ -755,7 +785,7 @@ class TestPipelineStages:
             calls.append(path)
             return load_model(path)
 
-        monkeypatch.setattr(cli, "load_model", counting_load)
+        monkeypatch.setattr(scorer, "load_model", counting_load)
         assert run("rank", "--in", str(pre), "--model", str(model), "--out", str(tmp_path / "pred.csv")) == 0
         assert len(calls) == 1
         assert len(parse_ranking(tmp_path / "pred.csv")) == 3
@@ -1127,7 +1157,7 @@ class TestFlagsAreFields:
     @pytest.mark.parametrize("command", ["synth", "preprocess", "gt-gen", "gt-discrepancy", "train"])
     def test_every_field_flag_is_listed(self, dataset, tmp_path, command):
         args = build_parser().parse_args([command, *_required(command, dataset, tmp_path)])
-        fields = {f.name for cls in _SECTIONS.values() for f in dataclasses.fields(cls)}
+        fields = {f.name for section in _SECTIONS for f in dataclasses.fields(_section_class(section))}
         listed = {name for argv, _, changed in OVERRIDES if argv[0] == command for name in changed}
         assert set(vars(args)) & fields <= listed
 

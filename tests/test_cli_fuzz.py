@@ -14,7 +14,7 @@ import shutil
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from rankflow.cli import _SECTIONS, dispatch
+from rankflow.cli import _SECTIONS, _section_class, dispatch
 from rankflow.scorer import init_model, save_model
 
 # Flag values as argv carries them: mostly edge values of the right type, so
@@ -68,10 +68,11 @@ SECTIONS = st.fixed_dictionaries(
     {},
     optional={
         name: st.dictionaries(
-            st.sampled_from([*(f.name for f in dataclasses.fields(cls)), "bogus"]), JSON_VALUES, max_size=4
+            st.sampled_from([*(f.name for f in dataclasses.fields(_section_class(name))), "bogus"]), JSON_VALUES,
+            max_size=4,
         )
         | JSON_SCALARS
-        for name, cls in _SECTIONS.items()
+        for name in _SECTIONS
     },
 )
 TOP_LEVEL = st.fixed_dictionaries(

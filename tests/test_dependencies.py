@@ -1,9 +1,13 @@
 """rankflow needs numpy and nothing else at run time: every module of
 ``src/rankflow`` imports only the standard library, numpy and its own
-modules (relative imports).  Only ``ingest`` touches the file system, and
-only ``cli.dispatch`` records provenance and prints a stage's log line.  And
-rankflow holds no dead public name."""
+modules (relative imports), and the CLI loads only what a stage runs.  Only
+``ingest`` touches the file system, and only ``cli.dispatch`` records
+provenance and prints a stage's log line.  And rankflow holds no dead public
+name."""
 import ast
+import json
+import os
+import subprocess
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -26,6 +30,43 @@ def test_runtime_imports_are_stdlib_or_numpy():
     assert ("pipeline.py", "concurrent") in imports and ("metrics.py", "numpy") in imports
     allowed = set(sys.stdlib_module_names) | {"numpy"}
     assert [(name, module) for name, module in imports if module not in allowed] == []
+
+
+# Loads rankflow.cli, then runs --help, a usage error and an eval; after each
+# it prints the numpy, process-pool and rankflow modules then loaded.
+_START_UP_PROBE = """
+import json, sys
+from rankflow import cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m in ("numpy", "concurrent.futures") or m.startswith("rankflow."))
+
+seen = {"import": loaded()}
+assert cli.dispatch(["--help"]) == 0
+seen["help"] = loaded()
+assert cli.dispatch(["eval", "--pred", sys.argv[1], "--gt", sys.argv[1]]) == 1  # no --out
+seen["usage"] = loaded()
+assert cli.dispatch(["eval", "--pred", sys.argv[1], "--gt", sys.argv[1], "--out", sys.argv[2]]) == 0
+seen["eval"] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_cli_start_up_loads_only_what_it_runs(tmp_path):
+    """``import rankflow.cli``, ``--help`` and a usage error load no numpy,
+    no process pool and no stage module; an eval loads no pool and no synth."""
+    ranking = tmp_path / "r.csv"
+    ranking.write_text("scene_id,proposal_id,order\ns,0,1\ns,1,2\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(rankflow.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", _START_UP_PROBE, str(ranking), str(tmp_path / "e.json")],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    for step in ("import", "help", "usage"):
+        assert seen[step] == ["rankflow.cli", "rankflow.errors"], step
+    assert "numpy" in seen["eval"] and "rankflow.metrics" in seen["eval"]
+    assert not {"concurrent.futures", "rankflow.pipeline", "rankflow.synth"} & set(seen["eval"])
 
 
 # Standard-library modules, methods and os functions that open, write, move

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +40,26 @@ class TestGtConfig:
     def test_other_methods_rejected(self, method):
         with pytest.raises(RankflowError, match="method must be one of"):
             GtConfig(method=method)
+
+    @pytest.mark.parametrize("gamma, beta", [(1e308, 1), (1e300, 700), (1e5, 700)])
+    def test_largest_bonus_must_be_finite(self, gamma, beta):
+        """gamma * e^beta overflowed to inf, so every fixated box tied and
+        ranked by id; a setting whose largest bonus is not finite is refused."""
+        message = f"gamma * e^beta must be finite, got gamma {gamma!r} and beta {beta!r}"
+        with pytest.raises(RankflowError, match=f"^{re.escape(message)}$"):
+            GtConfig(gamma=gamma, beta=beta)
+
+    def test_largest_finite_bonus_is_accepted(self):
+        assert GtConfig(gamma=1e4, beta=700).gamma == 1e4
+        assert GtConfig(gamma=np.float64(1e4), beta=700).gamma == 1e4
+        assert GtConfig() == GtConfig(gamma=0.2, beta=0.5)
+
+    def test_huge_gamma_no_longer_ranks_by_id(self):
+        """Box 1 holds fewer fixations but has the larger size bonus, so it
+        ranks first at any large finite bonus, as it did not at inf."""
+        fixations = [(5, 5)] * 9 + [(60, 60)]
+        scene = make_scene([(0, 0, 10, 10), (50, 50, 100, 100)], fixations, width=100, height=100)
+        assert rasrgt_rank(scene, GtConfig(gamma=1e300, beta=1)).labels == {0: 2, 1: 1}
 
 
 class TestFixationPoints:

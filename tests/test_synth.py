@@ -147,6 +147,22 @@ class TestConfigValidation:
         with pytest.raises(RankflowError):
             SynthConfig(objects_min=5, objects_max=3)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"objects_min": 20}, "objects_max must be >= objects_min (20), got 10"),
+            ({"box_frac_min": 0.5}, "box_frac_max must be >= box_frac_min (0.5), got 0.3"),
+            ({"gamma": 1e300, "beta": 700}, "gamma * e^beta must be finite, got gamma 1e+300 and beta 700"),
+        ],
+    )
+    def test_rule_between_fields_names_both(self, fields, message):
+        with pytest.raises(RankflowError) as e:
+            SynthConfig(**fields)
+        assert str(e.value) == message
+
+    def test_largest_finite_bonus_is_accepted(self):
+        assert SynthConfig(gamma=1e4, beta=700).gamma == 1e4
+
     def test_bad_fraction(self):
         with pytest.raises(RankflowError):
             SynthConfig(salient_fraction=1.5)
