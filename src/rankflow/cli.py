@@ -148,7 +148,7 @@ def _common(args):
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="rankflow", description=__doc__)
+    parser = _Parser(prog="rankflow", description="Rank object saliency from fixation data, one subcommand per stage.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = _add_command(sub, "synth", _cmd_synth, "generate a seeded synthetic dataset")
@@ -250,9 +250,10 @@ def _cmd_gt_gen(args, run_cfg, jobs):
 
 
 def gamma_grid(spec: str) -> list[float]:
-    """Thresholds start, start + step, ... up to stop from a ``start:stop:step`` spec.
+    """Thresholds ``start + i * step`` up to stop (within 1e-9), rounded to 10
+    decimals and none repeated, from a ``start:stop:step`` spec.
 
-    The spec is checked before the grid is built, so a bad step never loops.
+    Their count is worked out before any is built, so a bad step never loops.
     """
     try:
         start, stop, step = (float(x) for x in spec.split(":"))
@@ -262,27 +263,26 @@ def gamma_grid(spec: str) -> list[float]:
         raise RankflowError(f"--gammas values must be finite, got {spec!r}")
     if not (0 < start <= stop and step > 0):
         raise RankflowError(f"--gammas needs 0 < start <= stop and step > 0, got {spec!r}")
-    thresholds = []
-    t = start
-    while t <= stop + 1e-9:
-        if len(thresholds) == _MAX_GAMMAS:
-            raise RankflowError(f"--gammas {spec!r} gives more than {_MAX_GAMMAS} thresholds")
-        thresholds.append(round(t, 10))
-        t += step
+    steps = (stop + 1e-9 - start) / step
+    if not steps < _MAX_GAMMAS:  # inf too, when the division overflows
+        raise RankflowError(f"--gammas {spec!r} gives more than {_MAX_GAMMAS} thresholds")
+    thresholds = [round(start + i * step, 10) for i in range(int(steps) + 1)]
+    if len(set(thresholds)) < len(thresholds):
+        raise RankflowError(f"--gammas {spec!r} repeats a threshold once rounded to 10 decimals")
     return thresholds
 
 
 def _cmd_gt_discrepancy(args, run_cfg, jobs):
     """Workers parse the scenes and count their boxes, so only the counts
     reach this process."""
-    from .gtgen import check_bonus, discrepancy_offsets, rasrgt_counts
+    from .gtgen import discrepancy_offsets, rasrgt_counts
     from .ingest import write_csv
     from .pipeline import map_scenes
 
     cfg = _section_cfg(args, run_cfg, "gt")
     thresholds = gamma_grid(args.gammas)
     try:
-        check_bonus(thresholds[-1], cfg.beta)  # the largest threshold gives the largest bonus
+        dataclasses.replace(cfg, gamma=thresholds[-1])  # the largest threshold gives the largest bonus
     except RankflowError as e:
         raise e.naming(f"--gammas {args.gammas}") from e
     counts = [c for _, c in map_scenes(rasrgt_counts, args.in_dir, jobs)]

@@ -8,7 +8,7 @@ exponential bonus (``rasrgt``).  Each method gives one score per box, and
 ``ranking_from_scores`` is the one rule that turns scores into a ranking.
 Also provides the threshold-discrepancy analysis between adjacent GT
 thresholds, which counts each box's fixations once and re-scores the counts
-at every gamma.
+at every gamma.  ``GtConfig`` is the one checker of gamma and beta.
 """
 from __future__ import annotations
 
@@ -41,17 +41,11 @@ class GtConfig:
             ("binary_threshold", lambda x: 0 < x < 255, "in (0, 255)"),
         )
         check_fields(self, reals=reals)
-        check_bonus(self.gamma, self.beta)
+        # the largest size bonus (size ratio 1) must be finite, or fixated boxes score inf and rank by id
+        if not math.isfinite(float(self.gamma) * math.exp(self.beta)):
+            raise RankflowError(f"gamma * e^beta must be finite, got gamma {self.gamma!r} and beta {self.beta!r}")
         if self.method not in METHODS:
             raise RankflowError(f"method must be one of {list(METHODS)}, got {self.method!r}")
-
-
-def check_bonus(gamma, beta) -> None:
-    """A RankflowError naming both settings unless gamma * e^beta, the
-    largest size bonus (a size ratio is at most 1), is finite: past it every
-    fixated box would score inf and rank by id alone."""
-    if not math.isfinite(float(gamma) * math.exp(beta)):
-        raise RankflowError(f"gamma * e^beta must be finite, got gamma {gamma!r} and beta {beta!r}")
 
 
 _DEFAULT_GT = GtConfig()

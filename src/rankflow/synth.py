@@ -20,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .domain import BBox, Proposal, Scene, check_fields, iou, sqrt_size
 from .errors import GenerationFailure, RankflowError
-from .gtgen import MAX_BETA, GtConfig, check_bonus, rasrgt_rank, ranking_from_scores
+from .gtgen import GtConfig, rasrgt_rank, ranking_from_scores
 from .ingest import publish_dirs, write_atomic, write_csv, write_pgm, write_ranking, write_scene
 from .pipeline import parallel_map
 
@@ -81,14 +81,12 @@ class SynthConfig:
             ("box_frac_max", lambda x: 0 < x <= 1, "in (0, 1]"),
             ("iou_cap", lambda x: 0 <= x <= 1, "in [0, 1]"),
             ("min_weight_gap", lambda x: x >= 0, ">= 0"),
-            ("gamma", lambda x: x > 0, "> 0"),
-            ("beta", lambda x: 0 < x <= MAX_BETA, f"in (0, {MAX_BETA}]"),
         )
         check_fields(self, integers, reals)
+        GtConfig(gamma=self.gamma, beta=self.beta)  # the weight draw scores boxes as rasrgt does
         for low, high in (("objects_min", "objects_max"), ("box_frac_min", "box_frac_max")):
             if getattr(self, high) < getattr(self, low):
                 raise RankflowError(f"{high} must be >= {low} ({getattr(self, low)!r}), got {getattr(self, high)!r}")
-        check_bonus(self.gamma, self.beta)  # the weight draw scores boxes as rasrgt does
         if not isinstance(self.render_maps, bool):
             raise RankflowError(f"render_maps must be true or false, got {self.render_maps!r}")
 
@@ -370,16 +368,16 @@ def latent_ranking(scene: Scene, weights) -> dict[int, int]:
     return ranking_from_scores({p.id: w for p, w in zip(scene.proposals, weights)}).labels
 
 
-def _write_one(idx: int, cfg: SynthConfig, out_dir: Path):
+def _write_one(idx: int, cfg: SynthConfig, gt: GtConfig, out_dir: Path):
     """Generate and write one scene (and its map) under ``out_dir``; returns
-    its gt.csv, latent.csv and manifest rows."""
+    its gt.csv rows, ranked under ``gt``, and its latent.csv and manifest rows."""
     scene, weights = generate_scene(cfg, idx)
     scene_path, map_path = f"scenes/{scene.scene_id}.json", None
     if cfg.render_maps:
         map_path = f"maps/{scene.scene_id}.pgm"
         write_pgm(scene.fixation_map, out_dir / map_path)
     write_scene(scene, out_dir / scene_path, fixation_map_path=f"../{map_path}" if map_path else None)
-    ranking = rasrgt_rank(scene, GtConfig(gamma=cfg.gamma, beta=cfg.beta))
+    ranking = rasrgt_rank(scene, gt)
     latent = [(scene.scene_id, p.id, repr(w)) for p, w in zip(scene.proposals, weights)]
     entry = {"scene_id": scene.scene_id, "scene_path": scene_path, "map_path": map_path}
     return (scene.scene_id, ranking), latent, entry
@@ -398,7 +396,8 @@ def generate_dataset(cfg: SynthConfig, out_dir, jobs: int = 1) -> dict:
     """
     out_dir = Path(out_dir)
     with publish_dirs(out_dir, "scenes", "maps") as staging:
-        rows = parallel_map(partial(_write_one, cfg=cfg, out_dir=staging), range(cfg.n_scenes), jobs)
+        write = partial(_write_one, cfg=cfg, gt=GtConfig(gamma=cfg.gamma, beta=cfg.beta), out_dir=staging)
+        rows = parallel_map(write, range(cfg.n_scenes), jobs)
     write_ranking([ranking for ranking, _, _ in rows], out_dir / "gt.csv")
     latent = sorted(row for _, scene_rows, _ in rows for row in scene_rows)
     write_csv(out_dir / "latent.csv", ["scene_id", "proposal_id", "weight"], latent)

@@ -6,15 +6,17 @@ import shutil
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import rankflow
 from conftest import tree
 from rankflow import cli, gtgen, pipeline, scorer
-from rankflow.cli import _SECTIONS, _common, _section_cfg, _section_class, build_parser, dispatch, gamma_grid
+from rankflow.cli import _MAX_GAMMAS, _SECTIONS, _common, _section_cfg, _section_class, build_parser, dispatch, gamma_grid
 from rankflow.errors import GenerationFailure, RankflowError
 from rankflow.gtgen import METHODS
 from rankflow.ingest import config_hash, parse_ranking
@@ -51,6 +53,14 @@ class TestUsageErrors:
 
     def test_unknown_command(self):
         assert run("frobnicate") == 1
+
+    def test_help_describes_the_tool_not_its_code(self, capsys):
+        """``--help`` shows the one-line description; the module docstring
+        is for maintainers."""
+        assert run("--help") == 0
+        out = capsys.readouterr().out
+        assert build_parser().description in " ".join(out.split())
+        assert "_cmd_" not in out
 
     @pytest.mark.parametrize(
         "argv",
@@ -603,6 +613,15 @@ class TestUsageErrors:
         assert "missing.csv" in proc.stderr
 
 
+def _decimal_specs(most: int, places):
+    """``start:stop:step`` specs of decimals with up to ``most`` digits and
+    ``places`` decimal places each, stop being start plus a span."""
+    def decimals(low):
+        return st.builds(lambda n, k: Decimal(n).scaleb(-k), st.integers(low, most), st.sampled_from(places))
+
+    return st.builds(lambda a, b, c: f"{a}:{a + b}:{c}", decimals(1), decimals(0), decimals(1))
+
+
 class TestGammaGrid:
     def test_default_grid(self):
         assert gamma_grid("0.1:1.0:0.1") == [round(0.1 * i, 10) for i in range(1, 11)]
@@ -619,6 +638,57 @@ class TestGammaGrid:
     def test_grid_size_bounded(self):
         with pytest.raises(RankflowError, match="more than"):
             gamma_grid("0.1:1000:0.1")
+
+    @settings(max_examples=200, deadline=None)
+    @given(_decimal_specs(9_999, range(2, 5)))
+    def test_equals_the_accumulating_loop(self, spec):
+        """Below 200 the loop's drift, at most 1000 half-ulps of 200, stays
+        far below a 10-decimal rounding step, so on decimal specs the
+        index-built grid is the grid the old accumulating loop built, wherever
+        that loop stayed within the cap."""
+        expected = _loop_grid(*(float(x) for x in spec.split(":")))
+        assume(expected is not None)
+        assert gamma_grid(spec) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(_decimal_specs(99_999, range(0, 5)))
+    @example("1:4809:8.12")
+    def test_is_the_exact_decimal_grid(self, spec):
+        """Up to 2e5 each threshold is start + i * step worked out in exact
+        decimals, where the loop drifted (1:4809:8.12 gave 4808.0399999999
+        as its 593rd threshold, not 4808.04)."""
+        start, stop, step = (Decimal(x) for x in spec.split(":"))
+        count = int((stop + Decimal("1e-9") - start) / step) + 1
+        assume(count <= _MAX_GAMMAS)
+        assert gamma_grid(spec) == [round(float(start + i * step), 10) for i in range(count)]
+
+    @pytest.mark.parametrize("spec", ["1e17:1e17:1", "1e300:1e300:1"])
+    def test_step_below_the_float_spacing_gives_one_threshold(self, spec):
+        """``start == stop`` names one threshold, however small the step."""
+        assert gamma_grid(spec) == [float(spec.split(":")[0])]
+
+    def test_repeating_grid_is_refused(self, tmp_path, capsys):
+        with pytest.raises(RankflowError, match="repeats a threshold"):
+            gamma_grid("1:1.000000001:1e-11")
+        argv = ["gt-discrepancy", "--gammas", "1:1.000000001:1e-11", "--in", str(tmp_path), "--jobs", "1"]
+        assert run(*argv, "--out", str(tmp_path / "d.csv")) == 2
+        assert capsys.readouterr().err == (
+            "error: --gammas '1:1.000000001:1e-11' repeats a threshold once rounded to 10 decimals\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+
+def _loop_grid(start, stop, step):
+    """The grid as an accumulating loop built it, t += step while t <= stop
+    + 1e-9, each t rounded to 10 decimals: the reference for ``gamma_grid``.
+    None where the loop would pass ``_MAX_GAMMAS`` thresholds."""
+    thresholds, t = [], start
+    while t <= stop + 1e-9:
+        if len(thresholds) == _MAX_GAMMAS:
+            return None
+        thresholds.append(round(t, 10))
+        t += step
+    return thresholds
 
 
 class TestSynth:

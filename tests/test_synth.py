@@ -160,6 +160,28 @@ class TestConfigValidation:
             SynthConfig(**fields)
         assert str(e.value) == message
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"gamma": 0}, "gamma must be a finite number > 0, got 0"),
+            ({"gamma": float("nan")}, "gamma must be a finite number > 0, got nan"),
+            ({"beta": 701}, "beta must be a finite number in (0, 700], got 701"),
+            ({"beta": "x"}, "beta must be a finite number in (0, 700], got 'x'"),
+            ({"gamma": 1e300, "beta": 700}, "gamma * e^beta must be finite, got gamma 1e+300 and beta 700"),
+        ],
+    )
+    def test_gamma_and_beta_are_checked_by_gt_config(self, fields, message):
+        """The weight draw scores boxes as rasrgt does, so synth's gamma and
+        beta are refused by GtConfig, word for word."""
+        for cls in (SynthConfig, GtConfig):
+            with pytest.raises(RankflowError) as e:
+                cls(**fields)
+            assert str(e.value) == message
+
+    def test_bonus_is_checked_before_the_order_rules(self):
+        with pytest.raises(RankflowError, match=r"^gamma \* e\^beta must be finite"):
+            SynthConfig(gamma=1e300, beta=700, objects_min=20)
+
     def test_largest_finite_bonus_is_accepted(self):
         assert SynthConfig(gamma=1e4, beta=700).gamma == 1e4
 
