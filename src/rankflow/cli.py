@@ -165,7 +165,6 @@ def build_parser() -> _Parser:
     p.add_argument("--iou", dest="iou_discard", type=float, default=None)
     p.add_argument("--max-area", dest="max_area_frac", type=float, default=None)
     p.add_argument("--min-area", dest="min_area_px", type=float, default=None)
-    p.add_argument("--min-count", type=int, default=None)
 
     p = _add_command(sub, "gt-gen", _cmd_gt_gen, "generate GT rank orders from fixation data")
     p.add_argument("--method", default=None, help="GT method; an unknown name is rejected with the list")

@@ -88,8 +88,10 @@ def _scene_samples(scene: Scene, features, gt: dict[str, Ranking], window_size: 
         return []
     _, ids, dummy, inputs = window_batch(scene, features, window_size)
     ranking = gt[scene.scene_id]
+    # A dummy is labelled 0 whatever its id: a padded id may be one that
+    # preprocess dropped and the GT still ranks.
     return [
-        (x, window_gt_labels(ranking, row), mask)
+        (x, window_gt_labels(ranking, [None if d else i for i, d in zip(row, mask)]), mask)
         for x, row, mask in zip(inputs, ids.tolist(), dummy.tolist())
     ]
 

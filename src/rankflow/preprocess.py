@@ -1,7 +1,7 @@
 """Offline proposal filtering and hand-crafted per-proposal feature extraction.
 
 Filtering removes duplicate and degenerate proposals (greedy confidence-ordered
-NMS plus area bounds) and pads with dummy proposals up to the minimum window
+NMS plus area bounds); ``rankcore.window_batch`` pads scenes up to the window
 size.  Features summarize local and enlarged-context fixation/map statistics
 plus normalized geometry; they are cached as binary sidecar files.  The 14
 columns, in order: the box's fixation share, relative fixation density, map
@@ -20,14 +20,8 @@ import numpy as np
 from .domain import BBox, Proposal, Scene, check_fields, count_fixations, iou, map_region, sqrt_size
 from .errors import RankflowError
 from .ingest import read_bytes, write_atomic
-from .rankcore import DEFAULT_WINDOW
 
 FEATURE_DIM = 14
-# rank's vote aggregation holds two n x n int64 matrices over every proposal,
-# dummies included: 16 MB at 1,000 (160 GB at 100,000).  Measured on one
-# scene: rank peaks at 47 MiB of RSS at 1,000 proposals (37 MiB at 5), and
-# each dummy adds about 144 B of scene and .feat file.
-_MAX_MIN_COUNT = 1000
 
 
 @dataclass(frozen=True)
@@ -35,25 +29,23 @@ class FilterConfig:
     iou_discard: float = 0.7
     max_area_frac: float = 0.6
     min_area_px: float = 20.0
-    min_count: int = DEFAULT_WINDOW
 
     def __post_init__(self):
-        reals = (
+        check_fields(self, reals=(
             ("iou_discard", lambda x: 0 < x <= 1, "in (0, 1]"),
             ("max_area_frac", lambda x: x > 0, "> 0"),
             ("min_area_px", lambda x: x > 0, "> 0"),
-        )
-        check_fields(self, (("min_count", 1, _MAX_MIN_COUNT),), reals)
+        ))
 
 
 _DEFAULT_FILTER = FilterConfig()
 
 
 def filter_proposals(scene: Scene, cfg: FilterConfig | None = None) -> Scene:
-    """NMS + area filtering + dummy padding; survivor order follows the
-    input, and dummies follow the survivors.  A scene that keeps every
-    proposal in its order and needs no padding is returned itself; any
-    other gets a new ``Scene`` with only its proposals replaced."""
+    """NMS + area filtering; survivor order follows the input, and any
+    dummies the input lists are kept after the survivors.  A scene that keeps
+    every proposal in its order is returned itself; any other gets a new
+    ``Scene`` with only its proposals replaced."""
     cfg = cfg or _DEFAULT_FILTER
     real = [p for p in scene.proposals if not p.is_dummy]
     dummies = [p for p in scene.proposals if p.is_dummy]
@@ -73,12 +65,7 @@ def filter_proposals(scene: Scene, cfg: FilterConfig | None = None) -> Scene:
         and cfg.min_area_px <= p.box.area <= cfg.max_area_frac * image_area
     ]
 
-    out = survivors + dummies
-    next_dummy_id = min((p.id for p in scene.proposals), default=0)
-    while len(out) < cfg.min_count:
-        next_dummy_id -= 1
-        out.append(Proposal(id=next_dummy_id, box=None, is_dummy=True))
-    out = tuple(out)
+    out = tuple(survivors + dummies)
     return scene if out == scene.proposals else replace(scene, proposals=out)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Proposal, Ranking, Scene, check_integer
+from .domain import Ranking, Scene, check_integer
 from .errors import RankflowError
 
 DEFAULT_WINDOW = 5
@@ -127,14 +127,15 @@ def _dominance_counts(net: np.ndarray) -> np.ndarray:
     return strict.sum(axis=0)
 
 
-def aggregate_votes(members, labels, probs, proposals: tuple[Proposal, ...]) -> Ranking:
+def aggregate_votes(members, labels, probs, ids, dummy) -> Ranking:
     """Combine every window's assignment into one Ranking over real proposals.
 
-    members, labels: (n_windows, W) int arrays of proposal positions and their
-    in-window labels; probs: the (n_windows, W, W+1) softmax of the windows'
-    scores.
+    members, labels, ids, dummy: (n, W) arrays of the windows' positions, as
+    ``window_batch`` builds them (window i starts at position i), and their
+    in-window labels, proposal ids and dummy flags; probs: the (n, W, W+1)
+    softmax of the windows' scores.
     """
-    n = len(proposals)
+    n = len(members)
     w = members.shape[-1]
     flat, lab = members.ravel(), labels.ravel()
     appearances = np.bincount(flat, minlength=n)
@@ -153,8 +154,7 @@ def aggregate_votes(members, labels, probs, proposals: tuple[Proposal, ...]) -> 
     np.add.at(wins, (winners, losers), 1)
     net = wins - wins.T
 
-    ids = np.array([p.id for p in proposals])
-    real = ~np.array([p.is_dummy for p in proposals], dtype=bool)
+    ids, real = ids[:, 0], ~dummy[:, 0]
     short = np.flatnonzero(real & (appearances != w))
     if short.size:
         i = short[0]
@@ -192,14 +192,20 @@ def window_inputs(features: np.ndarray, member_ids) -> np.ndarray:
 def window_batch(scene: Scene, features: np.ndarray, window_size: int = DEFAULT_WINDOW):
     """Every circular window of a scene at once, row i being window i:
     member positions, proposal ids and dummy flags, each (n, W), and the
-    scorer inputs, (n, W, 18)."""
+    scorer inputs, (n, W, 18).  A scene of fewer than W proposals is first
+    padded to W with dummies: zero features and ids counting down from its
+    lowest id (from 0 when it has none)."""
     n = len(scene.proposals)
     if features.shape[0] != n:
         raise RankflowError(f"features rows {features.shape[0]} != proposals {n}")
-    members = np.array([w.member_ids for w in acb_sequences(n, window_size)], dtype=np.intp)
-    ids = np.array([p.id for p in scene.proposals])[members]
-    dummy = np.array([p.is_dummy for p in scene.proposals])[members]
-    return members, ids, dummy, window_inputs(features, members)
+    pad = max(0, check_integer(window_size, "window size", 1, MAX_WINDOW) - n)
+    ids = [p.id for p in scene.proposals]
+    low = min(ids, default=0)
+    ids += range(low - 1, low - 1 - pad, -1)
+    dummy = [p.is_dummy for p in scene.proposals] + [True] * pad
+    features = np.concatenate([features, np.zeros((pad, features.shape[1]))])
+    members = np.array([w.member_ids for w in acb_sequences(len(ids), window_size)], dtype=np.intp)
+    return members, np.array(ids)[members], np.array(dummy)[members], window_inputs(features, members)
 
 
 def rank_scene(
@@ -217,4 +223,4 @@ def rank_scene(
     """
     members, ids, dummy, inputs = window_batch(scene, features, window_size)
     p = softmax(scorer(ids, inputs))
-    return aggregate_votes(members, exclusive_classify(p, dummy), p, scene.proposals)
+    return aggregate_votes(members, exclusive_classify(p, dummy), p, ids, dummy)

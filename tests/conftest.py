@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -83,6 +85,14 @@ def make_scene(
         fixations=[(u, v, 0) for u, v in fixations],
         fixation_map=None if map_values is None else np.asarray(map_values, dtype=np.uint8),
     )
+
+
+def listing_dummies(scene: Scene, count: int) -> Scene:
+    """``scene`` with dummies after its proposals up to ``count``, ids below
+    its lowest: the scene an older ``preprocess`` wrote with that minimum."""
+    low = min((q.id for q in scene.proposals), default=0)
+    pad = tuple(Proposal(low - 1 - k, None, is_dummy=True) for k in range(count - len(scene.proposals)))
+    return replace(scene, proposals=scene.proposals + pad)
 
 
 @pytest.fixture

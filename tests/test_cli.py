@@ -201,10 +201,20 @@ class TestUsageErrors:
         assert f"{next(iter(fields))} must be" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg]
 
+    def test_min_count_is_gone(self, dataset, tmp_path, capsys):
+        pre = tmp_path / "pre"
+        assert run("preprocess", "--in", str(dataset / "raw"), "--out", str(pre), "--min-count", "6") == 1
+        assert "unrecognized arguments: --min-count 6" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"filter": {"min_count": 6}}))
+        assert run("preprocess", "--config", str(cfg), "--in", str(dataset / "raw"), "--out", str(pre)) == 2
+        assert capsys.readouterr().err == "error: unknown keys in config section 'filter': ['min_count']\n"
+        assert not pre.exists()
+
     @pytest.mark.parametrize(
         "fields",
-        [{"iou_discard": "x"}, {"iou_discard": 0}, {"min_count": 2.5}, {"min_count": True},
-         {"min_area_px": float("nan")}, {"max_area_frac": -1}, {"min_count": 100000}],
+        [{"iou_discard": "x"}, {"iou_discard": 0}, {"iou_discard": 1.5}, {"min_area_px": True},
+         {"min_area_px": float("nan")}, {"max_area_frac": -1}, {"max_area_frac": 0}],
     )
     def test_bad_filter_config(self, dataset, tmp_path, capsys, fields):
         cfg = tmp_path / "cfg.json"
@@ -498,8 +508,8 @@ class TestUsageErrors:
             ("train", [], {"train": {"lr": 10**400}}, None,
              f"{{cfg}}: train: lr must be a finite number >= 0, got {10**400}"),
             ("gt-gen", [], {"gt": {"beta": 701}}, None, "{cfg}: gt: beta must be a finite number in (0, 700], got 701"),
-            ("preprocess", [], {"filter": {"min_count": 0}}, None,
-             "{cfg}: filter: min_count must be an integer >= 1, got 0"),
+            ("preprocess", [], {"filter": {"iou_discard": 2}}, None,
+             "{cfg}: filter: iou_discard must be a finite number in (0, 1], got 2"),
             ("synth", [], {"synth": {"render_maps": 1}}, None, "{cfg}: synth: render_maps must be true or false, got 1"),
             # --objects
             ("synth", ["--objects", "9:3"], None, None, "--objects 9:3: objects_max must be >= objects_min (9), got 3"),
@@ -519,7 +529,7 @@ class TestUsageErrors:
             ("synth", [], None, "x", "RANKFLOW_JOBS must be an integer, got 'x'"),
         ],
         ids=["--window", "--lambda", "--jobs", "window_size", "lam", "jobs", "train.lr", "train.lr-past-double",
-             "gt.beta", "filter.min_count", "synth.render_maps", "--objects-max", "--objects-min",
+             "gt.beta", "filter.iou_discard", "synth.render_maps", "--objects-max", "--objects-min",
              "synth.objects_min", "synth.box_frac_min", "gt.beta-bonus", "--gamma-bonus", "env-0", "env-x"],
     )
     def test_bad_setting_names_its_source(self, tmp_path, monkeypatch, capsys, stage, flags, doc, env, message):
@@ -750,6 +760,27 @@ class TestPipelineStages:
         assert run("preprocess", "--in", str(raw), "--out", str(tmp_path / "a" / "b" / "pre"), "--jobs", "1") == 2
         assert "scene_00001.json" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["raw"]
+
+    def test_typical_run_evaluates_after_nms_drops_a_proposal(self, tmp_path, capsys):
+        """README's typical run, GT from data/pre, exits 0 on scenes whose
+        boxes overlap past NMS's IoU, so preprocess drops some of them."""
+        raw, pre = tmp_path / "raw", tmp_path / "pre"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"synth": {"iou_cap": 0.95}}))
+        argv = ["--seed", "3", "--scenes", "20", "--objects", "8:9", "--fixations", "300", "--no-maps"]
+        assert run("synth", "--config", str(cfg), *argv, "--jobs", "1", "--out", str(raw)) == 0
+        assert run("preprocess", "--in", str(raw), "--out", str(pre), "--jobs", "1") == 0
+        def proposals(d):
+            return sum(len(json.loads(f.read_text())["proposals"]) for f in (d / "scenes").glob("*.json"))
+
+        assert proposals(pre) < proposals(raw)
+        gt, model, pred = tmp_path / "gt.csv", tmp_path / "model.bin", tmp_path / "pred.csv"
+        assert run("gt-gen", "--method", "rasrgt", "--in", str(pre), "--out", str(gt), "--jobs", "1") == 0
+        assert run("train", "--in", str(pre), "--gt", str(gt), "--epochs", "2", "--out", str(model)) == 0
+        assert run("rank", "--in", str(pre), "--model", str(model), "--out", str(pred), "--jobs", "1") == 0
+        capsys.readouterr()
+        assert run("eval", "--pred", str(pred), "--gt", str(gt), "--out", str(tmp_path / "report.json")) == 0
+        assert capsys.readouterr().err.startswith("mean SRCC ")
 
     def test_gt_gen_methods_agree_with_synth_gt(self, dataset):
         out = dataset / "gt_rasrgt.csv"
@@ -1112,7 +1143,7 @@ class TestDatasetPublishing:
 # _stage_argv, pinned from the layout in which every stage wrote its own.
 PROVENANCE = {
     "synth": ("fbd7458d3583ce0f", 2),
-    "preprocess": ("8092d4255a8f4718", None),
+    "preprocess": ("a49802f7c7d328ca", None),
     "gt-gen": ("4c949bac6cffc618", None),
     "gt-discrepancy": ("ef2605b818d1c6ef", None),
     "train": ("a36adbbec937a731", 0),
@@ -1199,7 +1230,6 @@ OVERRIDES = [
     (["preprocess", "--iou", "0.5"], "filter", {"iou_discard": 0.5}),
     (["preprocess", "--max-area", "0.5"], "filter", {"max_area_frac": 0.5}),
     (["preprocess", "--min-area", "12.5"], "filter", {"min_area_px": 12.5}),
-    (["preprocess", "--min-count", "6"], "filter", {"min_count": 6}),
     (["gt-gen", "--method", "binmap"], "gt", {"method": "binmap"}),
     (["gt-gen", "--gamma", "0.3"], "gt", {"gamma": 0.3}),
     (["gt-gen", "--beta", "0.7"], "gt", {"beta": 0.7}),
@@ -1303,7 +1333,8 @@ class TestBadSceneFiles:
 
 class TestPreprocessedSceneErrors:
     """A data error that train or rank meets in one preprocessed scene names
-    the scene file, whichever stage reads it."""
+    the scene file, whichever stage reads it; a scene shorter than the
+    window is none."""
 
     @staticmethod
     def _run_stage(stage, pre, gt, tmp_path):
@@ -1315,15 +1346,28 @@ class TestPreprocessedSceneErrors:
 
     @pytest.mark.parametrize("stage", ["train", "rank"])
     def test_fewer_proposals_than_the_window(self, tmp_path, capsys, stage):
+        """Windows pad a scene shorter than the window size, which the model
+        fixes, so a window of 7 runs on scenes of 5 proposals."""
         raw, pre = tmp_path / "raw", tmp_path / "pre"
-        argv = ["--seed", "5", "--scenes", "2", "--objects", "3:3", "--fixations", "50", "--no-maps"]
+        argv = ["--seed", "5", "--scenes", "2", "--objects", "5:5", "--fixations", "50", "--no-maps"]
         assert run("synth", *argv, "--out", str(raw)) == 0
-        assert run("preprocess", "--min-count", "3", "--in", str(raw), "--out", str(pre)) == 0
-        n = len(json.loads((pre / "scenes" / "scene_00000.json").read_text())["proposals"])
-        assert self._run_stage(stage, pre, raw / "gt.csv", tmp_path) == 2
-        err = capsys.readouterr().err
-        assert f"{pre / 'scenes' / 'scene_00000.json'}: need at least 5 proposals, got {n}" in err
-        assert not list(tmp_path.glob("*.provenance.json"))
+        assert run("preprocess", "--in", str(raw), "--out", str(pre)) == 0
+        scenes = [json.loads(f.read_text()) for f in sorted((pre / "scenes").glob("*.json"))]
+        assert [len(s["proposals"]) for s in scenes] == [5, 5]
+        capsys.readouterr()
+        model = tmp_path / "m.bin"
+        if stage == "train":
+            argv = ["train", "--in", str(pre), "--gt", str(raw / "gt.csv"), "--window", "7", "--epochs", "1"]
+            assert run(*argv, "--out", str(model)) == 0
+            assert capsys.readouterr().err.startswith("trained on 14 windows;")  # 7 per scene
+            assert load_model(model).dims[-1] == 8
+            return
+        save_model(init_model(n_classes=8), model)  # window size 7
+        assert run("rank", "--in", str(pre), "--model", str(model), "--out", str(tmp_path / "p.csv")) == 0
+        pred = parse_ranking(tmp_path / "p.csv")
+        assert {sid: sorted(r.labels) for sid, r in pred.items()} == {
+            s["scene_id"]: sorted(q["id"] for q in s["proposals"]) for s in scenes
+        }
 
     @pytest.mark.parametrize("stage", ["train", "rank"])
     def test_feature_file_short_of_a_row(self, dataset, tmp_path, capsys, stage):
@@ -1393,7 +1437,7 @@ class TestSceneIds:
 
 class TestNoFileItsReaderRefuses:
     """A stage whose output its own reader would refuse exits 2 and writes
-    nothing; a size-like flag past its bound is refused before any work."""
+    nothing."""
 
     def test_preprocess_refuses_a_non_finite_feature_row(self, tmp_path, capsys):
         raw, pre = tmp_path / "raw", tmp_path / "pre"
@@ -1404,10 +1448,10 @@ class TestNoFileItsReaderRefuses:
             "proposals": [{"id": 0, "box": [0, 0, 1e-160, 1e-160]}, {"id": 1, "box": [2, 2, 8, 8]}],
             "fixations": [{"u": 0, "v": 0}, {"u": 5, "v": 5}],
         }))
-        assert run("preprocess", "--in", str(raw), "--out", str(pre), "--min-count", "1", "--jobs", "1") == 0
+        assert run("preprocess", "--in", str(raw), "--out", str(pre), "--jobs", "1") == 0
         before = tree(pre)  # the default min_area_px drops the subnormal box
         capsys.readouterr()
-        argv = ["preprocess", "--in", str(raw), "--out", str(pre), "--min-area", "1e-320", "--min-count", "1"]
+        argv = ["preprocess", "--in", str(raw), "--out", str(pre), "--min-area", "1e-320"]
         assert run(*argv, "--jobs", "1") == 2
         # The scene file and the row; no staging or .feat path that is never published.
         assert capsys.readouterr().err == f"error: {scene}: row 0: features must be finite\n"
@@ -1432,13 +1476,6 @@ class TestNoFileItsReaderRefuses:
         assert run(*train, "--lr", "1000", "--out", str(tmp_path / "m.bin")) == 0
         assert capsys.readouterr().err == "trained on 36 windows; last losses: 526.4757, 538.1626, 440.8821\n"
         assert hashlib.sha256((tmp_path / "m.bin").read_bytes()).hexdigest() == LR_1000_MODEL_SHA256
-
-    def test_min_count_is_bounded(self, dataset, tmp_path, capsys):
-        pre = tmp_path / "pre"
-        assert run("preprocess", "--in", str(dataset / "raw"), "--out", str(pre), "--min-count", "100000") == 2
-        assert capsys.readouterr().err == "error: min_count must be at most 1000, got 100000\n"
-        assert not pre.exists()
-        assert FilterConfig(min_count=1000).min_count == 1000
 
 
 # The model of that finite lr 1000 run.

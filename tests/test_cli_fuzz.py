@@ -41,7 +41,7 @@ COMMANDS = {
     "synth": ({}, {"--seed": COUNTS, "--objects": OBJECTS, "--no-maps": st.none()}),
     "preprocess": (
         {"--in": _path("raw", "mixed")},
-        {"--iou": REALS, "--max-area": REALS, "--min-area": REALS, "--min-count": COUNTS},
+        {"--iou": REALS, "--max-area": REALS, "--min-area": REALS},
     ),
     "gt-gen": (
         {"--in": _path("raw", "mixed")},

@@ -1,12 +1,13 @@
 import importlib
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import BYTE_EDITS, edit_bytes, make_scene
+from conftest import BYTE_EDITS, edit_bytes, listing_dummies, make_scene
 from rankflow.domain import BBox, Proposal, Scene
 from rankflow.errors import RankflowError
 from rankflow.preprocess import (
@@ -27,7 +28,7 @@ class TestFilterProposals:
             [(0, 0, 10, 10), (1, 0, 11, 10), (50, 50, 70, 70)],
             confidences=[0.9, 0.5, 0.8],
         )
-        out = filter_proposals(scene, FilterConfig(iou_discard=0.5, min_count=1))
+        out = filter_proposals(scene, FilterConfig(iou_discard=0.5))
         assert [p.id for p in out.proposals] == [0, 2]
 
     def test_survivors_keep_input_order(self):
@@ -35,26 +36,25 @@ class TestFilterProposals:
             [(0, 0, 10, 10), (50, 50, 70, 70)],
             confidences=[0.2, 0.9],
         )
-        out = filter_proposals(scene, FilterConfig(min_count=1))
+        out = filter_proposals(scene)
         assert [p.id for p in out.proposals] == [0, 1]
 
     def test_area_bounds(self):
         scene = make_scene(
             [(0, 0, 4, 4), (0, 0, 90, 90), (20, 20, 40, 40)],
         )
-        out = filter_proposals(
-            scene, FilterConfig(min_area_px=20, max_area_frac=0.6, min_count=1)
-        )
+        out = filter_proposals(scene, FilterConfig(min_area_px=20, max_area_frac=0.6))
         assert [p.id for p in out.proposals] == [2]
 
     def test_dummy_padding(self):
+        """A short scene is padded only when its windows are built; a dummy
+        that the input lists (an older preprocess wrote them) is kept after
+        the survivors."""
         scene = make_scene([(0, 0, 10, 10)])
-        out = filter_proposals(scene, FilterConfig(min_count=5))
-        assert len(out.proposals) == 5
-        dummies = [p for p in out.proposals if p.is_dummy]
-        assert len(dummies) == 4
-        assert all(p.box is None for p in dummies)
-        assert len({p.id for p in out.proposals}) == 5
+        assert filter_proposals(scene) is scene
+        listed = replace(scene, proposals=(Proposal(-1, None, is_dummy=True), *scene.proposals))
+        out = filter_proposals(listed)
+        assert [(p.id, p.is_dummy) for p in out.proposals] == [(0, False), (-1, True)]
 
     def test_rejects_bad_config(self):
         with pytest.raises(RankflowError):
@@ -93,7 +93,7 @@ def feature_scenes(draw):
 
 class TestExtractFeatures:
     def test_dummy_is_zero(self):
-        scene = filter_proposals(make_scene([(0, 0, 30, 30)]), FilterConfig(min_count=2))
+        scene = listing_dummies(make_scene([(0, 0, 30, 30)]), 2)
         assert scene.proposals[1].is_dummy
         assert np.array_equal(scene_features(scene)[1], np.zeros(FEATURE_DIM))
 
@@ -129,7 +129,7 @@ class TestExtractFeatures:
         assert np.all(feats >= 0) and np.all(feats <= 1)
 
     def test_scene_features_shape(self):
-        scene = filter_proposals(make_scene([(0, 0, 30, 30)]), FilterConfig(min_count=5))
+        scene = listing_dummies(make_scene([(0, 0, 30, 30)]), 5)
         assert scene_features(scene).shape == (5, FEATURE_DIM)
 
     def test_equal_to_the_benchmark_recomputation(self, monkeypatch):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rankflow.domain import BBox, Proposal, Ranking
+from conftest import listing_dummies
+from rankflow.domain import BBox, Proposal, Ranking, Scene
 from rankflow.errors import RankflowError
 from rankflow.rankcore import (
     _dominance_counts,
@@ -250,10 +251,19 @@ def _proposals(n):
     )
 
 
-def reference_aggregate(members, labels, probs, proposals):
+def _per_member(members, proposals):
+    """The (n, W) proposal ids and dummy flags of each window member."""
+    return np.array([p.id for p in proposals])[members], np.array([p.is_dummy for p in proposals])[members]
+
+
+def reference_aggregate(members, labels, probs, ids, dummy):
     """aggregate_votes in its per-proposal loop form: vote counts and the
     dominance matrix as in the array form, then a coverage loop, an ``alive``
     list, an ``order_key`` dict sort and a loop that fills the ranks."""
+    proposals = [
+        Proposal(id=int(pid), box=None, is_dummy=True) if d else Proposal(id=int(pid), box=BBox(0, 0, 1, 1))
+        for pid, d in zip(ids[:, 0], dummy[:, 0])
+    ]
     n = len(proposals)
     w = members.shape[-1]
     flat, lab = members.ravel(), labels.ravel()
@@ -321,7 +331,7 @@ def vote_cases(draw):
         Proposal(id=pid, box=None, is_dummy=True) if d else Proposal(id=pid, box=BBox(0, 0, 1, 1))
         for pid, d in zip(ids, dummies)
     )
-    return members, labels, probs, proposals
+    return members, labels, probs, *_per_member(members, proposals)
 
 
 class TestAggregateVotes:
@@ -338,7 +348,8 @@ class TestAggregateVotes:
             order = sorted(w.member_ids)
             members.append(w.member_ids)
             labels.append([order.index(m) + 1 for m in w.member_ids])
-        ranking = aggregate_votes(np.array(members), np.array(labels), self._uniform_probs(n), proposals)
+        members = np.array(members)
+        ranking = aggregate_votes(members, np.array(labels), self._uniform_probs(n), *_per_member(members, proposals))
         assert ranking.labels == {i: i + 1 for i in range(n)}
 
     def test_zero_majority_drops_proposal(self):
@@ -357,7 +368,9 @@ class TestAggregateVotes:
                     labels.append(order.index(m) + 1)
             members.append(w.member_ids)
             all_labels.append(labels)
-        ranking = aggregate_votes(np.array(members), np.array(all_labels), self._uniform_probs(n), proposals)
+        members = np.array(members)
+        probs = self._uniform_probs(n)
+        ranking = aggregate_votes(members, np.array(all_labels), probs, *_per_member(members, proposals))
         assert ranking.labels[4] == 0
         assert ranking.labels[0] == 1
 
@@ -380,7 +393,7 @@ class TestAggregateVotes:
         members[0, 3] = 1
         labels = np.tile(np.arange(1, 6), (n, 1))
         with pytest.raises(RankflowError, match=r"^proposal 13 appeared in 4 windows, expected 5$"):
-            aggregate_votes(members, labels, self._uniform_probs(n), proposals)
+            aggregate_votes(members, labels, self._uniform_probs(n), *_per_member(members, proposals))
 
 
 class TestWindowInputs:
@@ -475,9 +488,8 @@ class TestRankSceneBatch:
 
     def test_batch_rows_follow_windows(self):
         from conftest import make_scene
-        from rankflow.preprocess import FilterConfig, filter_proposals
 
-        scene = filter_proposals(make_scene([(0, 0, 10, 10), (20, 0, 30, 10)]), FilterConfig(min_count=5))
+        scene = listing_dummies(make_scene([(0, 0, 10, 10), (20, 0, 30, 10)]), 5)
         members, ids, dummy, inputs = window_batch(scene, np.zeros((5, 14)), 3)
         assert members.tolist() == [list(w.member_ids) for w in acb_sequences(5, 3)]
         assert ids.tolist() == [[scene.proposals[i].id for i in row] for row in members.tolist()]
@@ -490,3 +502,79 @@ class TestRankSceneBatch:
         scene = make_scene([(i * 12, 0, i * 12 + 10, 10) for i in range(6)], width=200, height=50)
         with pytest.raises(RankflowError, match=r"dummy mask shape \(6, 5\) != score rows \(5,\)"):
             rank_scene(scene, np.zeros((6, 14)), lambda ids, inputs: np.zeros((5, 6)), 5)
+
+
+def reference_window_batch(scene: Scene, features, window_size: int):
+    """``window_batch`` as it was before it padded: a scene of at least W
+    proposals only."""
+    members = np.array([w.member_ids for w in acb_sequences(len(scene.proposals), window_size)], dtype=np.intp)
+    ids = np.array([q.id for q in scene.proposals])[members]
+    dummy = np.array([q.is_dummy for q in scene.proposals])[members]
+    return members, ids, dummy, window_inputs(features, members)
+
+
+@st.composite
+def window_scenes(draw, short: bool):
+    """A window size W, a scene of distinct ids (some of them dummies) with
+    fewer than W entries when ``short``, else W..2W+3, and its features."""
+    w = draw(st.integers(1, 7))
+    n = draw(st.integers(0, w - 1) if short else st.integers(w, 2 * w + 3))
+    ids = draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n, unique=True))
+    dummies = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    proposals = tuple(
+        Proposal(pid, None, is_dummy=True) if d else Proposal(pid, BBox(0, 0, 1, 1)) for pid, d in zip(ids, dummies)
+    )
+    feats = np.array(draw(st.lists(st.floats(0, 1), min_size=n * 14, max_size=n * 14))).reshape(n, 14)
+    feats[np.array(dummies, dtype=bool)] = 0.0
+    return w, Scene("s", 10, 10, proposals, [], None), feats
+
+
+class TestWindowPadding:
+    @given(window_scenes(short=True))
+    @settings(max_examples=150, deadline=None)
+    def test_short_scene_is_padded_to_the_window(self, case):
+        w, scene, feats = case
+        n = len(scene.proposals)
+        members, ids, dummy, inputs = window_batch(scene, feats, w)
+        assert members.shape == ids.shape == dummy.shape == (w, w)
+        assert members.min() >= 0 and members.max() <= w - 1
+        low = min((q.id for q in scene.proposals), default=0)
+        by_position = dict(zip(members.ravel().tolist(), zip(ids.ravel().tolist(), dummy.ravel().tolist())))
+        assert [by_position[i] for i in range(w)] == (
+            [(q.id, q.is_dummy) for q in scene.proposals] + [(low - 1 - k, True) for k in range(w - n)]
+        )
+        assert not inputs[members >= n][:, :14].any()  # a pad's own features are zero
+        # The windows of the scene as an older preprocess padded it to W.
+        padded = reference_window_batch(listing_dummies(scene, w), np.vstack([feats, np.zeros((w - n, 14))]), w)
+        for got, want in zip((members, ids, dummy, inputs), padded):
+            assert np.array_equal(got, want)
+
+    @given(window_scenes(short=False))
+    @settings(max_examples=60, deadline=None)
+    def test_scene_of_the_window_or_more_is_not_padded(self, case):
+        w, scene, feats = case
+        for got, want in zip(window_batch(scene, feats, w), reference_window_batch(scene, feats, w)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @given(st.integers(0, 4), st.integers(5, 7), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_listed_dummies_rank_as_padding(self, n, w, seed):
+        """A scene that lists dummies, as an older preprocess wrote them at
+        its minimum of 5, ranks as that scene without them, at every window
+        size that older code accepted."""
+        from rankflow.scorer import init_model, make_scorer, oracle_scorer
+
+        rng = np.random.default_rng(seed)
+        scene = Scene("s", 100, 100, tuple(Proposal(10 + 3 * i, BBox(i, 0, i + 1, 1)) for i in range(n)), [], None)
+        feats = rng.random((n, 14))
+        listed = listing_dummies(scene, 5)
+        listed_feats = np.vstack([feats, np.zeros((5 - n, 14))])
+        gt = Ranking({q.id: int(o) for q, o in zip(scene.proposals, rng.permutation(n))})
+        model = init_model(n_classes=w + 1, seed=seed % 1000)
+        for scorer in (make_scorer(model), oracle_scorer(gt)):
+            assert rank_scene(listed, listed_feats, scorer, w) == rank_scene(scene, feats, scorer, w)
+
+    def test_window_size_is_checked_before_padding(self):
+        scene = Scene("s", 10, 10, (), [], None)
+        with pytest.raises(RankflowError, match="window size must be at most 7, got 10000000000"):
+            window_batch(scene, np.zeros((0, 14)), 10**10)
