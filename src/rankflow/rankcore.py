@@ -30,12 +30,17 @@ class Window:
     member_ids: tuple[int, ...]  # proposal positions in the scene's order
 
 
-def acb_sequences(n: int, window_size: int = DEFAULT_WINDOW) -> list[Window]:
-    """n circular windows; window i holds indices (i, i+1, ..., i+W-1) mod n."""
+def _acb_schedule(n: int, window_size: int) -> np.ndarray:
+    """The ACB schedule: n circular windows as an (n, W) intp array, row i being window i."""
     check_integer(window_size, "window size", 1, MAX_WINDOW)
     if n < window_size:
         raise RankflowError(f"need at least {window_size} proposals, got {n}")
-    return [Window(tuple((i + k) % n for k in range(window_size))) for i in range(n)]
+    return (np.arange(n, dtype=np.intp)[:, None] + np.arange(window_size, dtype=np.intp)) % n
+
+
+def acb_sequences(n: int, window_size: int = DEFAULT_WINDOW) -> list[Window]:
+    """n circular windows; window i holds indices (i, i+1, ..., i+W-1) mod n."""
+    return [Window(tuple(row)) for row in _acb_schedule(n, window_size).tolist()]
 
 
 @functools.cache
@@ -47,7 +52,7 @@ def _permutations(k: int) -> np.ndarray:
     return perms
 
 
-def hungarian(cost) -> list:
+def hungarian(cost) -> np.ndarray:
     """Minimum-cost permutation of a k x k matrix, or of each matrix in a
     (..., k, k) stack, by a scan over every permutation.
 
@@ -56,7 +61,7 @@ def hungarian(cost) -> list:
     rounding resolve to the same answer every time.  The tolerance scales
     with the minimum total, so a large flat row (say 1e6 in every column)
     widens it to ~1e-3; exclusive_classify's dummy rows cost 0 and do not.
-    The result is a list, nested like the stack.
+    The result is a new (..., k) intp array: each row's column, per matrix.
     """
     try:
         cost = np.array(cost, dtype=float)
@@ -73,7 +78,7 @@ def hungarian(cost) -> list:
     totals = cost[..., np.arange(k), perms].sum(axis=-1)
     best = totals.min(axis=-1, keepdims=True)
     within = totals <= best + 1e-9 * np.maximum(1.0, np.abs(best))
-    return perms[np.argmax(within, axis=-1)].tolist()
+    return perms.take(np.argmax(within, axis=-1), axis=0)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -92,12 +97,12 @@ def exclusive_classify(p: np.ndarray, dummy_mask) -> np.ndarray:
 
     p: the class probabilities (the softmax of the scorer's logits) of one
     window, W x (W+1), or of a (..., W, W+1) stack of windows, with a dummy
-    mask of the same leading shape; returns int labels of that shape.
-    Rank columns are classes 1..W; class 0 overrides a row's assigned rank
-    when the row prefers non-salient.  Dummy rows cost 0 in every column:
-    a flat row adds the same to every permutation, so it never displaces
-    real rows nor widens the assignment's tie tolerance.  Dummy rows are
-    forced to label 0.
+    mask of the same leading shape; returns int labels of that shape.  A
+    row's rank is its column in ``hungarian``'s index array plus 1 (rank
+    columns are classes 1..W); class 0 overrides it when the row prefers
+    non-salient.  Dummy rows cost 0 in every column: a flat row adds the
+    same to every permutation, so it never displaces real rows nor widens
+    the assignment's tie tolerance.  Dummy rows are forced to label 0.
     """
     p = np.asarray(p, dtype=float)
     w, c = p.shape[-2:]
@@ -108,7 +113,7 @@ def exclusive_classify(p: np.ndarray, dummy_mask) -> np.ndarray:
         raise RankflowError(f"dummy mask shape {dummy.shape} != score rows {p.shape[:-1]}")
     neglog = -np.log(np.maximum(p, 1e-300))
     cost = np.where(dummy[..., None], 0.0, neglog[..., 1:])
-    rank = np.asarray(hungarian(cost), dtype=np.intp) + 1
+    rank = hungarian(cost) + 1
     p_rank = np.take_along_axis(p, rank[..., None], axis=-1)[..., 0]
     return np.where(dummy | (p[..., 0] > p_rank), 0, rank)
 
@@ -135,8 +140,7 @@ def aggregate_votes(members, labels, probs, ids, dummy) -> Ranking:
     in-window labels, proposal ids and dummy flags; probs: the (n, W, W+1)
     softmax of the windows' scores.
     """
-    n = len(members)
-    w = members.shape[-1]
+    n, w = members.shape
     flat, lab = members.ravel(), labels.ravel()
     appearances = np.bincount(flat, minlength=n)
     zero_votes = np.bincount(flat[lab == 0], minlength=n)
@@ -150,8 +154,7 @@ def aggregate_votes(members, labels, probs, ids, dummy) -> Ranking:
     voted = (la > 0) & (lb > 0) & (la != lb)
     winners = np.where(la < lb, members[:, a], members[:, b])[voted]
     losers = np.where(la < lb, members[:, b], members[:, a])[voted]
-    wins = np.zeros((n, n), dtype=int)
-    np.add.at(wins, (winners, losers), 1)
+    wins = np.bincount(winners * n + losers, minlength=n * n).reshape(n, n)
     net = wins - wins.T
 
     ids, real = ids[:, 0], ~dummy[:, 0]
@@ -191,10 +194,10 @@ def window_inputs(features: np.ndarray, member_ids) -> np.ndarray:
 
 def window_batch(scene: Scene, features: np.ndarray, window_size: int = DEFAULT_WINDOW):
     """Every circular window of a scene at once, row i being window i:
-    member positions, proposal ids and dummy flags, each (n, W), and the
-    scorer inputs, (n, W, 18).  A scene of fewer than W proposals is first
-    padded to W with dummies: zero features and ids counting down from its
-    lowest id (from 0 when it has none)."""
+    member positions (the intp ACB schedule), proposal ids and dummy flags,
+    each (n, W), and the scorer inputs, (n, W, 18).  A scene of fewer than
+    W proposals is first padded to W with dummies: zero features and ids
+    counting down from its lowest id (from 0 when it has none)."""
     n = len(scene.proposals)
     if features.shape[0] != n:
         raise RankflowError(f"features rows {features.shape[0]} != proposals {n}")
@@ -204,7 +207,7 @@ def window_batch(scene: Scene, features: np.ndarray, window_size: int = DEFAULT_
     ids += range(low - 1, low - 1 - pad, -1)
     dummy = [p.is_dummy for p in scene.proposals] + [True] * pad
     features = np.concatenate([features, np.zeros((pad, features.shape[1]))])
-    members = np.array([w.member_ids for w in acb_sequences(len(ids), window_size)], dtype=np.intp)
+    members = _acb_schedule(len(ids), window_size)
     return members, np.array(ids)[members], np.array(dummy)[members], window_inputs(features, members)
 
 

@@ -40,9 +40,6 @@ class ScorerModel:
         buffer; a default pickle would give four detached copies."""
         return ScorerModel, (*self.dims, self.flat)
 
-    def params(self):
-        return [self.w1, self.b1, self.w2, self.b2]
-
 
 @dataclass(frozen=True)
 class TrainConfig:

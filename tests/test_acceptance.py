@@ -130,20 +130,18 @@ def test_criterion_05_gradient_check():
         dummy = [False, False, False, False, bool(rng.random() < 0.3)]
         cfg = TrainConfig(alpha=float(rng.uniform(0.2, 1.5)), margin=float(rng.uniform(0, 0.3)))
         _, analytic = loss_and_grad(model, x, prepare_targets(labels, dummy), cfg)
-        for p, a in zip(model.params(), analytic.params()):
-            it = np.nditer(p, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                old = p[idx]
-                p[idx] = old + eps
-                lp, _ = loss_and_grad(model, x, prepare_targets(labels, dummy), cfg)
-                p[idx] = old - eps
-                lm, _ = loss_and_grad(model, x, prepare_targets(labels, dummy), cfg)
-                p[idx] = old
-                numeric = (lp - lm) / (2 * eps)
-                rel = abs(a[idx] - numeric) / max(1.0, abs(a[idx]), abs(numeric))
-                worst = max(worst, rel)
-                assert rel < 1e-4
+        p, a = model.flat, analytic.flat
+        for idx in range(p.size):
+            old = p[idx]
+            p[idx] = old + eps
+            lp, _ = loss_and_grad(model, x, prepare_targets(labels, dummy), cfg)
+            p[idx] = old - eps
+            lm, _ = loss_and_grad(model, x, prepare_targets(labels, dummy), cfg)
+            p[idx] = old
+            numeric = (lp - lm) / (2 * eps)
+            rel = abs(a[idx] - numeric) / max(1.0, abs(a[idx]), abs(numeric))
+            worst = max(worst, rel)
+            assert rel < 1e-4
     ok(5, f"100 draws, worst relative gradient error {worst:.2e} < 1e-4")
 
 

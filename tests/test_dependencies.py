@@ -3,10 +3,11 @@
 modules (relative imports), and the CLI loads only what a stage runs.  Only
 ``ingest`` touches the file system, and only ``cli.dispatch`` records
 provenance and prints a stage's log line.  And rankflow holds no dead public
-name."""
+name, and parses as the oldest Python that pyproject.toml admits."""
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import defaultdict
@@ -23,6 +24,18 @@ def _absolute_imports():
                 yield from ((path.name, alias.name.split(".")[0]) for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 yield path.name, node.module.split(".")[0]
+
+
+def test_source_parses_at_the_python_floor():
+    """No module uses syntax newer than ``requires-python``'s floor (3.10
+    today), which a test run on a newer interpreter would not notice."""
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject, re.M)
+    assert floor is not None, "pyproject.toml states no requires-python floor"
+    paths = sorted(Path(rankflow.__file__).parent.glob("*.py"))
+    assert "rankcore.py" in [path.name for path in paths]
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=tuple(map(int, floor.groups())))
 
 
 def test_runtime_imports_are_stdlib_or_numpy():

@@ -8,6 +8,7 @@ from conftest import listing_dummies
 from rankflow.domain import BBox, Proposal, Ranking, Scene
 from rankflow.errors import RankflowError
 from rankflow.rankcore import (
+    _acb_schedule,
     _dominance_counts,
     acb_sequences,
     aggregate_votes,
@@ -66,20 +67,36 @@ class TestAcbSequences:
                 counts[idx] += 1
         assert counts == [5] * n
 
+    @pytest.mark.parametrize("w", range(1, 8))
+    def test_schedule_rows_are_the_windows(self, w):
+        """The ACB schedule, its Window view and window_batch's members hold
+        the same rows, for a scene shorter than W too (padded to W)."""
+        for n in range(21):
+            m = max(n, w)  # positions after padding
+            want = [tuple((i + k) % m for k in range(w)) for i in range(m)]
+            scene = Scene("s", 10, 10, tuple(Proposal(i, BBox(0, 0, 1, 1)) for i in range(n)), [], None)
+            members = window_batch(scene, np.zeros((n, 14)), w)[0]
+            assert members.dtype == np.intp and list(map(tuple, members.tolist())) == want
+            if n >= w:
+                schedule = _acb_schedule(n, w)
+                assert schedule.dtype == np.intp and list(map(tuple, schedule.tolist())) == want
+                assert [win.member_ids for win in acb_sequences(n, w)] == want
+
 
 class TestHungarian:
     def test_hand_example(self):
         perm = hungarian([[1, 2, 3], [2, 4, 6], [3, 6, 9]])
-        assert perm == [2, 1, 0]
+        assert perm.dtype == np.intp and perm.flags.writeable  # a copy, not the cached table's row
+        assert perm.tolist() == [2, 1, 0]
         cost = [[1, 2, 3], [2, 4, 6], [3, 6, 9]]
         assert sum(cost[i][perm[i]] for i in range(3)) == 10
 
     def test_all_zero_lexicographic(self):
-        assert hungarian([[0.0] * 4 for _ in range(4)]) == [0, 1, 2, 3]
+        assert hungarian([[0.0] * 4 for _ in range(4)]).tolist() == [0, 1, 2, 3]
 
     def test_identity_on_diagonal(self):
         cost = [[0 if i == j else 5 for j in range(5)] for i in range(5)]
-        assert hungarian(cost) == [0, 1, 2, 3, 4]
+        assert hungarian(cost).tolist() == [0, 1, 2, 3, 4]
 
     def test_rejects_non_square(self):
         with pytest.raises(RankflowError, match="cost matrix must be square"):
@@ -110,7 +127,7 @@ class TestHungarian:
             [5, 5, 5, 0, 5],
             [5, 5, 5, 5, 0],
         ]
-        assert hungarian(cost) == [0, 1, 2, 3, 4]
+        assert hungarian(cost).tolist() == [0, 1, 2, 3, 4]
 
     @given(st.integers(2, 7), st.data())
     @settings(max_examples=60, deadline=None)
@@ -122,7 +139,7 @@ class TestHungarian:
         cost = [data.draw(st.lists(step, min_size=k, max_size=k)) for _ in range(k)]
         for r in data.draw(st.lists(st.integers(0, k - 1), max_size=k - 1, unique=True)):
             cost[r] = [1e6] * k
-        assert hungarian(cost) == first_within_tolerance(cost)
+        assert hungarian(cost).tolist() == first_within_tolerance(cost)
 
     @given(
         st.integers(2, 4),
@@ -133,7 +150,7 @@ class TestHungarian:
         cost = [[rnd.randint(0, 6) * 0.5 for _ in range(k)] for _ in range(k)]
         perm = hungarian(cost)
         oracle_perm, oracle_total = brute_force_assignment(cost)
-        assert perm == oracle_perm
+        assert perm.tolist() == oracle_perm
         assert sum(cost[i][perm[i]] for i in range(k)) == pytest.approx(oracle_total)
 
     @pytest.mark.parametrize("k", range(2, 8))
@@ -143,7 +160,9 @@ class TestHungarian:
         rng = np.random.default_rng(k)
         stack = rng.integers(0, 4, size=(40, k, k)) / 2.0
         stack[rng.random((40, k)) < 0.3] = 1e6
-        assert hungarian(stack) == [hungarian(cost) for cost in stack]
+        perms = hungarian(stack)
+        assert perms.dtype == np.intp and perms.shape == (40, k)
+        assert perms.tolist() == [hungarian(cost).tolist() for cost in stack]
 
     def test_stack_checks_every_matrix(self):
         stack = np.zeros((3, 4, 4))
@@ -257,9 +276,10 @@ def _per_member(members, proposals):
 
 
 def reference_aggregate(members, labels, probs, ids, dummy):
-    """aggregate_votes in its per-proposal loop form: vote counts and the
-    dominance matrix as in the array form, then a coverage loop, an ``alive``
-    list, an ``order_key`` dict sort and a loop that fills the ranks."""
+    """aggregate_votes in its per-proposal loop form: vote counts as in the
+    array form, pairwise wins counted pair by pair in each window, then a
+    coverage loop, an ``alive`` list, an ``order_key`` dict sort and a loop
+    that fills the ranks."""
     proposals = [
         Proposal(id=int(pid), box=None, is_dummy=True) if d else Proposal(id=int(pid), box=BBox(0, 0, 1, 1))
         for pid, d in zip(ids[:, 0], dummy[:, 0])
@@ -271,13 +291,12 @@ def reference_aggregate(members, labels, probs, ids, dummy):
     zero_votes = np.bincount(flat[lab == 0], minlength=n)
     rank_sum = np.bincount(flat, weights=lab, minlength=n)
     salient_prob_sum = np.bincount(flat, weights=1.0 - probs[..., 0].ravel(), minlength=n)
-    a, b = np.triu_indices(w, 1)
-    la, lb = labels[:, a], labels[:, b]
-    voted = (la > 0) & (lb > 0) & (la != lb)
-    winners = np.where(la < lb, members[:, a], members[:, b])[voted]
-    losers = np.where(la < lb, members[:, b], members[:, a])[voted]
     wins = np.zeros((n, n), dtype=int)
-    np.add.at(wins, (winners, losers), 1)
+    for row, row_labels in zip(members.tolist(), labels.tolist()):
+        for (i, li), (j, lj) in itertools.combinations(zip(row, row_labels), 2):
+            if li > 0 and lj > 0 and li != lj:  # the lower label wins the pair
+                winner, loser = (i, j) if li < lj else (j, i)
+                wins[winner, loser] += 1
     net = wins - wins.T
 
     for idx, p in enumerate(proposals):

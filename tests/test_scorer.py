@@ -58,7 +58,7 @@ class TestInitAndForward:
     def test_deterministic(self):
         a = init_model(seed=3)
         b = init_model(seed=3)
-        assert all(np.array_equal(x, y) for x, y in zip(a.params(), b.params()))
+        assert np.array_equal(a.flat, b.flat)
 
     def test_shapes(self):
         model = init_model(d_in=18, hidden=32, n_classes=6)
@@ -133,21 +133,17 @@ class TestLoss:
                 loss_and_grad(model, np.zeros((2, 5, 18)), targets, TrainConfig())
 
     def _numeric_grad(self, model, x, labels, cfg, dummy_mask, eps=1e-6):
-        grads = []
-        for p in model.params():
-            g = np.zeros_like(p)
-            it = np.nditer(p, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                old = p[idx]
-                p[idx] = old + eps
-                lp, _ = loss_and_grad(model, x, prepare_targets(labels, dummy_mask), cfg)
-                p[idx] = old - eps
-                lm, _ = loss_and_grad(model, x, prepare_targets(labels, dummy_mask), cfg)
-                p[idx] = old
-                g[idx] = (lp - lm) / (2 * eps)
-            grads.append(g)
-        return grads
+        """Central differences of the loss in every entry of the flat buffer."""
+        p, grad = model.flat, np.zeros_like(model.flat)
+        for idx in range(p.size):
+            old = p[idx]
+            p[idx] = old + eps
+            lp, _ = loss_and_grad(model, x, prepare_targets(labels, dummy_mask), cfg)
+            p[idx] = old - eps
+            lm, _ = loss_and_grad(model, x, prepare_targets(labels, dummy_mask), cfg)
+            p[idx] = old
+            grad[idx] = (lp - lm) / (2 * eps)
+        return grad
 
     def test_gradient_check_small(self):
         rng = np.random.default_rng(5)
@@ -158,8 +154,7 @@ class TestLoss:
         dummy = [False, False, False, False, True]
         _, analytic = loss_and_grad(model, x, prepare_targets(labels, dummy), cfg)
         numeric = self._numeric_grad(model, x, labels, cfg, dummy)
-        for a, n in zip(analytic.params(), numeric):
-            assert np.allclose(a, n, rtol=1e-4, atol=1e-6)
+        assert np.allclose(analytic.flat, numeric, rtol=1e-4, atol=1e-6)
 
 
 class TestPrepareTargets:
@@ -219,7 +214,7 @@ class TestTrain:
         cfg = TrainConfig(epochs=3, seed=4)
         a = train(self._dataset(), cfg)
         b = train(self._dataset(), cfg)
-        assert all(np.array_equal(x, y) for x, y in zip(a.model.params(), b.model.params()))
+        assert np.array_equal(a.model.flat, b.model.flat)
         assert a.epoch_losses == b.epoch_losses
 
     def test_loss_decreases_on_learnable_data(self):
@@ -312,14 +307,14 @@ class TestModelIo:
         save_model(model, path)
         loaded = load_model(path)
         assert loaded.dims == model.dims
-        assert all(np.array_equal(a, b) for a, b in zip(loaded.params(), model.params()))
+        assert np.array_equal(loaded.flat, model.flat)
 
     def test_pickle_keeps_one_buffer(self):
         model = init_model(seed=2)
         copy = pickle.loads(pickle.dumps(model))
         assert copy.dims == model.dims
         assert copy.flat.tobytes() == model.flat.tobytes()
-        for view in copy.params():
+        for view in (copy.w1, copy.b1, copy.w2, copy.b2):
             assert np.shares_memory(view, copy.flat)
         copy.b2[0] = 1.0
         assert copy.flat[-copy.dims[2]] == 1.0
@@ -460,14 +455,14 @@ def _reference_loss_and_grad(model, inputs, gt_labels, cfg, dummy_mask=None):
     dw1 = inputs.T @ dhidden
     db1 = dhidden.sum(axis=0)
     grads = ScorerModel(*model.dims)
-    for g, value in zip(grads.params(), (dw1, db1, dw2, db2)):
+    for g, value in zip((grads.w1, grads.b1, grads.w2, grads.b2), (dw1, db1, dw2, db2)):
         g[...] = value
     return loss, grads
 
 
 def _reference_train(dataset, cfg):
     model = init_model(d_in=dataset[0][0].shape[1], n_classes=len(dataset[0][1]) + 1, seed=cfg.seed)
-    velocity = [np.zeros_like(p) for p in model.params()]
+    velocity = np.zeros_like(model.flat)
     rng = np.random.default_rng(cfg.seed + 1)
     losses = []
     for epoch in range(cfg.epochs):
@@ -476,19 +471,16 @@ def _reference_train(dataset, cfg):
         total = 0.0
         for start in range(0, len(order), BATCH):
             batch = order[start : start + BATCH]
-            loss, grads = 0.0, [np.zeros_like(p) for p in model.params()]
+            loss, grads = 0.0, np.zeros_like(model.flat)
             for idx in batch:
                 inputs, labels, dummy_mask = dataset[idx]
                 win_loss, win_grads = _reference_loss_and_grad(model, inputs, labels, cfg, dummy_mask)
                 loss += win_loss
-                for g, wg in zip(grads, win_grads.params()):
-                    g += wg
+                grads += win_grads.flat
             total += loss
-            for p, v, g in zip(model.params(), velocity, grads):
-                g = g / len(batch) + cfg.weight_decay * p
-                v *= cfg.momentum
-                v += g
-                p -= lr * v
+            velocity *= cfg.momentum
+            velocity += grads / len(batch) + cfg.weight_decay * model.flat
+            model.flat -= lr * velocity
         losses.append(total / len(dataset))
     return model, losses
 
@@ -518,9 +510,7 @@ def _per_batch_train(dataset, cfg):
     w = len(dataset[0][1])
     model = init_model(d_in=dataset[0][0].shape[1], n_classes=w + 1, seed=cfg.seed)
     targets = prepare_targets([gt for _, gt, _ in dataset], [mask for _, _, mask in dataset])
-    params = ScorerModel(*model.dims)
-    for dst, src in zip(params.params(), model.params()):
-        dst[...] = src
+    params = ScorerModel(*model.dims, model.flat.copy())
     theta = params.flat
     velocity = np.zeros_like(theta)
     scratch = np.empty_like(theta)
@@ -536,7 +526,7 @@ def _per_batch_train(dataset, cfg):
             x = np.array([dataset[i][0] for i in idx], dtype=float)
             loss, grads = loss_and_grad(params, x, shuffled.take(slice(start, start + BATCH)), cfg)
             total += loss * len(idx)
-            grad = np.concatenate([g.ravel() for g in grads.params()])
+            grad = grads.flat
             grad += np.multiply(theta, cfg.weight_decay, out=scratch)
             velocity *= cfg.momentum
             velocity += grad
@@ -557,8 +547,7 @@ class TestSameTrajectory:
         model, losses = _reference_train(data, cfg)
         result = train(data, cfg)
         np.testing.assert_allclose(result.epoch_losses, losses, rtol=1e-12, atol=0)
-        for got, want in zip(result.model.params(), model.params()):
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(result.model.flat, model.flat, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("w", [3, 5, 7])
     @pytest.mark.parametrize(
@@ -571,8 +560,7 @@ class TestSameTrajectory:
         model, losses = _per_batch_train(data, cfg)
         result = train(data, cfg)
         np.testing.assert_allclose(result.epoch_losses, losses, rtol=1e-12, atol=0)
-        for got, want in zip(result.model.params(), model.params()):
-            assert got.tobytes() == want.tobytes()
+        assert result.model.flat.tobytes() == model.flat.tobytes()
 
     def test_loss_and_grad_matches_reference(self):
         rng = np.random.default_rng(11)
@@ -599,8 +587,7 @@ class TestSameTrajectory:
                     loss_and_grad(model, x[None], shuffled.take(slice(at, at + 1)), cfg),
                 ):
                     np.testing.assert_allclose(got_loss, want_loss, rtol=1e-12, atol=0)
-                    for a, b in zip(got.params(), want.params()):
-                        assert a.tobytes() == b.tobytes()
+                    assert got.flat.tobytes() == want.flat.tobytes()
 
     @pytest.mark.parametrize("w", [2, 5, 12])
     def test_batch_is_mean_of_windows(self, w):
@@ -611,9 +598,8 @@ class TestSameTrajectory:
         loss, grads = loss_and_grad(model, x, prepare_targets(labels, dummy), cfg)
         per_window = [_reference_loss_and_grad(model, *sample[:2], cfg, sample[2]) for sample in data]
         np.testing.assert_allclose(loss, np.mean([lo for lo, _ in per_window]), rtol=1e-12, atol=0)
-        for k, got in enumerate(grads.params()):
-            want = np.mean([g.params()[k] for _, g in per_window], axis=0)
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        want = np.mean([g.flat for _, g in per_window], axis=0)
+        np.testing.assert_allclose(grads.flat, want, rtol=1e-12, atol=0)
 
     def test_saved_model_bytes_pinned(self, tmp_path):
         # SHA-256 of the model file written by the minibatch trainer.
